@@ -408,7 +408,7 @@ class CentralityReport:
 
 def build_report(
     local: Graph,
-    global_graph: Graph | None = None,
+    degrees: Mapping[Node, tuple[int, int]] | None = None,
     *,
     local_basis: str = "local graph",
     global_basis: str | None = None,
@@ -416,10 +416,12 @@ def build_report(
     """Assemble a :class:`CentralityReport` for the local graph's nodes.
 
     Closeness, betweenness, eigenvector, and the local degree come from
-    *local*; in/out degrees come from *global_graph* when given (every local
-    node must be present there), otherwise from *local* itself.  The local
-    degree counts distinct neighbors in either direction, so it reads the
-    same on undirected similarity graphs and directed raw-link graphs.
+    *local*.  In/out degrees come from *degrees*, a ``node -> (in, out)``
+    mapping such as :func:`~citenet.matrix.citation_degrees` of the whole
+    matrix, when given (every local node must be present there), otherwise
+    from *local* itself.  The local degree counts distinct neighbors in
+    either direction, so it reads the same on undirected similarity graphs
+    and directed raw-link graphs.
     Graphs without edges get eigenvector loadings of 0, and single-node
     graphs get closeness 0, mirroring the isolate convention.
     """
@@ -429,15 +431,18 @@ def build_report(
     else:
         eigenvector = {node: 0.0 for node in local.nodes}
 
-    if global_graph is None:
-        global_graph = local
+    if degrees is None:
+        degrees = {node: degree_centrality(local, node) for node in local.nodes}
         global_basis = local_basis
     elif global_basis is None:
         global_basis = "citation graph"
+    missing = [node for node in local.nodes if node not in degrees]
+    if missing:
+        raise UnknownNodeError(f"no global degrees for {missing}")
 
     rows: dict[Node, CentralityRow] = {}
     for node in local.nodes:
-        degree_in, degree_out = degree_centrality(global_graph, node)
+        degree_in, degree_out = degrees[node]
         closeness = closeness_centrality(local, node) if len(local) >= 2 else 0.0
         neighbors = set(local.successors(node)) | set(local.predecessors(node))
         rows[node] = CentralityRow(

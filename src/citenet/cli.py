@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from .errors import CitenetError
 from .export import export_dot, export_json, export_pajek, make_glyphs, report_table
 from .matrix import (
     SourceIndex,
+    citation_degrees,
     merge_indices,
     parse_citation_csv,
     read_matrix,
@@ -172,10 +174,9 @@ def _report(settings: _Settings, args: argparse.Namespace):
         local_basis = f"raw citation links among members (seed {env.seed})"
     else:
         raise CitenetError(f"--local-basis must be sim or raw, not {basis!r}")
-    global_graph = Graph.from_citation_matrix(matrix)
     report = build_report(
         local,
-        global_graph,
+        citation_degrees(matrix),
         local_basis=local_basis,
         global_basis=f"citation matrix {matrix.year} ({len(matrix)} journals)",
     )
@@ -357,7 +358,7 @@ def _cmd_export(settings: _Settings, args: argparse.Namespace) -> int:
 
 def _load_if_csv(path: Path) -> dict[str, float]:
     values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -367,7 +368,16 @@ def _load_if_csv(path: Path) -> dict[str, float]:
             fields = line.split(",")
             if len(fields) != 2:
                 raise CitenetError(f"{path}:{line_no}: expected id,impact_factor")
-            values[fields[0].strip()] = float(fields[1])
+            try:
+                value = float(fields[1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise CitenetError(
+                    f"{path}:{line_no}: impact factor {fields[1].strip()!r} "
+                    "is not a finite number"
+                )
+            values[fields[0].strip()] = value
     return values
 
 

@@ -91,22 +91,14 @@ def extract_environment(
     qualifying.sort(key=lambda item: (-item[1], item[0]))
 
     members = (seed,) + tuple(journal_id for journal_id, _ in qualifying)
-    member_set = set(members)
     contributions = {seed: links.get(seed, 0) / total}
     contributions.update(
         (journal_id, count / total) for journal_id, count in qualifying
     )
 
-    cells = {
-        (citing, cited): count
-        for citing in members
-        for cited, count in m.row(citing).items()
-        if cited in member_set
-    }
-    submatrix = CitationMatrix(
-        m.year, [m.journals[journal_id] for journal_id in members], cells
+    return SeedEnvironment(
+        seed, direction, threshold, members, m.submatrix(members), contributions
     )
-    return SeedEnvironment(seed, direction, threshold, members, submatrix, contributions)
 
 
 def environment_totals(env: SeedEnvironment, j: JournalId) -> tuple[int, int]:

@@ -19,6 +19,10 @@ class EdgeListParseError(CitenetError):
         super().__init__(f"line {line_no}: {message}")
 
 
+class SidecarError(CitenetError):
+    """A persisted matrix's sidecar is malformed or does not match its CSV."""
+
+
 class YearMismatchError(CitenetError):
     """Two matrices with different years cannot be merged."""
 

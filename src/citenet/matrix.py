@@ -4,29 +4,42 @@ The interchange format is a plain edge-list CSV:
 
     citing,cited,count
 
-one directed edge per line, counts as base-10 nonnegative integers, UTF-8,
-LF line endings.  Diagonal entries (``citing == cited``) are within-journal
+one directed edge per line, counts as base-10 nonnegative integers of at
+most ``MAX_COUNT``, UTF-8 (a leading byte-order mark is ignored), LF line
+endings.  Diagonal entries (``citing == cited``) are within-journal
 self-citations and are stored like any other cell; downstream code decides
 whether to exclude them.  Duplicate ``(citing, cited)`` rows are summed so
 per-issue extracts can be concatenated.
 
 A persisted matrix is the edge-list CSV plus a sidecar JSON document
-(``<path>.meta.json``) holding the year and the journal registry, including
-journals that have no citation links at all.
+(``<path>.meta.json``) holding the year, the journal registry (including
+journals that have no citation links at all) and the CSV's sha256.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import os
+import re
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
-from .errors import EdgeListParseError, UnknownJournalError, YearMismatchError
+import numpy as np
+from scipy.sparse import csr_array
+
+from .errors import (
+    EdgeListParseError,
+    SidecarError,
+    UnknownJournalError,
+    YearMismatchError,
+)
 
 JournalId = str
 
@@ -37,6 +50,18 @@ SIDECAR_SUFFIX = ".meta.json"
 # Cell counts for journals indexed in both source databases are summed on
 # merge; the sidecar records this so persisted matrices are self-describing.
 MERGE_POLICY = "sum"
+
+# Largest count a row or a stored cell may carry.  Below 2^31, every int64
+# sum the toolkit forms stays below 2^63: a cell summed over fewer than 2^32
+# duplicate rows, a row or column total, and the cell-wise sum of a merge.
+MAX_COUNT = 2**31 - 1
+
+BOM = "\ufeff"
+
+# A block of rows that needs no stripping, skipping or id checks: two
+# nonempty whitespace-free ids and at most ten ASCII digits per line.
+_CANONICAL_ROWS = re.compile(r"(?:[^\s,]+,[^\s,]+,[0-9]{1,10}\n)*")
+_BLOCK_CHARS = 1 << 20
 
 
 class SourceIndex(Enum):
@@ -69,17 +94,29 @@ class Journal:
             raise ValueError(f"journal {self.id!r}: display_name must be nonempty")
 
 
+def _canonical(n: int, rows, cols, counts) -> csr_array:
+    """n-by-n int64 CSR with duplicates summed, zeros dropped, indices sorted."""
+    counts = np.asarray(counts, dtype=np.int64)
+    csr = csr_array((counts, (rows, cols)), shape=(n, n), dtype=np.int64)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    return csr
+
+
 class CitationMatrix:
     """Sparse directed weighted journal-to-journal citation counts for one year.
 
-    Immutable once constructed: all accessors return read-only views, so a
-    matrix can be shared across concurrent computations without coordination.
-    Only strictly positive counts are stored; every journal referenced by a
-    cell is present in the registry (the registry may contain additional,
-    isolated journals).
+    Journal ids are sorted and numbered once; the counts live in one
+    canonical int64 CSR matrix over those numbers (a CSC copy is made on the
+    first column lookup).  Immutable once constructed: all accessors return
+    read-only views, so a matrix can be shared across concurrent
+    computations without coordination.  Only strictly positive counts are
+    stored; every journal referenced by a cell is present in the registry
+    (the registry may contain additional, isolated journals).  ``cells``,
+    ``row`` and ``col`` iterate in journal-id order.
     """
 
-    __slots__ = ("_year", "_journals", "_cells", "_rows", "_cols")
+    __slots__ = ("_year", "_journals", "_ids", "_index", "_csr", "_csc")
 
     def __init__(
         self,
@@ -93,28 +130,48 @@ class CitationMatrix:
             if existing is not None and existing != journal:
                 raise ValueError(f"conflicting registry entries for {journal.id!r}")
             registry[journal.id] = journal
+        registry = dict(sorted(registry.items()))
+        index = {journal_id: i for i, journal_id in enumerate(registry)}
 
-        stored: dict[tuple[JournalId, JournalId], int] = {}
-        rows: dict[JournalId, dict[JournalId, int]] = {}
-        cols: dict[JournalId, dict[JournalId, int]] = {}
+        rows: list[int] = []
+        cols: list[int] = []
+        counts: list[int] = []
         for (citing, cited), count in cells.items():
             if count < 0:
                 raise ValueError(f"cell ({citing}, {cited}): negative count {count}")
+            if count > MAX_COUNT:
+                raise ValueError(
+                    f"cell ({citing}, {cited}): count {count} exceeds {MAX_COUNT}"
+                )
             if count == 0:
                 continue
-            if citing not in registry:
+            if citing not in index:
                 raise ValueError(f"cell ({citing}, {cited}): unknown citing journal")
-            if cited not in registry:
+            if cited not in index:
                 raise ValueError(f"cell ({citing}, {cited}): unknown cited journal")
-            stored[(citing, cited)] = count
-            rows.setdefault(citing, {})[cited] = count
-            cols.setdefault(cited, {})[citing] = count
+            rows.append(index[citing])
+            cols.append(index[cited])
+            counts.append(count)
+        self._assign(year, registry, _canonical(len(index), rows, cols, counts))
 
+    @classmethod
+    def _from_csr(
+        cls, year: int, registry: dict[JournalId, Journal], csr: csr_array
+    ) -> "CitationMatrix":
+        """Wrap a canonical CSR whose axes are the id-sorted *registry*."""
+        m = cls.__new__(cls)
+        m._assign(year, registry, csr)
+        return m
+
+    def _assign(
+        self, year: int, registry: dict[JournalId, Journal], csr: csr_array
+    ) -> None:
         self._year = year
-        self._journals = dict(sorted(registry.items()))
-        self._cells = stored
-        self._rows = rows
-        self._cols = cols
+        self._journals = registry
+        self._ids = tuple(registry)
+        self._index = {journal_id: i for i, journal_id in enumerate(self._ids)}
+        self._csr = csr
+        self._csc = None
 
     @property
     def year(self) -> int:
@@ -126,7 +183,7 @@ class CitationMatrix:
 
     @property
     def cells(self) -> Mapping[tuple[JournalId, JournalId], int]:
-        return MappingProxyType(self._cells)
+        return _Cells(self)
 
     def __contains__(self, journal_id: JournalId) -> bool:
         return journal_id in self._journals
@@ -137,34 +194,122 @@ class CitationMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationMatrix):
             return NotImplemented
+        a, b = self._csr, other._csr
         return (
             self._year == other._year
             and self._journals == other._journals
-            and self._cells == other._cells
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
         )
 
     def __repr__(self) -> str:
         return (
             f"CitationMatrix(year={self._year}, journals={len(self._journals)}, "
-            f"cells={len(self._cells)})"
+            f"cells={self._csr.nnz})"
         )
 
     def cell(self, citing: JournalId, cited: JournalId) -> int:
         """Count of citations from *citing* to *cited* (0 if absent)."""
-        return self._rows.get(citing, {}).get(cited, 0)
+        i = self._index.get(citing)
+        j = self._index.get(cited)
+        if i is None or j is None:
+            return 0
+        start, end = self._csr.indptr[i], self._csr.indptr[i + 1]
+        k = start + np.searchsorted(self._csr.indices[start:end], j)
+        if k < end and self._csr.indices[k] == j:
+            return int(self._csr.data[k])
+        return 0
 
     def row(self, citing: JournalId) -> Mapping[JournalId, int]:
         """Outgoing counts of *citing*: cited journal -> count."""
-        return MappingProxyType(self._rows.get(citing, {}))
+        return self._line(self._csr, citing)
 
     def col(self, cited: JournalId) -> Mapping[JournalId, int]:
         """Incoming counts of *cited*: citing journal -> count."""
-        return MappingProxyType(self._cols.get(cited, {}))
+        if self._csc is None:
+            self._csc = self._csr.tocsc()
+            self._csc.sort_indices()
+        return self._line(self._csc, cited)
+
+    def _line(self, compressed, journal_id: JournalId) -> Mapping[JournalId, int]:
+        i = self._index.get(journal_id)
+        if i is None:
+            return MappingProxyType({})
+        start, end = compressed.indptr[i], compressed.indptr[i + 1]
+        others = map(self._ids.__getitem__, compressed.indices[start:end].tolist())
+        return MappingProxyType(dict(zip(others, compressed.data[start:end].tolist())))
+
+    def submatrix(self, journal_ids: Iterable[JournalId]) -> "CitationMatrix":
+        """The registry and the cells restricted to *journal_ids*."""
+        wanted = sorted(set(journal_ids))
+        unknown = [journal_id for journal_id in wanted if journal_id not in self._index]
+        if unknown:
+            raise UnknownJournalError(f"not in matrix: {unknown}")
+        positions = np.array([self._index[j] for j in wanted], dtype=np.int64)
+        csr = self._csr[positions][:, positions]
+        csr.sum_duplicates()
+        registry = {journal_id: self._journals[journal_id] for journal_id in wanted}
+        return CitationMatrix._from_csr(self._year, registry, csr)
+
+    def _triples(self) -> tuple[Iterator[JournalId], Iterator[JournalId], list[int]]:
+        """(citing ids, cited ids, counts) of every cell, in id order."""
+        csr = self._csr
+        rows = np.repeat(np.arange(len(self._ids)), np.diff(csr.indptr))
+        citing = map(self._ids.__getitem__, rows.tolist())
+        cited = map(self._ids.__getitem__, csr.indices.tolist())
+        return citing, cited, csr.data.tolist()
+
+
+class _Cells(Mapping):
+    """Read-only ``(citing, cited) -> count`` view of a matrix's stored cells."""
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix: CitationMatrix) -> None:
+        self._matrix = matrix
+
+    def __getitem__(self, key: tuple[JournalId, JournalId]) -> int:
+        try:
+            citing, cited = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        count = self._matrix.cell(citing, cited)
+        if count == 0:
+            raise KeyError(key)
+        return count
+
+    def __len__(self) -> int:
+        return self._matrix._csr.nnz
+
+    def __iter__(self) -> Iterator[tuple[JournalId, JournalId]]:
+        citing, cited, _ = self._matrix._triples()
+        return zip(citing, cited)
+
+    def items(self) -> ItemsView:
+        return _CellItems(self)
+
+    def values(self) -> ValuesView:
+        return _CellValues(self)
+
+
+class _CellItems(ItemsView):
+    def __iter__(self):
+        citing, cited, counts = self._mapping._matrix._triples()
+        return zip(zip(citing, cited), counts)
+
+
+class _CellValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._matrix._csr.data.tolist())
 
 
 def _parse_count(field: str, line_no: int) -> int:
     if field.isascii() and field.isdigit():
-        return int(field)
+        digits = field.lstrip("0") or "0"
+        if len(digits) <= len(str(MAX_COUNT)) and int(digits) <= MAX_COUNT:
+            return int(digits)
+        raise EdgeListParseError(line_no, f"count {field} exceeds {MAX_COUNT}")
     try:
         value = int(field)
     except ValueError:
@@ -173,6 +318,106 @@ def _parse_count(field: str, line_no: int) -> int:
         raise EdgeListParseError(line_no, f"negative count {value}")
     # Reject forms like "+5" or "1_0" that int() would accept.
     raise EdgeListParseError(line_no, f"malformed count {field!r}")
+
+
+def _blocks(stream: IO[str]) -> Iterator[tuple[int, str]]:
+    """``(first line number, text)`` pieces of the stream, cut after a newline."""
+    line_no = 1
+    carry = ""
+    while True:
+        chunk = stream.read(_BLOCK_CHARS)
+        if not chunk:
+            break
+        chunk = carry + chunk
+        cut = chunk.rfind("\n") + 1
+        carry = chunk[cut:]
+        if cut:
+            yield line_no, chunk[:cut]
+            line_no += chunk.count("\n", 0, cut)
+    if carry:
+        yield line_no, carry
+
+
+def _intern(token: str, line_no: int, seen: dict[JournalId, int]) -> int:
+    try:
+        _validate_id(token)
+    except ValueError as exc:
+        raise EdgeListParseError(line_no, str(exc)) from None
+    seen[token] = len(seen)
+    return seen[token]
+
+
+def _parse_block(text: str, first_line: int, seen: dict[JournalId, int]):
+    """Rows of one block as ``(citing, cited, count, line number)`` arrays.
+
+    Ids are numbered in *seen*, each validated when first met.  Blocks of
+    canonical rows are split in bulk; any other block, or one with a count
+    above ``MAX_COUNT``, goes line by line, which raises the exact error.
+    """
+    start = 0
+    if first_line == 1:
+        text = text.removeprefix(BOM)
+        end = text.find("\n") + 1 or len(text)
+        if text[:end].strip().lower() == EDGE_HEADER:
+            start = end
+    if not text.endswith("\n"):
+        text += "\n"
+    data_line = first_line + text.count("\n", 0, start)
+
+    if _CANONICAL_ROWS.fullmatch(text, start):
+        fields = text[start:-1].replace("\n", ",").split(",") if start < len(text) else []
+        citing, cited, counts = fields[0::3], fields[1::3], fields[2::3]
+        n = len(counts)
+        values = np.fromiter(map(int, counts), np.int64, n)
+        if values.max(initial=0) <= MAX_COUNT:
+            for token in dict.fromkeys(citing + cited):
+                seen.setdefault(token, len(seen))
+            return (
+                np.fromiter(map(seen.__getitem__, citing), np.int64, n),
+                np.fromiter(map(seen.__getitem__, cited), np.int64, n),
+                values,
+                np.arange(data_line, data_line + n, dtype=np.int64),
+            )
+
+    rows: list[int] = []
+    cols: list[int] = []
+    counts_: list[int] = []
+    line_nos_: list[int] = []
+    for line_no, raw_line in enumerate(text[start:-1].split("\n"), start=data_line):
+        line = raw_line.rstrip("\r")
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise EdgeListParseError(line_no, f"expected 3 fields, got {len(fields)}")
+        citing_field, cited_field, count_field = (f.strip() for f in fields)
+        citing = seen.get(citing_field)
+        if citing is None:
+            citing = _intern(citing_field, line_no, seen)
+        cited = seen.get(cited_field)
+        if cited is None:
+            cited = _intern(cited_field, line_no, seen)
+        rows.append(citing)
+        cols.append(cited)
+        counts_.append(_parse_count(count_field, line_no))
+        line_nos_.append(line_no)
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(counts_, dtype=np.int64),
+        np.array(line_nos_, dtype=np.int64),
+    )
+
+
+def _first_overflow(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> int:
+    """Index of the first row at which its cell's running sum passes MAX_COUNT."""
+    order = np.lexsort((cols, rows))
+    sorted_counts = counts[order]
+    running = np.cumsum(sorted_counts)
+    new_cell = np.ones(len(order), dtype=bool)
+    new_cell[1:] = (np.diff(rows[order]) != 0) | (np.diff(cols[order]) != 0)
+    before = np.maximum.accumulate(np.where(new_cell, running - sorted_counts, 0))
+    return int(order[running - before > MAX_COUNT].min())
 
 
 def parse_citation_csv(
@@ -184,54 +429,43 @@ def parse_citation_csv(
 ) -> CitationMatrix:
     """Parse an edge-list CSV into a :class:`CitationMatrix`.
 
-    A leading ``citing,cited,count`` header line is skipped; blank lines are
-    ignored.  Duplicate ``(citing, cited)`` rows are summed.  Journals seen in
-    the edge list default to ``display_name == id`` and the given *source*
-    unless *registry* supplies a record; all registry journals are included
-    even when they have no edges.
+    A byte-order mark and a ``citing,cited,count`` header on line 1 are
+    skipped; blank lines are ignored.  Duplicate ``(citing, cited)`` rows are
+    summed.  Journals seen in the edge list default to ``display_name == id``
+    and the given *source* unless *registry* supplies a record; all registry
+    journals are included even when they have no edges.
 
     Raises :class:`EdgeListParseError` (with the offending line number) on a
-    malformed row, and for input containing no data rows at all.
+    malformed row, a count above ``MAX_COUNT`` or a duplicate row that takes
+    its cell above it, and for input containing no data rows at all.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
 
-    cells: dict[tuple[JournalId, JournalId], int] = {}
-    seen: dict[JournalId, None] = {}
-    data_rows = 0
-    for line_no, raw_line in enumerate(stream, start=1):
-        line = raw_line.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if line_no == 1 and line.strip().lower() == EDGE_HEADER:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise EdgeListParseError(line_no, f"expected 3 fields, got {len(fields)}")
-        citing_field, cited_field, count_field = (f.strip() for f in fields)
-        try:
-            citing = _validate_id(citing_field)
-            cited = _validate_id(cited_field)
-        except ValueError as exc:
-            raise EdgeListParseError(line_no, str(exc)) from None
-        count = _parse_count(count_field, line_no)
-        data_rows += 1
-        seen.setdefault(citing)
-        seen.setdefault(cited)
-        if count > 0:
-            key = (citing, cited)
-            cells[key] = cells.get(key, 0) + count
-
-    if data_rows == 0:
+    seen: dict[JournalId, int] = {}
+    blocks = [_parse_block(text, line_no, seen) for line_no, text in _blocks(stream)]
+    if not any(len(block[2]) for block in blocks):
         raise EdgeListParseError(0, "empty input: no edge rows")
+    rows, cols, counts, line_nos = (np.concatenate(parts) for parts in zip(*blocks))
 
-    journals: dict[JournalId, Journal] = {}
-    if registry:
-        journals.update(registry)
+    journals = {journal.id: journal for journal in (registry or {}).values()}
     for journal_id in seen:
         if journal_id not in journals:
             journals[journal_id] = Journal(journal_id, journal_id, source)
-    return CitationMatrix(year, journals.values(), cells)
+    journals = dict(sorted(journals.items()))
+    position = {journal_id: i for i, journal_id in enumerate(journals)}
+    renumber = np.array([position[journal_id] for journal_id in seen], dtype=np.int64)
+    rows, cols = renumber[rows], renumber[cols]
+
+    csr = _canonical(len(journals), rows, cols, counts)
+    if csr.nnz and csr.data.max() > MAX_COUNT:
+        k = _first_overflow(rows, cols, counts)
+        ids = list(journals)
+        raise EdgeListParseError(
+            int(line_nos[k]),
+            f"cell ({ids[rows[k]]}, {ids[cols[k]]}) sums to more than {MAX_COUNT}",
+        )
+    return CitationMatrix._from_csr(year, journals, csr)
 
 
 def _merge_journal(a: Journal | None, b: Journal | None) -> Journal:
@@ -250,19 +484,35 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
     """Merge two same-year matrices: union of journals, cell counts summed.
 
     Journals present in both inputs get ``SourceIndex.BOTH``.  Raises
-    :class:`YearMismatchError` when the years differ.
+    :class:`YearMismatchError` when the years differ, and ``ValueError`` when
+    a summed cell exceeds ``MAX_COUNT``.
     """
     if a.year != b.year:
         raise YearMismatchError(f"cannot merge year {a.year} with year {b.year}")
-    ids = set(a.journals) | set(b.journals)
-    journals = [
-        _merge_journal(a.journals.get(journal_id), b.journals.get(journal_id))
-        for journal_id in sorted(ids)
-    ]
-    cells = dict(a.cells)
-    for key, count in b.cells.items():
-        cells[key] = cells.get(key, 0) + count
-    return CitationMatrix(a.year, journals, cells)
+    ids = sorted(set(a.journals) | set(b.journals))
+    journals = {
+        journal_id: _merge_journal(a.journals.get(journal_id), b.journals.get(journal_id))
+        for journal_id in ids
+    }
+    position = {journal_id: i for i, journal_id in enumerate(ids)}
+    rows, cols, counts = [], [], []
+    for m in (a, b):
+        renumber = np.array([position[j] for j in m._ids], dtype=np.int64)
+        coo = m._csr.tocoo()
+        rows.append(renumber[coo.row])
+        cols.append(renumber[coo.col])
+        counts.append(coo.data)
+    csr = _canonical(
+        len(ids), np.concatenate(rows), np.concatenate(cols), np.concatenate(counts)
+    )
+    if csr.nnz and csr.data.max() > MAX_COUNT:
+        k = int(np.argmax(csr.data))
+        citing = ids[int(np.searchsorted(csr.indptr, k, side="right")) - 1]
+        raise ValueError(
+            f"merged cell ({citing}, {ids[csr.indices[k]]}): count "
+            f"{csr.data[k]} exceeds {MAX_COUNT}"
+        )
+    return CitationMatrix._from_csr(a.year, journals, csr)
 
 
 def totals(m: CitationMatrix, j: JournalId) -> tuple[int, int, int]:
@@ -275,6 +525,21 @@ def totals(m: CitationMatrix, j: JournalId) -> tuple[int, int, int]:
     cited_total = sum(m.col(j).values())
     citing_total = sum(m.row(j).values())
     return cited_total, citing_total, m.cell(j, j)
+
+
+def citation_degrees(m: CitationMatrix) -> dict[JournalId, tuple[int, int]]:
+    """``journal -> (in, out)`` distinct-neighbour degrees of every journal.
+
+    In counts the other journals that cite it, out the other journals it
+    cites; self-citations are excluded.  Read off the stored cells per row
+    and per column, minus the diagonal, so it equals
+    ``degree_centrality(Graph.from_citation_matrix(m), j)`` without the graph.
+    """
+    csr = m._csr
+    self_cited = (csr.diagonal() != 0).astype(np.int64)
+    degree_out = np.diff(csr.indptr) - self_cited
+    degree_in = np.bincount(csr.indices, minlength=len(m)) - self_cited
+    return dict(zip(m._ids, zip(degree_in.tolist(), degree_out.tolist())))
 
 
 def row_profile(
@@ -304,8 +569,7 @@ def col_profile(
 def serialize_matrix(m: CitationMatrix) -> str:
     """Deterministic edge-list CSV text (sorted cells, LF endings)."""
     lines = [EDGE_HEADER]
-    for (citing, cited), count in sorted(m.cells.items()):
-        lines.append(f"{citing},{cited},{count}")
+    lines.extend(map("{},{},{}".format, *m._triples()))
     return "\n".join(lines) + "\n"
 
 
@@ -313,14 +577,30 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + SIDECAR_SUFFIX)
 
 
+def _replace(path: Path, data: bytes) -> None:
+    """Write *data* beside *path* under a temporary name, then move it there."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_bytes(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_matrix(m: CitationMatrix, path: str | Path) -> None:
-    """Persist a matrix: edge-list CSV at *path* plus a metadata sidecar."""
+    """Persist a matrix: edge-list CSV at *path* plus a metadata sidecar.
+
+    Each file is written under a temporary name and moved into place, the
+    sidecar last, so a reader never sees a half-written file.
+    """
     path = Path(path)
-    path.write_text(serialize_matrix(m), encoding="utf-8", newline="\n")
+    data = serialize_matrix(m).encode("utf-8")
     meta = {
         "format": "citation-matrix",
         "year": m.year,
         "merge_policy": MERGE_POLICY,
+        "csv_sha256": hashlib.sha256(data).hexdigest(),
         "journals": [
             {
                 "id": journal.id,
@@ -330,33 +610,64 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
             for journal in m.journals.values()
         ],
     }
-    _sidecar_path(path).write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    _replace(path, data)
+    _replace(_sidecar_path(path), (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
+
+
+def _read_sidecar(sidecar: Path) -> tuple[int, dict[JournalId, Journal], str | None]:
+    """``(year, registry, recorded CSV sha256 or None)`` from a sidecar."""
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SidecarError(f"{sidecar}: not a JSON document ({exc})") from None
+    if not isinstance(meta, dict):
+        raise SidecarError(f"{sidecar}: expected a JSON object")
+    year = meta.get("year")
+    if not isinstance(year, int) or isinstance(year, bool):
+        raise SidecarError(f"{sidecar}: no integer \"year\"")
+    entries = meta.get("journals")
+    if not isinstance(entries, list):
+        raise SidecarError(f"{sidecar}: no \"journals\" list")
+    registry: dict[JournalId, Journal] = {}
+    for k, entry in enumerate(entries):
+        fields = [entry.get(key) if isinstance(entry, dict) else None for key in REGISTRY_HEADER]
+        try:
+            if not all(isinstance(field, str) for field in fields):
+                raise ValueError(f"needs string fields {', '.join(REGISTRY_HEADER)}")
+            registry[fields[0]] = Journal(fields[0], fields[1], SourceIndex(fields[2]))
+        except ValueError as exc:
+            raise SidecarError(f"{sidecar}: malformed journals entry {k}: {exc}") from None
+    digest = meta.get("csv_sha256")
+    if digest is not None and not isinstance(digest, str):
+        raise SidecarError(f"{sidecar}: \"csv_sha256\" must be a string")
+    return year, registry, digest
 
 
 def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     """Load a persisted matrix (CSV plus sidecar).
 
     Without a sidecar the *year* argument is required and all journals
-    default to SCI with ``display_name == id``.
+    default to SCI with ``display_name == id``.  A sidecar that records a
+    sha256 must match the CSV; sidecars written before the hash was recorded
+    load unchecked.  Raises :class:`SidecarError` for a malformed or
+    mismatched sidecar.
     """
     path = Path(path)
     sidecar = _sidecar_path(path)
     registry: dict[JournalId, Journal] | None = None
+    digest = None
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        year = meta["year"]
-        registry = {
-            entry["id"]: Journal(
-                entry["id"], entry["display_name"], SourceIndex(entry["source_index"])
-            )
-            for entry in meta["journals"]
-        }
+        year, registry, digest = _read_sidecar(sidecar)
     elif year is None:
         raise ValueError(f"no sidecar at {sidecar} and no year given")
-    with open(path, encoding="utf-8") as fh:
-        return parse_citation_csv(fh, year, registry=registry)
+    data = path.read_bytes()
+    if digest is not None and hashlib.sha256(data).hexdigest() != digest:
+        raise SidecarError(
+            f"{sidecar} does not belong to {path}: the CSV's sha256 differs "
+            "from the one the sidecar records"
+        )
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return parse_citation_csv(text, year, registry=registry)
 
 
 def read_registry(stream: IO[str] | str) -> dict[JournalId, Journal]:
@@ -366,6 +677,8 @@ def read_registry(stream: IO[str] | str) -> dict[JournalId, Journal]:
     reader = csv.reader(stream)
     registry: dict[JournalId, Journal] = {}
     for line_no, fields in enumerate(reader, start=1):
+        if line_no == 1 and fields:
+            fields[0] = fields[0].removeprefix(BOM)
         if not fields or not any(f.strip() for f in fields):
             continue
         if line_no == 1 and tuple(f.strip().lower() for f in fields) == REGISTRY_HEADER:

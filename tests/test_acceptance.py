@@ -23,6 +23,7 @@ from citenet import (
     betweenness_centrality,
     brute_force_betweenness,
     build_report,
+    citation_degrees,
     closeness_centrality,
     cosine,
     eigenvector_centrality,
@@ -271,9 +272,7 @@ def test_export_round_trips():
     graph = similarity_graph(env, 0.0)
     assert graph.edges, "fixture must produce edges"
     glyphs = make_glyphs(env)
-    report = build_report(
-        Graph.from_similarity(graph), Graph.from_citation_matrix(m)
-    )
+    report = build_report(Graph.from_similarity(graph), citation_degrees(m))
 
     pajek = export_pajek(graph, glyphs)
     assert pajek == export_pajek(graph, glyphs)
@@ -328,8 +327,7 @@ def test_performance():
     env = extract_environment(m, "J0000", Direction.CITED, 0.01)
     graph = similarity_graph(env, 0.2)
     local = Graph.from_similarity(graph)
-    global_graph = Graph.from_citation_matrix(m)
-    report = build_report(local, global_graph)
+    report = build_report(local, citation_degrees(m))
     glyphs = make_glyphs(env)
     pajek = export_pajek(graph, glyphs)
     document = export_json(graph, glyphs, report)

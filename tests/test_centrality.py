@@ -12,6 +12,7 @@ from citenet import (
     betweenness_centrality,
     brute_force_betweenness,
     build_report,
+    citation_degrees,
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
@@ -369,9 +370,8 @@ class TestReport:
             "A,S,50\nB,S,50\nA,B,5\nB,A,5\nS,A,2\nX,A,9\nA,X,3", 2005
         )
         local = Graph("SAB", {("S", "A"): 0.9, ("S", "B"): 0.5}, directed=False)
-        global_graph = Graph.from_citation_matrix(m)
         report = build_report(
-            local, global_graph, local_basis="sim", global_basis="full matrix"
+            local, citation_degrees(m), local_basis="sim", global_basis="full matrix"
         )
         row = report.rows["A"]
         assert row.degree_local == 1

@@ -47,6 +47,13 @@ class TestIngestAndMerge:
         assert sources["A"] == "BOTH"
         assert sources["X"] == "SSCI"
 
+    def test_ingest_accepts_byte_order_mark(self, tmp_path, capsys):
+        edges = tmp_path / "bom.csv"
+        edges.write_text("\ufeff" + EDGES, encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["ingest", str(edges), "--year", "2005", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 4 journals, 7 cells\n"
+
     def test_merge_year_mismatch_fails(self, tmp_path, matrix_path, capsys):
         other_edges = tmp_path / "e2.csv"
         other_edges.write_text("X,S,10\n", encoding="utf-8")
@@ -57,6 +64,51 @@ class TestIngestAndMerge:
                      str(tmp_path / "nope.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _sidecar(path):
+    return path.with_name(path.name + ".meta.json")
+
+
+class TestSidecar:
+    def _env_error(self, matrix_path, capsys):
+        assert main(["env", str(matrix_path), "--seed", "S"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_stale_sidecar_names_both_files(self, matrix_path, capsys):
+        matrix_path.write_text(EDGES.replace("A,S,50", "A,S,51"), encoding="utf-8")
+        err = self._env_error(matrix_path, capsys)
+        assert str(_sidecar(matrix_path)) in err
+        assert f"{matrix_path}:" in err
+
+    def test_sidecar_without_hash_loads(self, matrix_path, capsys):
+        meta = json.loads(_sidecar(matrix_path).read_text(encoding="utf-8"))
+        del meta["csv_sha256"]
+        _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
+        assert main(["env", str(matrix_path), "--seed", "S"]) == 0
+
+    def test_sidecar_without_year(self, matrix_path, capsys):
+        meta = json.loads(_sidecar(matrix_path).read_text(encoding="utf-8"))
+        del meta["year"]
+        _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
+        assert "year" in self._env_error(matrix_path, capsys)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"id": "A", "display_name": "A"},
+            {"id": "A", "display_name": "A", "source_index": "XXX"},
+            {"id": 5, "display_name": "A", "source_index": "SCI"},
+            "A",
+        ],
+    )
+    def test_malformed_journals_entry(self, matrix_path, capsys, entry):
+        meta = json.loads(_sidecar(matrix_path).read_text(encoding="utf-8"))
+        meta["journals"][0] = entry
+        _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
+        assert "journals entry 0" in self._env_error(matrix_path, capsys)
 
 
 class TestEnvCommand:
@@ -122,6 +174,16 @@ class TestCentralityAndReport:
         text = out_path.read_text(encoding="utf-8")
         assert "impact_factor" in text
         assert "0.53" in text
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "high"])
+    def test_report_rejects_non_finite_impact_factor(self, tmp_path, matrix_path, capsys, value):
+        if_csv = tmp_path / "if.csv"
+        if_csv.write_text(f"id,impact_factor\nA,1.5\nB,{value}\n", encoding="utf-8")
+        code = main(["report", str(matrix_path), "--seed", "S", "--if-csv", str(if_csv)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {if_csv}:3: impact factor {value!r} is not a finite number\n"
+        )
 
 
 class TestMetricsCommand:

@@ -1,12 +1,19 @@
 """Tests for citation matrix parsing, merging, totals, and persistence."""
 
+import hashlib
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from citenet import (
+    MAX_COUNT,
     CitationMatrix,
     EdgeListParseError,
     Journal,
+    SidecarError,
     SourceIndex,
     UnknownJournalError,
     YearMismatchError,
@@ -95,6 +102,62 @@ class TestParse:
     def test_registry_rejects_unknown_source(self):
         with pytest.raises(EdgeListParseError, match="source_index"):
             read_registry("A,Journal A,XXX")
+
+    def test_byte_order_mark_before_header_is_skipped(self):
+        m = parse_citation_csv("\ufeffciting,cited,count\nA,B,5", 2005)
+        assert dict(m.cells) == {("A", "B"): 5}
+        registry = read_registry("\ufeffid,display_name,source_index\nA,Journal A,SSCI\n")
+        assert set(registry) == {"A"}
+
+    def test_byte_order_mark_before_first_row(self):
+        m = parse_citation_csv("\ufeffA,B,5\n", 2005)
+        assert set(m.journals) == {"A", "B"}
+
+    def test_errors_keep_line_numbers_across_blocks(self, monkeypatch):
+        monkeypatch.setattr("citenet.matrix._BLOCK_CHARS", 16)
+        rows = [f"J{k},J{k + 1},{k}" for k in range(40)]
+        m = parse_citation_csv("citing,cited,count\n" + "\n".join(rows), 2005)
+        assert len(m.cells) == 39 and m.cell("J39", "J40") == 39
+        rows[30] = "J30,J31"
+        with pytest.raises(EdgeListParseError) as excinfo:
+            parse_citation_csv("citing,cited,count\n\n" + "\n".join(rows), 2005)
+        assert excinfo.value.line_no == 33
+
+    def test_padded_and_crlf_rows_parse_like_canonical_ones(self):
+        canonical = parse_citation_csv("A,B,5\nB,A,2\nA,A,7\n", 2005)
+        assert parse_citation_csv("A, B ,5\r\n\r\n  B,A,2\r\nA,A,7", 2005) == canonical
+
+
+class TestCountBound:
+    def test_largest_count_accepted(self):
+        m = parse_citation_csv(f"A,B,{MAX_COUNT}\nB,A,0{MAX_COUNT}", 2005)
+        assert m.cell("A", "B") == m.cell("B", "A") == MAX_COUNT
+
+    @pytest.mark.parametrize(
+        "count", [str(MAX_COUNT + 1), "99999999999999999999999", "9" * 5000]
+    )
+    def test_larger_count_rejected_with_line_number(self, count):
+        with pytest.raises(EdgeListParseError, match="exceeds") as excinfo:
+            parse_citation_csv(f"citing,cited,count\nA,B,1\nA,B,{count}", 2005)
+        assert excinfo.value.line_no == 3
+
+    def test_duplicate_rows_summing_past_the_bound_rejected(self):
+        half = MAX_COUNT // 2 + 1
+        text = f"A,B,{half}\nC,D,{MAX_COUNT}\nA,B,{half - 1}\nA,B,1\nA,B,5"
+        with pytest.raises(EdgeListParseError, match=r"\(A, B\)") as excinfo:
+            parse_citation_csv(text, 2005)
+        assert excinfo.value.line_no == 4
+
+    def test_constructor_rejects_count_above_bound(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            CitationMatrix(2005, [Journal("A", "A")], {("A", "A"): MAX_COUNT + 1})
+
+    def test_merge_rejects_cell_above_bound(self):
+        a = parse_citation_csv(f"A,B,{MAX_COUNT - 1}", 2005)
+        b = parse_citation_csv("A,B,1", 2005)
+        assert merge_indices(a, b).cell("A", "B") == MAX_COUNT
+        with pytest.raises(ValueError, match=r"\(A, B\)"):
+            merge_indices(merge_indices(a, b), b)
 
 
 class TestMatrixInvariants:
@@ -262,6 +325,53 @@ class TestPersistence:
             read_matrix(path)
         m = read_matrix(path, year=2004)
         assert m.year == 2004
+
+    def test_sidecar_records_csv_hash_and_files_are_replaced_atomically(
+        self, tmp_path, monkeypatch
+    ):
+        m = parse_citation_csv(THREE_CELLS, 2005)
+        path = tmp_path / "m.csv"
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(
+            "citenet.matrix.os.replace",
+            lambda src, dst: (replaced.append(Path(dst).name), real_replace(src, dst)),
+        )
+        write_matrix(m, path)
+        assert replaced == ["m.csv", "m.csv.meta.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.csv.meta.json"]
+        meta = json.loads((tmp_path / "m.csv.meta.json").read_text(encoding="utf-8"))
+        assert meta["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_failed_write_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        write_matrix(parse_citation_csv(THREE_CELLS, 2005), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("citenet.matrix.os.replace", fail)
+        with pytest.raises(OSError):
+            write_matrix(parse_citation_csv("A,B,1", 2005), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_stale_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix(parse_citation_csv(THREE_CELLS, 2005), path)
+        path.write_text("citing,cited,count\nA,B,6\n", encoding="utf-8")
+        with pytest.raises(SidecarError, match="m.csv.meta.json.*m.csv"):
+            read_matrix(path)
+
+    def test_sidecar_without_hash_still_loads(self, tmp_path):
+        m = parse_citation_csv(THREE_CELLS, 2005)
+        path = tmp_path / "m.csv"
+        write_matrix(m, path)
+        sidecar = tmp_path / "m.csv.meta.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        del meta["csv_sha256"]
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        assert read_matrix(path) == m
 
     def test_serialization_is_deterministic(self):
         m = parse_citation_csv("B,A,2\nA,A,7\nA,B,5", 2005)
