@@ -26,7 +26,14 @@ from . import __version__
 from .centrality import Graph, build_report
 from .environment import Direction, environment_totals, extract_environment
 from .errors import CitenetError
-from .export import export_dot, export_json, export_pajek, make_glyphs, report_table
+from .export import (
+    export_dot,
+    export_json,
+    export_pajek,
+    make_glyphs,
+    report_document,
+    report_table,
+)
 from .matrix import (
     SourceIndex,
     citation_degrees,
@@ -249,11 +256,7 @@ def _cmd_env(settings: _Settings, args: argparse.Namespace) -> int:
 def _cmd_sim(settings: _Settings, args: argparse.Namespace) -> int:
     _, _, graph = _similarity(settings, args)
     lines = ["source,target,weight"]
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    for (u, v), weight in sorted(
-        graph.edges.items(), key=lambda item: (index[item[0][0]], index[item[0][1]])
-    ):
-        lines.append(f"{u},{v},{weight!r}")
+    lines.extend(f"{u},{v},{weight!r}" for (u, v), weight in graph.edges.items())
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -262,23 +265,7 @@ def _cmd_centrality(settings: _Settings, args: argparse.Namespace) -> int:
     _, _, _, report = _report(settings, args)
     fmt = settings.get("format", "table")
     if fmt == "json":
-        document = {
-            "local_basis": report.local_basis,
-            "global_basis": report.global_basis,
-            "rows": [
-                {
-                    "journal": row.journal,
-                    "degree_in": row.degree_in,
-                    "degree_out": row.degree_out,
-                    "degree_local": row.degree_local,
-                    "closeness": row.closeness,
-                    "betweenness": row.betweenness,
-                    "eigenvector": row.eigenvector,
-                }
-                for row in report
-            ],
-        }
-        _emit(json.dumps(document, indent=2) + "\n", args.out)
+        _emit(json.dumps(report_document(report), indent=2) + "\n", args.out)
         return 0
     if fmt != "table":
         raise CitenetError(f"centrality supports formats table|json, not {fmt!r}")

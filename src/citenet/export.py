@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .centrality import CentralityReport
 from .environment import SeedEnvironment, environment_totals
-from .matrix import JournalId
+from .matrix import JournalId, _validate_id
 from .similarity import SimilarityGraph
 
 # Edge thickness is proportional to the cosine weight.
@@ -55,26 +55,10 @@ class NodeGlyph:
         return math.log10(1 + self.net_of_self)
 
 
-@dataclass(frozen=True)
-class EdgeStroke:
-    """Line width for one similarity edge, strictly increasing in weight."""
-
-    pair: tuple[JournalId, JournalId]
-    width: float
-
-
 def make_glyphs(env: SeedEnvironment) -> list[NodeGlyph]:
     """One glyph per environment member, in member order."""
     return [
         NodeGlyph(member, *environment_totals(env, member)) for member in env.members
-    ]
-
-
-def make_strokes(g: SimilarityGraph) -> list[EdgeStroke]:
-    """Stroke widths for every edge, in deterministic node order."""
-    return [
-        EdgeStroke(pair, STROKE_SCALE * weight)
-        for pair, weight in _sorted_edges(g)
     ]
 
 
@@ -95,18 +79,23 @@ def _glyph_map(
     return by_journal
 
 
+def _check_ids(g: SimilarityGraph) -> None:
+    """Reject node ids the edge-list parser rejects: they may not quote safely."""
+    for node in g.nodes:
+        _validate_id(node)
+
+
 def export_pajek(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
     """Pajek .net text: vertices with x_fact/y_fact sizes, then edges.
 
     Vertices are numbered 1..N in graph node order; edge weights carry four
     decimals, size factors full precision.  LF line endings.
     """
+    _check_ids(g)
     by_journal = _glyph_map(g, glyphs)
     index = {node: i + 1 for i, node in enumerate(g.nodes)}
     lines = [f"*Vertices {len(g.nodes)}"]
     for node in g.nodes:
-        if '"' in node:
-            raise ValueError(f"node id {node!r} cannot be quoted as a Pajek label")
         glyph = by_journal[node]
         lines.append(
             f'{index[node]} "{node}" x_fact {glyph.x_extent!r} y_fact {glyph.y_extent!r}'
@@ -166,6 +155,7 @@ def parse_pajek(text: str) -> ParsedPajek:
 
 def export_dot(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
     """Undirected DOT graph; cosine weight maps to pen width."""
+    _check_ids(g)
     by_journal = _glyph_map(g, glyphs)
     lines = [
         "graph similarity {",
@@ -181,6 +171,15 @@ def export_dot(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
         lines.append(f'  "{u}" -- "{v}" [penwidth={width:.4f}, weight={weight:.4f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def report_document(report: CentralityReport) -> dict:
+    """JSON object of a report; each row's fields in :class:`CentralityRow` order."""
+    return {
+        "local_basis": report.local_basis,
+        "global_basis": report.global_basis,
+        "rows": [asdict(row) for row in report],
+    }
 
 
 def export_json(
@@ -212,25 +211,8 @@ def export_json(
             for (u, v), weight in _sorted_edges(g)
         ],
         "warnings": list(g.warnings),
-        "report": None,
+        "report": None if report is None else report_document(report),
     }
-    if report is not None:
-        document["report"] = {
-            "local_basis": report.local_basis,
-            "global_basis": report.global_basis,
-            "rows": [
-                {
-                    "journal": row.journal,
-                    "degree_in": row.degree_in,
-                    "degree_out": row.degree_out,
-                    "degree_local": row.degree_local,
-                    "closeness": row.closeness,
-                    "betweenness": row.betweenness,
-                    "eigenvector": row.eigenvector,
-                }
-                for row in report.rows.values()
-            ],
-        }
     return json.dumps(document, indent=2) + "\n"
 
 

@@ -59,8 +59,9 @@ MAX_COUNT = 2**31 - 1
 BOM = "\ufeff"
 
 # A block of rows that needs no stripping, skipping or id checks: two
-# nonempty whitespace-free ids and at most ten ASCII digits per line.
-_CANONICAL_ROWS = re.compile(r"(?:[^\s,]+,[^\s,]+,[0-9]{1,10}\n)*")
+# nonempty ids free of whitespace and quoting characters, and at most ten
+# ASCII digits per line.
+_CANONICAL_ROWS = re.compile(r'(?:[^\s,"\\]+,[^\s,"\\]+,[0-9]{1,10}\n)*')
 _BLOCK_CHARS = 1 << 20
 
 
@@ -77,6 +78,9 @@ def _validate_id(token: str) -> str:
         raise ValueError("journal id must be nonempty")
     if any(ch.isspace() for ch in token):
         raise ValueError(f"journal id {token!r} must not contain whitespace")
+    # Pajek and DOT put ids in double quotes; DOT reads a backslash as an escape.
+    if '"' in token or "\\" in token:
+        raise ValueError(f"journal id {token!r} must not contain '\"' or a backslash")
     return token
 
 
@@ -437,16 +441,18 @@ def parse_citation_csv(
 
     Raises :class:`EdgeListParseError` (with the offending line number) on a
     malformed row, a count above ``MAX_COUNT`` or a duplicate row that takes
-    its cell above it, and for input containing no data rows at all.
+    its cell above it, and for input containing no data rows at all unless
+    *registry* names journals (the matrix then has those and no cells).
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
 
     seen: dict[JournalId, int] = {}
     blocks = [_parse_block(text, line_no, seen) for line_no, text in _blocks(stream)]
-    if not any(len(block[2]) for block in blocks):
+    if not registry and not any(len(block[2]) for block in blocks):
         raise EdgeListParseError(0, "empty input: no edge rows")
-    rows, cols, counts, line_nos = (np.concatenate(parts) for parts in zip(*blocks))
+    parts = zip(*blocks) if blocks else [[np.zeros(0, dtype=np.int64)]] * 4
+    rows, cols, counts, line_nos = map(np.concatenate, parts)
 
     journals = {journal.id: journal for journal in (registry or {}).values()}
     for journal_id in seen:
@@ -542,28 +548,24 @@ def citation_degrees(m: CitationMatrix) -> dict[JournalId, tuple[int, int]]:
     return dict(zip(m._ids, zip(degree_in.tolist(), degree_out.tolist())))
 
 
-def row_profile(
-    m: CitationMatrix, j: JournalId, columns: Sequence[JournalId]
-) -> list[int]:
-    """Outgoing citation counts of *j* along the given coordinate axes."""
-    if j not in m:
-        raise UnknownJournalError(f"unknown journal {j!r}")
-    if not columns:
-        raise ValueError("columns must be nonempty")
-    row = m.row(j)
-    return [row.get(column, 0) for column in columns]
+def citation_profiles(
+    m: CitationMatrix, journal_ids: Sequence[JournalId], *, citing: bool
+) -> csr_array:
+    """Profiles of *journal_ids* over every journal of *m*, one row each.
 
-
-def col_profile(
-    m: CitationMatrix, j: JournalId, rows: Sequence[JournalId]
-) -> list[int]:
-    """Incoming citation counts of *j* along the given coordinate axes."""
-    if j not in m:
-        raise UnknownJournalError(f"unknown journal {j!r}")
-    if not rows:
-        raise ValueError("rows must be nonempty")
-    col = m.col(j)
-    return [col.get(row, 0) for row in rows]
+    Row k holds the outgoing (*citing*) or incoming counts of
+    ``journal_ids[k]``, one column per journal in id order, with its own
+    self-citation cell zeroed.
+    """
+    unknown = [journal_id for journal_id in journal_ids if journal_id not in m]
+    if unknown:
+        raise UnknownJournalError(f"not in matrix: {unknown}")
+    positions = np.array([m._index[j] for j in journal_ids], dtype=np.int64)
+    profiles = m._csr[positions] if citing else m._csr[:, positions].T.tocsr()
+    own = np.repeat(positions, np.diff(profiles.indptr)) == profiles.indices
+    profiles.data[own] = 0
+    profiles.eliminate_zeros()
+    return profiles
 
 
 def serialize_matrix(m: CitationMatrix) -> str:
@@ -649,7 +651,8 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     Without a sidecar the *year* argument is required and all journals
     default to SCI with ``display_name == id``.  A sidecar that records a
     sha256 must match the CSV; sidecars written before the hash was recorded
-    load unchecked.  Raises :class:`SidecarError` for a malformed or
+    load unchecked.  A header-only CSV loads as a matrix with the sidecar's
+    journals and no cells.  Raises :class:`SidecarError` for a malformed or
     mismatched sidecar.
     """
     path = Path(path)

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .environment import Direction, SeedEnvironment
 from .errors import UndefinedSimilarityError, ZeroVarianceError
-from .matrix import CitationMatrix, JournalId, col_profile, row_profile
+from .matrix import CitationMatrix, JournalId, citation_profiles
 
 logger = logging.getLogger(__name__)
 
@@ -98,27 +100,6 @@ class SimilarityGraph:
         return self.edges.get((u, v), self.edges.get((v, u)))
 
 
-def _profiles(
-    env: SeedEnvironment,
-    direction: Direction,
-    source: CitationMatrix,
-    axes: Sequence[JournalId],
-) -> dict[JournalId, list[int]]:
-    profiles = {}
-    axis_index = {journal_id: k for k, journal_id in enumerate(axes)}
-    for member in env.members:
-        if direction is Direction.CITED:
-            vector = col_profile(source, member, axes)
-        else:
-            vector = row_profile(source, member, axes)
-        # Self-citations are displayed by the node glyphs, not compared here.
-        own = axis_index.get(member)
-        if own is not None:
-            vector[own] = 0
-        profiles[member] = vector
-    return profiles
-
-
 def similarity_graph(
     env: SeedEnvironment,
     threshold: float,
@@ -131,43 +112,45 @@ def similarity_graph(
     Member profiles are compared along the environment member list as
     coordinate axes, with each member's own diagonal (self-citation) entry
     zeroed first.  An edge is stored iff its cosine strictly exceeds
-    *threshold*.
+    *threshold*; edges are stored in node order, row by row.
 
     *direction* overrides the profile basis (default: the environment's own
     direction).  Passing *full_matrix* switches the coordinate axes to the
     full journal set of that matrix, for sensitivity analysis.
+
+    All cosines come from one Gram matrix G of the profiles, as
+    ``G[i, j] / sqrt(G[i, i] * G[j, j])``.  G is exact in int64 (float64 only
+    where a squared norm could pass 2^63), so on counts whose squares stay
+    below 2^53 each weight is bit-identical to :func:`cosine` of the two
+    profiles.
     """
     if len(env.members) < 2:
         raise ValueError("environment must have at least 2 members")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     basis = env.direction if direction is None else direction
+    source = env.submatrix if full_matrix is None else full_matrix
 
-    if full_matrix is None:
-        source: CitationMatrix = env.submatrix
-        axes: Sequence[JournalId] = env.members
-    else:
-        source = full_matrix
-        axes = sorted(full_matrix.journals)
-
-    profiles = _profiles(env, basis, source, axes)
-    zero_members = [m for m in env.members if not any(profiles[m])]
+    profiles = citation_profiles(source, env.members, citing=basis is Direction.CITING)
+    # No Gram entry exceeds its rows' larger squared norm; if one could reach
+    # 2^63 (float64 estimate, factor-2 margin), int64 could wrap: use float64.
+    as_float = profiles.astype(np.float64)
+    if as_float.multiply(as_float).sum(axis=1).max() >= 2.0**62:
+        profiles = as_float
+    gram = (profiles @ profiles.T).toarray()
+    norms_sq = gram.diagonal().astype(np.float64)
     warnings = tuple(
         f"member {m!r} has an all-zero {basis.value} profile; kept as isolated node"
-        for m in zero_members
+        for m, norm_sq in zip(env.members, norms_sq)
+        if norm_sq == 0.0
     )
     for message in warnings:
         logger.warning(message)
-    comparable = set(env.members) - set(zero_members)
 
-    edges: dict[tuple[JournalId, JournalId], float] = {}
-    for i, u in enumerate(env.members):
-        if u not in comparable:
-            continue
-        for v in env.members[i + 1 :]:
-            if v not in comparable:
-                continue
-            value = cosine(profiles[u], profiles[v])
-            if value > threshold:
-                edges[(u, v)] = value
+    # A zero-profile member's cosines are 0/0 = nan, which no threshold passes.
+    with np.errstate(invalid="ignore"):
+        weights = np.minimum(gram / np.sqrt(np.multiply.outer(norms_sq, norms_sq)), 1.0)
+    rows, cols = np.nonzero(np.triu(weights > threshold, 1))
+    pairs = zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist())
+    edges = {(env.members[i], env.members[j]): weight for i, j, weight in pairs}
     return SimilarityGraph(env.members, edges, threshold, basis, warnings)

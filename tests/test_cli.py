@@ -54,6 +54,19 @@ class TestIngestAndMerge:
         assert main(["ingest", str(edges), "--year", "2005", "--out", str(out)]) == 0
         assert capsys.readouterr().out == f"wrote {out}: 4 journals, 7 cells\n"
 
+    def test_matrix_without_cells_merges_and_reloads(self, tmp_path, capsys):
+        edges = tmp_path / "zero.csv"
+        edges.write_text("A,B,0\n", encoding="utf-8")
+        z = tmp_path / "z.csv"
+        assert main(["ingest", str(edges), "--year", "2005", "--out", str(z)]) == 0
+        merged = tmp_path / "zz.csv"
+        assert main(["merge", str(z), str(z), "--out", str(merged)]) == 0
+        assert capsys.readouterr().out.endswith(": 2 journals, 0 cells\n")
+        assert main(["env", str(merged), "--seed", "A"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "isolated" in err
+
     def test_merge_year_mismatch_fails(self, tmp_path, matrix_path, capsys):
         other_edges = tmp_path / "e2.csv"
         other_edges.write_text("X,S,10\n", encoding="utf-8")
@@ -155,6 +168,20 @@ class TestCentralityAndReport:
         document = json.loads(capsys.readouterr().out)
         journals = {row["journal"] for row in document["rows"]}
         assert journals == {"S", "A", "B", "C"}
+
+    def test_centrality_json_rows_equal_export_json_rows(self, tmp_path, matrix_path, capsys):
+        assert main(["centrality", str(matrix_path), "--seed", "S",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        json_path = tmp_path / "g.json"
+        assert main(["export", str(matrix_path), "--seed", "S", "--format", "json",
+                     "--out", str(json_path)]) == 0
+        document = json.loads(json_path.read_text(encoding="utf-8"))
+        assert rows == document["report"]["rows"]
+        assert list(rows[0]) == [
+            "journal", "degree_in", "degree_out", "degree_local",
+            "closeness", "betweenness", "eigenvector",
+        ]
 
     def test_raw_local_basis(self, matrix_path, capsys):
         assert main(["centrality", str(matrix_path), "--seed", "S",

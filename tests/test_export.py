@@ -2,8 +2,11 @@
 
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citenet import (
     CentralityReport,
@@ -16,11 +19,11 @@ from citenet import (
     export_pajek,
     extract_environment,
     make_glyphs,
-    make_strokes,
     parse_citation_csv,
     parse_pajek,
     report_table,
 )
+from citenet.matrix import _validate_id
 
 
 def sim_graph(nodes, edges, threshold=0.2, basis=Direction.CITED):
@@ -71,15 +74,6 @@ class TestNodeGlyph:
         by_journal = {g.journal: g for g in glyphs}
         assert by_journal["A"].gross_cites == 10
         assert by_journal["A"].net_of_self == 6
-
-
-class TestEdgeStroke:
-    def test_width_strictly_increasing_in_weight(self):
-        g = sim_graph("ABC", {("A", "B"): 0.3, ("A", "C"): 0.6, ("B", "C"): 0.9})
-        strokes = sorted(make_strokes(g), key=lambda s: g.edges[s.pair])
-        widths = [s.width for s in strokes]
-        assert widths == sorted(widths)
-        assert len(set(widths)) == len(widths)
 
 
 class TestPajek:
@@ -136,6 +130,16 @@ class TestDot:
         assert "penwidth=1.5000" in text
         assert "penwidth=4.5000" in text
 
+    def test_penwidth_strictly_increasing_in_weight(self):
+        g = sim_graph("ABC", {("A", "B"): 0.3, ("A", "C"): 0.6, ("B", "C"): 0.9})
+        statements = re.findall(
+            r'"(\w)" -- "(\w)" \[penwidth=([0-9.]+)', export_dot(g, glyphs_for("ABC"))
+        )
+        by_weight = sorted(statements, key=lambda s: g.edges[(s[0], s[1])])
+        widths = [float(width) for _, _, width in by_weight]
+        assert len(widths) == 3
+        assert all(a < b for a, b in zip(widths, widths[1:]))
+
 
 class TestJson:
     def _report(self):
@@ -181,6 +185,52 @@ class TestJson:
             for e in document["edges"]
         }
         assert json_edges == dict(parsed.edges)
+
+
+# A DOT quoted string: any characters but '"', with backslash escapes.
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+_DOT_NODE = re.compile(rf"^  {_DOT_ID} \[width=[^\]]*\];$")
+_DOT_EDGE = re.compile(rf"^  {_DOT_ID} -- {_DOT_ID} \[penwidth=[^\]]*\];$")
+
+
+def _accepted(token):
+    try:
+        _validate_id(token)
+    except ValueError:
+        return False
+    return True
+
+
+class TestIds:
+    @pytest.mark.parametrize("bad", ['A"x', "A\\x", "A x"])
+    def test_unquotable_id_rejected_by_pajek_and_dot(self, bad):
+        g = sim_graph(["A", bad], {("A", bad): 0.5})
+        for exporter in (export_pajek, export_dot):
+            with pytest.raises(ValueError, match="must not contain"):
+                exporter(g, glyphs_for(["A", bad]))
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=8).filter(_accepted),
+                 min_size=2, max_size=4, unique=True)
+    )
+    def test_every_accepted_id_round_trips(self, ids):
+        edges = {(ids[0], v): 0.5 for v in ids[1:]}
+        g = sim_graph(ids, edges)
+        glyphs = glyphs_for(ids)
+
+        parsed = parse_pajek(export_pajek(g, glyphs))
+        assert parsed.labels == tuple(ids)
+        assert set(parsed.edges) == set(edges)
+
+        lines = export_dot(g, glyphs).split("\n")
+        nodes = [m.group(1) for m in map(_DOT_NODE.match, lines) if m]
+        dot_edges = [m.groups() for m in map(_DOT_EDGE.match, lines) if m]
+        assert nodes == ids
+        assert set(dot_edges) == set(edges)
+
+        document = json.loads(export_json(g, glyphs))
+        assert [node["id"] for node in document["nodes"]] == ids
+        assert {(e["source"], e["target"]) for e in document["edges"]} == set(edges)
 
 
 def _env_two_members():

@@ -17,16 +17,15 @@ from citenet import (
     SourceIndex,
     UnknownJournalError,
     YearMismatchError,
-    col_profile,
     merge_indices,
     parse_citation_csv,
     read_matrix,
     read_registry,
-    row_profile,
     serialize_matrix,
     totals,
     write_matrix,
 )
+from citenet.matrix import citation_profiles
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7"
 
@@ -66,6 +65,13 @@ class TestParse:
         with pytest.raises(EdgeListParseError, match="empty"):
             parse_citation_csv("citing,cited,count\n", 2005)
 
+    def test_no_rows_with_registry_gives_registry_journals_without_cells(self):
+        registry = {"A": Journal("A", "A"), "B": Journal("B", "B")}
+        for text in ("", "citing,cited,count\n"):
+            m = parse_citation_csv(text, 2005, registry=registry)
+            assert list(m.journals) == ["A", "B"]
+            assert m.cells == {}
+
     @pytest.mark.parametrize(
         "row, line_no",
         [
@@ -76,6 +82,8 @@ class TestParse:
             ("A,B,+5", 1),
             ("A B,C,1", 1),
             (",B,1", 1),
+            ('A,B,1\nA"x,B,1', 2),
+            ("A,B,1\nA,B\\x,1", 2),
         ],
     )
     def test_malformed_rows(self, row, line_no):
@@ -187,6 +195,9 @@ class TestMatrixInvariants:
             Journal("", "name")
         with pytest.raises(ValueError):
             Journal("has space", "name")
+        for bad in ('a"b', "a\\b"):
+            with pytest.raises(ValueError, match="or a backslash"):
+                Journal(bad, "name")
         with pytest.raises(ValueError):
             Journal("A", "")
 
@@ -261,35 +272,35 @@ class TestTotalsAndProfiles:
             totals(m, "nope")
 
     def test_row_profile_lookup(self):
-        m = parse_citation_csv("A,B,5\nA,A,7", 2005)
-        assert row_profile(m, "A", ["A", "B", "C"]) == [7, 5, 0]
-        assert row_profile(m, "A", ["B"]) == [5]
-        assert row_profile(m, "B", ["A", "B", "C"]) == [0, 0, 0]
+        m = parse_citation_csv("A,B,5\nA,A,7\nC,A,1", 2005)
+        profiles = citation_profiles(m, ["A", "B"], citing=True)
+        # Columns are all journals in id order; a member's own cell is zeroed.
+        assert profiles.toarray().tolist() == [[0, 5, 0], [0, 0, 0]]
+        assert m.cell("A", "A") == 7  # the profiles are a copy
 
     def test_col_profile_lookup(self):
-        m = parse_citation_csv("A,B,5\nA,A,7", 2005)
-        assert col_profile(m, "A", ["A", "B", "C"]) == [7, 0, 0]
-        assert col_profile(m, "B", ["A", "B", "C"]) == [5, 0, 0]
+        m = parse_citation_csv("A,B,5\nA,A,7\nC,A,1", 2005)
+        profiles = citation_profiles(m, ["B", "A"], citing=False)
+        assert profiles.toarray().tolist() == [[5, 0, 0], [0, 0, 1]]
+        assert m.cell("A", "A") == 7
 
     def test_profile_errors(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
-        with pytest.raises(UnknownJournalError):
-            row_profile(m, "nope", ["A"])
-        with pytest.raises(ValueError):
-            row_profile(m, "A", [])
+        with pytest.raises(UnknownJournalError, match="nope"):
+            citation_profiles(m, ["A", "nope"], citing=True)
 
     def test_profile_sums_match_totals(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             m = _random_matrix(rng)
             ids = sorted(m.journals)
-            for j in ids:
-                cited_total, citing_total, _ = totals(m, j)
-                row = row_profile(m, j, ids)
-                col = col_profile(m, j, ids)
-                assert all(v >= 0 for v in row + col)
-                assert sum(row) == citing_total
-                assert sum(col) == cited_total
+            rows = citation_profiles(m, ids, citing=True).toarray()
+            cols = citation_profiles(m, ids, citing=False).toarray()
+            assert (rows >= 0).all() and (cols >= 0).all()
+            for k, j in enumerate(ids):
+                cited_total, citing_total, self_cites = totals(m, j)
+                assert rows[k].sum() == citing_total - self_cites
+                assert cols[k].sum() == cited_total - self_cites
 
     def test_grand_total_identity(self):
         rng = np.random.default_rng(13)
@@ -317,6 +328,13 @@ class TestPersistence:
         again = read_matrix(path)
         assert again == m
         assert again.journals["Z"].source_index is SourceIndex.BOTH
+
+    def test_matrix_without_cells_reloads(self, tmp_path):
+        m = parse_citation_csv("A,B,0", 2005)
+        path = tmp_path / "m.csv"
+        write_matrix(m, path)
+        assert path.read_text(encoding="utf-8") == "citing,cited,count\n"
+        assert read_matrix(path) == m
 
     def test_read_without_sidecar_needs_year(self, tmp_path):
         path = tmp_path / "bare.csv"

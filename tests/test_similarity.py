@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citenet import (
+    MAX_COUNT,
+    CitationMatrix,
     Direction,
+    Journal,
+    SeedEnvironment,
     UndefinedSimilarityError,
     ZeroVarianceError,
     cosine,
@@ -247,3 +253,84 @@ def _random_similarity_graph(rng, threshold):
     m = parse_citation_csv("\n".join(rows), 2005)
     env = extract_environment(m, "S", Direction.CITED, 0.01)
     return env, similarity_graph(env, threshold)
+
+
+# The largest count whose square, and so every product of two counts, is
+# below 2^53: each term cosine() sums is then an exact float.
+EXACT_COUNT = 94_906_265
+GRAM_IDS = ["A", "B", "C", "D", "E", "F"]
+
+
+def _env(m, members, direction):
+    """An environment with the given member order, bypassing the thresholds."""
+    return SeedEnvironment(
+        members[0], direction, 0.01, tuple(members), m.submatrix(members)
+    )
+
+
+def _reference_edges(m, env, basis, axes, threshold):
+    """Edges of the pairwise scalar path: cosine() over dense profiles."""
+    profiles = {}
+    for member in env.members:
+        line = m.col(member) if basis is Direction.CITED else m.row(member)
+        profiles[member] = [0 if a == member else line.get(a, 0) for a in axes]
+    edges = []
+    for i, u in enumerate(env.members):
+        for v in env.members[i + 1 :]:
+            if any(profiles[u]) and any(profiles[v]):
+                value = cosine(profiles[u], profiles[v])
+                if value > threshold:
+                    edges.append(((u, v), value))
+    zero = [member for member in env.members if not any(profiles[member])]
+    return edges, zero
+
+
+class TestGramPath:
+    @given(
+        cells=st.dictionaries(
+            st.tuples(st.sampled_from(GRAM_IDS), st.sampled_from(GRAM_IDS)),
+            st.one_of(st.integers(0, 9), st.integers(0, EXACT_COUNT)),
+            max_size=30,
+        ),
+        members=st.permutations(GRAM_IDS).flatmap(
+            lambda ids: st.integers(2, len(ids)).map(lambda k: ids[:k])
+        ),
+        basis=st.sampled_from(Direction),
+        widen=st.booleans(),
+        threshold=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    )
+    def test_weights_equal_scalar_cosine_exactly(
+        self, cells, members, basis, widen, threshold
+    ):
+        m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
+        env = _env(m, members, basis)
+        source = m if widen else env.submatrix
+        g = similarity_graph(
+            env, threshold, direction=basis, full_matrix=m if widen else None
+        )
+        edges, zero = _reference_edges(source, env, basis, sorted(source.journals), threshold)
+        # Same pairs, same insertion order, bit-identical weights.
+        assert list(g.edges.items()) == edges
+        assert all(type(weight) is float for weight in g.edges.values())
+        assert g.warnings == tuple(
+            f"member {j!r} has an all-zero {basis.value} profile; kept as isolated node"
+            for j in zero
+        )
+
+    def test_counts_that_would_wrap_int64_use_float(self):
+        # A's citing profile has three MAX_COUNT cells: its squared norm
+        # passes 2^63, so an int64 Gram product would wrap.
+        assert 3 * MAX_COUNT**2 >= 2**63
+        cells = {
+            ("A", "S"): MAX_COUNT, ("A", "B"): MAX_COUNT, ("A", "C"): MAX_COUNT,
+            ("B", "S"): MAX_COUNT, ("B", "A"): 1, ("B", "C"): 5,
+            ("C", "A"): 7, ("C", "C"): MAX_COUNT, ("S", "A"): 3,
+        }
+        m = CitationMatrix(2005, [Journal(j, j) for j in "ABCS"], cells)
+        env = _env(m, ["S", "A", "B", "C"], Direction.CITING)
+        g = similarity_graph(env, 0.0)
+        edges, _ = _reference_edges(env.submatrix, env, Direction.CITING, "ABCS", 0.0)
+        assert list(g.edges) == [pair for pair, _ in edges]
+        for pair, value in edges:
+            assert 0.0 <= g.edges[pair] <= 1.0
+            assert g.edges[pair] == pytest.approx(value, abs=1e-12)
