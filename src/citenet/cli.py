@@ -109,7 +109,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("matrix", help="persisted citation matrix (CSV + sidecar)")
+    parser.add_argument(
+        "matrix", help="persisted citation matrix (CSV + sidecar, with its .csr.npz cache)"
+    )
     parser.add_argument("--seed", help="seed journal id")
     parser.add_argument(
         "--direction",

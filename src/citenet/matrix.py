@@ -13,7 +13,12 @@ per-issue extracts can be concatenated.
 
 A persisted matrix is the edge-list CSV plus a sidecar JSON document
 (``<path>.meta.json``) holding the year, the journal registry (including
-journals that have no citation links at all) and the CSV's sha256.
+journals that have no citation links at all) and the CSV's sha256.  A third
+file, ``<path>.csr.npz``, caches the matrix's CSR arrays keyed on the sha256
+of the exact CSV and sidecar bytes it was written with.  It only makes loads
+faster: a missing, stale or damaged cache is ignored and the CSV is parsed,
+so deleting it is always safe, and matrices persisted without one load by
+parsing.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ JournalId = str
 EDGE_HEADER = "citing,cited,count"
 REGISTRY_HEADER = ("id", "display_name", "source_index")
 SIDECAR_SUFFIX = ".meta.json"
+BINARY_SUFFIX = ".csr.npz"
 
 # Cell counts for journals indexed in both source databases are summed on
 # merge; the sidecar records this so persisted matrices are self-describing.
@@ -442,14 +448,14 @@ def parse_citation_csv(
     Raises :class:`EdgeListParseError` (with the offending line number) on a
     malformed row, a count above ``MAX_COUNT`` or a duplicate row that takes
     its cell above it, and for input containing no data rows at all unless
-    *registry* names journals (the matrix then has those and no cells).
+    a *registry* is given (the matrix then has its journals and no cells).
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
 
     seen: dict[JournalId, int] = {}
     blocks = [_parse_block(text, line_no, seen) for line_no, text in _blocks(stream)]
-    if not registry and not any(len(block[2]) for block in blocks):
+    if registry is None and not any(len(block[2]) for block in blocks):
         raise EdgeListParseError(0, "empty input: no edge rows")
     parts = zip(*blocks) if blocks else [[np.zeros(0, dtype=np.int64)]] * 4
     rows, cols, counts, line_nos = map(np.concatenate, parts)
@@ -590,11 +596,20 @@ def _replace(path: Path, data: bytes) -> None:
         raise
 
 
+def _binary_path(path: Path) -> Path:
+    return path.with_name(path.name + BINARY_SUFFIX)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def write_matrix(m: CitationMatrix, path: str | Path) -> None:
-    """Persist a matrix: edge-list CSV at *path* plus a metadata sidecar.
+    """Persist a matrix: edge-list CSV at *path*, its CSR cache, a sidecar.
 
     Each file is written under a temporary name and moved into place, the
-    sidecar last, so a reader never sees a half-written file.
+    sidecar last, so a reader never sees a half-written file.  The cache
+    records the sha256 of the CSV and sidecar bytes written with it.
     """
     path = Path(path)
     data = serialize_matrix(m).encode("utf-8")
@@ -602,7 +617,7 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
         "format": "citation-matrix",
         "year": m.year,
         "merge_policy": MERGE_POLICY,
-        "csv_sha256": hashlib.sha256(data).hexdigest(),
+        "csv_sha256": _sha256(data),
         "journals": [
             {
                 "id": journal.id,
@@ -612,15 +627,28 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
             for journal in m.journals.values()
         ],
     }
+    sidecar = (json.dumps(meta, indent=2) + "\n").encode("utf-8")
+    binary = io.BytesIO()
+    np.savez(
+        binary,
+        indptr=m._csr.indptr,
+        indices=m._csr.indices,
+        data=m._csr.data,
+        csv_sha256=np.array(_sha256(data)),
+        sidecar_sha256=np.array(_sha256(sidecar)),
+    )
     _replace(path, data)
-    _replace(_sidecar_path(path), (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
+    _replace(_binary_path(path), binary.getvalue())
+    _replace(_sidecar_path(path), sidecar)
 
 
-def _read_sidecar(sidecar: Path) -> tuple[int, dict[JournalId, Journal], str | None]:
-    """``(year, registry, recorded CSV sha256 or None)`` from a sidecar."""
+def _read_sidecar(
+    sidecar: Path, raw: bytes
+) -> tuple[int, dict[JournalId, Journal], str | None]:
+    """``(year, registry, recorded CSV sha256 or None)`` from sidecar bytes."""
     try:
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    except ValueError as exc:
+        meta = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise SidecarError(f"{sidecar}: not a JSON document ({exc})") from None
     if not isinstance(meta, dict):
         raise SidecarError(f"{sidecar}: expected a JSON object")
@@ -645,8 +673,49 @@ def _read_sidecar(sidecar: Path) -> tuple[int, dict[JournalId, Journal], str | N
     return year, registry, digest
 
 
+def _is_canonical_csr(indptr, indices, data, n: int) -> bool:
+    """Whether the arrays form an n-by-n CSR with sorted indices and valid counts."""
+    if any(a.ndim != 1 or a.dtype.kind != "i" for a in (indptr, indices, data)):
+        return False
+    if len(indptr) != n + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        return False
+    if not len(indices) == len(data) == indptr[-1]:
+        return False
+    if not len(data):
+        return True
+    if indices.min() < 0 or indices.max() >= n:
+        return False
+    if data.min() < 1 or data.max() > MAX_COUNT:
+        return False
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    same_row = rows[1:] == rows[:-1]
+    return bool(np.all(np.diff(indices)[same_row] > 0))
+
+
+def _load_binary(
+    path: Path, n: int, csv_sha256: str, sidecar_sha256: str
+) -> csr_array | None:
+    """The CSR cached at *path*, or None if the file is unreadable, was
+    written with other CSV or sidecar bytes, or is not a canonical n-by-n CSR."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if (
+                npz["csv_sha256"].tolist() != csv_sha256
+                or npz["sidecar_sha256"].tolist() != sidecar_sha256
+            ):
+                return None
+            indptr, indices, data = npz["indptr"], npz["indices"], npz["data"]
+    except Exception:
+        # Foreign bytes reach zipfile and numpy's format reader, which raise
+        # many exception types; for a disposable cache each is only a miss.
+        return None
+    if not _is_canonical_csr(indptr, indices, data, n):
+        return None
+    return csr_array((data.astype(np.int64, copy=False), indices, indptr), shape=(n, n))
+
+
 def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
-    """Load a persisted matrix (CSV plus sidecar).
+    """Load a persisted matrix (CSV plus sidecar, and the CSR cache if valid).
 
     Without a sidecar the *year* argument is required and all journals
     default to SCI with ``display_name == id``.  A sidecar that records a
@@ -654,23 +723,42 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     load unchecked.  A header-only CSV loads as a matrix with the sidecar's
     journals and no cells.  Raises :class:`SidecarError` for a malformed or
     mismatched sidecar.
+
+    After those checks the ``.csr.npz`` cache is used when it records the
+    sha256 of these exact CSV and sidecar bytes and holds a canonical CSR
+    over the sidecar's journals; otherwise the CSV is parsed.
     """
     path = Path(path)
     sidecar = _sidecar_path(path)
-    registry: dict[JournalId, Journal] | None = None
-    digest = None
-    if sidecar.exists():
-        year, registry, digest = _read_sidecar(sidecar)
-    elif year is None:
-        raise ValueError(f"no sidecar at {sidecar} and no year given")
+    if not sidecar.exists():
+        if year is None:
+            raise ValueError(f"no sidecar at {sidecar} and no year given")
+        return parse_citation_csv(_text(path.read_bytes()), year)
+    meta = sidecar.read_bytes()
+    year, registry, digest = _read_sidecar(sidecar, meta)
     data = path.read_bytes()
-    if digest is not None and hashlib.sha256(data).hexdigest() != digest:
+    csv_sha256 = _sha256(data)
+    if digest is not None and csv_sha256 != digest:
         raise SidecarError(
             f"{sidecar} does not belong to {path}: the CSV's sha256 differs "
             "from the one the sidecar records"
         )
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    return parse_citation_csv(text, year, registry=registry)
+    csr = _load_binary(_binary_path(path), len(registry), csv_sha256, _sha256(meta))
+    if csr is not None:
+        return CitationMatrix._from_csr(year, dict(sorted(registry.items())), csr)
+    return parse_citation_csv(_text(data), year, registry=registry)
+
+
+def _text(data: bytes) -> IO[str]:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def _records(reader) -> Iterator[list[str]]:
+    """The reader's records, with the csv module's own errors made parse errors."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise EdgeListParseError(reader.line_num, str(exc)) from None
 
 
 def read_registry(stream: IO[str] | str) -> dict[JournalId, Journal]:
@@ -679,7 +767,7 @@ def read_registry(stream: IO[str] | str) -> dict[JournalId, Journal]:
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
     registry: dict[JournalId, Journal] = {}
-    for line_no, fields in enumerate(reader, start=1):
+    for line_no, fields in enumerate(_records(reader), start=1):
         if line_no == 1 and fields:
             fields[0] = fields[0].removeprefix(BOM)
         if not fields or not any(f.strip() for f in fields):

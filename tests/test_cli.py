@@ -31,6 +31,15 @@ class TestIngestAndMerge:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_registry_field_over_the_csv_field_limit(self, tmp_path, capsys):
+        edges, registry = tmp_path / "edges.csv", tmp_path / "registry.csv"
+        edges.write_text(EDGES, encoding="utf-8")
+        registry.write_text("A" * 200_000 + ",x,SCI\n", encoding="utf-8")
+        argv = ["ingest", str(edges), "--year", "2005", "--registry", str(registry)]
+        assert main(argv + ["--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: field larger") and err.count("\n") == 1
+
     def test_merge(self, tmp_path, matrix_path, capsys):
         other = tmp_path / "other_edges.csv"
         other.write_text("X,S,10\nA,S,5\n", encoding="utf-8")
@@ -122,6 +131,10 @@ class TestSidecar:
         meta["journals"][0] = entry
         _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
         assert "journals entry 0" in self._env_error(matrix_path, capsys)
+
+    def test_deeply_nested_sidecar(self, matrix_path, capsys):
+        _sidecar(matrix_path).write_text("[" * 100_000, encoding="utf-8")
+        assert "not a JSON document" in self._env_error(matrix_path, capsys)
 
 
 class TestEnvCommand:

@@ -336,6 +336,14 @@ class TestPersistence:
         assert path.read_text(encoding="utf-8") == "citing,cited,count\n"
         assert read_matrix(path) == m
 
+    def test_matrix_without_journals_reloads_with_and_without_its_cache(self, tmp_path):
+        m = CitationMatrix(2005, [], {})
+        path = tmp_path / "m.csv"
+        write_matrix(m, path)
+        assert read_matrix(path) == m
+        (tmp_path / "m.csv.csr.npz").unlink()
+        assert read_matrix(path) == m
+
     def test_read_without_sidecar_needs_year(self, tmp_path):
         path = tmp_path / "bare.csv"
         path.write_text("citing,cited,count\nA,B,5\n", encoding="utf-8")
@@ -356,8 +364,9 @@ class TestPersistence:
             lambda src, dst: (replaced.append(Path(dst).name), real_replace(src, dst)),
         )
         write_matrix(m, path)
-        assert replaced == ["m.csv", "m.csv.meta.json"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.csv.meta.json"]
+        files = ["m.csv", "m.csv.csr.npz", "m.csv.meta.json"]
+        assert replaced == files
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
         meta = json.loads((tmp_path / "m.csv.meta.json").read_text(encoding="utf-8"))
         assert meta["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -1,0 +1,277 @@
+"""The ``.csr.npz`` file beside a persisted matrix is an exact, disposable cache.
+
+A read through the cache must give the matrix that parsing the CSV gives.
+Every cache that was not written with the exact CSV and sidecar bytes
+beside it, or that does not hold a canonical CSR over the sidecar's
+journals, must be ignored: the CSV is parsed, nothing is raised and nothing
+is unpickled.
+"""
+
+import hashlib
+import pickle
+import shutil
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from citenet import (
+    MAX_COUNT,
+    CitationMatrix,
+    Journal,
+    SourceIndex,
+    parse_citation_csv,
+    read_matrix,
+    serialize_matrix,
+    write_matrix,
+)
+
+IDS = ["A", "B", "C", "D", "E", "F"]
+
+
+def _binary(path: Path) -> Path:
+    return path.with_name(path.name + ".csr.npz")
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".meta.json")
+
+
+def _parse_forbidden(*args, **kwargs):
+    raise AssertionError("the CSV was parsed although the cache is valid")
+
+
+def _reparsed(m: CitationMatrix) -> CitationMatrix:
+    return parse_citation_csv(serialize_matrix(m), m.year, registry=m.journals)
+
+
+@st.composite
+def matrices(draw):
+    """Matrices with diagonal cells, MAX_COUNT cells, registry-only journals,
+    no cells at all, and no journals at all."""
+    ids = draw(st.lists(st.sampled_from(IDS), unique=True))
+    journals = [
+        Journal(j, draw(st.sampled_from([j, f"Journal {j}"])), draw(st.sampled_from(SourceIndex)))
+        for j in ids
+    ]
+    cells = {}
+    if ids:
+        keys = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        counts = st.one_of(st.integers(1, 9), st.just(MAX_COUNT))
+        cells = draw(st.dictionaries(keys, counts, max_size=12))
+    return CitationMatrix(draw(st.integers(1900, 2100)), journals, cells)
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_round_trip_through_the_cache_equals_the_parse(m):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.csv"
+        write_matrix(m, path)
+        with mock.patch("citenet.matrix.parse_citation_csv", _parse_forbidden):
+            again = read_matrix(path)
+        assert again == m
+        assert again == _reparsed(m)
+        assert list(again.journals.values()) == list(m.journals.values())
+        assert again._csr.has_canonical_format
+        assert serialize_matrix(again).encode("utf-8") == path.read_bytes()
+
+
+THREE_CELLS = "A,B,5\nB,A,2\nA,A,7\nC,C,3"
+
+
+@pytest.fixture()
+def persisted(tmp_path):
+    m = parse_citation_csv(THREE_CELLS, 2005)
+    path = tmp_path / "m.csv"
+    write_matrix(m, path)
+    return m, path
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """Counts CSV parses and records any unpickling during a read."""
+    calls = {"parse": 0, "unpickle": 0}
+    real_parse = parse_citation_csv
+
+    def parse(*args, **kwargs):
+        calls["parse"] += 1
+        return real_parse(*args, **kwargs)
+
+    def unpickle(*args, **kwargs):
+        calls["unpickle"] += 1
+        raise pickle.UnpicklingError("unpickling is not allowed here")
+
+    monkeypatch.setattr("citenet.matrix.parse_citation_csv", parse)
+    monkeypatch.setattr(pickle, "load", unpickle)
+    monkeypatch.setattr(pickle, "loads", unpickle)
+    return calls
+
+
+def _falls_back(path: Path, m: CitationMatrix, calls: dict) -> None:
+    assert read_matrix(path) == m
+    assert calls == {"parse": 1, "unpickle": 0}
+
+
+def _rewrite(path: Path, **arrays) -> None:
+    """Replace some arrays of the cache at *path*, keeping its recorded hashes."""
+    with np.load(_binary(path)) as npz:
+        contents = dict(npz)
+    contents.update(arrays)
+    np.savez(_binary(path), **contents)
+
+
+def test_stale_cache_beside_a_rewritten_matrix(persisted, parses, tmp_path):
+    m, path = persisted
+    stale = tmp_path / "stale.npz"
+    shutil.copy(_binary(path), stale)
+    other = parse_citation_csv("A,B,1\nB,C,4", 2005)
+    write_matrix(other, path)
+    shutil.copy(stale, _binary(path))
+    _falls_back(path, other, parses)
+
+
+def test_cache_is_keyed_on_the_sidecar_as_well_as_the_csv(tmp_path, parses):
+    # Same CSV, different isolated journals: C is column 2 in {A,B,C} and
+    # column 1 in {A,C,D}, so a CSV-only key would read A->C as A->D.
+    first = parse_citation_csv("A,C,1", 2005, registry={j: Journal(j, j) for j in "ABC"})
+    second = parse_citation_csv("A,C,1", 2005, registry={j: Journal(j, j) for j in "ACD"})
+    first_path, second_path = tmp_path / "abc.csv", tmp_path / "acd.csv"
+    write_matrix(first, first_path)
+    write_matrix(second, second_path)
+    assert first_path.read_bytes() == second_path.read_bytes()
+    shutil.copy(_binary(first_path), _binary(second_path))
+    again = read_matrix(second_path)
+    assert again == second
+    assert dict(again.cells) == {("A", "C"): 1}
+    assert parses == {"parse": 1, "unpickle": 0}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: b"",
+        lambda data: data[: len(data) // 2],
+        lambda data: data[:-1],
+        lambda data: np.random.default_rng(3).bytes(len(data)),
+        lambda data: pickle.dumps({"indptr": [0]}),
+    ],
+    ids=["empty", "half", "last-byte-cut", "random", "pickle"],
+)
+def test_unreadable_cache(persisted, parses, damage):
+    m, path = persisted
+    _binary(path).write_bytes(damage(_binary(path).read_bytes()))
+    _falls_back(path, m, parses)
+
+
+def test_pickled_object_array_is_never_unpickled(persisted, parses):
+    m, path = persisted
+    with np.load(_binary(path)) as npz:
+        data = npz["data"]
+    _rewrite(path, data=data.astype(object))
+    _falls_back(path, m, parses)
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        {"indptr": np.array([0, 2, 3, 4, 4], dtype=np.int64)},
+        {"indptr": np.array([0, 2, 3], dtype=np.int64)},
+        {"indptr": np.array([1, 2, 3, 4], dtype=np.int64)},
+        {"indptr": np.array([0, 3, 2, 4], dtype=np.int64)},
+        {"indptr": np.array([0, 2, 3, 5], dtype=np.int64)},
+        {"indptr": np.array([[0, 2, 3, 4]], dtype=np.int64)},
+        {"indptr": np.array([0, 2, 3, 4], dtype=np.uint64)},
+        {"indices": np.array([1, 0, 0, 2], dtype=np.int32)},
+        {"indices": np.array([0, 0, 0, 2], dtype=np.int32)},
+        {"indices": np.array([0, 1, 0, 3], dtype=np.int32)},
+        {"indices": np.array([-1, 1, 0, 2], dtype=np.int32)},
+        {"indices": np.array([0.0, 1.0, 0.0, 2.0])},
+        {"data": np.array([7.0, 5.0, 2.0, 3.0])},
+        {"data": np.array([7, 0, 2, 3], dtype=np.int64)},
+        {"data": np.array([7, -5, 2, 3], dtype=np.int64)},
+        {"data": np.array([7, MAX_COUNT + 1, 2, 3], dtype=np.int64)},
+        {"data": np.array([7, 5, 2], dtype=np.int64)},
+        {"data": np.array("7,5,2,3")},
+        {"csv_sha256": np.array("0" * 64)},
+        {"sidecar_sha256": np.array(["0" * 64])},
+    ],
+    ids=[
+        "indptr-too-long",
+        "indptr-too-short",
+        "indptr-not-from-zero",
+        "indptr-decreasing",
+        "indptr-past-the-cells",
+        "indptr-2d",
+        "indptr-unsigned",
+        "indices-unsorted",
+        "indices-duplicate",
+        "indices-out-of-range",
+        "indices-negative",
+        "indices-float",
+        "data-float",
+        "data-zero",
+        "data-negative",
+        "data-above-max-count",
+        "data-too-short",
+        "data-string",
+        "wrong-csv-key",
+        "key-not-a-scalar",
+    ],
+)
+def test_malformed_cache_arrays(persisted, parses, arrays):
+    m, path = persisted
+    # The fixture's canonical CSR: rows A, B, C over columns A, B, C.
+    with np.load(_binary(path)) as npz:
+        assert npz["indptr"].tolist() == [0, 2, 3, 4]
+        assert npz["indices"].tolist() == [0, 1, 0, 2]
+        assert npz["data"].tolist() == [7, 5, 2, 3]
+    _rewrite(path, **arrays)
+    _falls_back(path, m, parses)
+
+
+def test_missing_array_in_cache(persisted, parses):
+    m, path = persisted
+    with np.load(_binary(path)) as npz:
+        contents = {key: npz[key] for key in npz.files if key != "indices"}
+    np.savez(_binary(path), **contents)
+    _falls_back(path, m, parses)
+
+
+def test_deleted_cache(persisted, parses):
+    m, path = persisted
+    _binary(path).unlink()
+    _falls_back(path, m, parses)
+    assert not _binary(path).exists()
+
+
+def test_csv_without_sidecar_is_parsed_despite_a_cache(persisted, parses):
+    _, path = persisted
+    _sidecar(path).unlink()
+    again = read_matrix(path, year=2010)
+    assert again == parse_citation_csv(THREE_CELLS, 2010)
+    assert parses["parse"] == 1
+
+
+def test_cache_is_not_rewritten_on_read(persisted):
+    _, path = persisted
+    _binary(path).write_bytes(b"not a cache")
+    read_matrix(path)
+    assert _binary(path).read_bytes() == b"not a cache"
+
+
+def test_cache_records_the_bytes_it_was_written_with(persisted):
+    _, path = persisted
+    with np.load(_binary(path), allow_pickle=False) as npz:
+        assert npz["csv_sha256"].tolist() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (
+            npz["sidecar_sha256"].tolist()
+            == hashlib.sha256(_sidecar(path).read_bytes()).hexdigest()
+        )
+        assert sorted(npz.files) == [
+            "csv_sha256", "data", "indices", "indptr", "sidecar_sha256"
+        ]
