@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, UnknownNodeError
-from .matrix import CitationMatrix
+from .matrix import CitationMatrix, _canonical, _row_ids
 from .similarity import SimilarityGraph
 
 Node = str
@@ -324,7 +323,9 @@ def brute_force_betweenness(g: Graph) -> dict[Node, float]:
     return {node: value / pairs for node, value in result.items()}
 
 
-def _symmetric_adjacency(g: Graph) -> csr_matrix:
+def _symmetric_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, weights)`` of the symmetric adjacency, sorted by row
+    then column, each cell stored once."""
     index = {node: i for i, node in enumerate(g.nodes)}
     n = len(g.nodes)
     rows: list[int] = []
@@ -340,8 +341,10 @@ def _symmetric_adjacency(g: Graph) -> csr_matrix:
         rows.extend((i, j))
         cols.extend((j, i))
         data.extend((weight, weight))
-    # Directed inputs are symmetrized by summing opposite-direction weights.
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    # Directed inputs are symmetrized by summing opposite-direction weights;
+    # a sum of two floats is the same in either order.
+    indptr, cols_, weights = _canonical(n, rows, cols, np.array(data))
+    return _row_ids(indptr), cols_, weights
 
 
 def eigenvector_centrality(
@@ -360,11 +363,13 @@ def eigenvector_centrality(
     n = len(g)
     if not g.edges:
         raise ValueError("eigenvector centrality needs at least one edge")
-    adjacency = _symmetric_adjacency(g)
+    rows, cols, weights = _symmetric_adjacency(g)
     vector = np.full(n, 1.0 / np.sqrt(n))
     step = np.inf
     for _ in range(max_iter):
-        candidate = adjacency @ vector + vector
+        # A @ vector, each row summed from 0.0 in column order, as a CSR
+        # product does, so the loadings do not depend on BLAS.
+        candidate = np.bincount(rows, weights * vector[cols], minlength=n) + vector
         candidate /= np.linalg.norm(candidate)
         step = float(np.linalg.norm(candidate - vector))
         vector = candidate

@@ -37,7 +37,6 @@ from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import (
     EdgeListParseError,
@@ -47,6 +46,8 @@ from .errors import (
 )
 
 JournalId = str
+# A canonical CSR's int64 (indptr, indices, data).
+CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 EDGE_HEADER = "citing,cited,count"
 REGISTRY_HEADER = ("id", "display_name", "source_index")
@@ -68,6 +69,9 @@ BOM = "\ufeff"
 # nonempty ids free of whitespace and quoting characters, and at most ten
 # ASCII digits per line.
 _CANONICAL_ROWS = re.compile(r'(?:[^\s,"\\]+,[^\s,"\\]+,[0-9]{1,10}\n)*')
+# Ids that _validate_id accepts, one per line: ``\s`` matches exactly the
+# characters str.isspace accepts, the newline among them.
+_ID_LINES = re.compile(r'(?:[^\s"\\]+\n)*')
 _BLOCK_CHARS = 1 << 20
 
 
@@ -77,6 +81,14 @@ class SourceIndex(Enum):
     SCI = "SCI"
     SSCI = "SSCI"
     BOTH = "BOTH"
+
+
+_SOURCES = {source.value: source for source in SourceIndex}
+
+
+def _valid_ids(tokens: Sequence[str]) -> bool:
+    """Whether :func:`_validate_id` accepts every one of *tokens*."""
+    return _ID_LINES.fullmatch("\n".join([*tokens, ""])) is not None
 
 
 def _validate_id(token: str) -> str:
@@ -103,30 +115,59 @@ class Journal:
         if not self.display_name:
             raise ValueError(f"journal {self.id!r}: display_name must be nonempty")
 
+    @classmethod
+    def _unchecked(
+        cls, journal_id: JournalId, display_name: str, source_index: SourceIndex
+    ) -> "Journal":
+        """A journal whose fields have already passed the checks above."""
+        journal = object.__new__(cls)
+        journal.__dict__.update(
+            id=journal_id, display_name=display_name, source_index=source_index
+        )
+        return journal
 
-def _canonical(n: int, rows, cols, counts) -> csr_array:
-    """n-by-n int64 CSR with duplicates summed, zeros dropped, indices sorted."""
-    counts = np.asarray(counts, dtype=np.int64)
-    csr = csr_array((counts, (rows, cols)), shape=(n, n), dtype=np.int64)
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    return csr
+
+def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
+    """``(indptr, indices, data)`` of the n-by-n CSR holding the given cells.
+
+    Duplicate cells are summed in input order, zero sums dropped and each
+    row's indices sorted.  *values* keeps its dtype.
+    """
+    assert n * n < 2**63, "cell keys row * n + col must fit in int64"
+    key = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
+    # A stable sort is linear on the sorted or two-run input most callers give.
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    if len(key):
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key, values = key[first], np.add.reduceat(values, first)
+        nonzero = values != 0
+        key, values = key[nonzero], values[nonzero]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return indptr, key % n, values
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR with this *indptr*."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 class CitationMatrix:
     """Sparse directed weighted journal-to-journal citation counts for one year.
 
     Journal ids are sorted and numbered once; the counts live in one
-    canonical int64 CSR matrix over those numbers (a CSC copy is made on the
-    first column lookup).  Immutable once constructed: all accessors return
-    read-only views, so a matrix can be shared across concurrent
+    canonical CSR over those numbers: three int64 numpy arrays ``indptr``,
+    ``indices`` and ``data``.  There is no column-major copy, so ``col``
+    scans every stored index.  Immutable once constructed: all accessors
+    return read-only views, so a matrix can be shared across concurrent
     computations without coordination.  Only strictly positive counts are
     stored; every journal referenced by a cell is present in the registry
     (the registry may contain additional, isolated journals).  ``cells``,
     ``row`` and ``col`` iterate in journal-id order.
     """
 
-    __slots__ = ("_year", "_journals", "_ids", "_index", "_csr", "_csc")
+    __slots__ = ("_year", "_journals", "_ids", "_index", "_indptr", "_indices", "_data")
 
     def __init__(
         self,
@@ -162,26 +203,24 @@ class CitationMatrix:
             rows.append(index[citing])
             cols.append(index[cited])
             counts.append(count)
-        self._assign(year, registry, _canonical(len(index), rows, cols, counts))
+        csr = _canonical(len(index), rows, cols, np.array(counts, dtype=np.int64))
+        self._assign(year, registry, csr)
 
     @classmethod
     def _from_csr(
-        cls, year: int, registry: dict[JournalId, Journal], csr: csr_array
+        cls, year: int, registry: dict[JournalId, Journal], csr: CSR
     ) -> "CitationMatrix":
         """Wrap a canonical CSR whose axes are the id-sorted *registry*."""
         m = cls.__new__(cls)
         m._assign(year, registry, csr)
         return m
 
-    def _assign(
-        self, year: int, registry: dict[JournalId, Journal], csr: csr_array
-    ) -> None:
+    def _assign(self, year: int, registry: dict[JournalId, Journal], csr: CSR) -> None:
         self._year = year
         self._journals = registry
         self._ids = tuple(registry)
         self._index = {journal_id: i for i, journal_id in enumerate(self._ids)}
-        self._csr = csr
-        self._csc = None
+        self._indptr, self._indices, self._data = csr
 
     @property
     def year(self) -> int:
@@ -204,19 +243,18 @@ class CitationMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationMatrix):
             return NotImplemented
-        a, b = self._csr, other._csr
         return (
             self._year == other._year
             and self._journals == other._journals
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
+            and np.array_equal(self._data, other._data)
         )
 
     def __repr__(self) -> str:
         return (
             f"CitationMatrix(year={self._year}, journals={len(self._journals)}, "
-            f"cells={self._csr.nnz})"
+            f"cells={len(self._data)})"
         )
 
     def cell(self, citing: JournalId, cited: JournalId) -> int:
@@ -225,50 +263,72 @@ class CitationMatrix:
         j = self._index.get(cited)
         if i is None or j is None:
             return 0
-        start, end = self._csr.indptr[i], self._csr.indptr[i + 1]
-        k = start + np.searchsorted(self._csr.indices[start:end], j)
-        if k < end and self._csr.indices[k] == j:
-            return int(self._csr.data[k])
+        start, end = self._indptr[i], self._indptr[i + 1]
+        k = start + np.searchsorted(self._indices[start:end], j)
+        if k < end and self._indices[k] == j:
+            return int(self._data[k])
         return 0
 
     def row(self, citing: JournalId) -> Mapping[JournalId, int]:
         """Outgoing counts of *citing*: cited journal -> count."""
-        return self._line(self._csr, citing)
+        i = self._index.get(citing)
+        if i is None:
+            return MappingProxyType({})
+        entries = slice(self._indptr[i], self._indptr[i + 1])
+        return self._line(self._indices[entries], self._data[entries])
 
     def col(self, cited: JournalId) -> Mapping[JournalId, int]:
         """Incoming counts of *cited*: citing journal -> count."""
-        if self._csc is None:
-            self._csc = self._csr.tocsc()
-            self._csc.sort_indices()
-        return self._line(self._csc, cited)
-
-    def _line(self, compressed, journal_id: JournalId) -> Mapping[JournalId, int]:
-        i = self._index.get(journal_id)
-        if i is None:
+        j = self._index.get(cited)
+        if j is None:
             return MappingProxyType({})
-        start, end = compressed.indptr[i], compressed.indptr[i + 1]
-        others = map(self._ids.__getitem__, compressed.indices[start:end].tolist())
-        return MappingProxyType(dict(zip(others, compressed.data[start:end].tolist())))
+        entries = np.flatnonzero(self._indices == j)
+        rows = np.searchsorted(self._indptr, entries, side="right") - 1
+        return self._line(rows, self._data[entries])
+
+    def _line(self, others: np.ndarray, counts: np.ndarray) -> Mapping[JournalId, int]:
+        journal_ids = map(self._ids.__getitem__, others.tolist())
+        return MappingProxyType(dict(zip(journal_ids, counts.tolist())))
+
+    def _row_entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(output row, entry) of every stored entry of the rows at *positions*."""
+        starts = self._indptr[positions]
+        lengths = self._indptr[positions + 1] - starts
+        first = np.cumsum(lengths) - lengths
+        entries = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+        return np.repeat(np.arange(len(positions)), lengths), entries
+
+    def _lookup(self, positions: np.ndarray) -> np.ndarray:
+        """Journal number -> its place in *positions*, or -1 if absent."""
+        lookup = np.full(len(self._ids), -1, dtype=np.int64)
+        lookup[positions] = np.arange(len(positions))
+        return lookup
+
+    def _positions(self, journal_ids: Iterable[JournalId]) -> np.ndarray:
+        unknown = [journal_id for journal_id in journal_ids if journal_id not in self._index]
+        if unknown:
+            raise UnknownJournalError(f"not in matrix: {unknown}")
+        return np.array([self._index[j] for j in journal_ids], dtype=np.int64)
 
     def submatrix(self, journal_ids: Iterable[JournalId]) -> "CitationMatrix":
         """The registry and the cells restricted to *journal_ids*."""
         wanted = sorted(set(journal_ids))
-        unknown = [journal_id for journal_id in wanted if journal_id not in self._index]
-        if unknown:
-            raise UnknownJournalError(f"not in matrix: {unknown}")
-        positions = np.array([self._index[j] for j in wanted], dtype=np.int64)
-        csr = self._csr[positions][:, positions]
-        csr.sum_duplicates()
+        positions = self._positions(wanted)
+        rows, entries = self._row_entries(positions)
+        # positions ascend, so the renumbered columns stay sorted within a row
+        cols = self._lookup(positions)[self._indices[entries]]
+        kept = cols >= 0
+        indptr = np.zeros(len(wanted) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[kept], minlength=len(wanted)), out=indptr[1:])
         registry = {journal_id: self._journals[journal_id] for journal_id in wanted}
+        csr = (indptr, cols[kept], self._data[entries][kept])
         return CitationMatrix._from_csr(self._year, registry, csr)
 
     def _triples(self) -> tuple[Iterator[JournalId], Iterator[JournalId], list[int]]:
         """(citing ids, cited ids, counts) of every cell, in id order."""
-        csr = self._csr
-        rows = np.repeat(np.arange(len(self._ids)), np.diff(csr.indptr))
-        citing = map(self._ids.__getitem__, rows.tolist())
-        cited = map(self._ids.__getitem__, csr.indices.tolist())
-        return citing, cited, csr.data.tolist()
+        citing = map(self._ids.__getitem__, _row_ids(self._indptr).tolist())
+        cited = map(self._ids.__getitem__, self._indices.tolist())
+        return citing, cited, self._data.tolist()
 
 
 class _Cells(Mapping):
@@ -290,7 +350,7 @@ class _Cells(Mapping):
         return count
 
     def __len__(self) -> int:
-        return self._matrix._csr.nnz
+        return len(self._matrix._data)
 
     def __iter__(self) -> Iterator[tuple[JournalId, JournalId]]:
         citing, cited, _ = self._matrix._triples()
@@ -311,7 +371,7 @@ class _CellItems(ItemsView):
 
 class _CellValues(ValuesView):
     def __iter__(self):
-        return iter(self._mapping._matrix._csr.data.tolist())
+        return iter(self._mapping._matrix._data.tolist())
 
 
 def _parse_count(field: str, line_no: int) -> int:
@@ -470,7 +530,7 @@ def parse_citation_csv(
     rows, cols = renumber[rows], renumber[cols]
 
     csr = _canonical(len(journals), rows, cols, counts)
-    if csr.nnz and csr.data.max() > MAX_COUNT:
+    if csr[2].max(initial=0) > MAX_COUNT:
         k = _first_overflow(rows, cols, counts)
         ids = list(journals)
         raise EdgeListParseError(
@@ -510,19 +570,19 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
     rows, cols, counts = [], [], []
     for m in (a, b):
         renumber = np.array([position[j] for j in m._ids], dtype=np.int64)
-        coo = m._csr.tocoo()
-        rows.append(renumber[coo.row])
-        cols.append(renumber[coo.col])
-        counts.append(coo.data)
+        rows.append(renumber[_row_ids(m._indptr)])
+        cols.append(renumber[m._indices])
+        counts.append(m._data)
     csr = _canonical(
         len(ids), np.concatenate(rows), np.concatenate(cols), np.concatenate(counts)
     )
-    if csr.nnz and csr.data.max() > MAX_COUNT:
-        k = int(np.argmax(csr.data))
-        citing = ids[int(np.searchsorted(csr.indptr, k, side="right")) - 1]
+    indptr, indices, data = csr
+    if data.max(initial=0) > MAX_COUNT:
+        k = int(np.argmax(data))
+        citing = ids[int(np.searchsorted(indptr, k, side="right")) - 1]
         raise ValueError(
-            f"merged cell ({citing}, {ids[csr.indices[k]]}): count "
-            f"{csr.data[k]} exceeds {MAX_COUNT}"
+            f"merged cell ({citing}, {ids[indices[k]]}): count "
+            f"{data[k]} exceeds {MAX_COUNT}"
         )
     return CitationMatrix._from_csr(a.year, journals, csr)
 
@@ -547,30 +607,33 @@ def citation_degrees(m: CitationMatrix) -> dict[JournalId, tuple[int, int]]:
     and per column, minus the diagonal, so it equals
     ``degree_centrality(Graph.from_citation_matrix(m), j)`` without the graph.
     """
-    csr = m._csr
-    self_cited = (csr.diagonal() != 0).astype(np.int64)
-    degree_out = np.diff(csr.indptr) - self_cited
-    degree_in = np.bincount(csr.indices, minlength=len(m)) - self_cited
+    self_cited = np.zeros(len(m), dtype=np.int64)
+    rows = _row_ids(m._indptr)
+    self_cited[rows[m._indices == rows]] = 1
+    degree_out = np.diff(m._indptr) - self_cited
+    degree_in = np.bincount(m._indices, minlength=len(m)) - self_cited
     return dict(zip(m._ids, zip(degree_in.tolist(), degree_out.tolist())))
 
 
 def citation_profiles(
     m: CitationMatrix, journal_ids: Sequence[JournalId], *, citing: bool
-) -> csr_array:
+) -> np.ndarray:
     """Profiles of *journal_ids* over every journal of *m*, one row each.
 
-    Row k holds the outgoing (*citing*) or incoming counts of
-    ``journal_ids[k]``, one column per journal in id order, with its own
-    self-citation cell zeroed.
+    A dense int64 array: row k holds the outgoing (*citing*) or incoming
+    counts of ``journal_ids[k]``, one column per journal in id order, with
+    its own self-citation cell zeroed.
     """
-    unknown = [journal_id for journal_id in journal_ids if journal_id not in m]
-    if unknown:
-        raise UnknownJournalError(f"not in matrix: {unknown}")
-    positions = np.array([m._index[j] for j in journal_ids], dtype=np.int64)
-    profiles = m._csr[positions] if citing else m._csr[:, positions].T.tocsr()
-    own = np.repeat(positions, np.diff(profiles.indptr)) == profiles.indices
-    profiles.data[own] = 0
-    profiles.eliminate_zeros()
+    positions = m._positions(journal_ids)
+    profiles = np.zeros((len(positions), len(m)), dtype=np.int64)
+    if citing:
+        rows, entries = m._row_entries(positions)
+        profiles[rows, m._indices[entries]] = m._data[entries]
+    else:
+        rows = m._lookup(positions)[m._indices]
+        entries = np.flatnonzero(rows >= 0)
+        profiles[rows[entries], _row_ids(m._indptr)[entries]] = m._data[entries]
+    profiles[np.arange(len(positions)), positions] = 0
     return profiles
 
 
@@ -631,9 +694,9 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
     binary = io.BytesIO()
     np.savez(
         binary,
-        indptr=m._csr.indptr,
-        indices=m._csr.indices,
-        data=m._csr.data,
+        indptr=m._indptr,
+        indices=m._indices,
+        data=m._data,
         csv_sha256=np.array(_sha256(data)),
         sidecar_sha256=np.array(_sha256(sidecar)),
     )
@@ -645,7 +708,8 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
 def _read_sidecar(
     sidecar: Path, raw: bytes
 ) -> tuple[int, dict[JournalId, Journal], str | None]:
-    """``(year, registry, recorded CSV sha256 or None)`` from sidecar bytes."""
+    """``(year, id-sorted registry, recorded CSV sha256 or None)`` from
+    sidecar bytes."""
     try:
         meta = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -658,19 +722,50 @@ def _read_sidecar(
     entries = meta.get("journals")
     if not isinstance(entries, list):
         raise SidecarError(f"{sidecar}: no \"journals\" list")
-    registry: dict[JournalId, Journal] = {}
-    for k, entry in enumerate(entries):
-        fields = [entry.get(key) if isinstance(entry, dict) else None for key in REGISTRY_HEADER]
-        try:
-            if not all(isinstance(field, str) for field in fields):
-                raise ValueError(f"needs string fields {', '.join(REGISTRY_HEADER)}")
-            registry[fields[0]] = Journal(fields[0], fields[1], SourceIndex(fields[2]))
-        except ValueError as exc:
-            raise SidecarError(f"{sidecar}: malformed journals entry {k}: {exc}") from None
+    registry = _journals_in_bulk(entries)
+    if registry is None:
+        # Some entry is malformed: check one at a time to name the first.
+        registry = {}
+        for k, entry in enumerate(entries):
+            fields = [
+                entry.get(key) if isinstance(entry, dict) else None for key in REGISTRY_HEADER
+            ]
+            try:
+                if not all(isinstance(field, str) for field in fields):
+                    raise ValueError(f"needs string fields {', '.join(REGISTRY_HEADER)}")
+                registry[fields[0]] = Journal(fields[0], fields[1], SourceIndex(fields[2]))
+            except ValueError as exc:
+                raise SidecarError(
+                    f"{sidecar}: malformed journals entry {k}: {exc}"
+                ) from None
+    ids = list(registry)
+    if any(a > b for a, b in zip(ids, ids[1:])):
+        registry = dict(sorted(registry.items()))
     digest = meta.get("csv_sha256")
     if digest is not None and not isinstance(digest, str):
         raise SidecarError(f"{sidecar}: \"csv_sha256\" must be a string")
     return year, registry, digest
+
+
+def _journals_in_bulk(entries: list) -> dict[JournalId, Journal] | None:
+    """The registry of sidecar *entries*, or None if any is malformed.
+
+    Makes the checks of :class:`Journal` once over all entries, so that a
+    valid registry costs no per-journal validation.
+    """
+    try:
+        fields = [(entry["id"], entry["display_name"], entry["source_index"]) for entry in entries]
+    except (TypeError, KeyError):  # an entry that is not an object, or lacks a key
+        return None
+    ids, names, sources = zip(*fields) if fields else ((), (), ())
+    if not (
+        all(isinstance(field, str) for column in (ids, names, sources) for field in column)
+        and _valid_ids(ids)
+        and all(names)
+        and set(sources) <= _SOURCES.keys()
+    ):
+        return None
+    return dict(zip(ids, map(Journal._unchecked, ids, names, map(_SOURCES.get, sources))))
 
 
 def _is_canonical_csr(indptr, indices, data, n: int) -> bool:
@@ -687,14 +782,14 @@ def _is_canonical_csr(indptr, indices, data, n: int) -> bool:
         return False
     if data.min() < 1 or data.max() > MAX_COUNT:
         return False
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    rows = _row_ids(indptr)
     same_row = rows[1:] == rows[:-1]
     return bool(np.all(np.diff(indices)[same_row] > 0))
 
 
 def _load_binary(
     path: Path, n: int, csv_sha256: str, sidecar_sha256: str
-) -> csr_array | None:
+) -> CSR | None:
     """The CSR cached at *path*, or None if the file is unreadable, was
     written with other CSV or sidecar bytes, or is not a canonical n-by-n CSR."""
     try:
@@ -711,7 +806,7 @@ def _load_binary(
         return None
     if not _is_canonical_csr(indptr, indices, data, n):
         return None
-    return csr_array((data.astype(np.int64, copy=False), indices, indptr), shape=(n, n))
+    return tuple(a.astype(np.int64, copy=False) for a in (indptr, indices, data))
 
 
 def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
@@ -745,7 +840,7 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
         )
     csr = _load_binary(_binary_path(path), len(registry), csv_sha256, _sha256(meta))
     if csr is not None:
-        return CitationMatrix._from_csr(year, dict(sorted(registry.items())), csr)
+        return CitationMatrix._from_csr(year, registry, csr)
     return parse_citation_csv(_text(data), year, registry=registry)
 
 

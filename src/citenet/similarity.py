@@ -119,10 +119,17 @@ def similarity_graph(
     full journal set of that matrix, for sensitivity analysis.
 
     All cosines come from one Gram matrix G of the profiles, as
-    ``G[i, j] / sqrt(G[i, i] * G[j, j])``.  G is exact in int64 (float64 only
-    where a squared norm could pass 2^63), so on counts whose squares stay
-    below 2^53 each weight is bit-identical to :func:`cosine` of the two
-    profiles.
+    ``G[i, j] / sqrt(G[i, i] * G[j, j])``, over the axes where some member
+    is nonzero.  No entry of G, nor any product or partial sum forming it,
+    exceeds the largest squared row norm, which picks the product:
+
+    - below 2^53, a float64 BLAS product, whose integer terms are all exact;
+    - from 2^53 to 2^62, an int64 product, exact as nothing can wrap;
+    - from 2^62, a float64 product, rounded but free of wraparound.
+
+    Below 2^62 G therefore equals the exact integer Gram, and on counts whose
+    squares stay below 2^53 each weight is bit-identical to :func:`cosine`
+    of the two profiles.
     """
     if len(env.members) < 2:
         raise ValueError("environment must have at least 2 members")
@@ -132,12 +139,16 @@ def similarity_graph(
     source = env.submatrix if full_matrix is None else full_matrix
 
     profiles = citation_profiles(source, env.members, citing=basis is Direction.CITING)
-    # No Gram entry exceeds its rows' larger squared norm; if one could reach
-    # 2^63 (float64 estimate, factor-2 margin), int64 could wrap: use float64.
+    profiles = profiles[:, profiles.any(axis=0)]
     as_float = profiles.astype(np.float64)
-    if as_float.multiply(as_float).sum(axis=1).max() >= 2.0**62:
-        profiles = as_float
-    gram = (profiles @ profiles.T).toarray()
+    # On nonnegative integers this float64 sum is exact below 2^53 and at
+    # least 2^53 otherwise, so the first test is exact; the second keeps a
+    # factor-2 margin below 2^63, where int64 would wrap.
+    largest = (as_float * as_float).sum(axis=1).max()
+    if largest < 2.0**53 or largest >= 2.0**62:
+        gram = as_float @ as_float.T
+    else:
+        gram = profiles @ profiles.T
     norms_sq = gram.diagonal().astype(np.float64)
     warnings = tuple(
         f"member {m!r} has an all-zero {basis.value} profile; kept as isolated node"

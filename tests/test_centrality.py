@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citenet import (
     ConvergenceError,
@@ -362,6 +364,71 @@ class TestEigenvector:
     def test_deterministic_across_runs(self):
         g = star()
         assert eigenvector_centrality(g) == eigenvector_centrality(g)
+
+
+def reference_eigenvector(g, *, tol=1e-10, max_iter=10_000):
+    """Power iteration on A + I with A @ x summed row by row in column order.
+
+    Each row's sum starts from 0.0, as in a CSR matrix-vector product; the
+    shipped kernel must give bit-identical loadings.
+    """
+    n = len(g)
+    index = {node: i for i, node in enumerate(g.nodes)}
+    rows = [{} for _ in range(n)]
+    for (u, v), weight in g.edges.items():
+        i, j = index[u], index[v]
+        rows[i][j] = rows[i].get(j, 0.0) + weight
+        if i != j:
+            rows[j][i] = rows[j].get(i, 0.0) + weight
+    vector = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(max_iter):
+        candidate = []
+        for i in range(n):
+            acc = 0.0
+            for j in sorted(rows[i]):
+                acc += rows[i][j] * vector[j]
+            candidate.append(acc + vector[i])
+        candidate = np.array(candidate)
+        candidate /= np.linalg.norm(candidate)
+        step = float(np.linalg.norm(candidate - vector))
+        vector = candidate
+        if step <= tol:
+            break
+    else:
+        raise ConvergenceError(max_iter, step)
+    if vector.sum() < 0:
+        vector = -vector
+    return {node: float(vector[i]) for i, node in enumerate(g.nodes)}
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Undirected graphs, or directed ones with both edge directions, with
+    self-loops and weights from cosines to raw counts."""
+    nodes = [f"N{i}" for i in range(draw(st.integers(1, 7)))]
+    directed = draw(st.booleans())
+    weight = st.one_of(
+        st.floats(1e-3, 1.0), st.integers(1, 10**6).map(float), st.just(1.0)
+    )
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    edges = draw(st.dictionaries(pairs, weight, min_size=1, max_size=20))
+    if not directed:
+        edges = {tuple(sorted(pair)): w for pair, w in edges.items()}
+    return Graph(nodes, edges, directed=directed)
+
+
+@given(weighted_graphs())
+@settings(max_examples=150, deadline=None)
+def test_eigenvector_is_bit_identical_to_the_row_order_reference(g):
+    try:
+        expected = reference_eigenvector(g, max_iter=2_000)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as excinfo:
+            eigenvector_centrality(g, max_iter=2_000)
+        assert str(excinfo.value) == str(exc)
+        assert excinfo.value.residual == exc.residual
+        return
+    assert eigenvector_centrality(g, max_iter=2_000) == expected
 
 
 class TestReport:

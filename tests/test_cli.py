@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citenet
 from citenet.cli import main
 
 EDGES = "citing,cited,count\nA,S,50\nB,S,30\nC,S,20\nA,B,5\nB,A,5\nS,A,2\nA,A,9\n"
@@ -17,6 +22,19 @@ def matrix_path(tmp_path):
     code = main(["ingest", str(edges), "--year", "2005", "--out", str(out)])
     assert code == 0
     return out
+
+
+def test_a_report_imports_no_scipy(matrix_path):
+    script = (
+        "import sys, citenet, citenet.cli\n"
+        f"code = citenet.cli.main(['report', {str(matrix_path)!r}, '--seed', 'S'])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 class TestIngestAndMerge:

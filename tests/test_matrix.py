@@ -3,10 +3,14 @@
 import hashlib
 import json
 import os
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citenet import (
     MAX_COUNT,
@@ -25,7 +29,7 @@ from citenet import (
     totals,
     write_matrix,
 )
-from citenet.matrix import citation_profiles
+from citenet.matrix import _valid_ids, _validate_id, citation_profiles
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7"
 
@@ -275,13 +279,13 @@ class TestTotalsAndProfiles:
         m = parse_citation_csv("A,B,5\nA,A,7\nC,A,1", 2005)
         profiles = citation_profiles(m, ["A", "B"], citing=True)
         # Columns are all journals in id order; a member's own cell is zeroed.
-        assert profiles.toarray().tolist() == [[0, 5, 0], [0, 0, 0]]
+        assert profiles.tolist() == [[0, 5, 0], [0, 0, 0]]
         assert m.cell("A", "A") == 7  # the profiles are a copy
 
     def test_col_profile_lookup(self):
         m = parse_citation_csv("A,B,5\nA,A,7\nC,A,1", 2005)
         profiles = citation_profiles(m, ["B", "A"], citing=False)
-        assert profiles.toarray().tolist() == [[5, 0, 0], [0, 0, 1]]
+        assert profiles.tolist() == [[5, 0, 0], [0, 0, 1]]
         assert m.cell("A", "A") == 7
 
     def test_profile_errors(self):
@@ -294,8 +298,8 @@ class TestTotalsAndProfiles:
         for _ in range(20):
             m = _random_matrix(rng)
             ids = sorted(m.journals)
-            rows = citation_profiles(m, ids, citing=True).toarray()
-            cols = citation_profiles(m, ids, citing=False).toarray()
+            rows = citation_profiles(m, ids, citing=True)
+            cols = citation_profiles(m, ids, citing=False)
             assert (rows >= 0).all() and (cols >= 0).all()
             for k, j in enumerate(ids):
                 cited_total, citing_total, self_cites = totals(m, j)
@@ -400,7 +404,81 @@ class TestPersistence:
         sidecar.write_text(json.dumps(meta), encoding="utf-8")
         assert read_matrix(path) == m
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_unsorted_sidecar_loads_in_id_order(self, tmp_path, cached):
+        m = parse_citation_csv(THREE_CELLS, 2005, registry={"C": Journal("C", "C")})
+        path = tmp_path / "m.csv"
+        write_matrix(m, path)
+        sidecar = tmp_path / "m.csv.meta.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta["journals"].reverse()
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        if cached:
+            # Key the cache on the rewritten sidecar, so the load uses it.
+            cache = tmp_path / "m.csv.csr.npz"
+            with np.load(cache) as npz:
+                arrays = dict(npz)
+            arrays["sidecar_sha256"] = np.array(hashlib.sha256(sidecar.read_bytes()).hexdigest())
+            with cache.open("wb") as f:
+                np.savez(f, **arrays)
+        again = read_matrix(path)
+        assert again == m
+        assert list(again.journals) == ["A", "B", "C"]
+        assert again.col("A") == {"A": 7, "B": 2}
+
     def test_serialization_is_deterministic(self):
         m = parse_citation_csv("B,A,2\nA,A,7\nA,B,5", 2005)
         assert serialize_matrix(m) == serialize_matrix(m)
         assert serialize_matrix(m) == "citing,cited,count\nA,A,7\nA,B,5\nB,A,2\n"
+
+
+WHITESPACE = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+
+
+def _accepted(token):
+    try:
+        _validate_id(token)
+    except ValueError:
+        return False
+    return True
+
+
+@given(
+    st.lists(
+        st.text(st.one_of(st.characters(), st.sampled_from(WHITESPACE + '"\\')), max_size=4),
+        max_size=4,
+    )
+)
+def test_bulk_id_check_accepts_exactly_what_validate_id_accepts(tokens):
+    assert _valid_ids(tokens) == all(map(_accepted, tokens))
+
+
+class TestSidecarEntries:
+    GOOD = {"id": "A", "display_name": "Alpha", "source_index": "SCI"}
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("A", "needs string fields id, display_name, source_index"),
+            ({"id": "B", "display_name": "B"}, "needs string fields"),
+            ({"id": 5, "display_name": "B", "source_index": "SCI"}, "needs string fields"),
+            ({"id": "B", "display_name": "B", "source_index": "XXX"}, "'XXX' is not a valid"),
+            ({"id": "", "display_name": "B", "source_index": "SCI"}, "must be nonempty"),
+            ({"id": "B\u00a0C", "display_name": "B", "source_index": "SCI"}, "whitespace"),
+            ({"id": "B\u2028", "display_name": "B", "source_index": "SCI"}, "whitespace"),
+            ({"id": 'B"', "display_name": "B", "source_index": "SCI"}, "backslash"),
+            ({"id": "B\\", "display_name": "B", "source_index": "SCI"}, "backslash"),
+            ({"id": "B", "display_name": "", "source_index": "SCI"}, "display_name must"),
+        ],
+    )
+    @pytest.mark.parametrize("later", [[], ["also bad"]])
+    def test_first_malformed_entry_is_named(self, tmp_path, entry, message, later):
+        path = tmp_path / "m.csv"
+        write_matrix(parse_citation_csv("A,A,1", 2005), path)
+        sidecar = tmp_path / "m.csv.meta.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta["journals"] = [self.GOOD, dict(self.GOOD, id="Z"), entry, *later]
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        pattern = f"{re.escape(str(sidecar))}: malformed journals entry 2: .*{re.escape(message)}"
+        with pytest.raises(SidecarError, match=pattern):
+            read_matrix(path)

@@ -29,6 +29,7 @@ from citenet import (
     serialize_matrix,
     write_matrix,
 )
+from citenet.matrix import _is_canonical_csr
 
 IDS = ["A", "B", "C", "D", "E", "F"]
 
@@ -77,7 +78,7 @@ def test_round_trip_through_the_cache_equals_the_parse(m):
         assert again == m
         assert again == _reparsed(m)
         assert list(again.journals.values()) == list(m.journals.values())
-        assert again._csr.has_canonical_format
+        assert _is_canonical_csr(again._indptr, again._indices, again._data, len(again))
         assert serialize_matrix(again).encode("utf-8") == path.read_bytes()
 
 

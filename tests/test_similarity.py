@@ -317,6 +317,41 @@ class TestGramPath:
             for j in zero
         )
 
+    # Citing profiles of A and B over the axes C to G, one per side of each
+    # Gram regime boundary.  Every count product is exact in float64, so
+    # cosine() is correctly rounded and the Gram weight must equal it bit for
+    # bit while G is exact (below 2^62).  From 2^53 up, float64 partial sums
+    # would round.
+    @pytest.mark.parametrize(
+        "a_row, b_row, low, high",
+        [
+            # largest squared norm just below 2^53: the float64 product
+            ((EXACT_COUNT, 10_000, 1, 0, 0), (EXACT_COUNT - 1, 3, 1, 0, 0), 2**52, 2**53),
+            # just above 2^53: int64; float64 would sum A.A term by term to
+            # 2^53 + 2^50, not 2^53 + 2^50 + 3
+            ((3 * 2**25, 1, 1, 1, 0), (3 * 2**25, 5_000, 1, 0, 0), 2**53, 2**54),
+            # just below 2^62: still int64
+            ((2**30, 2**30, 2**30, 1, 0), (2**30, 2**29, 1, 1, 0), 2**61, 2**62),
+            # just above 2^62: float64 again, within the tolerance below
+            ((2**30, 2**30, 2**30, 2**30, 1), (2**30, 3, 2**29, 1, 7), 2**62, 2**63),
+        ],
+    )
+    def test_weights_around_the_gram_regimes(self, a_row, b_row, low, high):
+        axes = "CDEFG"
+        cells = {("A", j): c for j, c in zip(axes, a_row) if c}
+        cells.update({("B", j): c for j, c in zip(axes, b_row) if c})
+        m = CitationMatrix(2005, [Journal(j, j) for j in "AB" + axes], cells)
+        assert low <= max(sum(c * c for c in row) for row in (a_row, b_row)) < high
+        env = _env(m, ["A", "B"], Direction.CITING)
+        g = similarity_graph(env, 0.0, full_matrix=m)
+        edges, _ = _reference_edges(m, env, Direction.CITING, sorted(m.journals), 0.0)
+        assert list(g.edges) == [pair for pair, _ in edges]
+        assert edges[0][1] < 1.0
+        if high <= 2**62:
+            assert list(g.edges.items()) == edges
+        else:
+            assert g.edges[("A", "B")] == pytest.approx(edges[0][1], abs=1e-12)
+
     def test_counts_that_would_wrap_int64_use_float(self):
         # A's citing profile has three MAX_COUNT cells: its squared norm
         # passes 2^63, so an int64 Gram product would wrap.
