@@ -1,9 +1,10 @@
 """Centrality measures on citation and similarity graphs.
 
 Geodesics are hop-count shortest paths: edge weights never define path
-lengths here, they only matter for weighted degree and for the eigenvector
-adjacency.  Betweenness is computed twice over: a fast accumulation over
-per-source shortest-path DAGs, and an explicit enumeration oracle
+lengths here, they only matter for the eigenvector adjacency.  One
+breadth-first search per source gives both betweenness (accumulated over the
+source's shortest-path DAG) and closeness (from the same distances).
+Betweenness is also computed by an explicit enumeration oracle
 (:func:`brute_force_betweenness`) that every release is tested against.
 """
 
@@ -32,7 +33,7 @@ class Graph:
     eigenvector adjacency) but are ignored by degree counts and geodesics.
     """
 
-    __slots__ = ("_nodes", "_index", "_edges", "_directed", "_succ", "_pred", "_loops")
+    __slots__ = ("_nodes", "_index", "_edges", "_directed", "_succ", "_pred")
 
     def __init__(
         self,
@@ -48,24 +49,19 @@ class Graph:
 
         succ: dict[Node, dict[Node, float]] = {node: {} for node in self._nodes}
         pred: dict[Node, dict[Node, float]] = {node: {} for node in self._nodes}
-        loops: dict[Node, float] = {}
         stored: dict[tuple[Node, Node], float] = {}
         for (u, v), weight in edges.items():
             if u not in self._index or v not in self._index:
                 raise ValueError(f"edge ({u}, {v}): endpoint not in node set")
             if weight <= 0:
                 raise ValueError(f"edge ({u}, {v}): weight must be positive")
-            if u == v:
-                if u in loops:
-                    raise ValueError(f"duplicate self-loop at {u}")
-                loops[u] = weight
-                stored[(u, v)] = weight
-                continue
             if not directed and self._index[u] > self._index[v]:
                 u, v = v, u
             if (u, v) in stored:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             stored[(u, v)] = weight
+            if u == v:
+                continue
             succ[u][v] = weight
             pred[v][u] = weight
             if not directed:
@@ -75,7 +71,6 @@ class Graph:
         self._edges = stored
         self._succ = succ
         self._pred = pred
-        self._loops = loops
 
     @classmethod
     def from_similarity(cls, g: SimilarityGraph) -> "Graph":
@@ -84,16 +79,12 @@ class Graph:
 
     @classmethod
     def from_citation_matrix(
-        cls,
-        m: CitationMatrix,
-        nodes: Sequence[Node] | None = None,
-        *,
-        include_self: bool = False,
+        cls, m: CitationMatrix, nodes: Sequence[Node] | None = None
     ) -> "Graph":
         """Directed graph of raw citation links, weights = counts.
 
         *nodes* restricts (and orders) the node set; default is all journals
-        sorted by id.  Self-citation loops are dropped unless *include_self*.
+        sorted by id.  Self-citation loops are dropped.
         """
         if nodes is None:
             nodes = sorted(m.journals)
@@ -104,9 +95,7 @@ class Graph:
         edges = {
             (citing, cited): float(count)
             for (citing, cited), count in m.cells.items()
-            if citing in node_set
-            and cited in node_set
-            and (include_self or citing != cited)
+            if citing in node_set and cited in node_set and citing != cited
         }
         return cls(nodes, edges, directed=True)
 
@@ -136,9 +125,6 @@ class Graph:
         self._require(node)
         return self._pred[node]
 
-    def self_loop(self, node: Node) -> float:
-        return self._loops.get(node, 0.0)
-
     def _require(self, node: Node) -> None:
         if node not in self._index:
             raise UnknownNodeError(f"unknown node {node!r}")
@@ -153,12 +139,6 @@ def degree_centrality(g: Graph, j: Node) -> tuple[int, int]:
     return len(g.predecessors(j)), len(g.successors(j))
 
 
-def weighted_degree_centrality(g: Graph, j: Node) -> tuple[float, float]:
-    """Sum of (incoming, outgoing) edge weights; loops excluded."""
-    g._require(j)
-    return sum(g.predecessors(j).values()), sum(g.successors(j).values())
-
-
 def closeness_centrality(g: Graph, j: Node) -> float:
     """Reachable-node count divided by the sum of geodesic distances.
 
@@ -169,23 +149,7 @@ def closeness_centrality(g: Graph, j: Node) -> float:
     g._require(j)
     if len(g) < 2:
         raise ValueError("closeness needs at least 2 nodes")
-    distances = _bfs_distances(g, j)
-    reachable = len(distances) - 1
-    if reachable == 0:
-        return 0.0
-    return reachable / sum(distances.values())
-
-
-def _bfs_distances(g: Graph, source: Node) -> dict[Node, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g.successors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+    return _closeness(_shortest_paths(g, j)[3])
 
 
 def betweenness_centrality(g: Graph) -> dict[Node, float]:
@@ -197,31 +161,55 @@ def betweenness_centrality(g: Graph) -> dict[Node, float]:
     Graphs with fewer than 3 nodes score 0 everywhere.  Sources are processed
     in node order, so results are bit-reproducible.
     """
+    return _sweep(g)[0]
+
+
+def _shortest_paths(
+    g: Graph, source: Node
+) -> tuple[list[Node], dict[Node, list[Node]], dict[Node, int], dict[Node, int]]:
+    """Hop-count BFS from *source* over outgoing edges.
+
+    Returns ``(order, preds, sigma, dist)``: the nodes in visit order, each
+    reached node's predecessors on its geodesics from *source*, its number
+    of such geodesics, and its distance.
+    """
+    order: list[Node] = []
+    preds: dict[Node, list[Node]] = {source: []}
+    sigma = {source: 1}
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        next_dist = dist[v] + 1
+        for w in g.successors(v):
+            if w not in dist:
+                dist[w] = next_dist
+                sigma[w] = 0
+                preds[w] = []
+                queue.append(w)
+            if dist[w] == next_dist:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return order, preds, sigma, dist
+
+
+def _closeness(dist: Mapping[Node, int]) -> float:
+    reachable = len(dist) - 1
+    if reachable == 0:
+        return 0.0
+    return reachable / sum(dist.values())
+
+
+def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
+    """``(betweenness, closeness)`` of every node from one BFS per source."""
     nodes = g.nodes
     n = len(nodes)
-    if n < 3:
-        return {node: 0.0 for node in nodes}
-
     raw = dict.fromkeys(nodes, 0.0)
+    closeness: dict[Node, float] = {}
     for source in nodes:
-        order: list[Node] = []
-        preds: dict[Node, list[Node]] = {source: []}
-        sigma = {source: 1}
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            next_dist = dist[v] + 1
-            for w in g.successors(v):
-                if w not in dist:
-                    dist[w] = next_dist
-                    sigma[w] = 0
-                    preds[w] = []
-                    queue.append(w)
-                if dist[w] == next_dist:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
+        order, preds, sigma, dist = _shortest_paths(g, source)
+        closeness[source] = _closeness(dist)
         delta = dict.fromkeys(order, 0.0)
         for w in reversed(order):
             coefficient = (1.0 + delta[w]) / sigma[w]
@@ -230,10 +218,12 @@ def betweenness_centrality(g: Graph) -> dict[Node, float]:
             if w != source:
                 raw[w] += delta[w]
 
+    if n < 3:
+        return dict.fromkeys(nodes, 0.0), closeness
     # An undirected source sweep visits every unordered pair twice, matching
     # the ordered-pair sweep, so one scale factor covers both cases.
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {node: raw[node] * scale for node in nodes}
+    return {node: raw[node] * scale for node in nodes}, closeness
 
 
 @dataclass(frozen=True)
@@ -430,7 +420,7 @@ def build_report(
     Graphs without edges get eigenvector loadings of 0, and single-node
     graphs get closeness 0, mirroring the isolate convention.
     """
-    betweenness = betweenness_centrality(local)
+    betweenness, closeness = _sweep(local)
     if local.edges:
         eigenvector = eigenvector_centrality(local)
     else:
@@ -448,14 +438,13 @@ def build_report(
     rows: dict[Node, CentralityRow] = {}
     for node in local.nodes:
         degree_in, degree_out = degrees[node]
-        closeness = closeness_centrality(local, node) if len(local) >= 2 else 0.0
         neighbors = set(local.successors(node)) | set(local.predecessors(node))
         rows[node] = CentralityRow(
             journal=node,
             degree_in=degree_in,
             degree_out=degree_out,
             degree_local=len(neighbors),
-            closeness=closeness,
+            closeness=closeness[node],
             betweenness=betweenness[node],
             eigenvector=eigenvector[node],
         )

@@ -52,15 +52,8 @@ DEFAULT_MIN_CONTRIB = 0.01
 DEFAULT_COSINE_THRESHOLD = 0.2
 DEFAULT_DIRECTION = "cited"
 
-_CONFIG_KEYS = (
-    "seed",
-    "direction",
-    "min_contrib",
-    "cosine_threshold",
-    "format",
-    "local_basis",
-    "data_dir",
-)
+_CONFIG_STRINGS = ("seed", "direction", "format", "local_basis", "data_dir")
+_CONFIG_NUMBERS = ("min_contrib", "cosine_threshold")
 
 
 class _Settings:
@@ -70,10 +63,23 @@ class _Settings:
         config = {}
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-            unknown = set(config) - set(_CONFIG_KEYS)
+                try:
+                    config = json.load(fh)
+                except (ValueError, RecursionError) as exc:
+                    raise CitenetError(f"{args.config}: not a JSON document ({exc})") from None
+            if not isinstance(config, dict):
+                raise CitenetError(f"{args.config}: config must be a JSON object")
+            unknown = set(config) - {*_CONFIG_STRINGS, *_CONFIG_NUMBERS}
             if unknown:
                 raise CitenetError(f"unknown config keys: {sorted(unknown)}")
+            for key, value in config.items():
+                if key in _CONFIG_STRINGS:
+                    if not isinstance(value, str):
+                        raise CitenetError(f"config key {key!r} must be a string")
+                elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise CitenetError(f"config key {key!r} must be a number")
+                elif isinstance(value, int) and abs(value) > sys.float_info.max:
+                    raise CitenetError(f"config key {key!r} is too large for a float")
         self._args = args
         self._config = config
 

@@ -724,7 +724,8 @@ def _read_sidecar(
         raise SidecarError(f"{sidecar}: no \"journals\" list")
     registry = _journals_in_bulk(entries)
     if registry is None:
-        # Some entry is malformed: check one at a time to name the first.
+        # Some entry is malformed or repeats an id: check one at a time to
+        # name the first.
         registry = {}
         for k, entry in enumerate(entries):
             fields = [
@@ -733,6 +734,8 @@ def _read_sidecar(
             try:
                 if not all(isinstance(field, str) for field in fields):
                     raise ValueError(f"needs string fields {', '.join(REGISTRY_HEADER)}")
+                if fields[0] in registry:
+                    raise ValueError(f"repeats the id {fields[0]!r}")
                 registry[fields[0]] = Journal(fields[0], fields[1], SourceIndex(fields[2]))
             except ValueError as exc:
                 raise SidecarError(
@@ -748,7 +751,8 @@ def _read_sidecar(
 
 
 def _journals_in_bulk(entries: list) -> dict[JournalId, Journal] | None:
-    """The registry of sidecar *entries*, or None if any is malformed.
+    """The registry of sidecar *entries*, or None if any is malformed or
+    two share an id.
 
     Makes the checks of :class:`Journal` once over all entries, so that a
     valid registry costs no per-journal validation.
@@ -765,7 +769,8 @@ def _journals_in_bulk(entries: list) -> dict[JournalId, Journal] | None:
         and set(sources) <= _SOURCES.keys()
     ):
         return None
-    return dict(zip(ids, map(Journal._unchecked, ids, names, map(_SOURCES.get, sources))))
+    registry = dict(zip(ids, map(Journal._unchecked, ids, names, map(_SOURCES.get, sources))))
+    return registry if len(registry) == len(ids) else None
 
 
 def _is_canonical_csr(indptr, indices, data, n: int) -> bool:

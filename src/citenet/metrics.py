@@ -2,15 +2,13 @@
 
 The impact factor takes explicit per-year inputs instead of deriving them
 from a :class:`~citenet.matrix.CitationMatrix`, because a matrix aggregates a
-single year and carries no publication-year attribution; ``YearlyCounts``
-composes those inputs when multi-year data is available.  Values are exact
+single year and carries no publication-year attribution.  Values are exact
 quotients here and rounded only at report time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .matrix import CitationMatrix, JournalId, totals
 
@@ -70,68 +68,3 @@ def self_citation_rate(m: CitationMatrix, j: JournalId) -> float:
         raise ValueError(f"journal {j!r} has no incoming citations")
     return self_cites / cited_total
 
-
-@dataclass(frozen=True)
-class YearRecord:
-    """One publication year of a journal: citable items and cites received.
-
-    ``citable_items`` counts articles, proceedings papers, reviews, and
-    letters, but not editorials and obituaries; that classification is made
-    by the data supplier and recorded here verbatim.  ``cites_by_citing_year``
-    maps the year a citation was made to the number of citations received by
-    this publication year's items; ``self_cites_by_citing_year`` is the
-    within-journal part of those counts.
-    """
-
-    citable_items: int
-    cites_by_citing_year: Mapping[int, int] = field(default_factory=dict)
-    self_cites_by_citing_year: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.citable_items < 0:
-            raise ValueError("citable_items must be nonnegative")
-
-
-@dataclass(frozen=True)
-class YearlyCounts:
-    """Per-publication-year counts of a journal, keyed by publication year."""
-
-    journal: JournalId
-    years: Mapping[int, YearRecord]
-
-
-@dataclass(frozen=True)
-class ImpactRecord:
-    """Impact factor and the self-citation-free variant for one year."""
-
-    journal: JournalId
-    year: int
-    if_value: float
-    quasi_if_value: float
-
-    def __post_init__(self) -> None:
-        if self.quasi_if_value > self.if_value:
-            raise ValueError("quasi impact factor cannot exceed the impact factor")
-
-
-def impact_record(counts: YearlyCounts, year: int) -> ImpactRecord:
-    """Compose both impact indicators for *year* from yearly counts."""
-    try:
-        t1 = counts.years[year - 1]
-        t2 = counts.years[year - 2]
-    except KeyError as exc:
-        raise ValueError(
-            f"{counts.journal!r}: no record for publication year {exc.args[0]}"
-        ) from None
-    cites_t1 = t1.cites_by_citing_year.get(year, 0)
-    cites_t2 = t2.cites_by_citing_year.get(year, 0)
-    self_t1 = t1.self_cites_by_citing_year.get(year, 0)
-    self_t2 = t2.self_cites_by_citing_year.get(year, 0)
-    return ImpactRecord(
-        counts.journal,
-        year,
-        impact_factor(cites_t1, cites_t2, t1.citable_items, t2.citable_items),
-        quasi_impact_factor(
-            cites_t1, cites_t2, t1.citable_items, t2.citable_items, self_t1, self_t2
-        ),
-    )

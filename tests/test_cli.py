@@ -150,6 +150,15 @@ class TestSidecar:
         _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
         assert "journals entry 0" in self._env_error(matrix_path, capsys)
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_repeated_journal_id(self, matrix_path, capsys, cached):
+        if not cached:
+            matrix_path.with_name(matrix_path.name + ".csr.npz").unlink()
+        meta = json.loads(_sidecar(matrix_path).read_text(encoding="utf-8"))
+        meta["journals"].append({"id": "A", "display_name": "Other name", "source_index": "SSCI"})
+        _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
+        assert "journals entry 4: repeats the id 'A'" in self._env_error(matrix_path, capsys)
+
     def test_deeply_nested_sidecar(self, matrix_path, capsys):
         _sidecar(matrix_path).write_text("[" * 100_000, encoding="utf-8")
         assert "not a JSON document" in self._env_error(matrix_path, capsys)
@@ -309,6 +318,32 @@ class TestConfigAndDataDir:
         config.write_text(json.dumps({"sede": "S"}), encoding="utf-8")
         assert main(["env", str(matrix_path), "--config", str(config)]) == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (["seed"], "must be a JSON object"),
+            ({"seed": "S", "min_contrib": None}, "'min_contrib' must be a number"),
+            ({"seed": "S", "cosine_threshold": True}, "'cosine_threshold' must be a number"),
+            ({"seed": ["S"]}, "'seed' must be a string"),
+            ({"seed": "S", "data_dir": 5}, "'data_dir' must be a string"),
+            ({"seed": "S", "min_contrib": 10**400}, "'min_contrib' is too large"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["env", "missing.csv", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_deeply_nested_config(self, tmp_path, matrix_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["env", str(matrix_path), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a JSON document" in err
 
     def test_data_dir_resolves_bare_paths(self, tmp_path, matrix_path, monkeypatch, capsys):
         elsewhere = tmp_path / "elsewhere"

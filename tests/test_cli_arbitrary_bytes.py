@@ -1,10 +1,10 @@
 """Arbitrary bytes in any input file never give the CLI a traceback.
 
 Each input a user hands the CLI (an edge list, a registry, a persisted CSV,
-its sidecar, an impact-factor CSV) is replaced by arbitrary bytes or by
-near-valid text.  The call must either succeed or exit 1 with exactly one
-``error:`` line.  Arbitrary bytes in the ``.csr.npz`` cache must not change
-the call's output at all.
+its sidecar, an impact-factor CSV, a config file) is replaced by arbitrary
+bytes, near-valid text or arbitrary JSON.  The call must either succeed or
+exit 1 with exactly one ``error:`` line.  Arbitrary bytes in the
+``.csr.npz`` cache must not change the call's output at all.
 """
 
 import contextlib
@@ -158,6 +158,47 @@ def test_sidecar(data, pick):
             data = json.dumps(meta).encode("utf-8")
         _put(_sidecar(matrix), data)
         code, _, err = _run(pick.draw(_reader_calls(matrix)))
+        _check_contract(code, err)
+
+
+CONFIG_KEYS = ["seed", "direction", "min_contrib", "cosine_threshold", "format",
+               "local_basis", "data_dir"]
+CONFIG_WORDS = st.sampled_from(
+    ["S", "A", "cited", "citing", "table", "json", "sim", "raw", ".", 0.05, 10**400]
+)
+
+
+@given(
+    config=st.one_of(
+        JSON_VALUES,
+        st.dictionaries(
+            st.sampled_from(CONFIG_KEYS + ["x"]), st.one_of(CONFIG_WORDS, JSON_VALUES)
+        ),
+    ),
+    pick=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_config_file(config, pick):
+    with tempfile.TemporaryDirectory() as directory:
+        matrix = _ingested(Path(directory))
+        path = Path(directory) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        # No --seed, so the config's seed is used; a missing matrix path makes
+        # the call resolve it against the config's data_dir.
+        argv = pick.draw(
+            st.sampled_from(
+                [
+                    ["env", matrix],
+                    ["env", "missing.csv"],
+                    ["sim", matrix],
+                    ["centrality", matrix],
+                    ["report", matrix],
+                    ["export", matrix, "--out", Path(directory) / "out.txt"],
+                    ["metrics", "--matrix", matrix, "--journal", "S"],
+                ]
+            )
+        )
+        code, _, err = _run([*argv, "--config", path])
         _check_contract(code, err)
 
 

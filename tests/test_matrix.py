@@ -482,3 +482,17 @@ class TestSidecarEntries:
         pattern = f"{re.escape(str(sidecar))}: malformed journals entry 2: .*{re.escape(message)}"
         with pytest.raises(SidecarError, match=pattern):
             read_matrix(path)
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_repeated_id_names_the_later_entry(self, tmp_path, cached):
+        path = tmp_path / "m.csv"
+        write_matrix(parse_citation_csv("A,B,1", 2005), path)
+        if not cached:
+            (tmp_path / "m.csv.csr.npz").unlink()
+        sidecar = tmp_path / "m.csv.meta.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta["journals"].append({"id": "A", "display_name": "Other name", "source_index": "SSCI"})
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        pattern = f"{re.escape(str(sidecar))}: malformed journals entry 2: repeats the id 'A'"
+        with pytest.raises(SidecarError, match=pattern):
+            read_matrix(path)

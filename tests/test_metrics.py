@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from citenet import (
-    ImpactRecord,
     UnknownJournalError,
-    YearRecord,
-    YearlyCounts,
     h_index,
     impact_factor,
-    impact_record,
     parse_citation_csv,
     quasi_impact_factor,
     self_citation_rate,
@@ -136,31 +132,3 @@ class TestSelfCitationRate:
             for j in ids:
                 if j in m and sum(m.col(j).values()) > 0:
                     assert 0.0 <= self_citation_rate(m, j) <= 1.0
-
-
-class TestYearlyComposition:
-    def test_impact_record_composes_two_year_window(self):
-        counts = YearlyCounts(
-            "JX",
-            {
-                2003: YearRecord(50, {2005: 30}, {2005: 5}),
-                2004: YearRecord(50, {2005: 30}, {2005: 5}),
-            },
-        )
-        record = impact_record(counts, 2005)
-        assert record.if_value == 0.6
-        assert record.quasi_if_value == 0.5
-        assert record.year == 2005
-
-    def test_missing_year_record_rejected(self):
-        counts = YearlyCounts("JX", {2004: YearRecord(50, {2005: 30})})
-        with pytest.raises(ValueError, match="2003"):
-            impact_record(counts, 2005)
-
-    def test_impact_record_invariant(self):
-        with pytest.raises(ValueError):
-            ImpactRecord("JX", 2005, 0.5, 0.6)
-
-    def test_year_record_validation(self):
-        with pytest.raises(ValueError):
-            YearRecord(-1)
