@@ -1,11 +1,12 @@
-"""Full-precision ``centrality --format json`` outputs pinned to golden files.
+"""Full-precision CLI outputs pinned to golden files.
 
 The matrix is built here from a seeded generator: 60 journals in six
 clusters that cite only within their own cluster, plus a seed that cites and
 is cited across all of them with small counts.  Each local graph has several
 components (strongly connected ones for the directed raw-link graph), so the
 outputs exercise closeness over a reachable subset and betweenness with
-disconnected pairs.
+disconnected pairs.  Besides ``centrality --format json`` the goldens pin the
+``sim`` edge list, every ``export`` format and both ``report`` formats.
 
 Run this module as a script to rewrite the golden files after an intended
 output change.
@@ -20,8 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import citenet.centrality
 from citenet import (
     CitationMatrix,
+    ConvergenceError,
     Direction,
     Graph,
     Journal,
@@ -33,11 +36,25 @@ from citenet.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
 SEED = "G00"
+IF_CSV = "if.csv"
+# Impact factors for three members and one journal outside the environment.
+IMPACT_FACTORS = "id,impact_factor\nG00,1.25\nG14,0.4\nG29,2\nG58,3.5\n"
+# Golden file name -> subcommand and flags; the matrix path and --seed are
+# added by :func:`cli_output`.
 CASES = {
-    "centrality_sim_cited.json": [],
-    "centrality_raw_cited.json": ["--local-basis", "raw"],
-    "centrality_sim_citing.json": ["--direction", "citing"],
+    "centrality_sim_cited.json": ["centrality", "--format", "json"],
+    "centrality_raw_cited.json": ["centrality", "--format", "json", "--local-basis", "raw"],
+    "centrality_sim_citing.json": ["centrality", "--format", "json", "--direction", "citing"],
+    "cli_sim.csv": ["sim"],
+    "cli_export.net": ["export", "--format", "pajek"],
+    "cli_export.dot": ["export", "--format", "dot"],
+    "cli_export_sim.json": ["export", "--format", "json"],
+    "cli_export_raw.json": ["export", "--format", "json", "--local-basis", "raw"],
+    "cli_report.txt": ["report"],
+    "cli_report_if.json": ["report", "--format", "json", "--if-csv", IF_CSV],
 }
+JSON_CASES = sorted(name for name in CASES if name.endswith(".json"))
+TEXT_CASES = sorted(name for name in CASES if not name.endswith(".json"))
 
 
 def golden_matrix() -> CitationMatrix:
@@ -55,15 +72,24 @@ def golden_matrix() -> CitationMatrix:
     return CitationMatrix(2005, [Journal(x, x) for x in ids], cells)
 
 
-def centrality_json(extra: list[str]) -> str:
+def run_cli(args: list[str]) -> tuple[int, str, str]:
+    """``(exit code, stdout, stderr)`` of one CLI call on the golden matrix."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "m.csv"
         write_matrix(golden_matrix(), path)
+        (Path(directory) / IF_CSV).write_text(IMPACT_FACTORS, encoding="utf-8")
+        command, *flags = args
+        flags = [str(Path(directory) / flag) if flag == IF_CSV else flag for flag in flags]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["centrality", str(path), "--seed", SEED, "--format", "json", *extra])
-    assert code == 0, err.getvalue()
-    return out.getvalue()
+            code = main([command, str(path), "--seed", SEED, *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_output(args: list[str]) -> str:
+    code, out, err = run_cli(args)
+    assert code == 0, err
+    return out
 
 
 def _components(g: Graph) -> int:
@@ -95,14 +121,19 @@ def test_fixture_graphs_have_several_components(direction, basis):
 
 
 def _without_loadings(document: dict) -> tuple[dict, list[float]]:
-    return document, [row.pop("eigenvector") for row in document["rows"]]
+    rows = document.get("report", document)["rows"]
+    return document, [row.pop("eigenvector") for row in rows]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def _golden(name: str) -> str:
+    return (DATA_DIR / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
 def test_centrality_json_matches_golden(name):
-    got, got_loadings = _without_loadings(json.loads(centrality_json(CASES[name])))
+    got, got_loadings = _without_loadings(json.loads(cli_output(CASES[name])))
     want, want_loadings = _without_loadings(
-        json.loads((DATA_DIR / name).read_text(encoding="utf-8"))
+        json.loads(_golden(name))
     )
     # Every field but the loadings must be identical, type and all.
     assert json.dumps(got, indent=1) == json.dumps(want, indent=1)
@@ -113,6 +144,31 @@ def test_centrality_json_matches_golden(name):
         assert abs(a - b) <= 1e-12
 
 
+@pytest.mark.parametrize("name", TEXT_CASES)
+def test_text_output_matches_golden(name):
+    # No text output prints an eigenvector loading, so all match byte for byte.
+    assert cli_output(CASES[name]) == _golden(name)
+
+
+def _no_convergence(g):
+    raise ConvergenceError(10_000, 1.0)
+
+
+@pytest.mark.parametrize("name", ["cli_export.net", "cli_export.dot"])
+def test_exports_without_centralities_do_not_compute_them(name, monkeypatch):
+    monkeypatch.setattr(citenet.centrality, "eigenvector_centrality", _no_convergence)
+    code, out, _ = run_cli(CASES[name])
+    assert (code, out) == (0, _golden(name))
+
+
+@pytest.mark.parametrize("name", ["cli_export_sim.json", "cli_report.txt"])
+def test_outputs_with_centralities_fail_on_one_error_line(name, monkeypatch):
+    monkeypatch.setattr(citenet.centrality, "eigenvector_centrality", _no_convergence)
+    code, out, err = run_cli(CASES[name])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: power iteration did not converge") and err.count("\n") == 1
+
+
 if __name__ == "__main__":
-    for name, extra in CASES.items():
-        (DATA_DIR / name).write_text(centrality_json(extra), encoding="utf-8")
+    for name, args in CASES.items():
+        (DATA_DIR / name).write_text(cli_output(args), encoding="utf-8")
