@@ -9,12 +9,10 @@ from .centrality import (
     CentralityRow,
     Graph,
     betweenness_centrality,
-    brute_force_betweenness,
     build_report,
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
-    geodesic_ledger,
 )
 from .environment import (
     Direction,
@@ -28,11 +26,9 @@ from .errors import (
     EdgeListParseError,
     IsolatedSeedError,
     SidecarError,
-    UndefinedSimilarityError,
     UnknownJournalError,
     UnknownNodeError,
     YearMismatchError,
-    ZeroVarianceError,
 )
 from .export import (
     NodeGlyph,
@@ -40,7 +36,6 @@ from .export import (
     export_json,
     export_pajek,
     make_glyphs,
-    parse_pajek,
     report_table,
 )
 from .matrix import (
@@ -64,7 +59,7 @@ from .metrics import (
     quasi_impact_factor,
     self_citation_rate,
 )
-from .similarity import SimilarityGraph, cosine, pearson, similarity_graph
+from .similarity import SimilarityGraph, similarity_graph
 
 __version__ = "0.1.0"
 
@@ -86,17 +81,13 @@ __all__ = [
     "SidecarError",
     "SimilarityGraph",
     "SourceIndex",
-    "UndefinedSimilarityError",
     "UnknownJournalError",
     "UnknownNodeError",
     "YearMismatchError",
-    "ZeroVarianceError",
     "betweenness_centrality",
-    "brute_force_betweenness",
     "build_report",
     "citation_degrees",
     "closeness_centrality",
-    "cosine",
     "degree_centrality",
     "eigenvector_centrality",
     "environment_totals",
@@ -104,14 +95,11 @@ __all__ = [
     "export_json",
     "export_pajek",
     "extract_environment",
-    "geodesic_ledger",
     "h_index",
     "impact_factor",
     "make_glyphs",
     "merge_indices",
     "parse_citation_csv",
-    "parse_pajek",
-    "pearson",
     "quasi_impact_factor",
     "read_matrix",
     "read_registry",

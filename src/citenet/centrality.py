@@ -4,8 +4,6 @@ Geodesics are hop-count shortest paths: edge weights never define path
 lengths here, they only matter for the eigenvector adjacency.  One
 breadth-first search per source gives both betweenness (accumulated over the
 source's shortest-path DAG) and closeness (from the same distances).
-Betweenness is also computed by an explicit enumeration oracle
-(:func:`brute_force_betweenness`) that every release is tested against.
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ from .matrix import CitationMatrix, _canonical, _row_ids
 from .similarity import SimilarityGraph
 
 Node = str
-
-BRUTE_FORCE_MAX_NODES = 64
-
 
 class Graph:
     """Weighted graph with a fixed node order.
@@ -224,93 +219,6 @@ def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     # the ordered-pair sweep, so one scale factor covers both cases.
     scale = 1.0 / ((n - 1) * (n - 2))
     return {node: raw[node] * scale for node in nodes}, closeness
-
-
-@dataclass(frozen=True)
-class PairGeodesics:
-    """All geodesics of one node pair: path count plus interior tallies."""
-
-    count: int
-    through: Mapping[Node, int]
-
-
-def geodesic_ledger(g: Graph) -> dict[tuple[Node, Node], PairGeodesics]:
-    """Explicitly enumerate every geodesic of every connected node pair.
-
-    Distances come from Floyd-Warshall and the paths from recursive
-    expansion over the distance matrix, deliberately sharing nothing with
-    the accumulation in :func:`betweenness_centrality`.  Pairs are ordered
-    on directed graphs and unordered (u before v in node order) otherwise.
-    """
-    nodes = g.nodes
-    n = len(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    inf = float("inf")
-
-    dist = [[inf] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0.0
-    for u, v in g.edges:
-        if u == v:
-            continue
-        dist[index[u]][index[v]] = 1.0
-        if not g.directed:
-            dist[index[v]][index[u]] = 1.0
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == inf:
-                continue
-            di = dist[i]
-            for j in range(n):
-                if dik + dk[j] < di[j]:
-                    di[j] = dik + dk[j]
-
-    def paths(s: int, t: int) -> list[list[int]]:
-        if s == t:
-            return [[t]]
-        found = []
-        for w in g.successors(nodes[s]):
-            wi = index[w]
-            if dist[wi][t] == dist[s][t] - 1.0:
-                for tail in paths(wi, t):
-                    found.append([s] + tail)
-        return found
-
-    ledger: dict[tuple[Node, Node], PairGeodesics] = {}
-    for s in range(n):
-        targets = range(n) if g.directed else range(s + 1, n)
-        for t in targets:
-            if s == t or dist[s][t] == inf:
-                continue
-            geodesics = paths(s, t)
-            through: dict[Node, int] = {}
-            for path in geodesics:
-                for interior in path[1:-1]:
-                    node = nodes[interior]
-                    through[node] = through.get(node, 0) + 1
-            ledger[(nodes[s], nodes[t])] = PairGeodesics(len(geodesics), through)
-    return ledger
-
-
-def brute_force_betweenness(g: Graph) -> dict[Node, float]:
-    """Reference betweenness from the explicit geodesic ledger.
-
-    Only intended as an oracle: refuses graphs above
-    ``BRUTE_FORCE_MAX_NODES`` nodes.
-    """
-    n = len(g)
-    if n > BRUTE_FORCE_MAX_NODES:
-        raise ValueError(f"oracle limited to {BRUTE_FORCE_MAX_NODES} nodes, got {n}")
-    result = {node: 0.0 for node in g.nodes}
-    if n < 3:
-        return result
-    for pair in geodesic_ledger(g).values():
-        for node, through in pair.through.items():
-            result[node] += through / pair.count
-    pairs = (n - 1) * (n - 2) if g.directed else (n - 1) * (n - 2) / 2
-    return {node: value / pairs for node, value in result.items()}
 
 
 def _symmetric_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

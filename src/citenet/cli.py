@@ -30,6 +30,7 @@ from .export import (
     export_dot,
     export_json,
     export_pajek,
+    graph_document,
     make_glyphs,
     report_document,
     report_table,
@@ -90,6 +91,21 @@ class _Settings:
         if key in self._config:
             return self._config[key]
         return default
+
+    def format(self, formats: tuple[str, ...]) -> str:
+        """The output format, one of the command's *formats* (default the first)."""
+        fmt = self.get("format", formats[0])
+        if fmt not in formats:
+            raise CitenetError(
+                f"{self._args.command} supports formats {'|'.join(formats)}, not {fmt!r}"
+            )
+        return fmt
+
+    def local_basis(self) -> str:
+        basis = self.get("local_basis", "sim")
+        if basis not in ("sim", "raw"):
+            raise CitenetError(f"--local-basis must be sim or raw, not {basis!r}")
+        return basis
 
     def data_dir(self) -> Path | None:
         env_value = os.environ.get(DATA_DIR_ENV)
@@ -175,20 +191,17 @@ def _similarity(settings: _Settings, args: argparse.Namespace):
     return matrix, env, similarity_graph(env, threshold)
 
 
-def _report(settings: _Settings, args: argparse.Namespace):
+def _report(settings: _Settings, args: argparse.Namespace, basis: str):
     matrix, env, graph = _similarity(settings, args)
-    basis = settings.get("local_basis", "sim")
     if basis == "sim":
         local = Graph.from_similarity(graph)
         local_basis = (
             f"similarity graph ({graph.basis.value}, cosine > {graph.threshold}, "
             f"seed {env.seed})"
         )
-    elif basis == "raw":
+    else:
         local = Graph.from_citation_matrix(env.submatrix, nodes=env.members)
         local_basis = f"raw citation links among members (seed {env.seed})"
-    else:
-        raise CitenetError(f"--local-basis must be sim or raw, not {basis!r}")
     report = build_report(
         local,
         citation_degrees(matrix),
@@ -199,6 +212,8 @@ def _report(settings: _Settings, args: argparse.Namespace):
 
 
 def _cmd_ingest(settings: _Settings, args: argparse.Namespace) -> int:
+    if not args.out:
+        raise CitenetError("ingest requires --out for the persisted matrix")
     registry = None
     if args.registry:
         with open(settings.resolve(args.registry), encoding="utf-8") as fh:
@@ -209,27 +224,25 @@ def _cmd_ingest(settings: _Settings, args: argparse.Namespace) -> int:
     else:
         with open(settings.resolve(args.edges), encoding="utf-8") as fh:
             matrix = parse_citation_csv(fh, args.year, source=source, registry=registry)
-    if not args.out:
-        raise CitenetError("ingest requires --out for the persisted matrix")
     write_matrix(matrix, args.out)
     print(f"wrote {args.out}: {len(matrix)} journals, {len(matrix.cells)} cells")
     return 0
 
 
 def _cmd_merge(settings: _Settings, args: argparse.Namespace) -> int:
+    if not args.out:
+        raise CitenetError("merge requires --out for the persisted matrix")
     a = read_matrix(settings.resolve(args.matrix_a), year=args.year)
     b = read_matrix(settings.resolve(args.matrix_b), year=args.year)
     merged = merge_indices(a, b)
-    if not args.out:
-        raise CitenetError("merge requires --out for the persisted matrix")
     write_matrix(merged, args.out)
     print(f"wrote {args.out}: {len(merged)} journals, {len(merged.cells)} cells")
     return 0
 
 
 def _cmd_env(settings: _Settings, args: argparse.Namespace) -> int:
+    fmt = settings.format(("table", "json"))
     _, env = _environment(settings, args)
-    fmt = settings.get("format", "table")
     rows = []
     for member in env.members:
         gross, net = environment_totals(env, member)
@@ -246,8 +259,6 @@ def _cmd_env(settings: _Settings, args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(document, indent=2) + "\n", args.out)
         return 0
-    if fmt != "table":
-        raise CitenetError(f"env supports formats table|json, not {fmt!r}")
     width = max(len("journal"), max(len(m) for m, _, _, _ in rows))
     lines = [
         f"# seed {env.seed}, {env.direction.value}, threshold {env.threshold}",
@@ -270,13 +281,11 @@ def _cmd_sim(settings: _Settings, args: argparse.Namespace) -> int:
 
 
 def _cmd_centrality(settings: _Settings, args: argparse.Namespace) -> int:
-    _, _, _, report = _report(settings, args)
-    fmt = settings.get("format", "table")
+    fmt = settings.format(("table", "json"))
+    _, _, _, report = _report(settings, args, settings.local_basis())
     if fmt == "json":
         _emit(json.dumps(report_document(report), indent=2) + "\n", args.out)
         return 0
-    if fmt != "table":
-        raise CitenetError(f"centrality supports formats table|json, not {fmt!r}")
     width = max(len("journal"), max(len(row.journal) for row in report))
     lines = [
         f"# local basis: {report.local_basis}",
@@ -304,6 +313,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_metrics(settings: _Settings, args: argparse.Namespace) -> int:
+    fmt = settings.format(("table", "json"))
     results: dict[str, float | int] = {}
     if args.if_inputs:
         values = _parse_int_list(args.if_inputs, "--if-inputs")
@@ -328,7 +338,7 @@ def _cmd_metrics(settings: _Settings, args: argparse.Namespace) -> int:
         raise CitenetError(
             "nothing to compute: pass --if-inputs, --h-counts, or --matrix/--journal"
         )
-    if settings.get("format", "table") == "json":
+    if fmt == "json":
         _emit(json.dumps(results, indent=2) + "\n", args.out)
     else:
         _emit("".join(f"{name} = {value}\n" for name, value in results.items()), args.out)
@@ -336,17 +346,16 @@ def _cmd_metrics(settings: _Settings, args: argparse.Namespace) -> int:
 
 
 def _cmd_export(settings: _Settings, args: argparse.Namespace) -> int:
-    _, env, graph, report = _report(settings, args)
-    glyphs = make_glyphs(env)
-    fmt = settings.get("format", "pajek")
-    if fmt == "pajek":
-        text = export_pajek(graph, glyphs)
-    elif fmt == "dot":
-        text = export_dot(graph, glyphs)
-    elif fmt == "json":
-        text = export_json(graph, glyphs, report)
+    fmt = settings.format(("pajek", "dot", "json"))
+    basis = settings.local_basis()
+    if fmt == "json":
+        _, env, graph, report = _report(settings, args, basis)
+        text = export_json(graph, make_glyphs(env), report)
     else:
-        raise CitenetError(f"export supports formats pajek|dot|json, not {fmt!r}")
+        # Pajek and DOT print no centralities, so none are computed.
+        _, env, graph = _similarity(settings, args)
+        exporter = export_pajek if fmt == "pajek" else export_dot
+        text = exporter(graph, make_glyphs(env))
     _emit(text, args.out)
     return 0
 
@@ -377,19 +386,17 @@ def _load_if_csv(path: Path) -> dict[str, float]:
 
 
 def _cmd_report(settings: _Settings, args: argparse.Namespace) -> int:
-    _, env, graph, report = _report(settings, args)
+    fmt = settings.format(("table", "json"))
+    _, env, graph, report = _report(settings, args, settings.local_basis())
     impact_factors = {}
     if args.if_csv:
         impact_factors = _load_if_csv(settings.resolve(args.if_csv))
-    fmt = settings.get("format", "table")
     if fmt == "json":
-        document = json.loads(export_json(graph, make_glyphs(env), report))
+        document = graph_document(graph, make_glyphs(env), report)
         if impact_factors:
             document["impact_factors"] = impact_factors
         _emit(json.dumps(document, indent=2) + "\n", args.out)
         return 0
-    if fmt != "table":
-        raise CitenetError(f"report supports formats table|json, not {fmt!r}")
     _emit(report_table(env, report, impact_factors), args.out)
     return 0
 

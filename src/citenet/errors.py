@@ -39,14 +39,6 @@ class IsolatedSeedError(CitenetError):
     """The seed journal has no citations in the requested direction."""
 
 
-class UndefinedSimilarityError(CitenetError):
-    """Cosine similarity is undefined for an all-zero vector."""
-
-
-class ZeroVarianceError(CitenetError):
-    """Pearson correlation is undefined for a constant vector."""
-
-
 class ConvergenceError(CitenetError):
     """Power iteration failed to converge; carries the iteration count."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -106,53 +105,6 @@ def export_pajek(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ParsedPajek:
-    """Contents of a Pajek .net file as written by :func:`export_pajek`."""
-
-    labels: tuple[str, ...]
-    x_facts: Mapping[str, float]
-    y_facts: Mapping[str, float]
-    edges: Mapping[tuple[str, str], float]
-
-
-_VERTEX_RE = re.compile(r'^(\d+) "([^"]*)" x_fact (\S+) y_fact (\S+)$')
-_EDGE_RE = re.compile(r"^(\d+) (\d+) (\S+)$")
-
-
-def parse_pajek(text: str) -> ParsedPajek:
-    """Re-read a Pajek .net file produced by :func:`export_pajek`."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("*Vertices "):
-        raise ValueError("missing *Vertices header")
-    count = int(lines[0].split()[1])
-    if len(lines) < count + 2:
-        raise ValueError("truncated file: vertex section or *Edges missing")
-    labels: list[str] = []
-    x_facts: dict[str, float] = {}
-    y_facts: dict[str, float] = {}
-    for line in lines[1 : 1 + count]:
-        match = _VERTEX_RE.match(line)
-        if not match:
-            raise ValueError(f"malformed vertex line: {line!r}")
-        label = match.group(2)
-        labels.append(label)
-        x_facts[label] = float(match.group(3))
-        y_facts[label] = float(match.group(4))
-    if len(labels) != count or lines[1 + count] != "*Edges":
-        raise ValueError("vertex count does not match *Edges position")
-    edges: dict[tuple[str, str], float] = {}
-    for line in lines[2 + count :]:
-        if not line:
-            continue
-        match = _EDGE_RE.match(line)
-        if not match:
-            raise ValueError(f"malformed edge line: {line!r}")
-        u, v = labels[int(match.group(1)) - 1], labels[int(match.group(2)) - 1]
-        edges[(u, v)] = float(match.group(3))
-    return ParsedPajek(tuple(labels), x_facts, y_facts, edges)
-
-
 def export_dot(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
     """Undirected DOT graph; cosine weight maps to pen width."""
     _check_ids(g)
@@ -182,17 +134,14 @@ def report_document(report: CentralityReport) -> dict:
     }
 
 
-def export_json(
+def graph_document(
     g: SimilarityGraph,
     glyphs: Sequence[NodeGlyph],
-    report: CentralityReport | None = None,
-) -> str:
-    """JSON document with nodes, glyph extents, edges, and optional report.
-
-    Floats are serialized at full precision; see README for the schema.
-    """
+    report: CentralityReport | None,
+) -> dict:
+    """JSON object of a graph: nodes, glyph extents, edges, and the report."""
     by_journal = _glyph_map(g, glyphs)
-    document: dict = {
+    return {
         "format": "citenet-similarity-graph",
         "basis": g.basis.value,
         "threshold": g.threshold,
@@ -213,7 +162,18 @@ def export_json(
         "warnings": list(g.warnings),
         "report": None if report is None else report_document(report),
     }
-    return json.dumps(document, indent=2) + "\n"
+
+
+def export_json(
+    g: SimilarityGraph,
+    glyphs: Sequence[NodeGlyph],
+    report: CentralityReport | None = None,
+) -> str:
+    """JSON document with nodes, glyph extents, edges, and optional report.
+
+    Floats are serialized at full precision; see README for the schema.
+    """
+    return json.dumps(graph_document(g, glyphs, report), indent=2) + "\n"
 
 
 def report_table(

@@ -9,71 +9,16 @@ contribution rule used for environment membership.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .environment import Direction, SeedEnvironment
-from .errors import UndefinedSimilarityError, ZeroVarianceError
 from .matrix import CitationMatrix, JournalId, citation_profiles
 
 logger = logging.getLogger(__name__)
-
-
-def cosine(x: Sequence[float], y: Sequence[float]) -> float:
-    """Cosine of the angle between two vectors.
-
-    For nonnegative vectors the result lies in [0, 1]; 1.0 for parallel
-    vectors, 0.0 for orthogonal ones.  Summation order is fixed, so repeated
-    calls are bit-identical.
-
-    Raises ``ValueError`` on a length mismatch or empty input, and
-    :class:`UndefinedSimilarityError` for an all-zero vector (the similarity
-    is undefined, never silently 0).
-    """
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) == 0:
-        raise ValueError("vectors must have at least one entry")
-    norm_x_sq = math.fsum(v * v for v in x)
-    norm_y_sq = math.fsum(v * v for v in y)
-    if norm_x_sq == 0.0:
-        raise UndefinedSimilarityError("first vector is all-zero")
-    if norm_y_sq == 0.0:
-        raise UndefinedSimilarityError("second vector is all-zero")
-    dot = math.fsum(xv * yv for xv, yv in zip(x, y))
-    value = dot / math.sqrt(norm_x_sq * norm_y_sq)
-    # Guard against float overshoot at the Cauchy-Schwarz bound.
-    return max(-1.0, min(1.0, value))
-
-
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation, for side-by-side comparison with cosine.
-
-    Unlike the cosine, values are centered on their arithmetic mean first,
-    so the result is translation-invariant and lies in [-1, 1].
-
-    Raises :class:`ZeroVarianceError` when either vector is constant.
-    """
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise ValueError("vectors must have at least two entries")
-    mean_x = math.fsum(x) / len(x)
-    mean_y = math.fsum(y) / len(y)
-    dev_x = [v - mean_x for v in x]
-    dev_y = [v - mean_y for v in y]
-    var_x = math.fsum(v * v for v in dev_x)
-    var_y = math.fsum(v * v for v in dev_y)
-    if var_x == 0.0:
-        raise ZeroVarianceError("first vector has zero variance")
-    if var_y == 0.0:
-        raise ZeroVarianceError("second vector has zero variance")
-    cov = math.fsum(a * b for a, b in zip(dev_x, dev_y))
-    return max(-1.0, min(1.0, cov / math.sqrt(var_x * var_y)))
 
 
 @dataclass(frozen=True)
@@ -128,8 +73,9 @@ def similarity_graph(
     - from 2^62, a float64 product, rounded but free of wraparound.
 
     Below 2^62 G therefore equals the exact integer Gram, and on counts whose
-    squares stay below 2^53 each weight is bit-identical to :func:`cosine`
-    of the two profiles.
+    squares stay below 2^53 each weight is bit-identical to the scalar cosine
+    ``dot / sqrt(|x|^2 * |y|^2)`` of the two profiles with all three sums
+    exact.
     """
     if len(env.members) < 2:
         raise ValueError("environment must have at least 2 members")

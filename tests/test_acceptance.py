@@ -21,11 +21,9 @@ from citenet import (
     Graph,
     Journal,
     betweenness_centrality,
-    brute_force_betweenness,
     build_report,
     citation_degrees,
     closeness_centrality,
-    cosine,
     eigenvector_centrality,
     export_json,
     export_pajek,
@@ -35,11 +33,11 @@ from citenet import (
     make_glyphs,
     merge_indices,
     parse_citation_csv,
-    pearson,
     quasi_impact_factor,
     report_table,
     similarity_graph,
 )
+from oracles import brute_force_betweenness, cosine, pearson
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -12,15 +12,14 @@ from citenet import (
     Graph,
     UnknownNodeError,
     betweenness_centrality,
-    brute_force_betweenness,
     build_report,
     citation_degrees,
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
-    geodesic_ledger,
     parse_citation_csv,
 )
+from oracles import brute_force_betweenness, geodesic_ledger
 
 
 def undirected(nodes, pairs, weight=1.0):

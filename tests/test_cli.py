@@ -354,3 +354,45 @@ class TestConfigAndDataDir:
         monkeypatch.setenv("CITENET_DATA_DIR", str(matrix_path.parent))
         assert main(["env", matrix_path.name, "--seed", "S", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == "S"
+
+
+def _no_load(*args, **kwargs):
+    raise AssertionError("input loaded before the arguments were checked")
+
+
+class TestBadArgumentsRejectedBeforeLoading:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ingest", "{edges}", "--year", "2005"], "ingest requires --out for the persisted matrix"),
+            (["merge", "{matrix}", "{matrix}"], "merge requires --out for the persisted matrix"),
+            (["env", "{matrix}", "--config", "{config}"],
+             "env supports formats table|json, not 'csv'"),
+            (["centrality", "{matrix}", "--config", "{config}"],
+             "centrality supports formats table|json, not 'csv'"),
+            (["export", "{matrix}", "--config", "{config}"],
+             "export supports formats pajek|dot|json, not 'csv'"),
+            (["report", "{matrix}", "--config", "{config}"],
+             "report supports formats table|json, not 'csv'"),
+            (["metrics", "--matrix", "{matrix}", "--journal", "S", "--config", "{config}"],
+             "metrics supports formats table|json, not 'csv'"),
+            (["export", "{matrix}", "--format", "dot", "--config", "{basis_config}"],
+             "--local-basis must be sim or raw, not 'both'"),
+        ],
+    )
+    def test_error_line_without_reading_input(
+        self, tmp_path, matrix_path, monkeypatch, capsys, argv, message
+    ):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(EDGES, encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": "S", "format": "csv"}), encoding="utf-8")
+        basis_config = tmp_path / "basis.json"
+        basis_config.write_text(json.dumps({"seed": "S", "local_basis": "both"}),
+                                encoding="utf-8")
+        paths = {"edges": edges, "matrix": matrix_path, "config": config,
+                 "basis_config": basis_config}
+        monkeypatch.setattr("citenet.cli.read_matrix", _no_load)
+        monkeypatch.setattr("citenet.cli.parse_citation_csv", _no_load)
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

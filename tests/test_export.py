@@ -20,10 +20,10 @@ from citenet import (
     extract_environment,
     make_glyphs,
     parse_citation_csv,
-    parse_pajek,
     report_table,
 )
 from citenet.matrix import _validate_id
+from oracles import parse_pajek
 
 
 def sim_graph(nodes, edges, threshold=0.2, basis=Direction.CITED):

@@ -11,14 +11,11 @@ from citenet import (
     Direction,
     Journal,
     SeedEnvironment,
-    UndefinedSimilarityError,
-    ZeroVarianceError,
-    cosine,
     extract_environment,
     parse_citation_csv,
-    pearson,
     similarity_graph,
 )
+from oracles import UndefinedSimilarityError, ZeroVarianceError, cosine, pearson
 
 TRIANGLE = "B,A,3\nC,A,3\nA,B,3\nC,B,3\nA,C,3\nB,C,3"
 
