@@ -11,7 +11,6 @@ from .centrality import (
     betweenness_centrality,
     build_report,
     closeness_centrality,
-    degree_centrality,
     eigenvector_centrality,
 )
 from .environment import (
@@ -88,7 +87,6 @@ __all__ = [
     "build_report",
     "citation_degrees",
     "closeness_centrality",
-    "degree_centrality",
     "eigenvector_centrality",
     "environment_totals",
     "export_dot",

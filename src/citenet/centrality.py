@@ -8,7 +8,6 @@ source's shortest-path DAG) and closeness (from the same distances).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +27,7 @@ class Graph:
     eigenvector adjacency) but are ignored by degree counts and geodesics.
     """
 
-    __slots__ = ("_nodes", "_index", "_edges", "_directed", "_succ", "_pred")
+    __slots__ = ("_nodes", "_index", "_edges", "_directed", "_out", "_in")
 
     def __init__(
         self,
@@ -37,35 +36,33 @@ class Graph:
         directed: bool,
     ) -> None:
         self._nodes = tuple(nodes)
-        self._index = {node: i for i, node in enumerate(self._nodes)}
-        if len(self._index) != len(self._nodes):
+        self._index = index = {node: i for i, node in enumerate(self._nodes)}
+        if len(index) != len(self._nodes):
             raise ValueError("duplicate node ids")
         self._directed = directed
 
-        succ: dict[Node, dict[Node, float]] = {node: {} for node in self._nodes}
-        pred: dict[Node, dict[Node, float]] = {node: {} for node in self._nodes}
-        stored: dict[tuple[Node, Node], float] = {}
+        # Neighbour numbers in edge-insertion order; traversals depend on it.
+        self._out: list[list[int]] = [[] for _ in self._nodes]
+        self._in: list[list[int]] = [[] for _ in self._nodes]
+        self._edges: dict[tuple[Node, Node], float] = {}
         for (u, v), weight in edges.items():
-            if u not in self._index or v not in self._index:
+            if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}): endpoint not in node set")
             if weight <= 0:
                 raise ValueError(f"edge ({u}, {v}): weight must be positive")
-            if not directed and self._index[u] > self._index[v]:
-                u, v = v, u
-            if (u, v) in stored:
+            i, j = index[u], index[v]
+            if not directed and i > j:
+                u, v, i, j = v, u, j, i
+            if (u, v) in self._edges:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            stored[(u, v)] = weight
-            if u == v:
+            self._edges[(u, v)] = weight
+            if i == j:
                 continue
-            succ[u][v] = weight
-            pred[v][u] = weight
+            self._out[i].append(j)
+            self._in[j].append(i)
             if not directed:
-                succ[v][u] = weight
-                pred[u][v] = weight
-
-        self._edges = stored
-        self._succ = succ
-        self._pred = pred
+                self._out[j].append(i)
+                self._in[i].append(j)
 
     @classmethod
     def from_similarity(cls, g: SimilarityGraph) -> "Graph":
@@ -73,16 +70,11 @@ class Graph:
         return cls(g.nodes, g.edges, directed=False)
 
     @classmethod
-    def from_citation_matrix(
-        cls, m: CitationMatrix, nodes: Sequence[Node] | None = None
-    ) -> "Graph":
-        """Directed graph of raw citation links, weights = counts.
+    def from_citation_matrix(cls, m: CitationMatrix, nodes: Sequence[Node]) -> "Graph":
+        """Directed graph of raw citation links among *nodes*, weights = counts.
 
-        *nodes* restricts (and orders) the node set; default is all journals
-        sorted by id.  Self-citation loops are dropped.
+        The graph keeps the order of *nodes*; self-citation loops are dropped.
         """
-        if nodes is None:
-            nodes = sorted(m.journals)
         node_set = set(nodes)
         unknown = node_set - set(m.journals)
         if unknown:
@@ -112,26 +104,17 @@ class Graph:
     def __contains__(self, node: Node) -> bool:
         return node in self._index
 
-    def successors(self, node: Node) -> Mapping[Node, float]:
-        self._require(node)
-        return self._succ[node]
+    def successors(self, node: Node) -> tuple[Node, ...]:
+        return tuple(self._nodes[k] for k in self._out[self._require(node)])
 
-    def predecessors(self, node: Node) -> Mapping[Node, float]:
-        self._require(node)
-        return self._pred[node]
+    def predecessors(self, node: Node) -> tuple[Node, ...]:
+        return tuple(self._nodes[k] for k in self._in[self._require(node)])
 
-    def _require(self, node: Node) -> None:
+    def _require(self, node: Node) -> int:
+        """The number of *node*; raises for a node not in the graph."""
         if node not in self._index:
             raise UnknownNodeError(f"unknown node {node!r}")
-
-
-def degree_centrality(g: Graph, j: Node) -> tuple[int, int]:
-    """Distinct (incoming, outgoing) neighbor counts; loops excluded.
-
-    Both entries equal the plain neighbor count on undirected graphs.
-    """
-    g._require(j)
-    return len(g.predecessors(j)), len(g.successors(j))
+        return self._index[node]
 
 
 def closeness_centrality(g: Graph, j: Node) -> float:
@@ -141,10 +124,10 @@ def closeness_centrality(g: Graph, j: Node) -> float:
     connected graph; a node that reaches nothing has closeness 0 by
     convention.
     """
-    g._require(j)
+    source = g._require(j)
     if len(g) < 2:
         raise ValueError("closeness needs at least 2 nodes")
-    return _closeness(_shortest_paths(g, j)[3])
+    return _shortest_paths(g._out, source)[3]
 
 
 def betweenness_centrality(g: Graph) -> dict[Node, float]:
@@ -160,52 +143,46 @@ def betweenness_centrality(g: Graph) -> dict[Node, float]:
 
 
 def _shortest_paths(
-    g: Graph, source: Node
-) -> tuple[list[Node], dict[Node, list[Node]], dict[Node, int], dict[Node, int]]:
-    """Hop-count BFS from *source* over outgoing edges.
+    out: Sequence[Sequence[int]], source: int
+) -> tuple[list[int], list[list[int]], list[int], float]:
+    """Hop-count BFS from node number *source* over the out-lists *out*.
 
-    Returns ``(order, preds, sigma, dist)``: the nodes in visit order, each
-    reached node's predecessors on its geodesics from *source*, its number
-    of such geodesics, and its distance.
+    Returns ``(order, preds, sigma, closeness)``: the reached nodes in visit
+    order, each node's predecessors on its geodesics from *source*, its
+    number of such geodesics, and the closeness of *source*: reached nodes
+    over their summed distance, 0 when it reaches nothing.
     """
-    order: list[Node] = []
-    preds: dict[Node, list[Node]] = {source: []}
-    sigma = {source: 1}
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
+    n = len(out)
+    order = [source]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    sigma = [0] * n
+    sigma[source] = 1
+    dist = [-1] * n
+    dist[source] = 0
+    # The loop visits the nodes appended to *order* while it runs.
+    for v in order:
         next_dist = dist[v] + 1
-        for w in g.successors(v):
-            if w not in dist:
+        for w in out[v]:
+            if dist[w] < 0:
                 dist[w] = next_dist
-                sigma[w] = 0
-                preds[w] = []
-                queue.append(w)
+                order.append(w)
             if dist[w] == next_dist:
                 sigma[w] += sigma[v]
                 preds[w].append(v)
-    return order, preds, sigma, dist
-
-
-def _closeness(dist: Mapping[Node, int]) -> float:
-    reachable = len(dist) - 1
-    if reachable == 0:
-        return 0.0
-    return reachable / sum(dist.values())
+    reachable = len(order) - 1
+    closeness = reachable / sum(dist[v] for v in order) if reachable else 0.0
+    return order, preds, sigma, closeness
 
 
 def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     """``(betweenness, closeness)`` of every node from one BFS per source."""
     nodes = g.nodes
     n = len(nodes)
-    raw = dict.fromkeys(nodes, 0.0)
+    raw = [0.0] * n
     closeness: dict[Node, float] = {}
-    for source in nodes:
-        order, preds, sigma, dist = _shortest_paths(g, source)
-        closeness[source] = _closeness(dist)
-        delta = dict.fromkeys(order, 0.0)
+    for source in range(n):
+        order, preds, sigma, closeness[nodes[source]] = _shortest_paths(g._out, source)
+        delta = [0.0] * n
         for w in reversed(order):
             coefficient = (1.0 + delta[w]) / sigma[w]
             for v in preds[w]:
@@ -218,13 +195,13 @@ def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     # An undirected source sweep visits every unordered pair twice, matching
     # the ordered-pair sweep, so one scale factor covers both cases.
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {node: raw[node] * scale for node in nodes}, closeness
+    return {node: raw[i] * scale for i, node in enumerate(nodes)}, closeness
 
 
 def _symmetric_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rows, cols, weights)`` of the symmetric adjacency, sorted by row
     then column, each cell stored once."""
-    index = {node: i for i, node in enumerate(g.nodes)}
+    index = g._index
     n = len(g.nodes)
     rows: list[int] = []
     cols: list[int] = []
@@ -311,20 +288,19 @@ class CentralityReport:
 
 def build_report(
     local: Graph,
-    degrees: Mapping[Node, tuple[int, int]] | None = None,
+    degrees: Mapping[Node, tuple[int, int]],
     *,
     local_basis: str = "local graph",
-    global_basis: str | None = None,
+    global_basis: str = "citation graph",
 ) -> CentralityReport:
     """Assemble a :class:`CentralityReport` for the local graph's nodes.
 
     Closeness, betweenness, eigenvector, and the local degree come from
     *local*.  In/out degrees come from *degrees*, a ``node -> (in, out)``
     mapping such as :func:`~citenet.matrix.citation_degrees` of the whole
-    matrix, when given (every local node must be present there), otherwise
-    from *local* itself.  The local degree counts distinct neighbors in
-    either direction, so it reads the same on undirected similarity graphs
-    and directed raw-link graphs.
+    matrix, in which every local node must be present.  The local degree
+    counts distinct neighbors in either direction, so it reads the same on
+    undirected similarity graphs and directed raw-link graphs.
     Graphs without edges get eigenvector loadings of 0, and single-node
     graphs get closeness 0, mirroring the isolate convention.
     """
@@ -334,24 +310,18 @@ def build_report(
     else:
         eigenvector = {node: 0.0 for node in local.nodes}
 
-    if degrees is None:
-        degrees = {node: degree_centrality(local, node) for node in local.nodes}
-        global_basis = local_basis
-    elif global_basis is None:
-        global_basis = "citation graph"
     missing = [node for node in local.nodes if node not in degrees]
     if missing:
         raise UnknownNodeError(f"no global degrees for {missing}")
 
     rows: dict[Node, CentralityRow] = {}
-    for node in local.nodes:
+    for i, node in enumerate(local.nodes):
         degree_in, degree_out = degrees[node]
-        neighbors = set(local.successors(node)) | set(local.predecessors(node))
         rows[node] = CentralityRow(
             journal=node,
             degree_in=degree_in,
             degree_out=degree_out,
-            degree_local=len(neighbors),
+            degree_local=len(set(local._out[i]) | set(local._in[i])),
             closeness=closeness[node],
             betweenness=betweenness[node],
             eigenvector=eigenvector[node],

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -188,7 +187,10 @@ def _environment(settings: _Settings, args: argparse.Namespace):
 def _similarity(settings: _Settings, args: argparse.Namespace):
     matrix, env = _environment(settings, args)
     threshold = float(settings.get("cosine_threshold", DEFAULT_COSINE_THRESHOLD))
-    return matrix, env, similarity_graph(env, threshold)
+    graph = similarity_graph(env, threshold)
+    for message in graph.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    return matrix, env, graph
 
 
 def _report(settings: _Settings, args: argparse.Namespace, basis: str):
@@ -387,10 +389,11 @@ def _load_if_csv(path: Path) -> dict[str, float]:
 
 def _cmd_report(settings: _Settings, args: argparse.Namespace) -> int:
     fmt = settings.format(("table", "json"))
-    _, env, graph, report = _report(settings, args, settings.local_basis())
+    basis = settings.local_basis()
     impact_factors = {}
     if args.if_csv:
         impact_factors = _load_if_csv(settings.resolve(args.if_csv))
+    _, env, graph, report = _report(settings, args, basis)
     if fmt == "json":
         document = graph_document(graph, make_glyphs(env), report)
         if impact_factors:
@@ -478,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="warning: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

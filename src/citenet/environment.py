@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import IsolatedSeedError, UnknownJournalError
-from .matrix import CitationMatrix, JournalId, totals
+from .matrix import CitationMatrix, JournalId
 
 
 class Direction(Enum):
@@ -71,13 +71,8 @@ def extract_environment(
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
 
-    cited_total, citing_total, _ = totals(m, seed)
-    if direction is Direction.CITED:
-        total = cited_total
-        links = m.col(seed)
-    else:
-        total = citing_total
-        links = m.row(seed)
+    links = m.col(seed) if direction is Direction.CITED else m.row(seed)
+    total = sum(links.values())
     if total == 0:
         raise IsolatedSeedError(
             f"seed {seed!r} is isolated: no {direction.value} citations"

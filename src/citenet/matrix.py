@@ -604,8 +604,8 @@ def citation_degrees(m: CitationMatrix) -> dict[JournalId, tuple[int, int]]:
 
     In counts the other journals that cite it, out the other journals it
     cites; self-citations are excluded.  Read off the stored cells per row
-    and per column, minus the diagonal, so it equals
-    ``degree_centrality(Graph.from_citation_matrix(m), j)`` without the graph.
+    and per column, minus the diagonal, so it equals the neighbour counts of
+    ``Graph.from_citation_matrix(m, sorted(m.journals))`` without the graph.
     """
     self_cited = np.zeros(len(m), dtype=np.int64)
     rows = _row_ids(m._indptr)

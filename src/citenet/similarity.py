@@ -8,7 +8,6 @@ contribution rule used for environment membership.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -17,8 +16,6 @@ import numpy as np
 
 from .environment import Direction, SeedEnvironment
 from .matrix import CitationMatrix, JournalId, citation_profiles
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,6 @@ def similarity_graph(
         for m, norm_sq in zip(env.members, norms_sq)
         if norm_sq == 0.0
     )
-    for message in warnings:
-        logger.warning(message)
 
     # A zero-profile member's cosines are 0/0 = nan, which no threshold passes.
     with np.errstate(invalid="ignore"):

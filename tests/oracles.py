@@ -2,14 +2,16 @@
 
 Each oracle is written for clarity, not speed, and shares no code with the
 path it checks: a scalar cosine (and Pearson's r beside it), a parser for
-the Pajek files :func:`citenet.export_pajek` writes, and betweenness from an
-explicit enumeration of every geodesic.
+the Pajek files :func:`citenet.export_pajek` writes, betweenness from an
+explicit enumeration of every geodesic, a dict-keyed Brandes sweep over
+neighbours listed in edge-insertion order, and neighbour-count degrees.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -212,3 +214,86 @@ def brute_force_betweenness(g: Graph) -> dict[Node, float]:
             result[node] += through / pair.count
     pairs = (n - 1) * (n - 2) if g.directed else (n - 1) * (n - 2) / 2
     return {node: value / pairs for node, value in result.items()}
+
+
+def degree_centrality(g: Graph, j: Node) -> tuple[int, int]:
+    """Distinct (incoming, outgoing) neighbor counts; loops excluded.
+
+    Both entries equal the plain neighbor count on undirected graphs.  On
+    ``Graph.from_citation_matrix(m, sorted(m.journals))`` this is the
+    reference for :func:`citenet.citation_degrees`.
+    """
+    return len(g.predecessors(j)), len(g.successors(j))
+
+
+def _shortest_paths(
+    succ: Mapping[Node, Mapping[Node, float]], source: Node
+) -> tuple[list[Node], dict[Node, list[Node]], dict[Node, int], dict[Node, int]]:
+    """Hop-count BFS from *source* over outgoing edges.
+
+    Returns ``(order, preds, sigma, dist)``: the nodes in visit order, each
+    reached node's predecessors on its geodesics from *source*, its number
+    of such geodesics, and its distance.
+    """
+    order: list[Node] = []
+    preds: dict[Node, list[Node]] = {source: []}
+    sigma = {source: 1}
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        next_dist = dist[v] + 1
+        for w in succ[v]:
+            if w not in dist:
+                dist[w] = next_dist
+                sigma[w] = 0
+                preds[w] = []
+                queue.append(w)
+            if dist[w] == next_dist:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return order, preds, sigma, dist
+
+
+def _closeness(dist: Mapping[Node, int]) -> float:
+    reachable = len(dist) - 1
+    if reachable == 0:
+        return 0.0
+    return reachable / sum(dist.values())
+
+
+def reference_sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
+    """``(betweenness, closeness)`` from a dict-keyed Brandes sweep.
+
+    Neighbours are visited in edge-insertion order, read off ``g.edges``
+    rather than the graph's own lists.  The package's sweep must visit them
+    in that order too, and then adds the same floats in the same order, so
+    the two agree bit for bit; a reordered traversal shows as a difference
+    in the last bits.
+    """
+    nodes = g.nodes
+    n = len(nodes)
+    succ: dict[Node, dict[Node, float]] = {node: {} for node in nodes}
+    for (u, v), weight in g.edges.items():
+        if u != v:
+            succ[u][v] = weight
+            if not g.directed:
+                succ[v][u] = weight
+    raw = dict.fromkeys(nodes, 0.0)
+    closeness: dict[Node, float] = {}
+    for source in nodes:
+        order, preds, sigma, dist = _shortest_paths(succ, source)
+        closeness[source] = _closeness(dist)
+        delta = dict.fromkeys(order, 0.0)
+        for w in reversed(order):
+            coefficient = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coefficient
+            if w != source:
+                raw[w] += delta[w]
+
+    if n < 3:
+        return dict.fromkeys(nodes, 0.0), closeness
+    scale = 1.0 / ((n - 1) * (n - 2))
+    return {node: raw[node] * scale for node in nodes}, closeness

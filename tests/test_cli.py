@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -193,6 +195,16 @@ class TestSimCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "source,target,weight"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+    def test_each_call_writes_its_warning_to_its_own_stderr(self, matrix_path):
+        # C is cited by no other member, so its cited profile is all-zero.
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(["sim", str(matrix_path), "--seed", "S"]) == 0
+            assert err.getvalue() == (
+                "warning: member 'C' has an all-zero cited profile; kept as isolated node\n"
+            )
 
 
 class TestCentralityAndReport:
@@ -396,3 +408,17 @@ class TestBadArgumentsRejectedBeforeLoading:
         monkeypatch.setattr("citenet.cli.parse_citation_csv", _no_load)
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("content", [None, "id,impact_factor\nS,nan\n"])
+    def test_impact_factor_file_read_before_the_matrix(
+        self, tmp_path, matrix_path, monkeypatch, capsys, content
+    ):
+        if_csv = tmp_path / "if.csv"
+        if content is not None:
+            if_csv.write_text(content, encoding="utf-8")
+        monkeypatch.setattr("citenet.cli.read_matrix", _no_load)
+        argv = ["report", str(matrix_path), "--seed", "S", "--if-csv", str(if_csv)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(if_csv) in err
