@@ -9,6 +9,7 @@ source's shortest-path DAG) and closeness (from the same distances).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,7 +97,7 @@ class Graph:
 
     @property
     def edges(self) -> Mapping[tuple[Node, Node], float]:
-        return self._edges
+        return MappingProxyType(self._edges)
 
     def __len__(self) -> int:
         return len(self._nodes)

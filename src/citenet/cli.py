@@ -26,6 +26,8 @@ from .centrality import Graph, build_report
 from .environment import Direction, environment_totals, extract_environment
 from .errors import CitenetError
 from .export import (
+    _basis_comments,
+    aligned_table,
     export_dot,
     export_json,
     export_pajek,
@@ -54,74 +56,71 @@ DEFAULT_DIRECTION = "cited"
 
 _CONFIG_STRINGS = ("seed", "direction", "format", "local_basis", "data_dir")
 _CONFIG_NUMBERS = ("min_contrib", "cosine_threshold")
+_DEFAULTS = {
+    "direction": DEFAULT_DIRECTION,
+    "min_contrib": DEFAULT_MIN_CONTRIB,
+    "cosine_threshold": DEFAULT_COSINE_THRESHOLD,
+    "local_basis": "sim",
+}
 
 
-class _Settings:
-    """Flag values after merging CLI arguments with the config file."""
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill each flag the command takes but was not given: config, then default.
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        config = {}
-        if getattr(args, "config", None):
-            with open(args.config, encoding="utf-8") as fh:
-                try:
-                    config = json.load(fh)
-                except (ValueError, RecursionError) as exc:
-                    raise CitenetError(f"{args.config}: not a JSON document ({exc})") from None
-            if not isinstance(config, dict):
-                raise CitenetError(f"{args.config}: config must be a JSON object")
-            unknown = set(config) - {*_CONFIG_STRINGS, *_CONFIG_NUMBERS}
-            if unknown:
-                raise CitenetError(f"unknown config keys: {sorted(unknown)}")
-            for key, value in config.items():
-                if key in _CONFIG_STRINGS:
-                    if not isinstance(value, str):
-                        raise CitenetError(f"config key {key!r} must be a string")
-                elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise CitenetError(f"config key {key!r} must be a number")
-                elif isinstance(value, int) and abs(value) > sys.float_info.max:
-                    raise CitenetError(f"config key {key!r} is too large for a float")
-        self._args = args
-        self._config = config
+    Config keys for flags the command does not take are ignored; ``data_dir``
+    is kept as ``args.data_dir`` for :func:`_resolve`.
+    """
+    config = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                config = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise CitenetError(f"{args.config}: not a JSON document ({exc})") from None
+        if not isinstance(config, dict):
+            raise CitenetError(f"{args.config}: config must be a JSON object")
+        unknown = set(config) - {*_CONFIG_STRINGS, *_CONFIG_NUMBERS}
+        if unknown:
+            raise CitenetError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in config.items():
+            if key in _CONFIG_STRINGS:
+                if not isinstance(value, str):
+                    raise CitenetError(f"config key {key!r} must be a string")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CitenetError(f"config key {key!r} must be a number")
+            elif isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise CitenetError(f"config key {key!r} is too large for a float")
+            else:
+                config[key] = float(value)
+    for key, value in {**_DEFAULTS, **config}.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, value)
+    args.data_dir = config.get("data_dir")
 
-    def get(self, key: str, default=None):
-        value = getattr(self._args, key, None)
-        if value is not None:
-            return value
-        if key in self._config:
-            return self._config[key]
-        return default
 
-    def format(self, formats: tuple[str, ...]) -> str:
-        """The output format, one of the command's *formats* (default the first)."""
-        fmt = self.get("format", formats[0])
-        if fmt not in formats:
-            raise CitenetError(
-                f"{self._args.command} supports formats {'|'.join(formats)}, not {fmt!r}"
-            )
-        return fmt
+def _format(args: argparse.Namespace, formats: tuple[str, ...]) -> str:
+    """The output format, one of the command's *formats* (default the first)."""
+    fmt = formats[0] if args.format is None else args.format
+    if fmt not in formats:
+        raise CitenetError(f"{args.command} supports formats {'|'.join(formats)}, not {fmt!r}")
+    return fmt
 
-    def local_basis(self) -> str:
-        basis = self.get("local_basis", "sim")
-        if basis not in ("sim", "raw"):
-            raise CitenetError(f"--local-basis must be sim or raw, not {basis!r}")
-        return basis
 
-    def data_dir(self) -> Path | None:
-        env_value = os.environ.get(DATA_DIR_ENV)
-        if env_value:
-            return Path(env_value)
-        if "data_dir" in self._config:
-            return Path(self._config["data_dir"])
-        return None
+def _local_basis(args: argparse.Namespace) -> str:
+    if args.local_basis not in ("sim", "raw"):
+        raise CitenetError(f"--local-basis must be sim or raw, not {args.local_basis!r}")
+    return args.local_basis
 
-    def resolve(self, path: str) -> Path:
-        candidate = Path(path)
-        if candidate.exists() or candidate.is_absolute():
-            return candidate
-        data_dir = self.data_dir()
-        if data_dir is not None and (data_dir / candidate).exists():
-            return data_dir / candidate
+
+def _resolve(args: argparse.Namespace, path: str) -> Path:
+    """*path* as given, or under the data directory when only it has the file."""
+    candidate = Path(path)
+    if candidate.exists() or candidate.is_absolute():
         return candidate
+    data_dir = os.environ.get(DATA_DIR_ENV) or args.data_dir
+    if data_dir is not None and (Path(data_dir) / candidate).exists():
+        return Path(data_dir) / candidate
+    return candidate
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -173,28 +172,25 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _environment(settings: _Settings, args: argparse.Namespace):
-    seed = settings.get("seed")
-    if not seed:
+def _environment(args: argparse.Namespace):
+    if not args.seed:
         raise CitenetError("--seed is required (flag or config)")
-    direction = Direction(settings.get("direction", DEFAULT_DIRECTION))
-    min_contrib = float(settings.get("min_contrib", DEFAULT_MIN_CONTRIB))
-    matrix = read_matrix(settings.resolve(args.matrix))
-    env = extract_environment(matrix, seed, direction, min_contrib)
+    direction = Direction(args.direction)
+    matrix = read_matrix(_resolve(args, args.matrix))
+    env = extract_environment(matrix, args.seed, direction, args.min_contrib)
     return matrix, env
 
 
-def _similarity(settings: _Settings, args: argparse.Namespace):
-    matrix, env = _environment(settings, args)
-    threshold = float(settings.get("cosine_threshold", DEFAULT_COSINE_THRESHOLD))
-    graph = similarity_graph(env, threshold)
+def _similarity(args: argparse.Namespace):
+    matrix, env = _environment(args)
+    graph = similarity_graph(env, args.cosine_threshold)
     for message in graph.warnings:
         print(f"warning: {message}", file=sys.stderr)
     return matrix, env, graph
 
 
-def _report(settings: _Settings, args: argparse.Namespace, basis: str):
-    matrix, env, graph = _similarity(settings, args)
+def _report(args: argparse.Namespace, basis: str):
+    matrix, env, graph = _similarity(args)
     if basis == "sim":
         local = Graph.from_similarity(graph)
         local_basis = (
@@ -213,42 +209,39 @@ def _report(settings: _Settings, args: argparse.Namespace, basis: str):
     return matrix, env, graph, report
 
 
-def _cmd_ingest(settings: _Settings, args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> int:
     if not args.out:
         raise CitenetError("ingest requires --out for the persisted matrix")
     registry = None
     if args.registry:
-        with open(settings.resolve(args.registry), encoding="utf-8") as fh:
+        with open(_resolve(args, args.registry), encoding="utf-8") as fh:
             registry = read_registry(fh)
     source = SourceIndex(args.source.upper())
     if args.edges == "-":
         matrix = parse_citation_csv(sys.stdin, args.year, source=source, registry=registry)
     else:
-        with open(settings.resolve(args.edges), encoding="utf-8") as fh:
+        with open(_resolve(args, args.edges), encoding="utf-8") as fh:
             matrix = parse_citation_csv(fh, args.year, source=source, registry=registry)
     write_matrix(matrix, args.out)
     print(f"wrote {args.out}: {len(matrix)} journals, {len(matrix.cells)} cells")
     return 0
 
 
-def _cmd_merge(settings: _Settings, args: argparse.Namespace) -> int:
+def _cmd_merge(args: argparse.Namespace) -> int:
     if not args.out:
         raise CitenetError("merge requires --out for the persisted matrix")
-    a = read_matrix(settings.resolve(args.matrix_a), year=args.year)
-    b = read_matrix(settings.resolve(args.matrix_b), year=args.year)
+    a = read_matrix(_resolve(args, args.matrix_a), year=args.year)
+    b = read_matrix(_resolve(args, args.matrix_b), year=args.year)
     merged = merge_indices(a, b)
     write_matrix(merged, args.out)
     print(f"wrote {args.out}: {len(merged)} journals, {len(merged.cells)} cells")
     return 0
 
 
-def _cmd_env(settings: _Settings, args: argparse.Namespace) -> int:
-    fmt = settings.format(("table", "json"))
-    _, env = _environment(settings, args)
-    rows = []
-    for member in env.members:
-        gross, net = environment_totals(env, member)
-        rows.append((member, env.contributions[member], gross, net))
+def _cmd_env(args: argparse.Namespace) -> int:
+    fmt = _format(args, ("table", "json"))
+    _, env = _environment(args)
+    rows = [(m, env.contributions[m], *environment_totals(env, m)) for m in env.members]
     if fmt == "json":
         document = {
             "seed": env.seed,
@@ -261,47 +254,36 @@ def _cmd_env(settings: _Settings, args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(document, indent=2) + "\n", args.out)
         return 0
-    width = max(len("journal"), max(len(m) for m, _, _, _ in rows))
-    lines = [
-        f"# seed {env.seed}, {env.direction.value}, threshold {env.threshold}",
-        f"{'journal'.ljust(width)}  contribution_%  gross  net_of_self",
-    ]
-    for member, contribution, gross, net in rows:
-        lines.append(
-            f"{member.ljust(width)}  {contribution * 100:14.2f}  {gross:5d}  {net:11d}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    comments = [f"# seed {env.seed}, {env.direction.value}, threshold {env.threshold}"]
+    header = ("journal", "contribution_%", "gross", "net_of_self")
+    cells = ((m, f"{c * 100:.2f}", str(g), str(n)) for m, c, g, n in rows)
+    _emit(aligned_table(comments, header, cells), args.out)
     return 0
 
 
-def _cmd_sim(settings: _Settings, args: argparse.Namespace) -> int:
-    _, _, graph = _similarity(settings, args)
+def _cmd_sim(args: argparse.Namespace) -> int:
+    _, _, graph = _similarity(args)
     lines = ["source,target,weight"]
     lines.extend(f"{u},{v},{weight!r}" for (u, v), weight in graph.edges.items())
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_centrality(settings: _Settings, args: argparse.Namespace) -> int:
-    fmt = settings.format(("table", "json"))
-    _, _, _, report = _report(settings, args, settings.local_basis())
+def _cmd_centrality(args: argparse.Namespace) -> int:
+    fmt = _format(args, ("table", "json"))
+    _, _, _, report = _report(args, _local_basis(args))
     if fmt == "json":
         _emit(json.dumps(report_document(report), indent=2) + "\n", args.out)
         return 0
-    width = max(len("journal"), max(len(row.journal) for row in report))
-    lines = [
-        f"# local basis: {report.local_basis}",
-        f"# global basis: {report.global_basis}",
-        f"{'journal'.ljust(width)}  deg_local  deg_in  deg_out  closeness  "
-        "betweenness_%  eigenvector",
-    ]
-    for row in report:
-        lines.append(
-            f"{row.journal.ljust(width)}  {row.degree_local:9d}  {row.degree_in:6d}  "
-            f"{row.degree_out:7d}  {row.closeness:9.4f}  {row.betweenness * 100:13.2f}  "
-            f"{row.eigenvector:11.4f}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    header = (
+        "journal", "deg_local", "deg_in", "deg_out", "closeness", "betweenness_%", "eigenvector"
+    )
+    cells = (
+        (row.journal, str(row.degree_local), str(row.degree_in), str(row.degree_out),
+         f"{row.closeness:.4f}", f"{row.betweenness * 100:.2f}", f"{row.eigenvector:.4f}")
+        for row in report
+    )
+    _emit(aligned_table(_basis_comments(report), header, cells), args.out)
     return 0
 
 
@@ -314,8 +296,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         ) from None
 
 
-def _cmd_metrics(settings: _Settings, args: argparse.Namespace) -> int:
-    fmt = settings.format(("table", "json"))
+def _cmd_metrics(args: argparse.Namespace) -> int:
+    fmt = _format(args, ("table", "json"))
     results: dict[str, float | int] = {}
     if args.if_inputs:
         values = _parse_int_list(args.if_inputs, "--if-inputs")
@@ -332,7 +314,7 @@ def _cmd_metrics(settings: _Settings, args: argparse.Namespace) -> int:
     if args.h_counts:
         results["h_index"] = h_index(_parse_int_list(args.h_counts, "--h-counts"))
     if args.matrix and args.journal:
-        matrix = read_matrix(settings.resolve(args.matrix))
+        matrix = read_matrix(_resolve(args, args.matrix))
         results["self_citation_rate"] = self_citation_rate(matrix, args.journal)
     elif args.matrix or args.journal:
         raise CitenetError("--matrix and --journal must be given together")
@@ -347,15 +329,15 @@ def _cmd_metrics(settings: _Settings, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export(settings: _Settings, args: argparse.Namespace) -> int:
-    fmt = settings.format(("pajek", "dot", "json"))
-    basis = settings.local_basis()
+def _cmd_export(args: argparse.Namespace) -> int:
+    fmt = _format(args, ("pajek", "dot", "json"))
+    basis = _local_basis(args)
     if fmt == "json":
-        _, env, graph, report = _report(settings, args, basis)
+        _, env, graph, report = _report(args, basis)
         text = export_json(graph, make_glyphs(env), report)
     else:
         # Pajek and DOT print no centralities, so none are computed.
-        _, env, graph = _similarity(settings, args)
+        _, env, graph = _similarity(args)
         exporter = export_pajek if fmt == "pajek" else export_dot
         text = exporter(graph, make_glyphs(env))
     _emit(text, args.out)
@@ -387,13 +369,13 @@ def _load_if_csv(path: Path) -> dict[str, float]:
     return values
 
 
-def _cmd_report(settings: _Settings, args: argparse.Namespace) -> int:
-    fmt = settings.format(("table", "json"))
-    basis = settings.local_basis()
+def _cmd_report(args: argparse.Namespace) -> int:
+    fmt = _format(args, ("table", "json"))
+    basis = _local_basis(args)
     impact_factors = {}
     if args.if_csv:
-        impact_factors = _load_if_csv(settings.resolve(args.if_csv))
-    _, env, graph, report = _report(settings, args, basis)
+        impact_factors = _load_if_csv(_resolve(args, args.if_csv))
+    _, env, graph, report = _report(args, basis)
     if fmt == "json":
         document = graph_document(graph, make_glyphs(env), report)
         if impact_factors:
@@ -484,8 +466,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = _Settings(args)
-        return args.handler(settings, args)
+        _apply_config(args)
+        return args.handler(args)
     except (CitenetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .centrality import CentralityReport
 from .environment import SeedEnvironment, environment_totals
@@ -176,6 +176,28 @@ def export_json(
     return json.dumps(graph_document(g, glyphs, report), indent=2) + "\n"
 
 
+def aligned_table(
+    comments: Sequence[str], header: Sequence[str], rows: Iterable[Sequence[str]]
+) -> str:
+    """Comment lines, then *header* and *rows* in columns as wide as their
+    widest cell: the first column left-aligned, the others right-aligned."""
+    table = [tuple(header), *rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = list(comments)
+    for row in table:
+        lines.append(
+            "  ".join(
+                cell.ljust(width) if col == 0 else cell.rjust(width)
+                for col, (cell, width) in enumerate(zip(row, widths))
+            ).rstrip()
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _basis_comments(report: CentralityReport) -> list[str]:
+    return [f"# local basis: {report.local_basis}", f"# global basis: {report.global_basis}"]
+
+
 def report_table(
     env: SeedEnvironment,
     centralities: CentralityReport,
@@ -201,7 +223,7 @@ def report_table(
             row.journal,
         ),
     )
-    cells = [
+    cells = (
         (
             row.journal,
             f"{row.betweenness * 100:.2f}",
@@ -211,26 +233,5 @@ def report_table(
             f"{impact_factors[row.journal]:.2f}" if row.journal in impact_factors else "",
         )
         for row in ordered
-    ]
-
-    header = ("journal",) + _REPORT_COLUMNS
-    widths = [
-        max(len(header[col]), max((len(row[col]) for row in cells), default=0))
-        for col in range(len(header))
-    ]
-    lines = [
-        f"# local basis: {centralities.local_basis}",
-        f"# global basis: {centralities.global_basis}",
-        "  ".join(
-            name.ljust(widths[col]) if col == 0 else name.rjust(widths[col])
-            for col, name in enumerate(header)
-        ).rstrip(),
-    ]
-    for row in cells:
-        lines.append(
-            "  ".join(
-                value.ljust(widths[col]) if col == 0 else value.rjust(widths[col])
-                for col, value in enumerate(row)
-            ).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    )
+    return aligned_table(_basis_comments(centralities), ("journal",) + _REPORT_COLUMNS, cells)

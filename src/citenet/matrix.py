@@ -883,6 +883,8 @@ def read_registry(stream: IO[str] | str) -> dict[JournalId, Journal]:
             raise EdgeListParseError(
                 line_no, f"unknown source_index {source_field!r}"
             ) from None
+        if journal_id in registry:
+            raise EdgeListParseError(line_no, f"repeats the id {journal_id!r}")
         try:
             registry[journal_id] = Journal(journal_id, display_name, source)
         except ValueError as exc:

@@ -80,6 +80,13 @@ class TestGraph:
         g = Graph(["A", "B"], {("B", "A"): 1.0}, directed=False)
         assert set(g.edges) == {("A", "B")}
 
+    def test_edges_are_read_only(self):
+        # A written edge would reach the eigenvector adjacency but not the BFS.
+        g = path3()
+        with pytest.raises(TypeError):
+            g.edges[("A", "C")] = 5.0
+        assert dict(g.edges) == {("A", "B"): 1.0, ("B", "C"): 1.0}
+
     def test_from_citation_matrix_drops_self_loops(self):
         m = parse_citation_csv("A,B,5\nA,A,7", 2005)
         g = Graph.from_citation_matrix(m, sorted(m.journals))

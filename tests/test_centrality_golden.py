@@ -6,7 +6,8 @@ is cited across all of them with small counts.  Each local graph has several
 components (strongly connected ones for the directed raw-link graph), so the
 outputs exercise closeness over a reachable subset and betweenness with
 disconnected pairs.  Besides ``centrality --format json`` the goldens pin the
-``sim`` edge list, every ``export`` format and both ``report`` formats.
+``env`` and ``centrality`` tables, the ``sim`` edge list, every ``export``
+format and both ``report`` formats.
 
 Run this module as a script to rewrite the golden files after an intended
 output change.
@@ -52,6 +53,11 @@ CASES = {
     "cli_export_raw.json": ["export", "--format", "json", "--local-basis", "raw"],
     "cli_report.txt": ["report"],
     "cli_report_if.json": ["report", "--format", "json", "--if-csv", IF_CSV],
+    "cli_env.txt": ["env"],
+    "cli_env_citing.txt": ["env", "--direction", "citing"],
+    "cli_centrality_sim_cited.txt": ["centrality"],
+    "cli_centrality_raw_cited.txt": ["centrality", "--local-basis", "raw"],
+    "cli_centrality_sim_citing.txt": ["centrality", "--direction", "citing"],
 }
 JSON_CASES = sorted(name for name in CASES if name.endswith(".json"))
 TEXT_CASES = sorted(name for name in CASES if not name.endswith(".json"))
@@ -144,7 +150,8 @@ def test_centrality_json_matches_golden(name):
 
 @pytest.mark.parametrize("name", TEXT_CASES)
 def test_text_output_matches_golden(name):
-    # No text output prints an eigenvector loading, so all match byte for byte.
+    # Text outputs print eigenvector loadings only to four decimals, and none
+    # here lies within 1e-8 of a rounding boundary, so all match byte for byte.
     assert cli_output(CASES[name]) == _golden(name)
 
 

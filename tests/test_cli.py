@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,15 @@ class TestIngestAndMerge:
         assert main(argv + ["--out", str(tmp_path / "m.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 1: field larger") and err.count("\n") == 1
+
+    def test_registry_with_a_repeated_id(self, tmp_path, capsys):
+        edges, registry = tmp_path / "edges.csv", tmp_path / "registry.csv"
+        edges.write_text(EDGES, encoding="utf-8")
+        registry.write_text("id,display_name,source_index\nA,First,SCI\nA,Second,SSCI\n",
+                            encoding="utf-8")
+        argv = ["ingest", str(edges), "--year", "2005", "--registry", str(registry)]
+        assert main(argv + ["--out", str(tmp_path / "m.csv")]) == 1
+        assert capsys.readouterr().err == "error: line 3: repeats the id 'A'\n"
 
     def test_merge(self, tmp_path, matrix_path, capsys):
         other = tmp_path / "other_edges.csv"
@@ -172,6 +182,22 @@ class TestEnvCommand:
         out = capsys.readouterr().out
         assert "journal" in out
         assert "A" in out and "B" in out and "C" in out
+
+    def test_columns_stay_aligned_when_a_value_is_wider_than_its_header(
+        self, tmp_path, capsys
+    ):
+        edges, matrix = tmp_path / "edges.csv", tmp_path / "wide.csv"
+        edges.write_text("A,S,250000\nB,S,30\nA,A,7\n", encoding="utf-8")
+        assert main(["ingest", str(edges), "--year", "2005", "--out", str(matrix)]) == 0
+        capsys.readouterr()
+        assert main(["env", str(matrix), "--seed", "S"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[1:]
+        assert "250000" in "".join(rows)
+
+        def column_ends(line):
+            return [m.end() for m in re.finditer(r"\S+", line)][1:]
+
+        assert all(column_ends(row) == column_ends(header) for row in rows)
 
     def test_json_output(self, matrix_path, capsys):
         assert main(["env", str(matrix_path), "--seed", "S", "--format", "json"]) == 0
@@ -366,6 +392,52 @@ class TestConfigAndDataDir:
         monkeypatch.setenv("CITENET_DATA_DIR", str(matrix_path.parent))
         assert main(["env", matrix_path.name, "--seed", "S", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == "S"
+
+    def test_config_data_dir_resolves_bare_paths(self, tmp_path, matrix_path, monkeypatch,
+                                                 capsys):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        monkeypatch.delenv("CITENET_DATA_DIR", raising=False)
+        config = elsewhere / "config.json"
+        config.write_text(json.dumps({"seed": "S", "data_dir": str(matrix_path.parent)}),
+                          encoding="utf-8")
+        assert main(["env", matrix_path.name, "--config", str(config),
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == "S"
+
+    @pytest.mark.parametrize("env_value, members", [("", ["S", "A"]), ("env", ["S", "B"])])
+    def test_a_non_empty_data_dir_variable_wins_over_config(
+        self, tmp_path, monkeypatch, capsys, env_value, members
+    ):
+        # Two data directories hold a matrix of the same name; S's top citer differs.
+        for name, citer in (("config", "A"), ("env", "B")):
+            (tmp_path / name).mkdir()
+            edges = tmp_path / name / "edges.csv"
+            edges.write_text(f"{citer},S,10\n", encoding="utf-8")
+            assert main(["ingest", str(edges), "--year", "2005",
+                         "--out", str(tmp_path / name / "m.csv")]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CITENET_DATA_DIR", env_value and str(tmp_path / env_value))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": "S", "data_dir": str(tmp_path / "config")}),
+                          encoding="utf-8")
+        assert main(["env", "m.csv", "--config", str(config), "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert [m["journal"] for m in document["members"]] == members
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("sim", {"seed": "S", "format": "xml"}), ("env", {"seed": "S", "local_basis": "bogus"})],
+    )
+    def test_config_key_the_command_does_not_take_is_ignored(
+        self, tmp_path, matrix_path, capsys, command, config
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([command, str(matrix_path), "--config", str(path)]) == 0
+        assert "error" not in capsys.readouterr().err
 
 
 def _no_load(*args, **kwargs):

@@ -115,6 +115,10 @@ class TestParse:
         with pytest.raises(EdgeListParseError, match="source_index"):
             read_registry("A,Journal A,XXX")
 
+    def test_registry_rejects_a_repeated_id(self):
+        with pytest.raises(EdgeListParseError, match="line 3: repeats the id 'A'"):
+            read_registry("id,display_name,source_index\nA,First,SCI\nA,Second,SSCI\n")
+
     def test_byte_order_mark_before_header_is_skipped(self):
         m = parse_citation_csv("\ufeffciting,cited,count\nA,B,5", 2005)
         assert dict(m.cells) == {("A", "B"): 5}
