@@ -1,9 +1,15 @@
 """Centrality measures on citation and similarity graphs.
 
 Geodesics are hop-count shortest paths: edge weights never define path
-lengths here, they only matter for the eigenvector adjacency.  One
-breadth-first search per source gives both betweenness (accumulated over the
-source's shortest-path DAG) and closeness (from the same distances).
+lengths here, they only matter for the eigenvector adjacency.  Betweenness
+and closeness come from one level-synchronous breadth-first search over a
+batch of sources at a time (Brandes, *J. Math. Sociol.* 25:163, 2001, in
+the linear-algebra form of Kepner & Gilbert, SIAM 2011).  Each level of the
+forward pass is one product of the frontier's path counts with the dense 0/1
+hop adjacency; the backward pass accumulates dependencies level by level,
+deepest first, with sequential ``bincount`` sums, so no float sum of the
+backward pass goes through BLAS and the results do not depend on the batch
+size.
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ from .matrix import CitationMatrix, _canonical, _row_ids
 from .similarity import SimilarityGraph
 
 Node = str
+
+# Cap on sources per batch times hop edges (each undirected edge counted in
+# both directions): one batch's shortest-path DAG arrays stay near 3 MB.
+_BATCH_ENTRIES = 120_000
+
 
 class Graph:
     """Weighted graph with a fixed node order.
@@ -42,10 +53,9 @@ class Graph:
             raise ValueError("duplicate node ids")
         self._directed = directed
 
-        # Neighbour numbers in edge-insertion order; traversals depend on it.
-        self._out: list[list[int]] = [[] for _ in self._nodes]
-        self._in: list[list[int]] = [[] for _ in self._nodes]
         self._edges: dict[tuple[Node, Node], float] = {}
+        tails: list[int] = []
+        heads: list[int] = []
         for (u, v), weight in edges.items():
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}): endpoint not in node set")
@@ -57,13 +67,16 @@ class Graph:
             if (u, v) in self._edges:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             self._edges[(u, v)] = weight
-            if i == j:
-                continue
-            self._out[i].append(j)
-            self._in[j].append(i)
-            if not directed:
-                self._out[j].append(i)
-                self._in[i].append(j)
+            if i != j:
+                tails.append(i)
+                heads.append(j)
+        if not directed:
+            tails, heads = tails + heads, heads + tails
+        # Hop adjacency as CSR ``(indptr, indices)`` with each row's
+        # neighbour numbers ascending: out-neighbours, and in-neighbours
+        # (the same arrays when undirected).
+        self._out = _hop_csr(len(self._nodes), tails, heads)
+        self._in = _hop_csr(len(self._nodes), heads, tails) if directed else self._out
 
     @classmethod
     def from_similarity(cls, g: SimilarityGraph) -> "Graph":
@@ -106,16 +119,29 @@ class Graph:
         return node in self._index
 
     def successors(self, node: Node) -> tuple[Node, ...]:
-        return tuple(self._nodes[k] for k in self._out[self._require(node)])
+        """Out-neighbours of *node* in node order, loops excluded."""
+        return self._neighbours(self._out, node)
 
     def predecessors(self, node: Node) -> tuple[Node, ...]:
-        return tuple(self._nodes[k] for k in self._in[self._require(node)])
+        """In-neighbours of *node* in node order, loops excluded."""
+        return self._neighbours(self._in, node)
+
+    def _neighbours(self, csr: tuple[np.ndarray, np.ndarray], node: Node) -> tuple[Node, ...]:
+        indptr, indices = csr
+        k = self._require(node)
+        return tuple(self._nodes[j] for j in indices[indptr[k] : indptr[k + 1]].tolist())
 
     def _require(self, node: Node) -> int:
         """The number of *node*; raises for a node not in the graph."""
         if node not in self._index:
             raise UnknownNodeError(f"unknown node {node!r}")
         return self._index[node]
+
+
+def _hop_csr(n: int, rows: list[int], cols: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the n-by-n 0/1 matrix with the given entries."""
+    indptr, indices, _ = _canonical(n, rows, cols, np.ones(len(rows)))
+    return indptr, indices
 
 
 def closeness_centrality(g: Graph, j: Node) -> float:
@@ -128,7 +154,8 @@ def closeness_centrality(g: Graph, j: Node) -> float:
     source = g._require(j)
     if len(g) < 2:
         raise ValueError("closeness needs at least 2 nodes")
-    return _shortest_paths(g._out, source)[3]
+    dist, _ = _bfs(_dense_adjacency(g), np.array([source]))
+    return float(_closeness(dist)[0])
 
 
 def betweenness_centrality(g: Graph) -> dict[Node, float]:
@@ -137,66 +164,142 @@ def betweenness_centrality(g: Graph) -> dict[Node, float]:
     For each node k the raw score sums, over pairs (i, j) with i != j != k,
     the fraction of i-j geodesics passing through k; the result is divided
     by (n-1)(n-2) on directed graphs and (n-1)(n-2)/2 on undirected ones.
-    Graphs with fewer than 3 nodes score 0 everywhere.  Sources are processed
-    in node order, so results are bit-reproducible.
+    Graphs with fewer than 3 nodes score 0 everywhere.
+
+    Every sum runs in a fixed order (see :func:`_sweep`), so results are
+    bit-reproducible while geodesic counts stay below 2**53, where float64
+    holds them exactly.  Above that the counts are rounded, in an order the
+    BLAS build chooses, so the values are exact only to float64 rounding
+    and their last bits may differ between machines.
     """
     return _sweep(g)[0]
 
 
-def _shortest_paths(
-    out: Sequence[Sequence[int]], source: int
-) -> tuple[list[int], list[list[int]], list[int], float]:
-    """Hop-count BFS from node number *source* over the out-lists *out*.
+def _dense_adjacency(g: Graph) -> np.ndarray:
+    """The n-by-n float64 0/1 hop adjacency (row = tail, column = head)."""
+    indptr, indices = g._out
+    adjacency = np.zeros((len(g), len(g)))
+    adjacency[_row_ids(indptr), indices] = 1.0
+    return adjacency
 
-    Returns ``(order, preds, sigma, closeness)``: the reached nodes in visit
-    order, each node's predecessors on its geodesics from *source*, its
-    number of such geodesics, and the closeness of *source*: reached nodes
-    over their summed distance, 0 when it reaches nothing.
+
+def _bfs(adjacency: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level-synchronous BFS from each of *sources* (one row per source).
+
+    Returns ``(dist, sigma)``: hop distances (-1 where unreached) and
+    shortest-path counts.  Level k+1's counts are one product of level k's
+    counts with *adjacency*.  The counts are integers, so the product is
+    exact while they stay below 2**53; above that they are rounded like any
+    float64 sum, in an order the BLAS build chooses.
     """
-    n = len(out)
-    order = [source]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    sigma = [0] * n
-    sigma[source] = 1
-    dist = [-1] * n
-    dist[source] = 0
-    # The loop visits the nodes appended to *order* while it runs.
-    for v in order:
-        next_dist = dist[v] + 1
-        for w in out[v]:
-            if dist[w] < 0:
-                dist[w] = next_dist
-                order.append(w)
-            if dist[w] == next_dist:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    reachable = len(order) - 1
-    closeness = reachable / sum(dist[v] for v in order) if reachable else 0.0
-    return order, preds, sigma, closeness
+    batch = np.arange(len(sources))
+    dist = np.full((len(sources), len(adjacency)), -1, dtype=np.int32)
+    sigma = np.zeros(dist.shape)
+    dist[batch, sources] = 0
+    sigma[batch, sources] = 1.0
+    frontier = sigma
+    level = 0
+    while True:
+        counts = frontier @ adjacency
+        reached = (counts > 0) & (dist < 0)
+        if not reached.any():
+            return dist, sigma
+        level += 1
+        dist[reached] = level
+        sigma[reached] = counts[reached]
+        frontier = np.where(reached, counts, 0.0)
+
+
+def _closeness(dist: np.ndarray) -> np.ndarray:
+    """Closeness of each BFS row: reached nodes over their summed distance."""
+    reached = np.count_nonzero(dist > 0, axis=1)
+    total = np.where(dist > 0, dist, 0).sum(axis=1)
+    return np.where(reached > 0, reached / np.maximum(total, 1), 0.0)
+
+
+def _dag_entries(
+    tails: np.ndarray, heads: np.ndarray, dist: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest-path DAG entries ``(level, v, w)`` of each BFS row of *dist*.
+
+    The hop edges ``tails[e] -> heads[e]`` are sorted by tail, then head.
+    An entry is an edge v -> w of row s with ``dist[s, w] == dist[s, v] + 1``;
+    v and w are flat indices ``s * n + node`` and *level* is ``dist[s, v]``.
+    Entries come deepest level first, then by source, tail and head.
+    """
+    n = dist.shape[1]
+    depth = np.take(dist, tails, axis=1)
+    on_dag = np.take(dist, heads, axis=1) == depth + 1
+    on_dag &= depth >= 0
+    source, edge = np.divmod(np.flatnonzero(on_dag), len(tails))
+    del depth, on_dag  # free the sources-by-edges arrays before the entry arrays
+    v = source * n + tails[edge]
+    w = source * n + heads[edge]
+    level = dist.ravel()[v]
+    # Deepest level first; a stable sort keeps the (source, tail, head) order.
+    order = np.argsort(-level, kind="stable")
+    return level[order], v[order], w[order]
+
+
+def _dependencies(
+    tails: np.ndarray, heads: np.ndarray, dist: np.ndarray, sigma: np.ndarray
+) -> np.ndarray:
+    """Brandes dependencies ``delta[s, v]`` of each BFS row's source s.
+
+    Walking the shortest-path DAG deepest level first,
+    ``delta[s, v] = sigma[s, v] * sum_w (1 + delta[s, w]) / sigma[s, w]``
+    over v's DAG successors w, summed from 0.0 in ascending w by
+    ``bincount``; a node without DAG successors keeps 0.
+    """
+    level, v, w = _dag_entries(tails, heads, dist)
+    first = np.ones(len(v), dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    segment = np.cumsum(first) - 1
+    # Where each level's run of entries starts, then the end of the last run.
+    bounds = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
+
+    delta = np.zeros(dist.size)
+    sigma = sigma.ravel()
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        coefficient = (1.0 + delta[w[lo:hi]]) / sigma[w[lo:hi]]
+        sums = np.bincount(segment[lo:hi] - segment[lo], coefficient)
+        targets = v[lo:hi][first[lo:hi]]
+        delta[targets] = sigma[targets] * sums
+    return delta.reshape(dist.shape)
 
 
 def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
-    """``(betweenness, closeness)`` of every node from one BFS per source."""
+    """``(betweenness, closeness)`` of every node from batched BFS.
+
+    Sources run in node order, in batches whose size times the larger of
+    the hop edge and node counts is at most ``_BATCH_ENTRIES``.  Each
+    source's dependencies are added to the raw scores one source at a time,
+    so the sums do not depend on the batch size.
+    """
     nodes = g.nodes
     n = len(nodes)
-    raw = [0.0] * n
-    closeness: dict[Node, float] = {}
-    for source in range(n):
-        order, preds, sigma, closeness[nodes[source]] = _shortest_paths(g._out, source)
-        delta = [0.0] * n
-        for w in reversed(order):
-            coefficient = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coefficient
-            if w != source:
-                raw[w] += delta[w]
+    indptr, heads = g._out
+    tails = _row_ids(indptr)
+    adjacency = _dense_adjacency(g)
+    batch = max(1, _BATCH_ENTRIES // max(1, len(heads), n))
+    raw = np.zeros(n)
+    closeness = np.zeros(n)
+    for start in range(0, n, batch):
+        sources = np.arange(start, min(start + batch, n))
+        dist, sigma = _bfs(adjacency, sources)
+        closeness[sources] = _closeness(dist)
+        delta = _dependencies(tails, heads, dist, sigma)
+        # A source's dependency on itself is no betweenness.
+        delta[np.arange(len(sources)), sources] = 0.0
+        for row in delta:
+            raw += row
 
     if n < 3:
-        return dict.fromkeys(nodes, 0.0), closeness
+        return dict.fromkeys(nodes, 0.0), dict(zip(nodes, closeness.tolist()))
     # An undirected source sweep visits every unordered pair twice, matching
     # the ordered-pair sweep, so one scale factor covers both cases.
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {node: raw[i] * scale for i, node in enumerate(nodes)}, closeness
+    return dict(zip(nodes, (raw * scale).tolist())), dict(zip(nodes, closeness.tolist()))
 
 
 def _symmetric_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,6 +418,14 @@ def build_report(
     if missing:
         raise UnknownNodeError(f"no global degrees for {missing}")
 
+    # Distinct neighbours in either direction: the set of (node, neighbour)
+    # keys over both orientations of every hop edge, counted per node.
+    n = len(local)
+    indptr, heads = local._out
+    tails = _row_ids(indptr)
+    neighbours = np.unique(np.concatenate((tails * n + heads, heads * n + tails)))
+    degree_local = np.bincount(neighbours // n, minlength=n).tolist()
+
     rows: dict[Node, CentralityRow] = {}
     for i, node in enumerate(local.nodes):
         degree_in, degree_out = degrees[node]
@@ -322,7 +433,7 @@ def build_report(
             journal=node,
             degree_in=degree_in,
             degree_out=degree_out,
-            degree_local=len(set(local._out[i]) | set(local._in[i])),
+            degree_local=degree_local[i],
             closeness=closeness[node],
             betweenness=betweenness[node],
             eigenvector=eigenvector[node],

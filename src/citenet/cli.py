@@ -175,6 +175,9 @@ def _emit(text: str, out: str | None) -> None:
 def _environment(args: argparse.Namespace):
     if not args.seed:
         raise CitenetError("--seed is required (flag or config)")
+    if args.direction not in ("cited", "citing"):
+        # Only a config value gets here: argparse checks the flag's choices.
+        raise CitenetError(f"config key 'direction' must be cited|citing, not {args.direction!r}")
     direction = Direction(args.direction)
     matrix = read_matrix(_resolve(args, args.matrix))
     env = extract_environment(matrix, args.seed, direction, args.min_contrib)

@@ -831,9 +831,11 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     path = Path(path)
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
+        # Read before the year check, so that a missing CSV is reported as such.
+        data = path.read_bytes()
         if year is None:
             raise ValueError(f"no sidecar at {sidecar} and no year given")
-        return parse_citation_csv(_text(path.read_bytes()), year)
+        return parse_citation_csv(_text(data), year)
     meta = sidecar.read_bytes()
     year, registry, digest = _read_sidecar(sidecar, meta)
     data = path.read_bytes()

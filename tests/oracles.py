@@ -3,15 +3,14 @@
 Each oracle is written for clarity, not speed, and shares no code with the
 path it checks: a scalar cosine (and Pearson's r beside it), a parser for
 the Pajek files :func:`citenet.export_pajek` writes, betweenness from an
-explicit enumeration of every geodesic, a dict-keyed Brandes sweep over
-neighbours listed in edge-insertion order, and neighbour-count degrees.
+explicit enumeration of every geodesic, a scalar Brandes sweep that sums in
+the batched sweep's level order, and neighbour-count degrees.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -227,73 +226,76 @@ def degree_centrality(g: Graph, j: Node) -> tuple[int, int]:
 
 
 def _shortest_paths(
-    succ: Mapping[Node, Mapping[Node, float]], source: Node
-) -> tuple[list[Node], dict[Node, list[Node]], dict[Node, int], dict[Node, int]]:
-    """Hop-count BFS from *source* over outgoing edges.
+    succ: Sequence[Sequence[int]], source: int
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Hop-count BFS from node number *source*, one level at a time.
 
-    Returns ``(order, preds, sigma, dist)``: the nodes in visit order, each
-    reached node's predecessors on its geodesics from *source*, its number
-    of such geodesics, and its distance.
+    Returns ``(levels, dist, sigma)``: the node numbers at each distance,
+    each node's distance (-1 where unreached) and its number of geodesics
+    from *source*, as an exact Python int.
     """
-    order: list[Node] = []
-    preds: dict[Node, list[Node]] = {source: []}
-    sigma = {source: 1}
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        next_dist = dist[v] + 1
-        for w in succ[v]:
-            if w not in dist:
-                dist[w] = next_dist
-                sigma[w] = 0
-                preds[w] = []
-                queue.append(w)
-            if dist[w] == next_dist:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, preds, sigma, dist
-
-
-def _closeness(dist: Mapping[Node, int]) -> float:
-    reachable = len(dist) - 1
-    if reachable == 0:
-        return 0.0
-    return reachable / sum(dist.values())
+    n = len(succ)
+    dist = [-1] * n
+    sigma = [0] * n
+    dist[source] = 0
+    sigma[source] = 1
+    levels = [[source]]
+    while True:
+        reached = []
+        for v in levels[-1]:
+            for w in succ[v]:
+                if dist[w] < 0:
+                    dist[w] = len(levels)
+                    reached.append(w)
+                if dist[w] == len(levels):
+                    sigma[w] += sigma[v]
+        if not reached:
+            return levels, dist, sigma
+        levels.append(reached)
 
 
 def reference_sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
-    """``(betweenness, closeness)`` from a dict-keyed Brandes sweep.
+    """``(betweenness, closeness)`` from a scalar Brandes sweep in level order.
 
-    Neighbours are visited in edge-insertion order, read off ``g.edges``
-    rather than the graph's own lists.  The package's sweep must visit them
-    in that order too, and then adds the same floats in the same order, so
-    the two agree bit for bit; a reordered traversal shows as a difference
-    in the last bits.
+    Neighbours are read off ``g.edges`` rather than the graph's own arrays.
+    Dependencies are accumulated deepest level first, as
+    ``delta[v] = sigma[v] * sum((1 + delta[w]) / sigma[w])`` over v's
+    geodesic successors w in ascending node number, the sum starting from
+    0.0; each source's dependencies are then added to the raw scores, sources
+    in node order.  The package's batched sweep adds the same floats in the
+    same order, so the two agree bit for bit while path counts stay below
+    2**53, where float64 holds them exactly.
     """
     nodes = g.nodes
     n = len(nodes)
-    succ: dict[Node, dict[Node, float]] = {node: {} for node in nodes}
-    for (u, v), weight in g.edges.items():
+    index = {node: i for i, node in enumerate(nodes)}
+    neighbours: list[set[int]] = [set() for _ in nodes]
+    for u, v in g.edges:
         if u != v:
-            succ[u][v] = weight
+            neighbours[index[u]].add(index[v])
             if not g.directed:
-                succ[v][u] = weight
-    raw = dict.fromkeys(nodes, 0.0)
+                neighbours[index[v]].add(index[u])
+    succ = [sorted(s) for s in neighbours]
+    raw = [0.0] * n
     closeness: dict[Node, float] = {}
-    for source in nodes:
-        order, preds, sigma, dist = _shortest_paths(succ, source)
-        closeness[source] = _closeness(dist)
-        delta = dict.fromkeys(order, 0.0)
-        for w in reversed(order):
-            coefficient = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coefficient
-            if w != source:
-                raw[w] += delta[w]
+    for source in range(n):
+        levels, dist, sigma = _shortest_paths(succ, source)
+        reachable = sum(len(level) for level in levels[1:])
+        total = sum(dist[v] for level in levels for v in level)
+        closeness[nodes[source]] = reachable / total if reachable else 0.0
+        delta = [0.0] * n
+        for level in reversed(levels):
+            for v in level:
+                acc = 0.0
+                for w in succ[v]:
+                    if dist[w] == dist[v] + 1:
+                        acc += (1.0 + delta[w]) / sigma[w]
+                delta[v] = sigma[v] * acc
+        for v in range(n):
+            if v != source:
+                raw[v] += delta[v]
 
     if n < 3:
         return dict.fromkeys(nodes, 0.0), closeness
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {node: raw[node] * scale for node in nodes}, closeness
+    return {node: raw[i] * scale for i, node in enumerate(nodes)}, closeness

@@ -1,12 +1,14 @@
 """Tests for degree, closeness, betweenness (fast vs oracle), eigenvector."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citenet.centrality
 from citenet import (
     ConvergenceError,
     Graph,
@@ -481,10 +483,9 @@ def test_report_rows_equal_the_public_measures_and_the_references(g):
             assert row.closeness == closeness_centrality(g, node)
 
 
-def test_sweep_is_bit_identical_to_the_insertion_order_reference():
-    # Visiting neighbours in another order (sorted, say) keeps every value
-    # within 1e-17 of this reference but moves last bits, which the report
-    # prints at full precision.
+def _level_order_cases():
+    """The 200 sparse random graphs, then graphs of 1 and 2 nodes, graphs of
+    two components and a graph of isolates, each directed and undirected."""
     rng = np.random.default_rng(13)
     for _ in range(200):
         n = int(rng.integers(5, 31))
@@ -501,11 +502,114 @@ def test_sweep_is_bit_identical_to_the_insertion_order_reference():
             # Undirected keys may name either endpoint first.
             pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
         rng.shuffle(pairs)
-        g = Graph(nodes, dict.fromkeys(pairs, 1.0), directed=directed)
+        yield Graph(nodes, dict.fromkeys(pairs, 1.0), directed=directed)
+    rng = np.random.default_rng(14)
+    for directed in (False, True):
+        for n in (1, 2):
+            nodes = [f"N{i}" for i in range(n)]
+            yield Graph(nodes, {}, directed=directed)
+            yield Graph(nodes, {(nodes[0], nodes[-1]): 1.0}, directed=directed)
+        for _ in range(20):
+            g = random_graph(rng, n=int(rng.integers(3, 12)), directed=directed)
+            nodes = [f"{side}{node}" for side in "AB" for node in g.nodes]
+            twice = {
+                (f"{side}{u}", f"{side}{v}"): w
+                for side in "AB"
+                for (u, v), w in g.edges.items()
+            }
+            yield Graph(nodes, twice, directed=directed)
+        yield Graph("ABCDE", {}, directed=directed)
+
+
+def test_sweep_is_bit_identical_to_the_level_order_reference():
+    # Summing in another order (per term, or over neighbours in insertion
+    # order, say) keeps every value within 1e-16 of this reference but moves
+    # last bits, which the report prints at full precision.
+    for g in _level_order_cases():
         betweenness, closeness = reference_sweep(g)
         assert betweenness_centrality(g) == betweenness
-        for node in nodes:
-            assert closeness_centrality(g, node) == closeness[node]
+        report = build_report(g, dict.fromkeys(g.nodes, (0, 0)))
+        for node in g.nodes:
+            assert report.rows[node].betweenness == betweenness[node]
+            assert report.rows[node].closeness == closeness[node]
+            if len(g) >= 2:
+                assert closeness_centrality(g, node) == closeness[node]
+
+
+def _batched(g, monkeypatch, sources_per_batch):
+    """``_sweep(g)`` with batches of *sources_per_batch* sources."""
+    edges = sum(len(g.successors(node)) for node in g.nodes)
+    with monkeypatch.context() as patch:
+        patch.setattr(citenet.centrality, "_BATCH_ENTRIES", sources_per_batch * max(edges, len(g)))
+        return citenet.centrality._sweep(g)
+
+
+def test_sweep_bits_do_not_depend_on_the_batch_size(monkeypatch):
+    rng = np.random.default_rng(15)
+    graphs = [random_graph(rng, n=int(rng.integers(20, 41)), density=0.1) for _ in range(6)]
+    # The default runs the small graphs in one batch and this one in eight.
+    graphs.append(random_graph(rng, n=120, density=0.5, directed=False))
+    for g in graphs:
+        default = citenet.centrality._sweep(g)
+        n = len(g)
+        assert _batched(g, monkeypatch, 1) == default
+        # Two batches, the first ending mid-way through the node order.
+        assert _batched(g, monkeypatch, n // 2 + 1) == default
+        assert default == reference_sweep(g)
+
+
+def test_path_longer_than_255_levels():
+    n = 400
+    nodes = [f"N{i:03d}" for i in range(n)]
+    g = undirected(nodes, list(zip(nodes, nodes[1:])))
+    betweenness, closeness = reference_sweep(g)
+    assert betweenness_centrality(g) == betweenness
+    assert closeness_centrality(g, nodes[0]) == closeness[nodes[0]] == 2 / n
+    pairs = (n - 1) * (n - 2) / 2
+    for k, node in enumerate(nodes):
+        assert betweenness[node] == pytest.approx(k * (n - 1 - k) / pairs, abs=1e-12)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_geodesic_counts_above_2_to_the_53(directed):
+    # Consecutive layers fully linked: a first-layer node reaches each
+    # last-layer node along 13**18 geodesics.  Powers of 13 above 2**53 are
+    # not float64 numbers (powers of 12 would be), so the counts are rounded.
+    layers, width = 20, 13
+    assert float(width ** (layers - 2)) != width ** (layers - 2)
+    names = [[f"L{layer:02d}_{k:02d}" for k in range(width)] for layer in range(layers)]
+    edges = {
+        (u, v): 1.0 for upper, lower in zip(names, names[1:]) for u in upper for v in lower
+    }
+    g = Graph([node for layer in names for node in layer], edges, directed=directed)
+    betweenness, closeness = reference_sweep(g)
+    fast = betweenness_centrality(g)
+    for node in g.nodes:
+        assert fast[node] == pytest.approx(betweenness[node], abs=1e-9)
+        assert closeness_centrality(g, node) == closeness[node]
+
+
+def test_report_memory_stays_bounded():
+    # 351 nodes and ~7.5k edges, the size of the largest sweep graph.  The
+    # batched sweep's transient arrays stay near 3 MB; all sources in one
+    # batch would take ~75 MB.
+    rng = np.random.default_rng(351)
+    nodes = [f"N{i:03d}" for i in range(351)]
+    rows, cols = np.triu_indices(len(nodes), 1)
+    keep = rng.random(len(rows)) < 7500 / len(rows)
+    edges = {
+        (nodes[i], nodes[j]): float(w)
+        for i, j, w in zip(rows[keep], cols[keep], rng.uniform(0.05, 1.0, keep.sum()))
+    }
+    g = Graph(nodes, edges, directed=False)
+    degrees = dict.fromkeys(nodes, (0, 0))
+    tracemalloc.start()
+    try:
+        build_report(g, degrees)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"build_report peaked at {peak / 1e6:.1f} MB"
 
 
 class TestReport:

@@ -427,6 +427,30 @@ class TestConfigAndDataDir:
         document = json.loads(capsys.readouterr().out)
         assert [m["journal"] for m in document["members"]] == members
 
+    @pytest.mark.parametrize("command", ["env", "sim", "centrality", "export", "report"])
+    def test_config_direction_outside_the_choices(
+        self, tmp_path, matrix_path, monkeypatch, capsys, command
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": "S", "direction": "sideways"}), encoding="utf-8")
+        monkeypatch.setattr("citenet.cli.read_matrix", _no_load)
+        assert main([command, str(matrix_path), "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'direction' must be cited|citing, not 'sideways'\n"
+        )
+
+    @pytest.mark.parametrize("data_dir", [None, "empty"])
+    def test_missing_matrix_file_is_named(self, tmp_path, monkeypatch, capsys, data_dir):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CITENET_DATA_DIR", raising=False)
+        if data_dir is not None:
+            (tmp_path / data_dir).mkdir()
+            monkeypatch.setenv("CITENET_DATA_DIR", str(tmp_path / data_dir))
+        assert main(["env", "missing.csv", "--seed", "S"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory: 'missing.csv'" in err and "sidecar" not in err
+
     @pytest.mark.parametrize(
         "command, config",
         [("sim", {"seed": "S", "format": "xml"}), ("env", {"seed": "S", "local_basis": "bogus"})],
