@@ -65,10 +65,6 @@ MAX_COUNT = 2**31 - 1
 
 BOM = "\ufeff"
 
-# A block of rows that needs no stripping, skipping or id checks: two
-# nonempty ids free of whitespace and quoting characters, and at most ten
-# ASCII digits per line.
-_CANONICAL_ROWS = re.compile(r'(?:[^\s,"\\]+,[^\s,"\\]+,[0-9]{1,10}\n)*')
 # Ids that _validate_id accepts, one per line: ``\s`` matches exactly the
 # characters str.isspace accepts, the newline among them.
 _ID_LINES = re.compile(r'(?:[^\s"\\]+\n)*')
@@ -130,13 +126,15 @@ class Journal:
 def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
     """``(indptr, indices, data)`` of the n-by-n CSR holding the given cells.
 
-    Duplicate cells are summed in input order, zero sums dropped and each
-    row's indices sorted.  *values* keeps its dtype.
+    Duplicate cells are summed, zero sums dropped and each row's indices
+    sorted.  *values* keeps its dtype.  The sort is not stable, so
+    duplicates are summed in no fixed order.  Every caller's sums are
+    exact in any order: integer sums are, ``_hop_csr`` sums ones, and
+    ``_symmetric_adjacency`` sums at most two floats per cell, which commute.
     """
     assert n * n < 2**63, "cell keys row * n + col must fit in int64"
     key = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
-    # A stable sort is linear on the sorted or two-run input most callers give.
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key, values = key[order], values[order]
     if len(key):
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -409,11 +407,13 @@ def _blocks(stream: IO[str]) -> Iterator[tuple[int, str]]:
 
 
 def _intern(token: str, line_no: int, seen: dict[JournalId, int]) -> int:
-    try:
-        _validate_id(token)
-    except ValueError as exc:
-        raise EdgeListParseError(line_no, str(exc)) from None
-    seen[token] = len(seen)
+    """The number of *token* in *seen*, validated and added when first met."""
+    if token not in seen:
+        try:
+            _validate_id(token)
+        except ValueError as exc:
+            raise EdgeListParseError(line_no, str(exc)) from None
+        seen[token] = len(seen)
     return seen[token]
 
 
@@ -433,26 +433,48 @@ def _parse_block(text: str, first_line: int, seen: dict[JournalId, int]):
     if not text.endswith("\n"):
         text += "\n"
     data_line = first_line + text.count("\n", 0, start)
+    bulk = _bulk_rows(text, start, data_line, seen)
+    return bulk if bulk is not None else _parse_lines(text, start, data_line, seen)
 
-    if _CANONICAL_ROWS.fullmatch(text, start):
-        fields = text[start:-1].replace("\n", ",").split(",") if start < len(text) else []
-        citing, cited, counts = fields[0::3], fields[1::3], fields[2::3]
-        n = len(counts)
-        values = np.fromiter(map(int, counts), np.int64, n)
-        if values.max(initial=0) <= MAX_COUNT:
-            for token in dict.fromkeys(citing + cited):
-                seen.setdefault(token, len(seen))
-            return (
-                np.fromiter(map(seen.__getitem__, citing), np.int64, n),
-                np.fromiter(map(seen.__getitem__, cited), np.int64, n),
-                values,
-                np.arange(data_line, data_line + n, dtype=np.int64),
-            )
 
-    rows: list[int] = []
-    cols: list[int] = []
-    counts_: list[int] = []
-    line_nos_: list[int] = []
+def _bulk_rows(text: str, start: int, data_line: int, seen: dict[JournalId, int]):
+    """The rows of ``text[start:]`` split in bulk, or None (leaving *seen* as
+    it was) unless each line is two ids :func:`_valid_ids` accepts and a
+    count of one to ten ASCII digits, at most ``MAX_COUNT``.  Checked on the
+    UTF-8 bytes, where no multibyte character holds a comma or newline byte."""
+    data = np.frombuffer(text[start:].encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    commas = np.flatnonzero(data == ord(","))
+    if len(commas) != 2 * len(ends):
+        return None
+    # As many comma pairs as lines, and (checked below) only digits after the
+    # second comma of each pair up to its line's end: each line holds one pair.
+    width = ends - commas[1::2] - 1
+    if not np.all((width > 0) & (width <= 10)):
+        return None
+    counts = np.zeros(len(ends), dtype=np.int64)
+    for place in range(10):  # one decimal place per pass, from the right
+        lines = np.flatnonzero(width > place)
+        digits = data[ends[lines] - 1 - place] - np.uint8(ord("0"))
+        if digits.max(initial=0) > 9:
+            return None
+        counts[lines] += digits * np.int64(10) ** place
+    fields = text[start:-1].replace("\n", ",").split(",") if len(ends) else []
+    citing, cited = fields[0::3], fields[1::3]
+    distinct = dict.fromkeys(citing + cited)
+    if counts.max(initial=0) > MAX_COUNT or not _valid_ids(distinct):
+        return None
+    for token in distinct:
+        seen.setdefault(token, len(seen))
+    rows, cols = (np.fromiter(map(seen.__getitem__, ids), np.int64, len(counts))
+                  for ids in (citing, cited))
+    return rows, cols, counts, np.arange(data_line, data_line + len(counts), dtype=np.int64)
+
+
+def _parse_lines(text: str, start: int, data_line: int, seen: dict[JournalId, int]):
+    """The rows of ``text[start:]`` one line at a time, raising
+    :class:`EdgeListParseError` at the first malformed one."""
+    rows, cols, counts, line_nos = [], [], [], []
     for line_no, raw_line in enumerate(text[start:-1].split("\n"), start=data_line):
         line = raw_line.rstrip("\r")
         if not line.strip():
@@ -461,22 +483,11 @@ def _parse_block(text: str, first_line: int, seen: dict[JournalId, int]):
         if len(fields) != 3:
             raise EdgeListParseError(line_no, f"expected 3 fields, got {len(fields)}")
         citing_field, cited_field, count_field = (f.strip() for f in fields)
-        citing = seen.get(citing_field)
-        if citing is None:
-            citing = _intern(citing_field, line_no, seen)
-        cited = seen.get(cited_field)
-        if cited is None:
-            cited = _intern(cited_field, line_no, seen)
-        rows.append(citing)
-        cols.append(cited)
-        counts_.append(_parse_count(count_field, line_no))
-        line_nos_.append(line_no)
-    return (
-        np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        np.array(counts_, dtype=np.int64),
-        np.array(line_nos_, dtype=np.int64),
-    )
+        rows.append(_intern(citing_field, line_no, seen))
+        cols.append(_intern(cited_field, line_no, seen))
+        counts.append(_parse_count(count_field, line_no))
+        line_nos.append(line_no)
+    return tuple(np.array(column, dtype=np.int64) for column in (rows, cols, counts, line_nos))
 
 
 def _first_overflow(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> int:
@@ -520,10 +531,9 @@ def parse_citation_csv(
     parts = zip(*blocks) if blocks else [[np.zeros(0, dtype=np.int64)]] * 4
     rows, cols, counts, line_nos = map(np.concatenate, parts)
 
-    journals = {journal.id: journal for journal in (registry or {}).values()}
-    for journal_id in seen:
-        if journal_id not in journals:
-            journals[journal_id] = Journal(journal_id, journal_id, source)
+    # Ids in *seen* are validated: an id the registry lacks needs no checks.
+    journals = {token: Journal._unchecked(token, token, source) for token in seen}
+    journals.update((journal.id, journal) for journal in (registry or {}).values())
     journals = dict(sorted(journals.items()))
     position = {journal_id: i for i, journal_id in enumerate(journals)}
     renumber = np.array([position[journal_id] for journal_id in seen], dtype=np.int64)
@@ -549,7 +559,7 @@ def _merge_journal(a: Journal | None, b: Journal | None) -> Journal:
     # Present in both inputs: mark as doubly indexed, prefer a non-default
     # display name from the first operand.
     name = a.display_name if a.display_name != a.id else b.display_name
-    return Journal(a.id, name, SourceIndex.BOTH)
+    return Journal._unchecked(a.id, name, SourceIndex.BOTH)
 
 
 def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
@@ -561,9 +571,9 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
     """
     if a.year != b.year:
         raise YearMismatchError(f"cannot merge year {a.year} with year {b.year}")
-    ids = sorted(set(a.journals) | set(b.journals))
+    ids = sorted(a._journals.keys() | b._journals.keys())
     journals = {
-        journal_id: _merge_journal(a.journals.get(journal_id), b.journals.get(journal_id))
+        journal_id: _merge_journal(a._journals.get(journal_id), b._journals.get(journal_id))
         for journal_id in ids
     }
     position = {journal_id: i for i, journal_id in enumerate(ids)}
@@ -639,9 +649,61 @@ def citation_profiles(
 
 def serialize_matrix(m: CitationMatrix) -> str:
     """Deterministic edge-list CSV text (sorted cells, LF endings)."""
-    lines = [EDGE_HEADER]
-    lines.extend(map("{},{},{}".format, *m._triples()))
-    return "\n".join(lines) + "\n"
+    return _csv_bytes(m, "surrogatepass").decode("utf-8", "surrogatepass")
+
+
+def _csv_bytes(m: CitationMatrix, errors: str = "strict") -> bytes:
+    """The UTF-8 bytes of :func:`serialize_matrix`, built in numpy: each id is
+    encoded once and gathered into every line naming it, and each count is
+    written one decimal digit per pass, from the right."""
+    header = np.frombuffer((EDGE_HEADER + "\n").encode(), dtype=np.uint8)
+    names = [journal_id.encode("utf-8", errors) for journal_id in m._ids]
+    pool = np.frombuffer(b"".join(names), dtype=np.uint8)
+    length = np.fromiter(map(len, names), np.int64, len(names))
+    offset = np.cumsum(length) - length
+    rows, left = _row_ids(m._indptr), m._data
+    citing, cited = length[rows], length[m._indices]
+    # Two ids, a count of 1 to 10 digits, two commas and a newline.
+    line = np.searchsorted(10 ** np.arange(1, 10), left, side="right") + 4 + citing + cited
+    ends = np.cumsum(line) + (len(header) - 1)  # the newline of each line
+    out = np.empty(len(header) + line.sum(), dtype=np.uint8)
+    out[: len(header)] = header
+    starts = ends + 1 - line
+    _gather(out, starts, pool, offset[rows], citing)
+    _gather(out, starts + citing + 1, pool, offset[m._indices], cited)
+    out[starts + citing] = out[starts + citing + 1 + cited] = ord(",")
+    out[ends] = ord("\n")
+    place = ends - 1
+    while len(left):
+        out[place] = ord("0") + left % 10
+        left = left // 10
+        place, left = place[left > 0] - 1, left[left > 0]
+    return out.tobytes()
+
+
+def _gather(out: np.ndarray, starts, pool: np.ndarray, first, length) -> None:
+    """Copy ``pool[first[k]:first[k] + length[k]]`` into *out* at ``starts[k]``."""
+    source = np.repeat(first - np.cumsum(length) + length, length)
+    source += np.arange(len(source))
+    target = np.repeat(starts - first, length)
+    target += source
+    out[target] = pool[source]
+
+
+def _sidecar_bytes(m: CitationMatrix, csv_sha256: str) -> bytes:
+    """The sidecar: ``json.dumps(meta, indent=2)`` and a newline, byte for
+    byte, with each journal filled into the template that call would give it."""
+    text = json.dumps({"format": "citation-matrix", "year": m.year, "merge_policy": MERGE_POLICY,
+                       "csv_sha256": csv_sha256, "journals": []}, indent=2)
+    entry = '    {\n      "id": %s,\n      "display_name": %s,\n      "source_index": %s\n    }'
+    quote = json.encoder.encode_basestring_ascii
+    entries = [
+        entry % (quote(j.id), quote(j.display_name), quote(j.source_index.value))
+        for j in m._journals.values()
+    ]
+    if entries:
+        text = text.removesuffix("[]\n}") + "[\n" + ",\n".join(entries) + "\n  ]\n}"
+    return (text + "\n").encode()
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -675,31 +737,12 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
     records the sha256 of the CSV and sidecar bytes written with it.
     """
     path = Path(path)
-    data = serialize_matrix(m).encode("utf-8")
-    meta = {
-        "format": "citation-matrix",
-        "year": m.year,
-        "merge_policy": MERGE_POLICY,
-        "csv_sha256": _sha256(data),
-        "journals": [
-            {
-                "id": journal.id,
-                "display_name": journal.display_name,
-                "source_index": journal.source_index.value,
-            }
-            for journal in m.journals.values()
-        ],
-    }
-    sidecar = (json.dumps(meta, indent=2) + "\n").encode("utf-8")
+    data = _csv_bytes(m)
+    digest = _sha256(data)
+    sidecar = _sidecar_bytes(m, digest)
     binary = io.BytesIO()
-    np.savez(
-        binary,
-        indptr=m._indptr,
-        indices=m._indices,
-        data=m._data,
-        csv_sha256=np.array(_sha256(data)),
-        sidecar_sha256=np.array(_sha256(sidecar)),
-    )
+    np.savez(binary, indptr=m._indptr, indices=m._indices, data=m._data,
+             csv_sha256=np.array(digest), sidecar_sha256=np.array(_sha256(sidecar)))
     _replace(path, data)
     _replace(_binary_path(path), binary.getvalue())
     _replace(_sidecar_path(path), sidecar)

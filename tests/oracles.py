@@ -4,18 +4,26 @@ Each oracle is written for clarity, not speed, and shares no code with the
 path it checks: a scalar cosine (and Pearson's r beside it), a parser for
 the Pajek files :func:`citenet.export_pajek` writes, betweenness from an
 explicit enumeration of every geodesic, a scalar Brandes sweep that sums in
-the batched sweep's level order, and neighbour-count degrees.
+the batched sweep's level order, neighbour-count degrees, a matrix writer
+that formats one cell and one journal at a time, and the regular expression
+that once picked the edge-list blocks the parser splits in bulk.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from citenet.centrality import Graph, Node
 from citenet.errors import CitenetError
+from citenet.matrix import EDGE_HEADER, MAX_COUNT, MERGE_POLICY, CitationMatrix
 
 BRUTE_FORCE_MAX_NODES = 64
 
@@ -299,3 +307,53 @@ def reference_sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
         return dict.fromkeys(nodes, 0.0), closeness
     scale = 1.0 / ((n - 1) * (n - 2))
     return {node: raw[i] * scale for i, node in enumerate(nodes)}, closeness
+
+
+def reference_write_matrix(m: CitationMatrix, path: Path) -> None:
+    """Write the files :func:`citenet.write_matrix` writes, one cell and one
+    journal at a time: the CSV at *path*, its ``.csr.npz`` cache and its
+    ``.meta.json`` sidecar."""
+    lines = [EDGE_HEADER]
+    lines.extend("{},{},{}".format(a, b, c) for (a, b), c in m.cells.items())
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    meta = {
+        "format": "citation-matrix",
+        "year": m.year,
+        "merge_policy": MERGE_POLICY,
+        "csv_sha256": hashlib.sha256(data).hexdigest(),
+        "journals": [
+            {
+                "id": journal.id,
+                "display_name": journal.display_name,
+                "source_index": journal.source_index.value,
+            }
+            for journal in m.journals.values()
+        ],
+    }
+    sidecar = (json.dumps(meta, indent=2) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    with open(f"{path}.csr.npz", "wb") as binary:
+        np.savez(
+            binary,
+            indptr=m._indptr,
+            indices=m._indices,
+            data=m._data,
+            csv_sha256=np.array(hashlib.sha256(data).hexdigest()),
+            sidecar_sha256=np.array(hashlib.sha256(sidecar).hexdigest()),
+        )
+    Path(f"{path}.meta.json").write_bytes(sidecar)
+
+
+# Rows the parser may split in bulk: two nonempty ids free of whitespace and
+# quoting characters, and one to ten ASCII digits per line (``\s`` matches
+# exactly the characters str.isspace accepts).
+CANONICAL_ROWS = re.compile(r'(?:[^\s,"\\]+,[^\s,"\\]+,[0-9]{1,10}\n)*')
+
+
+def bulk_rows_accepted(text: str, start: int) -> bool:
+    """Whether ``text[start:]``, which ends in a newline, holds only
+    canonical rows whose counts are at most ``MAX_COUNT``."""
+    if CANONICAL_ROWS.fullmatch(text, start) is None:
+        return False
+    lines = text[start:].split("\n")[:-1]
+    return all(int(line.rpartition(",")[2]) <= MAX_COUNT for line in lines)

@@ -1,0 +1,266 @@
+"""The bytes a persisted matrix is written as, and the rows the parser splits.
+
+Golden files pin the CSV and sidecar bytes of a small matrix whose display
+names hold non-ASCII, quoting and control characters and whose counts have
+every width from one digit to ``MAX_COUNT``.  :func:`write_matrix` must
+write the same bytes as the one-cell-at-a-time writer in ``oracles``, and
+the parser's bulk path must give what its line-by-line path gives.
+"""
+
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from citenet import (
+    MAX_COUNT,
+    CitationMatrix,
+    EdgeListParseError,
+    Graph,
+    Journal,
+    SourceIndex,
+    merge_indices,
+    parse_citation_csv,
+    read_matrix,
+    serialize_matrix,
+    write_matrix,
+)
+from citenet.centrality import _symmetric_adjacency
+from citenet.matrix import _bulk_rows, _parse_block
+from oracles import bulk_rows_accepted, reference_write_matrix
+
+DATA_DIR = Path(__file__).parent / "data"
+SUFFIXES = ("", ".meta.json", ".csr.npz")
+
+GOLDEN_JOURNALS = [
+    Journal("A", "Acta Ärztliche Übersicht", SourceIndex.SCI),
+    Journal("B", 'The "Best" \\ Review', SourceIndex.SSCI),
+    Journal("C", "Tab\there, NUL\x00, bell\x07, unit\x1f, DEL\x7f, newline\n", SourceIndex.BOTH),
+    Journal("É1", "Revue française — 日本語 𝔍", SourceIndex.SCI),
+    Journal("日本", "日本", SourceIndex.SSCI),
+    Journal("Z", "Zeta, cited by no one", SourceIndex.SCI),
+]
+GOLDEN_CELLS = {
+    ("A", "A"): 1,
+    ("A", "B"): 22,
+    ("A", "C"): 333,
+    ("A", "É1"): 4444,
+    ("B", "A"): 55555,
+    ("B", "日本"): 666666,
+    ("C", "C"): 7777777,
+    ("É1", "A"): 88888888,
+    ("日本", "B"): 999999999,
+    ("日本", "É1"): 1000000000,
+    ("日本", "日本"): MAX_COUNT,
+    ("C", "A"): 10,
+}
+GOLDEN = {
+    "matrix_golden.csv": CitationMatrix(2005, GOLDEN_JOURNALS, GOLDEN_CELLS),
+    "matrix_golden_empty.csv": CitationMatrix(2005, GOLDEN_JOURNALS[:2], {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_written_bytes_match_the_golden_files(tmp_path, name):
+    m = GOLDEN[name]
+    write_matrix(m, tmp_path / name)
+    for suffix in SUFFIXES[:2]:
+        golden = (DATA_DIR / (name + suffix)).read_bytes()
+        assert (tmp_path / (name + suffix)).read_bytes() == golden, suffix
+    assert serialize_matrix(m) == (DATA_DIR / name).read_text(encoding="utf-8")
+    assert read_matrix(DATA_DIR / name) == m
+
+
+@st.composite
+def matrices(draw):
+    """Matrices over multibyte and long ids, with counts of every width."""
+    pool = ["A", "B7", "É", "日本誌", "J" * 40, "\x00x", "\U0001d50d"]
+    ids = draw(st.lists(st.sampled_from(pool), unique=True))
+    names = st.one_of(st.sampled_from(['"', "\\", "\n", "\x7f", "é"]), st.text(min_size=1))
+    journals = [Journal(j, draw(names), draw(st.sampled_from(SourceIndex))) for j in ids]
+    counts = st.one_of(st.integers(0, 12), st.integers(0, MAX_COUNT))
+    keys = st.tuples(st.sampled_from(ids), st.sampled_from(ids)) if ids else st.nothing()
+    cells = draw(st.dictionaries(keys, counts))
+    return CitationMatrix(draw(st.integers(0, 3000)), journals, cells)
+
+
+def _written(m: CitationMatrix, writer) -> list[bytes]:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.csv"
+        writer(m, path)
+        return [Path(f"{path}{suffix}").read_bytes() for suffix in SUFFIXES]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_write_matrix_equals_the_scalar_writer(m):
+    reference = _written(m, reference_write_matrix)
+    assert _written(m, write_matrix) == reference
+    assert serialize_matrix(m).encode("utf-8") == reference[0]
+
+
+def test_lone_surrogate_id_serializes_but_is_not_written(tmp_path):
+    m = parse_citation_csv("\ud800,A,3\n", 2005)
+    assert serialize_matrix(m) == "citing,cited,count\n\ud800,A,3\n"
+    with pytest.raises(UnicodeEncodeError):
+        write_matrix(m, tmp_path / "m.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_memory_stays_near_the_scalar_writer(tmp_path):
+    rng = np.random.default_rng(200)
+    n = 2000
+    ids = [f"J{k:04d}" for k in range(n)]
+    keys = rng.choice(n * n, size=200_000, replace=False)
+    counts = rng.integers(1, 5000, size=len(keys))
+    m = CitationMatrix(
+        2005,
+        [Journal(j, f"Journal {j}") for j in ids],
+        {(ids[k // n], ids[k % n]): c for k, c in zip(keys.tolist(), counts.tolist())},
+    )
+    for writer in (write_matrix, reference_write_matrix):  # warm any lazy imports
+        writer(GOLDEN["matrix_golden.csv"], tmp_path / "warm.csv")
+    reference = _peak(lambda: reference_write_matrix(m, tmp_path / "slow.csv"))
+    fast = _peak(lambda: write_matrix(m, tmp_path / "fast.csv"))
+    assert fast <= 1.15 * reference, f"{fast / 1e6:.1f} MB against {reference / 1e6:.1f} MB"
+
+
+# Ids and counts near the bulk path's acceptance rule: whitespace the
+# regular expression's ``\s`` matches (no-break space, line separator, the
+# information separators), quoting characters, NUL, a lone surrogate, a
+# byte-order mark and multibyte characters; counts with leading zeros, ten
+# digits above MAX_COUNT, eleven digits, bytes next to the digits, and forms
+# int() accepts.
+ID_PARTS = ["A", "B7", "É", "日本誌", "\U0001d50d", "\ufeff", "\x00", "\ud800"]
+ID_FLAWS = ["\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", '"', "\\", " ", "\t"]
+COUNT_FLAWS = ["", "-1", "+5", "1_0", "\u0663", "\u00b2", "1.5", " 7", "x", "1:", "/", "5\r"]
+good_ids = st.lists(st.sampled_from(ID_PARTS), min_size=1, max_size=3).map("".join)
+bad_ids = st.one_of(
+    st.just(""),
+    st.tuples(st.sampled_from(["", "A"]), st.sampled_from(ID_FLAWS), st.sampled_from(["", "É"]))
+    .map("".join),
+)
+good_counts = st.one_of(
+    st.integers(0, 999).map(str),
+    st.integers(0, MAX_COUNT).map(str),
+    st.tuples(st.integers(1, 9), st.integers(0, 99_999)).map(lambda t: "0" * t[0] + str(t[1])),
+)
+bad_counts = st.one_of(
+    st.integers(MAX_COUNT + 1, 10**11).map(str),
+    st.integers(0, 99).map(lambda c: f"{c:011d}"),
+    st.sampled_from(COUNT_FLAWS),
+)
+canonical_lines = st.tuples(good_ids, good_ids, good_counts).map(",".join)
+flawed_lines = st.one_of(
+    st.tuples(bad_ids, good_ids, good_counts).map(",".join),
+    st.tuples(good_ids, bad_ids, good_counts).map(",".join),
+    st.tuples(good_ids, good_ids, bad_counts).map(",".join),
+    canonical_lines.map(lambda row: row + "\r"),
+    canonical_lines.map(lambda row: f" {row} "),
+    st.sampled_from(
+        ["", " ", "\r", "A,B", "A,B,", "A,B,1,", "A,B,1,2", "A,B,1,2,3", "A,B,1:", "A,B,/1"]
+    ),
+)
+
+
+@st.composite
+def blocks(draw):
+    """Edge-list text: canonical rows, with or without a few malformed,
+    padded, CRLF or blank lines among them; any header and final newline."""
+    lines = draw(st.lists(canonical_lines, max_size=12))
+    for line in draw(st.lists(flawed_lines, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    headers = ["", "citing,cited,count\n", "\ufeff", "\ufeffCITING,cited,count\r\n"]
+    header = draw(st.sampled_from(headers))
+    return header + "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(text: str, first_line: int):
+    """The block's rows by id, or the line and message of its parse error."""
+    seen: dict[str, int] = {}
+    try:
+        rows, cols, counts, line_nos = _parse_block(text, first_line, seen)
+    except EdgeListParseError as exc:
+        return exc.line_no, str(exc)
+    assert rows.dtype == cols.dtype == counts.dtype == line_nos.dtype == np.int64
+    ids = list(seen)
+    return [ids[i] for i in rows], [ids[j] for j in cols], counts.tolist(), line_nos.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(blocks(), st.sampled_from([1, 9]))
+@example("A,B,7\nA,B,\n", 9)  # an empty count
+@example("A,B,7\nA,B,1:\n", 9)  # the byte after "9"
+@example("A,B,7\nA,B,1,2,3\n", 9)  # two pairs of commas on one line
+def test_bulk_path_agrees_with_the_line_path_and_the_old_rule(text, first_line):
+    bulk = _outcome(text, first_line)
+    with mock.patch("citenet.matrix._bulk_rows", return_value=None):
+        assert _outcome(text, first_line) == bulk
+    body = text if text.endswith("\n") else text + "\n"
+    taken = _bulk_rows(body, 0, first_line, {}) is not None
+    assert taken == bulk_rows_accepted(body, 0)
+
+
+def test_bulk_path_takes_canonical_blocks():
+    # Multibyte ids, ten-digit counts and a missing final newline stay bulk.
+    text = "日本誌,\U0001d50d,0000000001\n\x00A,É,2147483647\nA,A,7"
+    assert bulk_rows_accepted(text + "\n", 0)
+    with mock.patch("citenet.matrix._parse_lines", side_effect=AssertionError):
+        m = parse_citation_csv(text, 2005)
+    assert m.cell("日本誌", "\U0001d50d") == 1 and m.cell("\x00A", "É") == MAX_COUNT
+
+
+def test_shuffled_rows_give_an_identical_csr():
+    rng = np.random.default_rng(11)
+    ids = [f"J{k}" for k in range(30)]
+    rows = [(ids[a], ids[b], int(c)) for a, b, c in
+            zip(rng.integers(0, 30, 3000), rng.integers(0, 30, 3000), rng.integers(0, 9, 3000))]
+    lines = [f"{a},{b},{c}" for a, b, c in rows]
+    parsed = parse_citation_csv("\n".join(lines), 2005)
+    cells = dict(parsed.cells)
+    summed = {}
+    for a, b, c in rows:
+        summed[(a, b)] = summed.get((a, b), 0) + c
+    assert cells == {key: c for key, c in summed.items() if c}
+    journals = list(parsed.journals.values())
+    for _ in range(5):
+        order = rng.permutation(len(lines))
+        shuffled = parse_citation_csv("\n".join(lines[k] for k in order), 2005)
+        assert shuffled == parsed
+        keys = list(cells)
+        rng.shuffle(keys)
+        assert CitationMatrix(2005, journals[::-1], {k: cells[k] for k in keys}) == parsed
+        assert merge_indices(shuffled, parsed) == merge_indices(parsed, parsed)
+
+
+def test_symmetric_adjacency_ignores_edge_order():
+    rng = np.random.default_rng(12)
+    nodes = list(range(25))
+    edges = {}
+    for u, v in zip(rng.integers(0, 25, 150).tolist(), rng.integers(0, 25, 150).tolist()):
+        edges[(u, v)] = float(rng.random()) / 3
+        edges[(v, u)] = float(rng.random()) * 7
+    expected = _symmetric_adjacency(Graph(nodes, edges, directed=True))
+    weights = {(i, j): w for i, j, w in zip(*[a.tolist() for a in expected])}
+    for (u, v), w in edges.items():
+        assert weights[(u, v)] == (w + edges[(v, u)] if u != v else w)
+    keys = list(edges)
+    for _ in range(5):
+        rng.shuffle(keys)
+        got = _symmetric_adjacency(Graph(nodes, {k: edges[k] for k in keys}, directed=True))
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
