@@ -8,9 +8,7 @@ from .centrality import (
     CentralityReport,
     CentralityRow,
     Graph,
-    betweenness_centrality,
     build_report,
-    closeness_centrality,
     eigenvector_centrality,
 )
 from .environment import (
@@ -83,10 +81,8 @@ __all__ = [
     "UnknownJournalError",
     "UnknownNodeError",
     "YearMismatchError",
-    "betweenness_centrality",
     "build_report",
     "citation_degrees",
-    "closeness_centrality",
     "eigenvector_centrality",
     "environment_totals",
     "export_dot",

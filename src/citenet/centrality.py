@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConvergenceError, UnknownNodeError
 from .matrix import CitationMatrix, _canonical, _row_ids
-from .similarity import SimilarityGraph
 
 Node = str
 
@@ -34,12 +33,14 @@ _BATCH_ENTRIES = 120_000
 class Graph:
     """Weighted graph with a fixed node order.
 
-    Undirected graphs store each pair once, keyed with endpoints in node
-    order.  Self-loops are kept (they carry self-citation weight into the
-    eigenvector adjacency) but are ignored by degree counts and geodesics.
+    The edges are stored once, as a canonical weighted CSR over the node
+    numbers; an undirected pair is stored in the row of its endpoint that
+    comes first in node order.  Self-loops are kept (they carry
+    self-citation weight into the eigenvector adjacency) but are ignored by
+    degree counts and geodesics.
     """
 
-    __slots__ = ("_nodes", "_index", "_edges", "_directed", "_out", "_in")
+    __slots__ = ("_nodes", "_index", "_directed", "_csr", "_edges", "_out", "_in")
 
     def __init__(
         self,
@@ -47,15 +48,10 @@ class Graph:
         edges: Mapping[tuple[Node, Node], float],
         directed: bool,
     ) -> None:
-        self._nodes = tuple(nodes)
-        self._index = index = {node: i for i, node in enumerate(self._nodes)}
-        if len(index) != len(self._nodes):
-            raise ValueError("duplicate node ids")
-        self._directed = directed
-
-        self._edges: dict[tuple[Node, Node], float] = {}
-        tails: list[int] = []
-        heads: list[int] = []
+        nodes = tuple(nodes)
+        index = _node_index(nodes)
+        rows: list[int] = []
+        cols: list[int] = []
         for (u, v), weight in edges.items():
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}): endpoint not in node set")
@@ -63,25 +59,40 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}): weight must be positive")
             i, j = index[u], index[v]
             if not directed and i > j:
-                u, v, i, j = v, u, j, i
-            if (u, v) in self._edges:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            self._edges[(u, v)] = weight
-            if i != j:
-                tails.append(i)
-                heads.append(j)
-        if not directed:
-            tails, heads = tails + heads, heads + tails
+                if (v, u) in edges:
+                    raise ValueError(f"duplicate edge ({v}, {u})")
+                i, j = j, i
+            rows.append(i)
+            cols.append(j)
+        weights = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+        self._assign(nodes, index, directed, rows, cols, weights)
+
+    @classmethod
+    def _from_arrays(
+        cls, nodes: Sequence[Node], rows, cols, weights: np.ndarray, directed: bool
+    ) -> "Graph":
+        """A graph of checked edges ``rows[k] -> cols[k]``, ``rows <= cols`` if undirected."""
+        g = cls.__new__(cls)
+        nodes = tuple(nodes)
+        g._assign(nodes, _node_index(nodes), directed, rows, cols, weights)
+        return g
+
+    def _assign(self, nodes, index, directed, rows, cols, weights) -> None:
+        n = len(nodes)
+        self._nodes, self._index, self._directed = nodes, index, directed
+        self._csr = indptr, heads, _ = _canonical(n, rows, cols, weights)
+        self._edges = None
         # Hop adjacency as CSR ``(indptr, indices)`` with each row's
         # neighbour numbers ascending: out-neighbours, and in-neighbours
         # (the same arrays when undirected).
-        self._out = _hop_csr(len(self._nodes), tails, heads)
-        self._in = _hop_csr(len(self._nodes), heads, tails) if directed else self._out
-
-    @classmethod
-    def from_similarity(cls, g: SimilarityGraph) -> "Graph":
-        """Undirected view of a similarity graph (node order preserved)."""
-        return cls(g.nodes, g.edges, directed=False)
+        tails = _row_ids(indptr)
+        hop = tails != heads
+        tails, heads = tails[hop], heads[hop]
+        if not directed:
+            tails, heads = np.concatenate((tails, heads)), np.concatenate((heads, tails))
+        ones = np.ones(len(tails))
+        self._out = _canonical(n, tails, heads, ones)[:2]
+        self._in = _canonical(n, heads, tails, ones)[:2] if directed else self._out
 
     @classmethod
     def from_citation_matrix(cls, m: CitationMatrix, nodes: Sequence[Node]) -> "Graph":
@@ -89,16 +100,17 @@ class Graph:
 
         The graph keeps the order of *nodes*; self-citation loops are dropped.
         """
-        node_set = set(nodes)
-        unknown = node_set - set(m.journals)
+        unknown = set(nodes) - set(m.journals)
         if unknown:
             raise UnknownNodeError(f"not in matrix: {sorted(unknown)}")
-        edges = {
-            (citing, cited): float(count)
-            for (citing, cited), count in m.cells.items()
-            if citing in node_set and cited in node_set and citing != cited
-        }
-        return cls(nodes, edges, directed=True)
+        index = _node_index(tuple(nodes))
+        sub = m.submatrix(nodes)
+        # The submatrix numbers its journals in id order; renumber in node order.
+        place = np.array([index[journal] for journal in sub.journals], dtype=np.int64)
+        rows, cols = place[_row_ids(sub._indptr)], place[sub._indices]
+        links = rows != cols
+        counts = sub._data[links].astype(np.float64)
+        return cls._from_arrays(nodes, rows[links], cols[links], counts, directed=True)
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -110,7 +122,13 @@ class Graph:
 
     @property
     def edges(self) -> Mapping[tuple[Node, Node], float]:
-        return MappingProxyType(self._edges)
+        """Read-only ``(u, v) -> weight`` in node order, built on first use."""
+        if self._edges is None:
+            indptr, cols, weights = self._csr
+            name = self._nodes.__getitem__
+            keys = zip(map(name, _row_ids(indptr).tolist()), map(name, cols.tolist()))
+            self._edges = MappingProxyType(dict(zip(keys, weights.tolist())))
+        return self._edges
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -127,60 +145,18 @@ class Graph:
         return self._neighbours(self._in, node)
 
     def _neighbours(self, csr: tuple[np.ndarray, np.ndarray], node: Node) -> tuple[Node, ...]:
-        indptr, indices = csr
-        k = self._require(node)
-        return tuple(self._nodes[j] for j in indices[indptr[k] : indptr[k + 1]].tolist())
-
-    def _require(self, node: Node) -> int:
-        """The number of *node*; raises for a node not in the graph."""
         if node not in self._index:
             raise UnknownNodeError(f"unknown node {node!r}")
-        return self._index[node]
+        indptr, indices = csr
+        k = self._index[node]
+        return tuple(self._nodes[j] for j in indices[indptr[k] : indptr[k + 1]].tolist())
 
 
-def _hop_csr(n: int, rows: list[int], cols: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of the n-by-n 0/1 matrix with the given entries."""
-    indptr, indices, _ = _canonical(n, rows, cols, np.ones(len(rows)))
-    return indptr, indices
-
-
-def closeness_centrality(g: Graph, j: Node) -> float:
-    """Reachable-node count divided by the sum of geodesic distances.
-
-    Computed within j's reachable set, so it equals (n-1)/sum(d) on a
-    connected graph; a node that reaches nothing has closeness 0 by
-    convention.
-    """
-    source = g._require(j)
-    if len(g) < 2:
-        raise ValueError("closeness needs at least 2 nodes")
-    dist, _ = _bfs(_dense_adjacency(g), np.array([source]))
-    return float(_closeness(dist)[0])
-
-
-def betweenness_centrality(g: Graph) -> dict[Node, float]:
-    """Normalized betweenness of every node, via per-source accumulation.
-
-    For each node k the raw score sums, over pairs (i, j) with i != j != k,
-    the fraction of i-j geodesics passing through k; the result is divided
-    by (n-1)(n-2) on directed graphs and (n-1)(n-2)/2 on undirected ones.
-    Graphs with fewer than 3 nodes score 0 everywhere.
-
-    Every sum runs in a fixed order (see :func:`_sweep`), so results are
-    bit-reproducible while geodesic counts stay below 2**53, where float64
-    holds them exactly.  Above that the counts are rounded, in an order the
-    BLAS build chooses, so the values are exact only to float64 rounding
-    and their last bits may differ between machines.
-    """
-    return _sweep(g)[0]
-
-
-def _dense_adjacency(g: Graph) -> np.ndarray:
-    """The n-by-n float64 0/1 hop adjacency (row = tail, column = head)."""
-    indptr, indices = g._out
-    adjacency = np.zeros((len(g), len(g)))
-    adjacency[_row_ids(indptr), indices] = 1.0
-    return adjacency
+def _node_index(nodes: tuple[Node, ...]) -> dict[Node, int]:
+    index = {node: i for i, node in enumerate(nodes)}
+    if len(index) != len(nodes):
+        raise ValueError("duplicate node ids")
+    return index
 
 
 def _bfs(adjacency: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +256,9 @@ def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     n = len(nodes)
     indptr, heads = g._out
     tails = _row_ids(indptr)
-    adjacency = _dense_adjacency(g)
+    # The n-by-n float64 0/1 hop adjacency (row = tail, column = head).
+    adjacency = np.zeros((n, n))
+    adjacency[tails, heads] = 1.0
     batch = max(1, _BATCH_ENTRIES // max(1, len(heads), n))
     raw = np.zeros(n)
     closeness = np.zeros(n)
@@ -303,27 +281,20 @@ def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
 
 
 def _symmetric_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, weights)`` of the symmetric adjacency, sorted by row
-    then column, each cell stored once."""
-    index = g._index
-    n = len(g.nodes)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for (u, v), weight in g.edges.items():
-        i, j = index[u], index[v]
-        if i == j:
-            rows.append(i)
-            cols.append(i)
-            data.append(weight)
-            continue
-        rows.extend((i, j))
-        cols.extend((j, i))
-        data.extend((weight, weight))
-    # Directed inputs are symmetrized by summing opposite-direction weights;
-    # a sum of two floats is the same in either order.
-    indptr, cols_, weights = _canonical(n, rows, cols, np.array(data))
-    return _row_ids(indptr), cols_, weights
+    """``(rows, cols, weights)`` of A + A^T with the diagonal counted once,
+    sorted by row then column, each cell stored once.  A cell sums at most
+    two weights, opposite directions of a directed pair, in either order alike.
+    """
+    indptr, cols, weights = g._csr
+    rows = _row_ids(indptr)
+    off = rows != cols
+    indptr, cols, weights = _canonical(
+        len(g),
+        np.concatenate((rows, cols[off])),
+        np.concatenate((cols, rows[off])),
+        np.concatenate((weights, weights[off])),
+    )
+    return _row_ids(indptr), cols, weights
 
 
 def eigenvector_centrality(
@@ -340,7 +311,7 @@ def eigenvector_centrality(
     :class:`ConvergenceError` when *max_iter* is exhausted.
     """
     n = len(g)
-    if not g.edges:
+    if not g._csr[2].size:
         raise ValueError("eigenvector centrality needs at least one edge")
     rows, cols, weights = _symmetric_adjacency(g)
     vector = np.full(n, 1.0 / np.sqrt(n))
@@ -363,7 +334,18 @@ def eigenvector_centrality(
 
 @dataclass(frozen=True)
 class CentralityRow:
-    """All centrality values of one journal, local and global."""
+    """All centrality values of one journal, local and global.
+
+    ``degree_in`` and ``degree_out`` are global; the rest come from the local
+    graph of n nodes, with hop-count geodesics along its edge directions.
+    ``degree_local`` counts distinct neighbours in either direction.
+    ``closeness`` is the number of nodes the journal reaches over the sum of
+    its hop distances to them, so (n-1)/sum(d) on a connected graph, and 0
+    for a journal that reaches nothing.  ``betweenness`` sums, over pairs of
+    other nodes, the fraction of their geodesics through the journal, and
+    divides by (n-1)(n-2) on directed graphs and (n-1)(n-2)/2 on undirected
+    ones, where pairs are unordered; it is 0 on graphs of fewer than 3 nodes.
+    """
 
     journal: Node
     degree_in: int
@@ -407,9 +389,15 @@ def build_report(
     undirected similarity graphs and directed raw-link graphs.
     Graphs without edges get eigenvector loadings of 0, and single-node
     graphs get closeness 0, mirroring the isolate convention.
+
+    Closeness and betweenness come from one sweep whose sums run in a fixed
+    order, so they are bit-reproducible while geodesic counts stay below
+    2**53, where float64 holds them exactly.  Above that the counts are
+    rounded in an order the BLAS build chooses, and the last bits may differ
+    between machines.
     """
     betweenness, closeness = _sweep(local)
-    if local.edges:
+    if local._csr[2].size:
         eigenvector = eigenvector_centrality(local)
     else:
         eigenvector = {node: 0.0 for node in local.nodes}
@@ -418,13 +406,10 @@ def build_report(
     if missing:
         raise UnknownNodeError(f"no global degrees for {missing}")
 
-    # Distinct neighbours in either direction: the set of (node, neighbour)
-    # keys over both orientations of every hop edge, counted per node.
-    n = len(local)
-    indptr, heads = local._out
-    tails = _row_ids(indptr)
-    neighbours = np.unique(np.concatenate((tails * n + heads, heads * n + tails)))
-    degree_local = np.bincount(neighbours // n, minlength=n).tolist()
+    # Distinct neighbours in either direction: the off-diagonal cells of each
+    # row of A + A^T.
+    tails, heads, _ = _symmetric_adjacency(local)
+    degree_local = np.bincount(tails[tails != heads], minlength=len(local)).tolist()
 
     rows: dict[Node, CentralityRow] = {}
     for i, node in enumerate(local.nodes):

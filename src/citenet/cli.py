@@ -195,7 +195,7 @@ def _similarity(args: argparse.Namespace):
 def _report(args: argparse.Namespace, basis: str):
     matrix, env, graph = _similarity(args)
     if basis == "sim":
-        local = Graph.from_similarity(graph)
+        local = graph
         local_basis = (
             f"similarity graph ({graph.basis.value}, cosine > {graph.threshold}, "
             f"seed {env.seed})"

@@ -61,13 +61,6 @@ def make_glyphs(env: SeedEnvironment) -> list[NodeGlyph]:
     ]
 
 
-def _sorted_edges(
-    g: SimilarityGraph,
-) -> list[tuple[tuple[JournalId, JournalId], float]]:
-    index = {node: i for i, node in enumerate(g.nodes)}
-    return sorted(g.edges.items(), key=lambda item: (index[item[0][0]], index[item[0][1]]))
-
-
 def _glyph_map(
     g: SimilarityGraph, glyphs: Sequence[NodeGlyph]
 ) -> dict[JournalId, NodeGlyph]:
@@ -100,7 +93,7 @@ def export_pajek(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
             f'{index[node]} "{node}" x_fact {glyph.x_extent!r} y_fact {glyph.y_extent!r}'
         )
     lines.append("*Edges")
-    for (u, v), weight in _sorted_edges(g):
+    for (u, v), weight in g.edges.items():
         lines.append(f"{index[u]} {index[v]} {weight:.4f}")
     return "\n".join(lines) + "\n"
 
@@ -118,7 +111,7 @@ def export_dot(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
         lines.append(
             f'  "{node}" [width={glyph.x_extent:.4f}, height={glyph.y_extent:.4f}];'
         )
-    for (u, v), weight in _sorted_edges(g):
+    for (u, v), weight in g.edges.items():
         width = STROKE_SCALE * weight
         lines.append(f'  "{u}" -- "{v}" [penwidth={width:.4f}, weight={weight:.4f}];')
     lines.append("}")
@@ -157,7 +150,7 @@ def graph_document(
         ],
         "edges": [
             {"source": u, "target": v, "weight": weight}
-            for (u, v), weight in _sorted_edges(g)
+            for (u, v), weight in g.edges.items()
         ],
         "warnings": list(g.warnings),
         "report": None if report is None else report_document(report),

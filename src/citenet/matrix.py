@@ -67,7 +67,7 @@ BOM = "\ufeff"
 
 # Ids that _validate_id accepts, one per line: ``\s`` matches exactly the
 # characters str.isspace accepts, the newline among them.
-_ID_LINES = re.compile(r'(?:[^\s"\\]+\n)*')
+_ID_LINES = re.compile(r'(?:[^\s",\\]+\n)*')
 _BLOCK_CHARS = 1 << 20
 
 
@@ -84,7 +84,9 @@ _SOURCES = {source.value: source for source in SourceIndex}
 
 def _valid_ids(tokens: Sequence[str]) -> bool:
     """Whether :func:`_validate_id` accepts every one of *tokens*."""
-    return _ID_LINES.fullmatch("\n".join([*tokens, ""])) is not None
+    lines = "\n".join([*tokens, ""])
+    # A token holding a newline would otherwise read as two valid lines.
+    return lines.count("\n") == len(tokens) and _ID_LINES.fullmatch(lines) is not None
 
 
 def _validate_id(token: str) -> str:
@@ -95,6 +97,9 @@ def _validate_id(token: str) -> str:
     # Pajek and DOT put ids in double quotes; DOT reads a backslash as an escape.
     if '"' in token or "\\" in token:
         raise ValueError(f"journal id {token!r} must not contain '\"' or a backslash")
+    # The persisted CSV writes ids unquoted between commas.
+    if "," in token:
+        raise ValueError(f"journal id {token!r} must not contain a comma")
     return token
 
 
@@ -129,7 +134,7 @@ def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
     Duplicate cells are summed, zero sums dropped and each row's indices
     sorted.  *values* keeps its dtype.  The sort is not stable, so
     duplicates are summed in no fixed order.  Every caller's sums are
-    exact in any order: integer sums are, ``_hop_csr`` sums ones, and
+    exact in any order: integer sums are, ``Graph``'s hop CSRs sum ones, and
     ``_symmetric_adjacency`` sums at most two floats per cell, which commute.
     """
     assert n * n < 2**63, "cell keys row * n + col must fit in int64"

@@ -8,18 +8,16 @@ contribution rule used for environment membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .centrality import Graph
 from .environment import Direction, SeedEnvironment
 from .matrix import CitationMatrix, JournalId, citation_profiles
 
 
-@dataclass(frozen=True)
-class SimilarityGraph:
+class SimilarityGraph(Graph):
     """Undirected cosine-weighted graph over environment members.
 
     Edges are keyed ``(u, v)`` with u before v in node order; every stored
@@ -28,14 +26,33 @@ class SimilarityGraph:
     ``nodes`` as isolated vertices and are listed in ``warnings``.
     """
 
-    nodes: tuple[JournalId, ...]
-    edges: Mapping[tuple[JournalId, JournalId], float]
-    threshold: float
-    basis: Direction
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("_threshold", "_basis", "_warnings")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+    def __init__(
+        self,
+        nodes: Sequence[JournalId],
+        edges: Mapping[tuple[JournalId, JournalId], float],
+        threshold: float,
+        basis: Direction,
+        warnings: Sequence[str] = (),
+    ) -> None:
+        super().__init__(nodes, edges, directed=False)
+        self._label(threshold, basis, warnings)
+
+    def _label(self, threshold: float, basis: Direction, warnings: Sequence[str]) -> None:
+        self._threshold, self._basis, self._warnings = threshold, basis, tuple(warnings)
+
+    @property
+    def threshold(self) -> float:
+        return self._threshold
+
+    @property
+    def basis(self) -> Direction:
+        return self._basis
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return self._warnings
 
     def weight(self, u: JournalId, v: JournalId) -> float | None:
         """Edge weight between two nodes, or None when no edge is stored."""
@@ -54,7 +71,7 @@ def similarity_graph(
     Member profiles are compared along the environment member list as
     coordinate axes, with each member's own diagonal (self-citation) entry
     zeroed first.  An edge is stored iff its cosine strictly exceeds
-    *threshold*; edges are stored in node order, row by row.
+    *threshold*.
 
     *direction* overrides the profile basis (default: the environment's own
     direction).  Passing *full_matrix* switches the coordinate axes to the
@@ -103,6 +120,8 @@ def similarity_graph(
     with np.errstate(invalid="ignore"):
         weights = np.minimum(gram / np.sqrt(np.multiply.outer(norms_sq, norms_sq)), 1.0)
     rows, cols = np.nonzero(np.triu(weights > threshold, 1))
-    pairs = zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist())
-    edges = {(env.members[i], env.members[j]): weight for i, j, weight in pairs}
-    return SimilarityGraph(env.members, edges, threshold, basis, warnings)
+    graph = SimilarityGraph._from_arrays(
+        env.members, rows, cols, weights[rows, cols], directed=False
+    )
+    graph._label(threshold, basis, warnings)
+    return graph

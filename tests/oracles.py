@@ -149,7 +149,7 @@ def geodesic_ledger(g: Graph) -> dict[tuple[Node, Node], PairGeodesics]:
 
     Distances come from Floyd-Warshall and the paths from recursive
     expansion over the distance matrix, deliberately sharing nothing with
-    the accumulation in :func:`betweenness_centrality`.  Pairs are ordered
+    the batched sweep behind :func:`citenet.build_report`.  Pairs are ordered
     on directed graphs and unordered (u before v in node order) otherwise.
     """
     nodes = g.nodes

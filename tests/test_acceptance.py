@@ -20,10 +20,8 @@ from citenet import (
     Direction,
     Graph,
     Journal,
-    betweenness_centrality,
     build_report,
     citation_degrees,
-    closeness_centrality,
     eigenvector_centrality,
     export_json,
     export_pajek,
@@ -37,6 +35,7 @@ from citenet import (
     report_table,
     similarity_graph,
 )
+from citenet.centrality import _sweep
 from oracles import brute_force_betweenness, cosine, pearson
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -80,7 +79,7 @@ def test_betweenness_oracle_equivalence():
     start = time.perf_counter()
     for _ in range(500):
         g = _random_graph(rng)
-        fast = betweenness_centrality(g)
+        fast = _sweep(g)[0]
         slow = brute_force_betweenness(g)
         for node in g.nodes:
             assert abs(fast[node] - slow[node]) <= 1e-9, (g.nodes, node)
@@ -103,17 +102,17 @@ def test_analytic_fixtures():
         directed=False,
     )
 
-    star_b = betweenness_centrality(star)
+    star_b = _sweep(star)[0]
     assert star_b["C"] == 1.0
     assert all(star_b[leaf] == 0.0 for leaf in "ABDE")
-    assert betweenness_centrality(p3)["B"] == 1.0
-    for value in betweenness_centrality(c4).values():
+    p3_b, p3_c = _sweep(p3)
+    assert p3_b["B"] == 1.0
+    for value in _sweep(c4)[0].values():
         assert abs(value - 1 / 6) <= 1e-12
 
-    assert closeness_centrality(p3, "B") == 1.0
-    assert abs(closeness_centrality(p3, "A") - 2 / 3) <= 1e-12
-    for node in "ABCD":
-        assert closeness_centrality(complete, node) == 1.0
+    assert p3_c["B"] == 1.0
+    assert abs(p3_c["A"] - 2 / 3) <= 1e-12
+    assert _sweep(complete)[1] == dict.fromkeys("ABCD", 1.0)
 
     star_e = eigenvector_centrality(star)
     assert abs(star_e["C"] - 0.7071067811865476) <= 1e-6
@@ -270,7 +269,7 @@ def test_export_round_trips():
     graph = similarity_graph(env, 0.0)
     assert graph.edges, "fixture must produce edges"
     glyphs = make_glyphs(env)
-    report = build_report(Graph.from_similarity(graph), citation_degrees(m))
+    report = build_report(graph, citation_degrees(m))
 
     pajek = export_pajek(graph, glyphs)
     assert pajek == export_pajek(graph, glyphs)
@@ -324,8 +323,7 @@ def test_performance():
     m = parse_citation_csv(csv_text, 2005)
     env = extract_environment(m, "J0000", Direction.CITED, 0.01)
     graph = similarity_graph(env, 0.2)
-    local = Graph.from_similarity(graph)
-    report = build_report(local, citation_degrees(m))
+    report = build_report(graph, citation_degrees(m))
     glyphs = make_glyphs(env)
     pajek = export_pajek(graph, glyphs)
     document = export_json(graph, glyphs, report)
@@ -344,7 +342,7 @@ def test_performance():
                 edges[(nodes[i], nodes[j])] = float(rng.uniform(0.2001, 1.0))
     thresholded = Graph(nodes, edges, directed=False)
     start = time.perf_counter()
-    values = betweenness_centrality(thresholded)
+    values = _sweep(thresholded)[0]
     elapsed = time.perf_counter() - start
     assert len(values) == 200
     assert elapsed < 1.0, f"200-node betweenness took {elapsed:.2f}s"

@@ -13,14 +13,21 @@ from citenet import (
     ConvergenceError,
     Graph,
     UnknownNodeError,
-    betweenness_centrality,
     build_report,
     citation_degrees,
-    closeness_centrality,
     eigenvector_centrality,
     parse_citation_csv,
 )
+from citenet.centrality import _sweep
 from oracles import brute_force_betweenness, degree_centrality, geodesic_ledger, reference_sweep
+
+
+def betweenness_of(g):
+    return _sweep(g)[0]
+
+
+def closeness_of(g):
+    return _sweep(g)[1]
 
 
 def undirected(nodes, pairs, weight=1.0):
@@ -89,6 +96,34 @@ class TestGraph:
             g.edges[("A", "C")] = 5.0
         assert dict(g.edges) == {("A", "B"): 1.0, ("B", "C"): 1.0}
 
+    def test_edges_list_in_node_order_whatever_the_mapping_order(self):
+        rng = np.random.default_rng(57)
+        for _ in range(30):
+            g = random_graph(rng)
+            items = list(g.edges.items())
+            rng.shuffle(items)
+            if not g.directed:
+                # Undirected keys may name either endpoint first.
+                items = [((v, u) if rng.random() < 0.5 else (u, v), w) for (u, v), w in items]
+            shuffled = Graph(g.nodes, dict(items), directed=g.directed)
+            assert list(shuffled.edges.items()) == list(g.edges.items())
+            index = {node: i for i, node in enumerate(g.nodes)}
+            order = [(index[u], index[v]) for u, v in shuffled.edges]
+            assert order == sorted(order)
+
+    def test_weights_come_back_as_floats(self):
+        g = Graph("AB", {("B", "A"): 2}, directed=False)
+        assert list(g.edges.items()) == [(("A", "B"), 2.0)]
+        assert type(g.edges[("A", "B")]) is float
+
+    def test_edges_are_built_once(self, monkeypatch):
+        g = random_graph(np.random.default_rng(58), n=30, density=0.5)
+        edges = g.edges
+        monkeypatch.setattr(citenet.centrality, "_row_ids", _no_rebuild)
+        for pair, weight in edges.items():
+            assert g.edges[pair] == weight
+        assert g.edges is edges
+
     def test_from_citation_matrix_drops_self_loops(self):
         m = parse_citation_csv("A,B,5\nA,A,7", 2005)
         g = Graph.from_citation_matrix(m, sorted(m.journals))
@@ -103,6 +138,10 @@ class TestGraph:
         assert set(g.edges) == {("A", "B")}
         with pytest.raises(UnknownNodeError):
             Graph.from_citation_matrix(m, nodes=["A", "nope"])
+
+
+def _no_rebuild(*args):
+    raise AssertionError("the edge mapping was rebuilt")
 
 
 class TestDegree:
@@ -146,59 +185,55 @@ class TestDegree:
 
 class TestCloseness:
     def test_path_middle(self):
-        assert closeness_centrality(path3(), "B") == 1.0
+        assert closeness_of(path3())["B"] == 1.0
 
     def test_path_end(self):
-        assert closeness_centrality(path3(), "A") == pytest.approx(2 / 3)
+        assert closeness_of(path3())["A"] == pytest.approx(2 / 3)
 
     def test_complete_graph(self):
         nodes = "ABCD"
         g = undirected(
             nodes, [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
         )
-        for node in nodes:
-            assert closeness_centrality(g, node) == 1.0
+        assert closeness_of(g) == dict.fromkeys(nodes, 1.0)
 
     def test_isolate_is_zero(self):
         g = Graph(["A", "B", "C"], {("A", "B"): 1.0}, directed=False)
-        assert closeness_centrality(g, "C") == 0.0
+        assert closeness_of(g)["C"] == 0.0
 
     def test_reachable_set_formulation_on_disconnected_graph(self):
         g = Graph("ABCDE", {("A", "B"): 1.0, ("B", "C"): 1.0, ("D", "E"): 1.0},
                   directed=False)
+        closeness = closeness_of(g)
         # B reaches A and C at distance 1 each; D/E are invisible to it
-        assert closeness_centrality(g, "B") == 1.0
-        assert closeness_centrality(g, "A") == pytest.approx(2 / 3)
-        assert closeness_centrality(g, "D") == 1.0
+        assert closeness["B"] == 1.0
+        assert closeness["A"] == pytest.approx(2 / 3)
+        assert closeness["D"] == 1.0
 
     def test_directed_uses_outgoing_paths(self):
         g = Graph("ABC", {("A", "B"): 1.0, ("B", "C"): 1.0}, directed=True)
-        assert closeness_centrality(g, "A") == pytest.approx(2 / 3)
-        assert closeness_centrality(g, "C") == 0.0
-
-    def test_needs_two_nodes(self):
-        g = Graph(["A"], {}, directed=False)
-        with pytest.raises(ValueError):
-            closeness_centrality(g, "A")
+        closeness = closeness_of(g)
+        assert closeness["A"] == pytest.approx(2 / 3)
+        assert closeness["C"] == 0.0
 
 
 class TestBetweennessFixtures:
     def test_star_center_and_leaves(self):
-        values = betweenness_centrality(star())
+        values = betweenness_of(star())
         assert values["C"] == 1.0
         assert all(values[leaf] == 0.0 for leaf in "ABDE")
 
     def test_path_middle(self):
-        assert betweenness_centrality(path3())["B"] == 1.0
+        assert betweenness_of(path3())["B"] == 1.0
 
     def test_four_cycle(self):
-        values = betweenness_centrality(cycle4())
+        values = betweenness_of(cycle4())
         for node in "ABCD":
             assert values[node] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_directed_path(self):
         g = Graph("ABC", {("A", "B"): 1.0, ("B", "C"): 1.0}, directed=True)
-        values = betweenness_centrality(g)
+        values = betweenness_of(g)
         assert values == {"A": 0.0, "B": 0.5, "C": 0.0}
 
     def test_directed_cycle(self):
@@ -207,18 +242,18 @@ class TestBetweennessFixtures:
             {("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 1.0, ("D", "A"): 1.0},
             directed=True,
         )
-        values = betweenness_centrality(g)
+        values = betweenness_of(g)
         for node in "ABCD":
             assert values[node] == pytest.approx(0.5, abs=1e-12)
 
     def test_small_graphs_are_zero(self):
         for g in (Graph(["A"], {}, directed=False),
                   Graph(["A", "B"], {("A", "B"): 1.0}, directed=False)):
-            assert set(betweenness_centrality(g).values()) == {0.0}
+            assert set(betweenness_of(g).values()) == {0.0}
 
     def test_disconnected_pairs_contribute_zero(self):
         g = Graph("ABCDE", {("A", "B"): 1.0, ("B", "C"): 1.0}, directed=False)
-        values = betweenness_centrality(g)
+        values = betweenness_of(g)
         # B sits on the single geodesic of the only distant pair (A, C)
         assert values["B"] == pytest.approx(1 / 6, abs=1e-12)
         assert values["D"] == values["E"] == 0.0
@@ -244,7 +279,7 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(51)
         for _ in range(150):
             g = random_graph(rng)
-            fast = betweenness_centrality(g)
+            fast = betweenness_of(g)
             slow = brute_force_betweenness(g)
             for node in g.nodes:
                 assert fast[node] == pytest.approx(slow[node], abs=1e-9)
@@ -255,7 +290,7 @@ class TestBruteForceOracle:
             g = random_graph(rng, directed=False)
             n = len(g)
             norm = (n - 1) * (n - 2) / 2
-            raw_total = sum(betweenness_centrality(g).values()) * norm
+            raw_total = sum(betweenness_of(g).values()) * norm
             ledger_total = sum(
                 sum(pair.through.values()) / pair.count
                 for pair in geodesic_ledger(g).values()
@@ -276,14 +311,14 @@ class TestInvariances:
                 {(mapping[u], mapping[v]): w for (u, v), w in g.edges.items()},
                 directed=g.directed,
             )
-            original_b = betweenness_centrality(g)
-            relabeled_b = betweenness_centrality(relabeled)
+            original_b, original_c = _sweep(g)
+            relabeled_b, relabeled_c = _sweep(relabeled)
             for node in g.nodes:
                 assert relabeled_b[mapping[node]] == pytest.approx(
                     original_b[node], abs=1e-12
                 )
-                assert closeness_centrality(relabeled, mapping[node]) == pytest.approx(
-                    closeness_centrality(g, node), abs=1e-12
+                assert relabeled_c[mapping[node]] == pytest.approx(
+                    original_c[node], abs=1e-12
                 )
 
     def test_weight_scaling_leaves_hop_measures_and_eigenvector_unchanged(self):
@@ -297,12 +332,12 @@ class TestInvariances:
                 {pair: 7.5 * w for pair, w in g.edges.items()},
                 directed=False,
             )
-            assert betweenness_centrality(g) == betweenness_centrality(scaled)
+            assert betweenness_of(g) == betweenness_of(scaled)
             base_eig = eigenvector_centrality(g)
             scaled_eig = eigenvector_centrality(scaled)
             for node in g.nodes:
                 assert scaled_eig[node] == pytest.approx(base_eig[node], abs=1e-8)
-                assert closeness_centrality(scaled, node) == closeness_centrality(g, node)
+            assert closeness_of(scaled) == closeness_of(g)
 
 
 class TestEigenvector:
@@ -470,17 +505,16 @@ def reference_closeness(g, source):
 
 @given(hop_graphs())
 @settings(max_examples=300, deadline=None)
-def test_report_rows_equal_the_public_measures_and_the_references(g):
+def test_report_rows_equal_the_sweep_and_the_references(g):
     report = build_report(g, dict.fromkeys(g.nodes, (0, 0)))
-    betweenness = betweenness_centrality(g)
+    betweenness, closeness = _sweep(g)
     oracle = brute_force_betweenness(g)
     for node in g.nodes:
         row = report.rows[node]
         assert row.betweenness == betweenness[node]
         assert row.betweenness == pytest.approx(oracle[node], abs=1e-9)
         assert row.closeness == reference_closeness(g, node)
-        if len(g) >= 2:
-            assert row.closeness == closeness_centrality(g, node)
+        assert row.closeness == closeness[node]
 
 
 def _level_order_cases():
@@ -527,13 +561,11 @@ def test_sweep_is_bit_identical_to_the_level_order_reference():
     # last bits, which the report prints at full precision.
     for g in _level_order_cases():
         betweenness, closeness = reference_sweep(g)
-        assert betweenness_centrality(g) == betweenness
+        assert _sweep(g) == (betweenness, closeness)
         report = build_report(g, dict.fromkeys(g.nodes, (0, 0)))
         for node in g.nodes:
             assert report.rows[node].betweenness == betweenness[node]
             assert report.rows[node].closeness == closeness[node]
-            if len(g) >= 2:
-                assert closeness_centrality(g, node) == closeness[node]
 
 
 def _batched(g, monkeypatch, sources_per_batch):
@@ -563,8 +595,9 @@ def test_path_longer_than_255_levels():
     nodes = [f"N{i:03d}" for i in range(n)]
     g = undirected(nodes, list(zip(nodes, nodes[1:])))
     betweenness, closeness = reference_sweep(g)
-    assert betweenness_centrality(g) == betweenness
-    assert closeness_centrality(g, nodes[0]) == closeness[nodes[0]] == 2 / n
+    fast_betweenness, fast_closeness = _sweep(g)
+    assert fast_betweenness == betweenness
+    assert fast_closeness[nodes[0]] == closeness[nodes[0]] == 2 / n
     pairs = (n - 1) * (n - 2) / 2
     for k, node in enumerate(nodes):
         assert betweenness[node] == pytest.approx(k * (n - 1 - k) / pairs, abs=1e-12)
@@ -583,10 +616,10 @@ def test_geodesic_counts_above_2_to_the_53(directed):
     }
     g = Graph([node for layer in names for node in layer], edges, directed=directed)
     betweenness, closeness = reference_sweep(g)
-    fast = betweenness_centrality(g)
+    fast_betweenness, fast_closeness = _sweep(g)
     for node in g.nodes:
-        assert fast[node] == pytest.approx(betweenness[node], abs=1e-9)
-        assert closeness_centrality(g, node) == closeness[node]
+        assert fast_betweenness[node] == pytest.approx(betweenness[node], abs=1e-9)
+    assert fast_closeness == closeness
 
 
 def test_report_memory_stays_bounded():

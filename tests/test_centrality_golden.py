@@ -119,7 +119,7 @@ def _components(g: Graph) -> int:
 def test_fixture_graphs_have_several_components(direction, basis):
     env = extract_environment(golden_matrix(), SEED, direction, 0.01)
     if basis == "sim":
-        g = Graph.from_similarity(similarity_graph(env, 0.2))
+        g = similarity_graph(env, 0.2)
     else:
         g = Graph.from_citation_matrix(env.submatrix, nodes=env.members)
     assert len(g) >= 3 and g.edges

@@ -115,6 +115,10 @@ class TestParse:
         with pytest.raises(EdgeListParseError, match="source_index"):
             read_registry("A,Journal A,XXX")
 
+    def test_registry_rejects_an_id_with_a_comma(self):
+        with pytest.raises(EdgeListParseError, match="line 3: .*'A,B' must not contain a comma"):
+            read_registry('id,display_name,source_index\nC,Cee,SCI\n"A,B",First,SCI\n')
+
     def test_registry_rejects_a_repeated_id(self):
         with pytest.raises(EdgeListParseError, match="line 3: repeats the id 'A'"):
             read_registry("id,display_name,source_index\nA,First,SCI\nA,Second,SSCI\n")
@@ -206,6 +210,8 @@ class TestMatrixInvariants:
         for bad in ('a"b', "a\\b"):
             with pytest.raises(ValueError, match="or a backslash"):
                 Journal(bad, "name")
+        with pytest.raises(ValueError, match="comma"):
+            Journal("A,B", "name")
         with pytest.raises(ValueError):
             Journal("A", "")
 
@@ -449,7 +455,7 @@ def _accepted(token):
 
 @given(
     st.lists(
-        st.text(st.one_of(st.characters(), st.sampled_from(WHITESPACE + '"\\')), max_size=4),
+        st.text(st.one_of(st.characters(), st.sampled_from(WHITESPACE + '",\\')), max_size=4),
         max_size=4,
     )
 )
@@ -473,6 +479,7 @@ class TestSidecarEntries:
             ({"id": 'B"', "display_name": "B", "source_index": "SCI"}, "backslash"),
             ({"id": "B\\", "display_name": "B", "source_index": "SCI"}, "backslash"),
             ({"id": "B", "display_name": "", "source_index": "SCI"}, "display_name must"),
+            ({"id": "B,C", "display_name": "B", "source_index": "SCI"}, "comma"),
         ],
     )
     @pytest.mark.parametrize("later", [[], ["also bad"]])

@@ -80,6 +80,9 @@ def test_round_trip_through_the_cache_equals_the_parse(m):
         assert list(again.journals.values()) == list(m.journals.values())
         assert _is_canonical_csr(again._indptr, again._indices, again._data, len(again))
         assert serialize_matrix(again).encode("utf-8") == path.read_bytes()
+        # The cache is disposable: without it the CSV parses to the same matrix.
+        _binary(path).unlink()
+        assert read_matrix(path) == m
 
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7\nC,C,3"

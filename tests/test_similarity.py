@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import citenet.centrality
 from citenet import (
     MAX_COUNT,
     CitationMatrix,
     Direction,
+    Graph,
     Journal,
     SeedEnvironment,
     extract_environment,
@@ -238,6 +240,32 @@ class TestSimilarityGraph:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 similarity_graph(env, bad)
+
+    def test_is_an_undirected_graph(self):
+        g = similarity_graph(_triangle_env(), 0.2)
+        assert isinstance(g, Graph)
+        assert not g.directed
+        assert g.successors("A") == ("B", "C")
+
+    def test_labels_are_read_only(self):
+        g = similarity_graph(_triangle_env(), 0.2)
+        for name, value in (("threshold", 0.5), ("basis", Direction.CITING), ("warnings", ())):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        assert (g.threshold, g.basis, g.warnings) == (0.2, Direction.CITED, ())
+
+    def test_weight_lookups_do_not_rebuild_the_edges(self, monkeypatch):
+        g = similarity_graph(_triangle_env(), 0.2)
+        edges = g.edges
+
+        def rebuild(*args):
+            raise AssertionError("the edge mapping was rebuilt")
+
+        monkeypatch.setattr(citenet.centrality, "_row_ids", rebuild)
+        for _ in range(3):
+            for (u, v), weight in edges.items():
+                assert g.weight(u, v) == g.weight(v, u) == g.edges[(u, v)] == weight
+        assert g.edges is edges
 
 
 def _random_similarity_graph(rng, threshold):
