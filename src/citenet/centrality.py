@@ -3,13 +3,14 @@
 Geodesics are hop-count shortest paths: edge weights never define path
 lengths here, they only matter for the eigenvector adjacency.  Betweenness
 and closeness come from one level-synchronous breadth-first search over a
-batch of sources at a time (Brandes, *J. Math. Sociol.* 25:163, 2001, in
-the linear-algebra form of Kepner & Gilbert, SIAM 2011).  Each level of the
-forward pass is one product of the frontier's path counts with the dense 0/1
-hop adjacency; the backward pass accumulates dependencies level by level,
-deepest first, with sequential ``bincount`` sums, so no float sum of the
-backward pass goes through BLAS and the results do not depend on the batch
-size.
+batch of sources at a time (Brandes, *J. Math. Sociol.* 25:163, 2001).  Each
+level of the forward pass expands the frontier over the rows of the graph's
+hop CSR, records the shortest-path DAG edges it finds and sums each newly
+reached node's path count over its predecessors in ascending (source,
+predecessor) order: exact below 2**53, rounded in that order above.  The
+backward pass walks the recorded edges deepest level first.  Every float sum
+of both passes is a ``bincount`` in a fixed order, so the results depend
+neither on the batch size nor on the BLAS build.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, UnknownNodeError
-from .matrix import CitationMatrix, _canonical, _row_ids
+from .matrix import CitationMatrix, _canonical, _row_entries, _row_ids
 
 Node = str
 
 # Cap on sources per batch times hop edges (each undirected edge counted in
-# both directions): one batch's shortest-path DAG arrays stay near 3 MB.
+# both directions): a batch gathers at most that many CSR entries over all its
+# levels and records at most that many DAG entries, so its arrays stay near 3 MB.
 _BATCH_ENTRIES = 120_000
 
 
@@ -55,8 +57,8 @@ class Graph:
         for (u, v), weight in edges.items():
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}): endpoint not in node set")
-            if weight <= 0:
-                raise ValueError(f"edge ({u}, {v}): weight must be positive")
+            if not 0 < weight < np.inf:
+                raise ValueError(f"edge ({u}, {v}): weight must be positive and finite")
             i, j = index[u], index[v]
             if not directed and i > j:
                 if (v, u) in edges:
@@ -159,31 +161,45 @@ def _node_index(nodes: tuple[Node, ...]) -> dict[Node, int]:
     return index
 
 
-def _bfs(adjacency: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level-synchronous BFS from each of *sources* (one row per source).
+def _bfs(
+    indptr: np.ndarray, heads: np.ndarray, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Level-synchronous BFS from each of *sources* over the hop CSR
+    ``(indptr, heads)``, one row per source.
 
-    Returns ``(dist, sigma)``: hop distances (-1 where unreached) and
-    shortest-path counts.  Level k+1's counts are one product of level k's
-    counts with *adjacency*.  The counts are integers, so the product is
-    exact while they stay below 2**53; above that they are rounded like any
-    float64 sum, in an order the BLAS build chooses.
+    Returns ``(dist, sigma, levels)``: hop distances (-1 where unreached),
+    shortest-path counts, and each level's shortest-path DAG entries
+    ``(v, w)``, the edges v -> w with ``dist[w] == dist[v] + 1``.  v and w
+    are flat indices ``s * n + node`` in (source, tail, head) order.  The
+    frontier is the level's flat indices in ascending order; its CSR rows
+    give the edges, those into unreached cells are the level's entries, and
+    one ``bincount`` sums each new cell's count over its predecessors in
+    ascending (source, predecessor) order.  The counts are integers, so the
+    sums are exact below 2**53 and rounded in that fixed order above.
     """
-    batch = np.arange(len(sources))
-    dist = np.full((len(sources), len(adjacency)), -1, dtype=np.int32)
+    n = len(indptr) - 1
+    dist = np.full(len(sources) * n, -1, dtype=np.int32)
     sigma = np.zeros(dist.shape)
-    dist[batch, sources] = 0
-    sigma[batch, sources] = 1.0
-    frontier = sigma
-    level = 0
+    frontier = np.arange(len(sources)) * n + sources
+    dist[frontier] = 0
+    sigma[frontier] = 1.0
+    levels = []
     while True:
-        counts = frontier @ adjacency
-        reached = (counts > 0) & (dist < 0)
-        if not reached.any():
-            return dist, sigma
-        level += 1
-        dist[reached] = level
-        sigma[reached] = counts[reached]
-        frontier = np.where(reached, counts, 0.0)
+        nodes = frontier % n
+        # Rebinding the entries to their heads frees them before the next gather.
+        rows, w = _row_entries(indptr, nodes)
+        w = heads[w]
+        w += (frontier - nodes)[rows]
+        unreached = np.flatnonzero(dist[w] < 0)
+        if not len(unreached):
+            return dist.reshape(-1, n), sigma.reshape(-1, n), levels
+        v, w = frontier[rows[unreached]], w[unreached]
+        levels.append((v, w))
+        # Path counts are at least 1, so the new cells are the nonzero sums.
+        counts = np.bincount(w, sigma[v])
+        frontier = np.flatnonzero(counts)
+        dist[frontier] = len(levels)
+        sigma[frontier] = counts[frontier]
 
 
 def _closeness(dist: np.ndarray) -> np.ndarray:
@@ -193,55 +209,23 @@ def _closeness(dist: np.ndarray) -> np.ndarray:
     return np.where(reached > 0, reached / np.maximum(total, 1), 0.0)
 
 
-def _dag_entries(
-    tails: np.ndarray, heads: np.ndarray, dist: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest-path DAG entries ``(level, v, w)`` of each BFS row of *dist*.
-
-    The hop edges ``tails[e] -> heads[e]`` are sorted by tail, then head.
-    An entry is an edge v -> w of row s with ``dist[s, w] == dist[s, v] + 1``;
-    v and w are flat indices ``s * n + node`` and *level* is ``dist[s, v]``.
-    Entries come deepest level first, then by source, tail and head.
-    """
-    n = dist.shape[1]
-    depth = np.take(dist, tails, axis=1)
-    on_dag = np.take(dist, heads, axis=1) == depth + 1
-    on_dag &= depth >= 0
-    source, edge = np.divmod(np.flatnonzero(on_dag), len(tails))
-    del depth, on_dag  # free the sources-by-edges arrays before the entry arrays
-    v = source * n + tails[edge]
-    w = source * n + heads[edge]
-    level = dist.ravel()[v]
-    # Deepest level first; a stable sort keeps the (source, tail, head) order.
-    order = np.argsort(-level, kind="stable")
-    return level[order], v[order], w[order]
-
-
-def _dependencies(
-    tails: np.ndarray, heads: np.ndarray, dist: np.ndarray, sigma: np.ndarray
-) -> np.ndarray:
+def _dependencies(levels: list[tuple[np.ndarray, np.ndarray]], sigma: np.ndarray) -> np.ndarray:
     """Brandes dependencies ``delta[s, v]`` of each BFS row's source s.
 
-    Walking the shortest-path DAG deepest level first,
+    Walking the DAG *levels* of :func:`_bfs` deepest first,
     ``delta[s, v] = sigma[s, v] * sum_w (1 + delta[s, w]) / sigma[s, w]``
     over v's DAG successors w, summed from 0.0 in ascending w by
     ``bincount``; a node without DAG successors keeps 0.
     """
-    level, v, w = _dag_entries(tails, heads, dist)
-    first = np.ones(len(v), dtype=bool)
-    first[1:] = v[1:] != v[:-1]
-    segment = np.cumsum(first) - 1
-    # Where each level's run of entries starts, then the end of the last run.
-    bounds = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
-
-    delta = np.zeros(dist.size)
-    sigma = sigma.ravel()
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        coefficient = (1.0 + delta[w[lo:hi]]) / sigma[w[lo:hi]]
-        sums = np.bincount(segment[lo:hi] - segment[lo], coefficient)
-        targets = v[lo:hi][first[lo:hi]]
-        delta[targets] = sigma[targets] * sums
-    return delta.reshape(dist.shape)
+    delta = np.zeros(sigma.size)
+    flat = sigma.ravel()
+    for v, w in reversed(levels):
+        first = np.ones(len(v), dtype=bool)
+        first[1:] = v[1:] != v[:-1]
+        sums = np.bincount(np.cumsum(first) - 1, (1.0 + delta[w]) / flat[w])
+        targets = v[first]
+        delta[targets] = flat[targets] * sums
+    return delta.reshape(sigma.shape)
 
 
 def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
@@ -255,18 +239,14 @@ def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     nodes = g.nodes
     n = len(nodes)
     indptr, heads = g._out
-    tails = _row_ids(indptr)
-    # The n-by-n float64 0/1 hop adjacency (row = tail, column = head).
-    adjacency = np.zeros((n, n))
-    adjacency[tails, heads] = 1.0
     batch = max(1, _BATCH_ENTRIES // max(1, len(heads), n))
     raw = np.zeros(n)
     closeness = np.zeros(n)
     for start in range(0, n, batch):
         sources = np.arange(start, min(start + batch, n))
-        dist, sigma = _bfs(adjacency, sources)
+        dist, sigma, levels = _bfs(indptr, heads, sources)
         closeness[sources] = _closeness(dist)
-        delta = _dependencies(tails, heads, dist, sigma)
+        delta = _dependencies(levels, sigma)
         # A source's dependency on itself is no betweenness.
         delta[np.arange(len(sources)), sources] = 0.0
         for row in delta:
@@ -390,11 +370,10 @@ def build_report(
     Graphs without edges get eigenvector loadings of 0, and single-node
     graphs get closeness 0, mirroring the isolate convention.
 
-    Closeness and betweenness come from one sweep whose sums run in a fixed
-    order, so they are bit-reproducible while geodesic counts stay below
-    2**53, where float64 holds them exactly.  Above that the counts are
-    rounded in an order the BLAS build chooses, and the last bits may differ
-    between machines.
+    Closeness and betweenness come from one sweep whose sums all run in a
+    fixed order, so they are bit-reproducible.  Geodesic counts are exact
+    below 2**53; above it they are rounded, summed in ascending (source,
+    predecessor) order.
     """
     betweenness, closeness = _sweep(local)
     if local._csr[2].size:

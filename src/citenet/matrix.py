@@ -27,6 +27,7 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
 import re
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -156,6 +157,16 @@ def _row_ids(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(place in *rows*, entry) of every stored entry of *rows*, in that order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    first = np.cumsum(lengths) - lengths
+    entries = np.repeat(starts - first, lengths)
+    entries += np.arange(len(entries))
+    return np.repeat(np.arange(len(rows)), lengths), entries
+
+
 class CitationMatrix:
     """Sparse directed weighted journal-to-journal citation counts for one year.
 
@@ -191,6 +202,12 @@ class CitationMatrix:
         cols: list[int] = []
         counts: list[int] = []
         for (citing, cited), count in cells.items():
+            try:
+                count = operator.index(count)
+            except TypeError:
+                raise ValueError(
+                    f"cell ({citing}, {cited}): count {count!r} is not an integer"
+                ) from None
             if count < 0:
                 raise ValueError(f"cell ({citing}, {cited}): negative count {count}")
             if count > MAX_COUNT:
@@ -293,14 +310,6 @@ class CitationMatrix:
         journal_ids = map(self._ids.__getitem__, others.tolist())
         return MappingProxyType(dict(zip(journal_ids, counts.tolist())))
 
-    def _row_entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(output row, entry) of every stored entry of the rows at *positions*."""
-        starts = self._indptr[positions]
-        lengths = self._indptr[positions + 1] - starts
-        first = np.cumsum(lengths) - lengths
-        entries = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
-        return np.repeat(np.arange(len(positions)), lengths), entries
-
     def _lookup(self, positions: np.ndarray) -> np.ndarray:
         """Journal number -> its place in *positions*, or -1 if absent."""
         lookup = np.full(len(self._ids), -1, dtype=np.int64)
@@ -317,7 +326,7 @@ class CitationMatrix:
         """The registry and the cells restricted to *journal_ids*."""
         wanted = sorted(set(journal_ids))
         positions = self._positions(wanted)
-        rows, entries = self._row_entries(positions)
+        rows, entries = _row_entries(self._indptr, positions)
         # positions ascend, so the renumbered columns stay sorted within a row
         cols = self._lookup(positions)[self._indices[entries]]
         kept = cols >= 0
@@ -642,7 +651,7 @@ def citation_profiles(
     positions = m._positions(journal_ids)
     profiles = np.zeros((len(positions), len(m)), dtype=np.int64)
     if citing:
-        rows, entries = m._row_entries(positions)
+        rows, entries = _row_entries(m._indptr, positions)
         profiles[rows, m._indices[entries]] = m._data[entries]
     else:
         rows = m._lookup(positions)[m._indices]

@@ -78,8 +78,9 @@ class TestGraph:
             Graph(["A"], {("A", "B"): 1.0}, directed=True)
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            Graph(["A", "B"], {("A", "B"): 0.0}, directed=False)
+        for weight in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Graph(["A", "B"], {("A", "B"): weight}, directed=False)
 
     def test_duplicate_undirected_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -581,6 +582,8 @@ def test_sweep_bits_do_not_depend_on_the_batch_size(monkeypatch):
     graphs = [random_graph(rng, n=int(rng.integers(20, 41)), density=0.1) for _ in range(6)]
     # The default runs the small graphs in one batch and this one in eight.
     graphs.append(random_graph(rng, n=120, density=0.5, directed=False))
+    # Path counts above 2**53, rounded in the order the code fixes.
+    graphs += [_layered(directed=False), _layered(directed=True)]
     for g in graphs:
         default = citenet.centrality._sweep(g)
         n = len(g)
@@ -603,18 +606,23 @@ def test_path_longer_than_255_levels():
         assert betweenness[node] == pytest.approx(k * (n - 1 - k) / pairs, abs=1e-12)
 
 
-@pytest.mark.parametrize("directed", [False, True])
-def test_geodesic_counts_above_2_to_the_53(directed):
-    # Consecutive layers fully linked: a first-layer node reaches each
-    # last-layer node along 13**18 geodesics.  Powers of 13 above 2**53 are
-    # not float64 numbers (powers of 12 would be), so the counts are rounded.
+def _layered(directed):
+    """20 layers of 13 nodes, consecutive layers fully linked: a first-layer
+    node reaches each last-layer node along 13**18 geodesics.  Powers of 13
+    above 2**53 are not float64 numbers (powers of 12 would be), so the
+    counts are rounded."""
     layers, width = 20, 13
     assert float(width ** (layers - 2)) != width ** (layers - 2)
     names = [[f"L{layer:02d}_{k:02d}" for k in range(width)] for layer in range(layers)]
     edges = {
         (u, v): 1.0 for upper, lower in zip(names, names[1:]) for u in upper for v in lower
     }
-    g = Graph([node for layer in names for node in layer], edges, directed=directed)
+    return Graph([node for layer in names for node in layer], edges, directed=directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_geodesic_counts_above_2_to_the_53(directed):
+    g = _layered(directed)
     betweenness, closeness = reference_sweep(g)
     fast_betweenness, fast_closeness = _sweep(g)
     for node in g.nodes:
@@ -623,26 +631,28 @@ def test_geodesic_counts_above_2_to_the_53(directed):
 
 
 def test_report_memory_stays_bounded():
-    # 351 nodes and ~7.5k edges, the size of the largest sweep graph.  The
-    # batched sweep's transient arrays stay near 3 MB; all sources in one
-    # batch would take ~75 MB.
-    rng = np.random.default_rng(351)
-    nodes = [f"N{i:03d}" for i in range(351)]
-    rows, cols = np.triu_indices(len(nodes), 1)
-    keep = rng.random(len(rows)) < 7500 / len(rows)
-    edges = {
-        (nodes[i], nodes[j]): float(w)
-        for i, j, w in zip(rows[keep], cols[keep], rng.uniform(0.05, 1.0, keep.sum()))
-    }
-    g = Graph(nodes, edges, directed=False)
-    degrees = dict.fromkeys(nodes, (0, 0))
-    tracemalloc.start()
-    try:
-        build_report(g, degrees)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6, f"build_report peaked at {peak / 1e6:.1f} MB"
+    # 351 nodes and ~7.5k edges, the size of the largest sweep graph: the
+    # batched sweep's transient arrays stay near 3 MB, and all sources in one
+    # batch would take ~75 MB.  1,500 nodes and ~4.5k edges: a dense n-by-n
+    # float64 adjacency alone would take 18 MB.
+    for n, m in ((351, 7500), (1500, 4500)):
+        rng = np.random.default_rng(n)
+        nodes = [f"N{i:03d}" for i in range(n)]
+        rows, cols = np.triu_indices(len(nodes), 1)
+        keep = rng.random(len(rows)) < m / len(rows)
+        edges = {
+            (nodes[i], nodes[j]): float(w)
+            for i, j, w in zip(rows[keep], cols[keep], rng.uniform(0.05, 1.0, keep.sum()))
+        }
+        g = Graph(nodes, edges, directed=False)
+        degrees = dict.fromkeys(nodes, (0, 0))
+        tracemalloc.start()
+        try:
+            build_report(g, degrees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"build_report peaked at {peak / 1e6:.1f} MB"
 
 
 class TestReport:

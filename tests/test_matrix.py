@@ -189,6 +189,15 @@ class TestMatrixInvariants:
         with pytest.raises(ValueError, match="negative"):
             CitationMatrix(2005, [Journal("A", "A")], {("A", "A"): -1})
 
+    def test_non_integer_count_rejected(self):
+        journals = [Journal("A", "A"), Journal("B", "B")]
+        for count in (2.7, 2.0, np.float64(3.0), "2"):
+            with pytest.raises(ValueError, match=r"cell \(A, B\): count .* is not an integer"):
+                CitationMatrix(2005, journals, {("A", "B"): count})
+        # numpy integers are integers.
+        m = CitationMatrix(2005, journals, {("A", "B"): np.int32(2), ("B", "A"): np.uint8(3)})
+        assert m.cells == {("A", "B"): 2, ("B", "A"): 3}
+
     def test_cell_journal_must_be_registered(self):
         with pytest.raises(ValueError, match="unknown"):
             CitationMatrix(2005, [Journal("A", "A")], {("A", "B"): 1})
