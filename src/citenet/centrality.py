@@ -298,7 +298,8 @@ def eigenvector_centrality(
     step = np.inf
     for _ in range(max_iter):
         # A @ vector, each row summed from 0.0 in column order, as a CSR
-        # product does, so the loadings do not depend on BLAS.
+        # product does, without BLAS.  Each np.linalg.norm below is a BLAS
+        # dot, so the last bits of the loadings may depend on the BLAS build.
         candidate = np.bincount(rows, weights * vector[cols], minlength=n) + vector
         candidate /= np.linalg.norm(candidate)
         step = float(np.linalg.norm(candidate - vector))

@@ -70,6 +70,7 @@ BOM = "\ufeff"
 # characters str.isspace accepts, the newline among them.
 _ID_LINES = re.compile(r'(?:[^\s",\\]+\n)*')
 _BLOCK_CHARS = 1 << 20
+_HASH_BYTES = 1 << 18
 
 
 class SourceIndex(Enum):
@@ -129,6 +130,57 @@ class Journal:
         return journal
 
 
+class _Registry(Mapping):
+    """Read-only ``id -> Journal`` view of journal columns in id order.
+
+    Holds three parallel tuples (ids, display names, source indices) and
+    builds a :class:`Journal` from them on each access.
+    """
+
+    __slots__ = ("_ids", "_names", "_sources", "_index")
+
+    def __init__(
+        self, ids: Sequence[JournalId], names: Sequence[str], sources: Sequence[SourceIndex]
+    ) -> None:
+        """Columns of distinct, already validated journals, in any order."""
+        if any(a > b for a, b in zip(ids, ids[1:])):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids, names, sources = ([column[k] for k in order] for column in (ids, names, sources))
+        self._ids, self._names, self._sources = tuple(ids), tuple(names), tuple(sources)
+        self._index = {journal_id: k for k, journal_id in enumerate(self._ids)}
+
+    @classmethod
+    def _of(cls, journals: Iterable[Journal]) -> "_Registry":
+        """The registry of *journals*, whose ids are distinct."""
+        journals = list(journals)
+        return cls(
+            [journal.id for journal in journals],
+            [journal.display_name for journal in journals],
+            [journal.source_index for journal in journals],
+        )
+
+    def _take(self, positions: Sequence[int]) -> "_Registry":
+        """The journals at *positions*."""
+        columns = (self._ids, self._names, self._sources)
+        return _Registry(*([column[k] for k in positions] for column in columns))
+
+    def __getitem__(self, journal_id: JournalId) -> Journal:
+        k = self._index[journal_id]
+        return Journal._unchecked(self._ids[k], self._names[k], self._sources[k])
+
+    def __iter__(self) -> Iterator[JournalId]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __contains__(self, journal_id: object) -> bool:
+        return journal_id in self._index
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
     """``(indptr, indices, data)`` of the n-by-n CSR holding the given cells.
 
@@ -152,9 +204,9 @@ def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
     return indptr, key % n, values
 
 
-def _row_ids(indptr: np.ndarray) -> np.ndarray:
+def _row_ids(indptr: np.ndarray, dtype=np.int64) -> np.ndarray:
     """The row of every stored entry of a CSR with this *indptr*."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return np.repeat(np.arange(len(indptr) - 1, dtype=dtype), np.diff(indptr))
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +229,10 @@ class CitationMatrix:
     return read-only views, so a matrix can be shared across concurrent
     computations without coordination.  Only strictly positive counts are
     stored; every journal referenced by a cell is present in the registry
-    (the registry may contain additional, isolated journals).  ``cells``,
-    ``row`` and ``col`` iterate in journal-id order.
+    (the registry may contain additional, isolated journals).  The registry
+    is kept as columns of ids, display names and source indices, and
+    ``journals`` builds each :class:`Journal` when it is read.  ``cells``,
+    ``journals``, ``row`` and ``col`` iterate in journal-id order.
     """
 
     __slots__ = ("_year", "_journals", "_ids", "_index", "_indptr", "_indices", "_data")
@@ -195,8 +249,8 @@ class CitationMatrix:
             if existing is not None and existing != journal:
                 raise ValueError(f"conflicting registry entries for {journal.id!r}")
             registry[journal.id] = journal
-        registry = dict(sorted(registry.items()))
-        index = {journal_id: i for i, journal_id in enumerate(registry)}
+        registry = _Registry._of(registry.values())
+        index = registry._index
 
         rows: list[int] = []
         cols: list[int] = []
@@ -227,19 +281,16 @@ class CitationMatrix:
         self._assign(year, registry, csr)
 
     @classmethod
-    def _from_csr(
-        cls, year: int, registry: dict[JournalId, Journal], csr: CSR
-    ) -> "CitationMatrix":
-        """Wrap a canonical CSR whose axes are the id-sorted *registry*."""
+    def _from_csr(cls, year: int, registry: _Registry, csr: CSR) -> "CitationMatrix":
+        """Wrap a canonical CSR whose axes are the journals of *registry*."""
         m = cls.__new__(cls)
         m._assign(year, registry, csr)
         return m
 
-    def _assign(self, year: int, registry: dict[JournalId, Journal], csr: CSR) -> None:
+    def _assign(self, year: int, registry: _Registry, csr: CSR) -> None:
         self._year = year
         self._journals = registry
-        self._ids = tuple(registry)
-        self._index = {journal_id: i for i, journal_id in enumerate(self._ids)}
+        self._ids, self._index = registry._ids, registry._index
         self._indptr, self._indices, self._data = csr
 
     @property
@@ -248,7 +299,8 @@ class CitationMatrix:
 
     @property
     def journals(self) -> Mapping[JournalId, Journal]:
-        return MappingProxyType(self._journals)
+        """Read-only ``id -> Journal`` view in id order."""
+        return self._journals
 
     @property
     def cells(self) -> Mapping[tuple[JournalId, JournalId], int]:
@@ -332,7 +384,7 @@ class CitationMatrix:
         kept = cols >= 0
         indptr = np.zeros(len(wanted) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[kept], minlength=len(wanted)), out=indptr[1:])
-        registry = {journal_id: self._journals[journal_id] for journal_id in wanted}
+        registry = self._journals._take(positions.tolist())
         csr = (indptr, cols[kept], self._data[entries][kept])
         return CitationMatrix._from_csr(self._year, registry, csr)
 
@@ -548,15 +600,14 @@ def parse_citation_csv(
     # Ids in *seen* are validated: an id the registry lacks needs no checks.
     journals = {token: Journal._unchecked(token, token, source) for token in seen}
     journals.update((journal.id, journal) for journal in (registry or {}).values())
-    journals = dict(sorted(journals.items()))
-    position = {journal_id: i for i, journal_id in enumerate(journals)}
-    renumber = np.array([position[journal_id] for journal_id in seen], dtype=np.int64)
+    journals = _Registry._of(journals.values())
+    renumber = np.array([journals._index[journal_id] for journal_id in seen], dtype=np.int64)
     rows, cols = renumber[rows], renumber[cols]
 
     csr = _canonical(len(journals), rows, cols, counts)
     if csr[2].max(initial=0) > MAX_COUNT:
         k = _first_overflow(rows, cols, counts)
-        ids = list(journals)
+        ids = journals._ids
         raise EdgeListParseError(
             int(line_nos[k]),
             f"cell ({ids[rows[k]]}, {ids[cols[k]]}) sums to more than {MAX_COUNT}",
@@ -586,11 +637,11 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
     if a.year != b.year:
         raise YearMismatchError(f"cannot merge year {a.year} with year {b.year}")
     ids = sorted(a._journals.keys() | b._journals.keys())
-    journals = {
-        journal_id: _merge_journal(a._journals.get(journal_id), b._journals.get(journal_id))
+    journals = _Registry._of(
+        _merge_journal(a._journals.get(journal_id), b._journals.get(journal_id))
         for journal_id in ids
-    }
-    position = {journal_id: i for i, journal_id in enumerate(ids)}
+    )
+    position = journals._index
     rows, cols, counts = [], [], []
     for m in (a, b):
         renumber = np.array([position[j] for j in m._ids], dtype=np.int64)
@@ -632,7 +683,7 @@ def citation_degrees(m: CitationMatrix) -> dict[JournalId, tuple[int, int]]:
     ``Graph.from_citation_matrix(m, sorted(m.journals))`` without the graph.
     """
     self_cited = np.zeros(len(m), dtype=np.int64)
-    rows = _row_ids(m._indptr)
+    rows = _row_ids(m._indptr, np.int32)
     self_cited[rows[m._indices == rows]] = 1
     degree_out = np.diff(m._indptr) - self_cited
     degree_in = np.bincount(m._indices, minlength=len(m)) - self_cited
@@ -711,9 +762,10 @@ def _sidecar_bytes(m: CitationMatrix, csv_sha256: str) -> bytes:
                        "csv_sha256": csv_sha256, "journals": []}, indent=2)
     entry = '    {\n      "id": %s,\n      "display_name": %s,\n      "source_index": %s\n    }'
     quote = json.encoder.encode_basestring_ascii
+    registry = m._journals
     entries = [
-        entry % (quote(j.id), quote(j.display_name), quote(j.source_index.value))
-        for j in m._journals.values()
+        entry % (quote(journal_id), quote(name), quote(source.value))
+        for journal_id, name, source in zip(registry._ids, registry._names, registry._sources)
     ]
     if entries:
         text = text.removesuffix("[]\n}") + "[\n" + ",\n".join(entries) + "\n  ]\n}"
@@ -743,6 +795,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _file_sha256(path: Path) -> str:
+    """The sha256 of the file at *path*, read through one reused buffer."""
+    digest = hashlib.sha256()
+    buffer = bytearray(_HASH_BYTES)
+    view = memoryview(buffer)
+    with path.open("rb", buffering=0) as stream:
+        while size := stream.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
 def write_matrix(m: CitationMatrix, path: str | Path) -> None:
     """Persist a matrix: edge-list CSV at *path*, its CSR cache, a sidecar.
 
@@ -764,9 +827,8 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
 
 def _read_sidecar(
     sidecar: Path, raw: bytes
-) -> tuple[int, dict[JournalId, Journal], str | None]:
-    """``(year, id-sorted registry, recorded CSV sha256 or None)`` from
-    sidecar bytes."""
+) -> tuple[int, _Registry, str | None]:
+    """``(year, registry, recorded CSV sha256 or None)`` from sidecar bytes."""
     try:
         meta = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -783,7 +845,7 @@ def _read_sidecar(
     if registry is None:
         # Some entry is malformed or repeats an id: check one at a time to
         # name the first.
-        registry = {}
+        journals = {}
         for k, entry in enumerate(entries):
             fields = [
                 entry.get(key) if isinstance(entry, dict) else None for key in REGISTRY_HEADER
@@ -791,23 +853,21 @@ def _read_sidecar(
             try:
                 if not all(isinstance(field, str) for field in fields):
                     raise ValueError(f"needs string fields {', '.join(REGISTRY_HEADER)}")
-                if fields[0] in registry:
+                if fields[0] in journals:
                     raise ValueError(f"repeats the id {fields[0]!r}")
-                registry[fields[0]] = Journal(fields[0], fields[1], SourceIndex(fields[2]))
+                journals[fields[0]] = Journal(fields[0], fields[1], SourceIndex(fields[2]))
             except ValueError as exc:
                 raise SidecarError(
                     f"{sidecar}: malformed journals entry {k}: {exc}"
                 ) from None
-    ids = list(registry)
-    if any(a > b for a, b in zip(ids, ids[1:])):
-        registry = dict(sorted(registry.items()))
+        registry = _Registry._of(journals.values())
     digest = meta.get("csv_sha256")
     if digest is not None and not isinstance(digest, str):
         raise SidecarError(f"{sidecar}: \"csv_sha256\" must be a string")
     return year, registry, digest
 
 
-def _journals_in_bulk(entries: list) -> dict[JournalId, Journal] | None:
+def _journals_in_bulk(entries: list) -> _Registry | None:
     """The registry of sidecar *entries*, or None if any is malformed or
     two share an id.
 
@@ -815,10 +875,9 @@ def _journals_in_bulk(entries: list) -> dict[JournalId, Journal] | None:
     valid registry costs no per-journal validation.
     """
     try:
-        fields = [(entry["id"], entry["display_name"], entry["source_index"]) for entry in entries]
+        ids, names, sources = ([entry[key] for entry in entries] for key in REGISTRY_HEADER)
     except (TypeError, KeyError):  # an entry that is not an object, or lacks a key
         return None
-    ids, names, sources = zip(*fields) if fields else ((), (), ())
     if not (
         all(isinstance(field, str) for column in (ids, names, sources) for field in column)
         and _valid_ids(ids)
@@ -826,8 +885,8 @@ def _journals_in_bulk(entries: list) -> dict[JournalId, Journal] | None:
         and set(sources) <= _SOURCES.keys()
     ):
         return None
-    registry = dict(zip(ids, map(Journal._unchecked, ids, names, map(_SOURCES.get, sources))))
-    return registry if len(registry) == len(ids) else None
+    registry = _Registry(ids, names, [_SOURCES[source] for source in sources])
+    return registry if len(registry._index) == len(ids) else None
 
 
 def _is_canonical_csr(indptr, indices, data, n: int) -> bool:
@@ -844,9 +903,11 @@ def _is_canonical_csr(indptr, indices, data, n: int) -> bool:
         return False
     if data.min() < 1 or data.max() > MAX_COUNT:
         return False
-    rows = _row_ids(indptr)
-    same_row = rows[1:] == rows[:-1]
-    return bool(np.all(np.diff(indices)[same_row] > 0))
+    # A step down (or a repeat) is allowed only where a new row starts.
+    unsorted = indices[1:] <= indices[:-1]
+    starts = indptr[1:-1]
+    unsorted[starts[(starts > 0) & (starts < len(indices))] - 1] = False
+    return not unsorted.any()
 
 
 def _load_binary(
@@ -883,7 +944,10 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
 
     After those checks the ``.csr.npz`` cache is used when it records the
     sha256 of these exact CSV and sidecar bytes and holds a canonical CSR
-    over the sidecar's journals; otherwise the CSV is parsed.
+    over the sidecar's journals; otherwise the CSV is parsed.  The CSV is
+    hashed in pieces and read whole only to be parsed, and a
+    :class:`SidecarError` is raised if the bytes read then are not the
+    bytes hashed.
     """
     path = Path(path)
     sidecar = _sidecar_path(path)
@@ -895,8 +959,7 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
         return parse_citation_csv(_text(data), year)
     meta = sidecar.read_bytes()
     year, registry, digest = _read_sidecar(sidecar, meta)
-    data = path.read_bytes()
-    csv_sha256 = _sha256(data)
+    csv_sha256 = _file_sha256(path)
     if digest is not None and csv_sha256 != digest:
         raise SidecarError(
             f"{sidecar} does not belong to {path}: the CSV's sha256 differs "
@@ -905,6 +968,9 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     csr = _load_binary(_binary_path(path), len(registry), csv_sha256, _sha256(meta))
     if csr is not None:
         return CitationMatrix._from_csr(year, registry, csr)
+    data = path.read_bytes()
+    if _sha256(data) != csv_sha256:
+        raise SidecarError(f"{path} changed while it was being read")
     return parse_citation_csv(_text(data), year, registry=registry)
 
 

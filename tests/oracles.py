@@ -5,8 +5,9 @@ path it checks: a scalar cosine (and Pearson's r beside it), a parser for
 the Pajek files :func:`citenet.export_pajek` writes, betweenness from an
 explicit enumeration of every geodesic, a scalar Brandes sweep that sums in
 the batched sweep's level order, neighbour-count degrees, a matrix writer
-that formats one cell and one journal at a time, and the regular expression
-that once picked the edge-list blocks the parser splits in bulk.
+that formats one cell and one journal at a time, the regular expression
+that once picked the edge-list blocks the parser splits in bulk, and the
+row-id check of canonical CSR arrays the cache loader once made.
 """
 
 from __future__ import annotations
@@ -357,3 +358,24 @@ def bulk_rows_accepted(text: str, start: int) -> bool:
         return False
     lines = text[start:].split("\n")[:-1]
     return all(int(line.rpartition(",")[2]) <= MAX_COUNT for line in lines)
+
+
+def canonical_csr(indptr, indices, data, n: int) -> bool:
+    """Whether the arrays form an n-by-n CSR with sorted indices and valid
+    counts: the check the cache loader once made, with the row of every
+    stored entry spelled out and each step compared within its row."""
+    if any(a.ndim != 1 or a.dtype.kind != "i" for a in (indptr, indices, data)):
+        return False
+    if len(indptr) != n + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        return False
+    if not len(indices) == len(data) == indptr[-1]:
+        return False
+    if not len(data):
+        return True
+    if indices.min() < 0 or indices.max() >= n:
+        return False
+    if data.min() < 1 or data.max() > MAX_COUNT:
+        return False
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    same_row = rows[1:] == rows[:-1]
+    return bool(np.all(np.diff(indices)[same_row] > 0))

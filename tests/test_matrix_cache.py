@@ -9,20 +9,23 @@ is unpickled.
 
 import hashlib
 import pickle
+import re
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citenet import (
     MAX_COUNT,
     CitationMatrix,
     Journal,
+    SidecarError,
     SourceIndex,
     parse_citation_csv,
     read_matrix,
@@ -30,6 +33,7 @@ from citenet import (
     write_matrix,
 )
 from citenet.matrix import _is_canonical_csr
+from oracles import canonical_csr
 
 IDS = ["A", "B", "C", "D", "E", "F"]
 
@@ -279,3 +283,128 @@ def test_cache_records_the_bytes_it_was_written_with(persisted):
         assert sorted(npz.files) == [
             "csv_sha256", "data", "indices", "indptr", "sidecar_sha256"
         ]
+
+
+def _csr(rows: list[list[int]], counts: list[int] | None = None):
+    """``(indptr, indices, data, n)`` of a CSR whose rows hold *rows*'
+    indices, with *counts* as its data (all ones by default)."""
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = np.array([j for row in rows for j in row], dtype=np.int64)
+    data = np.array([1] * len(indices) if counts is None else counts, dtype=np.int64)
+    return indptr, indices, data, len(rows)
+
+
+@st.composite
+def csrs(draw):
+    """CSRs with empty and single-entry rows anywhere, some with one row
+    spoiled by a repeated index or by two indices swapped."""
+    n = draw(st.integers(1, 7))
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=3))) for _ in range(n)]
+    damage = draw(st.sampled_from(["none", "repeat", "swap"]))
+    spoilable = [row for row in rows if len(row) >= (1 if damage == "repeat" else 2)]
+    if damage != "none" and spoilable:
+        row = draw(st.sampled_from(spoilable))
+        k = draw(st.integers(0, len(row) - (1 if damage == "repeat" else 2)))
+        if damage == "repeat":
+            row.insert(k, row[k])
+        else:
+            row[k], row[k + 1] = row[k + 1], row[k]
+    size = sum(map(len, rows))
+    return _csr(rows, draw(st.lists(st.sampled_from([1, MAX_COUNT]), min_size=size, max_size=size)))
+
+
+@given(csrs())
+@example(_csr([[], [0, 2], [], [1], []]))  # empty first, middle and last rows
+@example(_csr([[2], [0], [1]]))  # single-entry rows, a step down between two
+@example(_csr([[1, 2], [0, 1]]))  # a step down across a row boundary
+@example(_csr([[0, 2], [], [1, 0]]))  # unsorted row right after an empty row
+@example(_csr([[0], [1, 2, 2]]))  # a repeat in the last row
+@example(_csr([[2, 1], [0]]))  # a step down inside the first row
+@settings(max_examples=300, deadline=None)
+def test_canonical_check_agrees_with_the_row_id_oracle(csr):
+    assert _is_canonical_csr(*csr) == canonical_csr(*csr)
+
+
+def _persisted(tmp_path: Path, text: str, registry=None) -> tuple[CitationMatrix, Path]:
+    m = parse_citation_csv(text, 2005, registry=registry)
+    path = tmp_path / "m.csv"
+    write_matrix(m, path)
+    return m, path
+
+
+def test_empty_first_middle_and_last_rows_load_from_the_cache(tmp_path, parses):
+    # Rows A, C and E cite nothing; B and D do.
+    registry = {j: Journal(j, j) for j in "ABCDE"}
+    m, path = _persisted(tmp_path, "B,A,1\nB,E,2\nD,B,3\nD,D,4", registry)
+    with np.load(_binary(path)) as npz:
+        assert npz["indptr"].tolist() == [0, 0, 2, 2, 4, 4]
+    assert read_matrix(path) == m
+    assert parses == {"parse": 0, "unpickle": 0}
+
+
+def test_duplicate_in_the_last_row_falls_back(tmp_path, parses):
+    m, path = _persisted(tmp_path, "A,B,5\nB,A,2\nC,B,1\nC,C,3")
+    with np.load(_binary(path)) as npz:
+        assert npz["indices"].tolist() == [1, 0, 1, 2]
+    _rewrite(path, indices=np.array([1, 0, 2, 2], dtype=np.int64))
+    _falls_back(path, m, parses)
+
+
+def test_unsorted_row_after_an_empty_row_falls_back(tmp_path, parses):
+    m, path = _persisted(tmp_path, "A,A,1\nA,B,2\nC,A,3\nC,C,4")
+    with np.load(_binary(path)) as npz:
+        assert npz["indptr"].tolist() == [0, 2, 2, 4]
+        assert npz["indices"].tolist() == [0, 1, 0, 2]
+    _rewrite(path, indices=np.array([0, 1, 2, 0], dtype=np.int64))
+    _falls_back(path, m, parses)
+
+
+def test_cache_hit_memory_stays_bounded(tmp_path):
+    # 3,000 journals and ~100k cells; ids of 14 characters, as abbreviated
+    # journal titles often are, make the CSV twice the size of its CSR.
+    rng = np.random.default_rng(3000)
+    pairs = rng.integers(0, 3000, size=(100_000, 2)).tolist()
+    counts = rng.integers(1, 100, size=100_000).tolist()
+    text = "".join(f"J.Journal.{a:04d},J.Journal.{b:04d},{c}\n" for (a, b), c in zip(pairs, counts))
+    m, path = _persisted(tmp_path, text)
+    csr_bytes = sum(a.nbytes for a in (m._indptr, m._indices, m._data))
+    tracemalloc.start()
+    try:
+        again = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == m
+    # ~3.0 MB: the CSR, the journal columns and the cache reader's buffers.
+    # Reading the CSV whole to hash it and building a Journal per entry made
+    # it ~8.6 MB.
+    assert peak < 4 * 2**20
+    # A cache hit never holds the CSV whole beside the CSR it returns.
+    assert peak < path.stat().st_size + csr_bytes
+
+
+def test_csv_rewritten_after_it_was_hashed_is_not_parsed(persisted, monkeypatch):
+    _, path = persisted
+
+    def rewrite_and_miss(*args):
+        path.write_text("A,B,1\n")
+        return None
+
+    monkeypatch.setattr("citenet.matrix._load_binary", rewrite_and_miss)
+    with pytest.raises(SidecarError, match=re.escape(f"{path} changed while it was being read")):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["with-cache", "without-cache"])
+def test_csv_edited_after_write_fails_with_the_sidecar_message(persisted, cache):
+    _, path = persisted
+    if not cache:
+        _binary(path).unlink()
+    path.write_bytes(path.read_bytes() + b"C,A,1\n")
+    message = (
+        f"{_sidecar(path)} does not belong to {path}: the CSV's sha256 differs "
+        "from the one the sidecar records"
+    )
+    with pytest.raises(SidecarError) as raised:
+        read_matrix(path)
+    assert str(raised.value) == message

@@ -4,6 +4,10 @@ A change to the public API edits this list, and records the change in
 CHANGES.md, in the same commit.
 """
 
+from collections.abc import Mapping, MutableMapping
+
+import pytest
+
 import citenet
 
 PUBLIC_NAMES = [
@@ -60,3 +64,41 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     missing = [name for name in citenet.__all__ if not hasattr(citenet, name)]
     assert missing == []
+
+
+def _journals_matrix(order):
+    records = {
+        "B": citenet.Journal("B", "Beta", citenet.SourceIndex.SSCI),
+        "A": citenet.Journal("A", "Alpha"),
+        "C": citenet.Journal("C", "C", citenet.SourceIndex.BOTH),
+    }
+    return citenet.CitationMatrix(2005, [records[j] for j in order], {("B", "A"): 2})
+
+
+def test_journals_is_a_read_only_mapping_view():
+    journals = _journals_matrix("BAC").journals
+    assert isinstance(journals, Mapping)
+    assert not isinstance(journals, MutableMapping)
+    with pytest.raises(TypeError):
+        journals["D"] = citenet.Journal("D", "D")
+    with pytest.raises(TypeError):
+        del journals["A"]
+    assert not hasattr(journals, "update") and not hasattr(journals, "pop")
+
+
+def test_journals_keeps_id_order_equality_and_journal_values():
+    m = _journals_matrix("CBA")
+    expected = {
+        "A": citenet.Journal("A", "Alpha", citenet.SourceIndex.SCI),
+        "B": citenet.Journal("B", "Beta", citenet.SourceIndex.SSCI),
+        "C": citenet.Journal("C", "C", citenet.SourceIndex.BOTH),
+    }
+    assert list(m.journals) == ["A", "B", "C"]
+    assert list(m.journals.items()) == list(expected.items())
+    assert m.journals == expected and expected == m.journals
+    assert m.journals == _journals_matrix("ABC").journals
+    assert m.journals != {**expected, "A": citenet.Journal("A", "Other")}
+    assert m.journals["B"] == expected["B"]
+    assert m.journals.get("Z") is None and "Z" not in m.journals and "A" in m.journals
+    assert all(type(journal) is citenet.Journal for journal in m.journals.values())
+    assert len(m.journals) == 3
