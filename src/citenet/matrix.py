@@ -507,8 +507,12 @@ def _bulk_rows(text: str, start: int, data_line: int, seen: dict[JournalId, int]
     """The rows of ``text[start:]`` split in bulk, or None (leaving *seen* as
     it was) unless each line is two ids :func:`_valid_ids` accepts and a
     count of one to ten ASCII digits, at most ``MAX_COUNT``.  Checked on the
-    UTF-8 bytes, where no multibyte character holds a comma or newline byte."""
-    data = np.frombuffer(text[start:].encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    UTF-8 bytes, where no multibyte character holds a comma or newline byte.
+
+    Id fields are numbered from their bytes (:func:`_field_numbers`); only
+    one field per distinct id is decoded, checked and numbered in *seen*."""
+    raw = text[start:].encode("utf-8", "surrogatepass") + bytes(8)
+    data = np.frombuffer(raw, dtype=np.uint8)[:-8]
     ends = np.flatnonzero(data == ord("\n"))
     commas = np.flatnonzero(data == ord(","))
     if len(commas) != 2 * len(ends):
@@ -525,16 +529,50 @@ def _bulk_rows(text: str, start: int, data_line: int, seen: dict[JournalId, int]
         if digits.max(initial=0) > 9:
             return None
         counts[lines] += digits * np.int64(10) ** place
-    fields = text[start:-1].replace("\n", ",").split(",") if len(ends) else []
-    citing, cited = fields[0::3], fields[1::3]
-    distinct = dict.fromkeys(citing + cited)
-    if counts.max(initial=0) > MAX_COUNT or not _valid_ids(distinct):
+    if counts.max(initial=0) > MAX_COUNT:
         return None
-    for token in distinct:
-        seen.setdefault(token, len(seen))
-    rows, cols = (np.fromiter(map(seen.__getitem__, ids), np.int64, len(counts))
-                  for ids in (citing, cited))
-    return rows, cols, counts, np.arange(data_line, data_line + len(counts), dtype=np.int64)
+    # Field 2k is line k's citing id, field 2k + 1 its cited id; field j
+    # ends at commas[j] and starts after the newline or comma before it.
+    firsts = np.zeros(len(commas), dtype=np.int64)
+    firsts[1::2] = commas[0::2] + 1
+    firsts[2::2] = ends[:-1] + 1
+    numbers = _field_numbers(raw, firsts, commas)
+    # Fields with one number hold the same bytes: any of them stands for it.
+    sample = np.empty(numbers.max(initial=-1) + 1, dtype=np.int64)
+    sample[numbers] = np.arange(len(numbers))
+    tokens = [raw[a:b].decode("utf-8", "surrogatepass")
+              for a, b in zip(firsts[sample].tolist(), commas[sample].tolist())]
+    if not _valid_ids(tokens):
+        return None
+    ids = np.array([seen.setdefault(token, len(seen)) for token in tokens], dtype=np.int64)
+    ids = ids[numbers]
+    line_nos = np.arange(data_line, data_line + len(counts), dtype=np.int64)
+    return ids[0::2], ids[1::2], counts, line_nos
+
+
+# Keeps the first k bytes of a little-endian 8-byte word, k = 0..8.
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _field_numbers(raw: bytes, firsts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Numbers 0, 1, ... of the fields ``raw[firsts[j]:ends[j]]``,
+    equal exactly when the fields' bytes are.  *raw* ends in 8 bytes that no
+    field covers.
+
+    Fields are grouped by length, then regrouped by each 8-byte word in turn,
+    read little-endian and masked to the field's length: two fields share a
+    number only if their lengths and all their words are equal.
+    """
+    lengths = ends - firsts
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, 0, (1,))  # words[p]: raw[p:p + 8]
+    numbers = lengths
+    for offset in range(0, int(lengths.max(initial=0)), 8):
+        word = words[np.minimum(firsts + offset, len(words) - 1)]
+        word &= _WORD_MASKS[np.clip(lengths - offset, 0, 8)]
+        _, word_numbers = np.unique(word, return_inverse=True)
+        key = numbers * (word_numbers.max() + 1) + word_numbers
+        _, numbers = np.unique(key, return_inverse=True)
+    return numbers
 
 
 def _parse_lines(text: str, start: int, data_line: int, seen: dict[JournalId, int]):
@@ -598,9 +636,13 @@ def parse_citation_csv(
     rows, cols, counts, line_nos = map(np.concatenate, parts)
 
     # Ids in *seen* are validated: an id the registry lacks needs no checks.
-    journals = {token: Journal._unchecked(token, token, source) for token in seen}
-    journals.update((journal.id, journal) for journal in (registry or {}).values())
-    journals = _Registry._of(journals.values())
+    given = {journal.id: journal for journal in (registry or {}).values()}
+    ids = sorted(seen.keys() | given.keys())
+    journals = _Registry(
+        ids,
+        [given[j].display_name if j in given else j for j in ids],
+        [given[j].source_index if j in given else source for j in ids],
+    )
     renumber = np.array([journals._index[journal_id] for journal_id in seen], dtype=np.int64)
     rows, cols = renumber[rows], renumber[cols]
 
@@ -615,16 +657,17 @@ def parse_citation_csv(
     return CitationMatrix._from_csr(year, journals, csr)
 
 
-def _merge_journal(a: Journal | None, b: Journal | None) -> Journal:
-    if a is None:
-        assert b is not None
-        return b
-    if b is None:
-        return a
+def _merged_record(a: _Registry, b: _Registry, journal_id: JournalId) -> tuple[str, SourceIndex]:
+    """``(display name, source)`` of *journal_id* in the merge of *a* and *b*."""
+    i, j = a._index.get(journal_id), b._index.get(journal_id)
+    if j is None:
+        return a._names[i], a._sources[i]
+    if i is None:
+        return b._names[j], b._sources[j]
     # Present in both inputs: mark as doubly indexed, prefer a non-default
     # display name from the first operand.
-    name = a.display_name if a.display_name != a.id else b.display_name
-    return Journal._unchecked(a.id, name, SourceIndex.BOTH)
+    name = a._names[i] if a._names[i] != journal_id else b._names[j]
+    return name, SourceIndex.BOTH
 
 
 def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
@@ -636,11 +679,9 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
     """
     if a.year != b.year:
         raise YearMismatchError(f"cannot merge year {a.year} with year {b.year}")
-    ids = sorted(a._journals.keys() | b._journals.keys())
-    journals = _Registry._of(
-        _merge_journal(a._journals.get(journal_id), b._journals.get(journal_id))
-        for journal_id in ids
-    )
+    ids = sorted(a._index.keys() | b._index.keys())
+    records = [_merged_record(a._journals, b._journals, journal_id) for journal_id in ids]
+    journals = _Registry(ids, [name for name, _ in records], [source for _, source in records])
     position = journals._index
     rows, cols, counts = [], [], []
     for m in (a, b):

@@ -254,6 +254,43 @@ class TestMerge:
         assert merged.journals["B"].source_index is SourceIndex.BOTH
         assert merged.journals["C"].source_index is SourceIndex.SSCI
 
+    def test_merged_registry_rule(self):
+        # Named: a non-default name of the first operand wins over the
+        # second's; a default (== id) first name gives way to the second's.
+        a = CitationMatrix(2005, [
+            Journal("Both1", "First name", SourceIndex.SCI),
+            Journal("Both2", "Both2", SourceIndex.SSCI),
+            Journal("Both3", "First again", SourceIndex.BOTH),
+            Journal("Both4", "Both4", SourceIndex.SCI),
+            Journal("OnlyA", "Only in a", SourceIndex.SSCI),
+            Journal("OnlyA2", "OnlyA2", SourceIndex.BOTH),
+        ], {("OnlyA", "Both1"): 2})
+        b = CitationMatrix(2005, [
+            Journal("Both1", "Second name", SourceIndex.SSCI),
+            Journal("Both2", "Second wins", SourceIndex.SCI),
+            Journal("Both3", "Both3", SourceIndex.SCI),
+            Journal("Both4", "Both4", SourceIndex.SSCI),
+            Journal("OnlyB", "Only in b", SourceIndex.BOTH),
+            Journal("OnlyB2", "OnlyB2", SourceIndex.SCI),
+        ], {})
+        expected = {
+            "Both1": Journal("Both1", "First name", SourceIndex.BOTH),
+            "Both2": Journal("Both2", "Second wins", SourceIndex.BOTH),
+            "Both3": Journal("Both3", "First again", SourceIndex.BOTH),
+            "Both4": Journal("Both4", "Both4", SourceIndex.BOTH),
+            "OnlyA": Journal("OnlyA", "Only in a", SourceIndex.SSCI),
+            "OnlyA2": Journal("OnlyA2", "OnlyA2", SourceIndex.BOTH),
+            "OnlyB": Journal("OnlyB", "Only in b", SourceIndex.BOTH),
+            "OnlyB2": Journal("OnlyB2", "OnlyB2", SourceIndex.SCI),
+        }
+        merged = merge_indices(a, b)
+        assert merged.journals == expected
+        assert list(merged.journals) == sorted(expected)
+        swapped = merge_indices(b, a).journals
+        assert swapped["Both1"].display_name == "Second name"
+        assert swapped["Both3"].display_name == "First again"
+        assert swapped["OnlyA"] == expected["OnlyA"] and swapped["OnlyB"] == expected["OnlyB"]
+
     def test_journal_count_identity(self):
         # |merged| == |a| + |b| - |overlap| on small synthetic indices
         a_ids = [f"A{i}" for i in range(40)] + [f"S{i}" for i in range(10)]

@@ -31,7 +31,7 @@ from citenet import (
     write_matrix,
 )
 from citenet.centrality import _symmetric_adjacency
-from citenet.matrix import _bulk_rows, _parse_block
+from citenet.matrix import _bulk_rows, _field_numbers, _parse_block
 from oracles import bulk_rows_accepted, reference_write_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -142,10 +142,11 @@ def test_write_memory_stays_near_the_scalar_writer(tmp_path):
 # Ids and counts near the bulk path's acceptance rule: whitespace the
 # regular expression's ``\s`` matches (no-break space, line separator, the
 # information separators), quoting characters, NUL, a lone surrogate, a
-# byte-order mark and multibyte characters; counts with leading zeros, ten
-# digits above MAX_COUNT, eleven digits, bytes next to the digits, and forms
-# int() accepts.
-ID_PARTS = ["A", "B7", "É", "日本誌", "\U0001d50d", "\ufeff", "\x00", "\ud800"]
+# byte-order mark and multibyte characters, and an 8-byte part, so that ids
+# fill, cross and share the 8-byte words the bulk path numbers them by;
+# counts with leading zeros, ten digits above MAX_COUNT, eleven digits, bytes
+# next to the digits, and forms int() accepts.
+ID_PARTS = ["A", "B7", "É", "日本誌", "\U0001d50d", "\ufeff", "\x00", "\ud800", "ABCDEFGH"]
 ID_FLAWS = ["\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", '"', "\\", " ", "\t"]
 COUNT_FLAWS = ["", "-1", "+5", "1_0", "\u0663", "\u00b2", "1.5", " 7", "x", "1:", "/", "5\r"]
 good_ids = st.lists(st.sampled_from(ID_PARTS), min_size=1, max_size=3).map("".join)
@@ -206,6 +207,11 @@ def _outcome(text: str, first_line: int):
 @example("A,B,7\nA,B,\n", 9)  # an empty count
 @example("A,B,7\nA,B,1:\n", 9)  # the byte after "9"
 @example("A,B,7\nA,B,1,2,3\n", 9)  # two pairs of commas on one line
+# Ids of 7, 8, 9, 16 and 17 bytes, two sharing their first 8 bytes, and
+# pairs that differ only by a trailing NUL, inside a word and past its end.
+@example("ABCDEFG,ABCDEFGH,1\nABCDEFGHI,ABCDEFGHIJKLMNOP,2\nABCDEFGHIJKLMNOPQ,A,3\n"
+         "ABCDEFG\x00,ABCDEFGH\x00,4\nABCDEFGHIJKLMNOP\x00,ABCDEFGHI,5\n", 1)
+@example("日本誌,日本誌\x00,1\n日本,日本誌,2\n", 1)  # multibyte across a word
 def test_bulk_path_agrees_with_the_line_path_and_the_old_rule(text, first_line):
     bulk = _outcome(text, first_line)
     with mock.patch("citenet.matrix._bulk_rows", return_value=None):
@@ -222,6 +228,60 @@ def test_bulk_path_takes_canonical_blocks():
     with mock.patch("citenet.matrix._parse_lines", side_effect=AssertionError):
         m = parse_citation_csv(text, 2005)
     assert m.cell("日本誌", "\U0001d50d") == 1 and m.cell("\x00A", "É") == MAX_COUNT
+
+
+def _seeded_ids(rng, count: int) -> list[str]:
+    """*count* distinct ids of 1 to 24 UTF-8 bytes, about half of them ASCII."""
+    ascii_chars, multibyte = ["A", "b", "7", "_", "\x00"], ["é", "日", "\U0001d50d"]
+    ids = set()
+    while len(ids) < count:
+        size = rng.integers(1, 25)
+        alphabet = ascii_chars + multibyte * int(rng.random() < 0.5)
+        token = ""
+        while len(token.encode()) < size:
+            token += alphabet[rng.integers(len(alphabet))]
+        ids.add(token if len(token.encode()) <= 24 else token[:-1])
+    return sorted(ids)
+
+
+def test_bulk_numbering_of_many_ids_across_small_blocks(monkeypatch):
+    rng = np.random.default_rng(2005)
+    ids = _seeded_ids(rng, 5000)
+    citing, cited = rng.integers(0, len(ids), (2, 50_000)).tolist()
+    counts = rng.integers(0, 10**6, 50_000).tolist()
+    text = "".join(f"{ids[a]},{ids[b]},{c}\n" for a, b, c in zip(citing, cited, counts))
+    monkeypatch.setattr("citenet.matrix._BLOCK_CHARS", 4096)
+    with mock.patch("citenet.matrix._parse_lines", side_effect=AssertionError):
+        bulk = parse_citation_csv(text, 2005)
+    with mock.patch("citenet.matrix._bulk_rows", return_value=None):
+        assert parse_citation_csv(text, 2005) == bulk
+    assert len(bulk) == len(set(citing + cited))
+
+    # One invalid id among valid ones: the block is refused and ids met in
+    # it are not numbered.
+    seen = {ids[0]: 0, ids[1]: 1}
+    for flaw in ['"', "\u00a0", "\\"]:
+        lines = text.splitlines(keepends=True)[:200]
+        lines.insert(100, f"{ids[7]},{ids[8]}{flaw}A,3\n")
+        assert _bulk_rows("".join(lines), 0, 1, seen) is None
+        assert seen == {ids[0]: 0, ids[1]: 1}
+        with pytest.raises(EdgeListParseError) as raised:
+            parse_citation_csv("".join(lines), 2005)
+        assert raised.value.line_no == 101
+
+
+def test_field_numbers_are_equal_exactly_when_the_bytes_are():
+    # One number per distinct id, not per field: each is decoded once.
+    rng = np.random.default_rng(2006)
+    ids = [token.encode("utf-8") for token in _seeded_ids(rng, 2000)]
+    fields = [ids[k] for k in rng.integers(0, len(ids), 20_000)]
+    raw = b"".join(field + b"," for field in fields) + bytes(8)
+    lengths = np.array([len(field) for field in fields])
+    ends = np.cumsum(lengths + 1) - 1
+    numbers = _field_numbers(raw, ends - lengths, ends).tolist()
+    distinct = set(fields)
+    assert len(set(numbers)) == len(distinct) == max(numbers) + 1
+    assert len(set(zip(numbers, fields))) == len(distinct)
 
 
 def test_shuffled_rows_give_an_identical_csr():
