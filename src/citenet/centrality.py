@@ -42,7 +42,7 @@ class Graph:
     degree counts and geodesics.
     """
 
-    __slots__ = ("_nodes", "_index", "_directed", "_csr", "_edges", "_out", "_in")
+    __slots__ = ("_nodes", "_index", "_directed", "_csr", "_edges")
 
     def __init__(
         self,
@@ -80,21 +80,9 @@ class Graph:
         return g
 
     def _assign(self, nodes, index, directed, rows, cols, weights) -> None:
-        n = len(nodes)
         self._nodes, self._index, self._directed = nodes, index, directed
-        self._csr = indptr, heads, _ = _canonical(n, rows, cols, weights)
+        self._csr = _canonical(len(nodes), rows, cols, weights)
         self._edges = None
-        # Hop adjacency as CSR ``(indptr, indices)`` with each row's
-        # neighbour numbers ascending: out-neighbours, and in-neighbours
-        # (the same arrays when undirected).
-        tails = _row_ids(indptr)
-        hop = tails != heads
-        tails, heads = tails[hop], heads[hop]
-        if not directed:
-            tails, heads = np.concatenate((tails, heads)), np.concatenate((heads, tails))
-        ones = np.ones(len(tails))
-        self._out = _canonical(n, tails, heads, ones)[:2]
-        self._in = _canonical(n, heads, tails, ones)[:2] if directed else self._out
 
     @classmethod
     def from_citation_matrix(cls, m: CitationMatrix, nodes: Sequence[Node]) -> "Graph":
@@ -102,16 +90,15 @@ class Graph:
 
         The graph keeps the order of *nodes*; self-citation loops are dropped.
         """
-        unknown = set(nodes) - set(m.journals)
+        unknown = {node for node in nodes if node not in m}
         if unknown:
             raise UnknownNodeError(f"not in matrix: {sorted(unknown)}")
-        index = _node_index(tuple(nodes))
-        sub = m.submatrix(nodes)
-        # The submatrix numbers its journals in id order; renumber in node order.
-        place = np.array([index[journal] for journal in sub.journals], dtype=np.int64)
-        rows, cols = place[_row_ids(sub._indptr)], place[sub._indices]
-        links = rows != cols
-        counts = sub._data[links].astype(np.float64)
+        # The nodes' rows, their columns renumbered in node order (-1 outside).
+        positions = m._positions(nodes)
+        rows, entries = _row_entries(m._indptr, positions)
+        cols = m._lookup(positions)[m._indices[entries]]
+        links = (cols >= 0) & (cols != rows)
+        counts = m._data[entries[links]].astype(np.float64)
         return cls._from_arrays(nodes, rows[links], cols[links], counts, directed=True)
 
     @property
@@ -137,21 +124,6 @@ class Graph:
 
     def __contains__(self, node: Node) -> bool:
         return node in self._index
-
-    def successors(self, node: Node) -> tuple[Node, ...]:
-        """Out-neighbours of *node* in node order, loops excluded."""
-        return self._neighbours(self._out, node)
-
-    def predecessors(self, node: Node) -> tuple[Node, ...]:
-        """In-neighbours of *node* in node order, loops excluded."""
-        return self._neighbours(self._in, node)
-
-    def _neighbours(self, csr: tuple[np.ndarray, np.ndarray], node: Node) -> tuple[Node, ...]:
-        if node not in self._index:
-            raise UnknownNodeError(f"unknown node {node!r}")
-        indptr, indices = csr
-        k = self._index[node]
-        return tuple(self._nodes[j] for j in indices[indptr[k] : indptr[k + 1]].tolist())
 
 
 def _node_index(nodes: tuple[Node, ...]) -> dict[Node, int]:
@@ -238,7 +210,7 @@ def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     """
     nodes = g.nodes
     n = len(nodes)
-    indptr, heads = g._out
+    indptr, heads = _hop_csr(g)
     batch = max(1, _BATCH_ENTRIES // max(1, len(heads), n))
     raw = np.zeros(n)
     closeness = np.zeros(n)
@@ -258,6 +230,20 @@ def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     # the ordered-pair sweep, so one scale factor covers both cases.
     scale = 1.0 / ((n - 1) * (n - 2))
     return dict(zip(nodes, (raw * scale).tolist())), dict(zip(nodes, closeness.tolist()))
+
+
+def _hop_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The hop adjacency ``(indptr, heads)`` the sweep walks: each node's
+    out-neighbours, both endpoints' neighbours when undirected, ascending
+    in node number and without loops."""
+    if g.directed:
+        tails, heads = _row_ids(g._csr[0]), g._csr[1]
+    else:
+        tails, heads, _ = _symmetric_adjacency(g)
+    hop = tails != heads
+    indptr = np.zeros(len(g) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails[hop], minlength=len(g)), out=indptr[1:])
+    return indptr, heads[hop]
 
 
 def _symmetric_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

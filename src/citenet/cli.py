@@ -359,6 +359,9 @@ def _load_if_csv(path: Path) -> dict[str, float]:
             fields = line.split(",")
             if len(fields) != 2:
                 raise CitenetError(f"{path}:{line_no}: expected id,impact_factor")
+            journal_id = fields[0].strip()
+            if journal_id in values:
+                raise CitenetError(f"{path}:{line_no}: repeats the id {journal_id!r}")
             try:
                 value = float(fields[1])
             except ValueError:
@@ -368,7 +371,7 @@ def _load_if_csv(path: Path) -> dict[str, float]:
                     f"{path}:{line_no}: impact factor {fields[1].strip()!r} "
                     "is not a finite number"
                 )
-            values[fields[0].strip()] = value
+            values[journal_id] = value
     return values
 
 

@@ -68,7 +68,7 @@ BOM = "\ufeff"
 
 # Ids that _validate_id accepts, one per line: ``\s`` matches exactly the
 # characters str.isspace accepts, the newline among them.
-_ID_LINES = re.compile(r'(?:[^\s",\\]+\n)*')
+_ID_LINES = re.compile(r'(?:[^\s",\\\ud800-\udfff]+\n)*')
 _BLOCK_CHARS = 1 << 20
 _HASH_BYTES = 1 << 18
 
@@ -102,6 +102,9 @@ def _validate_id(token: str) -> str:
     # The persisted CSV writes ids unquoted between commas.
     if "," in token:
         raise ValueError(f"journal id {token!r} must not contain a comma")
+    # Every file the toolkit writes is UTF-8, which cannot encode one.
+    if re.search(r"[\ud800-\udfff]", token):
+        raise ValueError(f"journal id {token!r} must not contain a lone surrogate")
     return token
 
 
@@ -187,7 +190,7 @@ def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
     Duplicate cells are summed, zero sums dropped and each row's indices
     sorted.  *values* keeps its dtype.  The sort is not stable, so
     duplicates are summed in no fixed order.  Every caller's sums are
-    exact in any order: integer sums are, ``Graph``'s hop CSRs sum ones, and
+    exact in any order: integer sums are, ``Graph`` cells are distinct, and
     ``_symmetric_adjacency`` sums at most two floats per cell, which commute.
     """
     assert n * n < 2**63, "cell keys row * n + col must fit in int64"
@@ -755,15 +758,15 @@ def citation_profiles(
 
 def serialize_matrix(m: CitationMatrix) -> str:
     """Deterministic edge-list CSV text (sorted cells, LF endings)."""
-    return _csv_bytes(m, "surrogatepass").decode("utf-8", "surrogatepass")
+    return _csv_bytes(m).decode("utf-8")
 
 
-def _csv_bytes(m: CitationMatrix, errors: str = "strict") -> bytes:
+def _csv_bytes(m: CitationMatrix) -> bytes:
     """The UTF-8 bytes of :func:`serialize_matrix`, built in numpy: each id is
     encoded once and gathered into every line naming it, and each count is
     written one decimal digit per pass, from the right."""
     header = np.frombuffer((EDGE_HEADER + "\n").encode(), dtype=np.uint8)
-    names = [journal_id.encode("utf-8", errors) for journal_id in m._ids]
+    names = [journal_id.encode("utf-8") for journal_id in m._ids]
     pool = np.frombuffer(b"".join(names), dtype=np.uint8)
     length = np.fromiter(map(len, names), np.int64, len(names))
     offset = np.cumsum(length) - length
@@ -866,10 +869,8 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
     _replace(_sidecar_path(path), sidecar)
 
 
-def _read_sidecar(
-    sidecar: Path, raw: bytes
-) -> tuple[int, _Registry, str | None]:
-    """``(year, registry, recorded CSV sha256 or None)`` from sidecar bytes."""
+def _read_sidecar(sidecar: Path, raw: bytes) -> tuple[int, _Registry, str]:
+    """``(year, registry, recorded CSV sha256)`` from sidecar bytes."""
     try:
         meta = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -903,8 +904,8 @@ def _read_sidecar(
                 ) from None
         registry = _Registry._of(journals.values())
     digest = meta.get("csv_sha256")
-    if digest is not None and not isinstance(digest, str):
-        raise SidecarError(f"{sidecar}: \"csv_sha256\" must be a string")
+    if not isinstance(digest, str):
+        raise SidecarError(f"{sidecar}: no string \"csv_sha256\"")
     return year, registry, digest
 
 
@@ -977,11 +978,10 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     """Load a persisted matrix (CSV plus sidecar, and the CSR cache if valid).
 
     Without a sidecar the *year* argument is required and all journals
-    default to SCI with ``display_name == id``.  A sidecar that records a
-    sha256 must match the CSV; sidecars written before the hash was recorded
-    load unchecked.  A header-only CSV loads as a matrix with the sidecar's
-    journals and no cells.  Raises :class:`SidecarError` for a malformed or
-    mismatched sidecar.
+    default to SCI with ``display_name == id``.  A sidecar must record the
+    sha256 of the CSV, and it must match.  A header-only CSV loads as a
+    matrix with the sidecar's journals and no cells.  Raises
+    :class:`SidecarError` for a malformed or mismatched sidecar.
 
     After those checks the ``.csr.npz`` cache is used when it records the
     sha256 of these exact CSV and sidecar bytes and holds a canonical CSR
@@ -1001,7 +1001,7 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     meta = sidecar.read_bytes()
     year, registry, digest = _read_sidecar(sidecar, meta)
     csv_sha256 = _file_sha256(path)
-    if digest is not None and csv_sha256 != digest:
+    if csv_sha256 != digest:
         raise SidecarError(
             f"{sidecar} does not belong to {path}: the CSV's sha256 differs "
             "from the one the sidecar records"

@@ -54,10 +54,6 @@ class SimilarityGraph(Graph):
     def warnings(self) -> tuple[str, ...]:
         return self._warnings
 
-    def weight(self, u: JournalId, v: JournalId) -> float | None:
-        """Edge weight between two nodes, or None when no edge is stored."""
-        return self.edges.get((u, v), self.edges.get((v, u)))
-
 
 def similarity_graph(
     env: SeedEnvironment,

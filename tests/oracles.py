@@ -145,15 +145,38 @@ class PairGeodesics:
     through: Mapping[Node, int]
 
 
+def neighbours(g: Graph) -> tuple[dict[Node, tuple[Node, ...]], dict[Node, tuple[Node, ...]]]:
+    """``(successors, predecessors)`` of every node, read off ``g.edges``.
+
+    Each tuple lists distinct nodes in node order; loops are excluded, and an
+    undirected edge makes each endpoint a successor and a predecessor of the
+    other.
+    """
+    succ: dict[Node, set[Node]] = {node: set() for node in g.nodes}
+    pred: dict[Node, set[Node]] = {node: set() for node in g.nodes}
+    for u, v in g.edges:
+        if u != v:
+            succ[u].add(v)
+            pred[v].add(u)
+            if not g.directed:
+                succ[v].add(u)
+                pred[u].add(v)
+    order = {node: i for i, node in enumerate(g.nodes)}.__getitem__
+    return tuple({node: tuple(sorted(found, key=order)) for node, found in side.items()}
+                 for side in (succ, pred))
+
+
 def geodesic_ledger(g: Graph) -> dict[tuple[Node, Node], PairGeodesics]:
     """Explicitly enumerate every geodesic of every connected node pair.
 
     Distances come from Floyd-Warshall and the paths from recursive
-    expansion over the distance matrix, deliberately sharing nothing with
-    the batched sweep behind :func:`citenet.build_report`.  Pairs are ordered
-    on directed graphs and unordered (u before v in node order) otherwise.
+    expansion over the distance matrix and :func:`neighbours`, deliberately
+    sharing nothing with the batched sweep behind :func:`citenet.build_report`.
+    Pairs are ordered on directed graphs and unordered (u before v in node
+    order) otherwise.
     """
     nodes = g.nodes
+    succ = neighbours(g)[0]
     n = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
     inf = float("inf")
@@ -182,7 +205,7 @@ def geodesic_ledger(g: Graph) -> dict[tuple[Node, Node], PairGeodesics]:
         if s == t:
             return [[t]]
         found = []
-        for w in g.successors(nodes[s]):
+        for w in succ[nodes[s]]:
             wi = index[w]
             if dist[wi][t] == dist[s][t] - 1.0:
                 for tail in paths(wi, t):
@@ -231,7 +254,8 @@ def degree_centrality(g: Graph, j: Node) -> tuple[int, int]:
     ``Graph.from_citation_matrix(m, sorted(m.journals))`` this is the
     reference for :func:`citenet.citation_degrees`.
     """
-    return len(g.predecessors(j)), len(g.successors(j))
+    succ, pred = neighbours(g)
+    return len(pred[j]), len(succ[j])
 
 
 def _shortest_paths(
@@ -266,7 +290,7 @@ def _shortest_paths(
 def reference_sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     """``(betweenness, closeness)`` from a scalar Brandes sweep in level order.
 
-    Neighbours are read off ``g.edges`` rather than the graph's own arrays.
+    Neighbours come from :func:`neighbours`, not the graph's own arrays.
     Dependencies are accumulated deepest level first, as
     ``delta[v] = sigma[v] * sum((1 + delta[w]) / sigma[w])`` over v's
     geodesic successors w in ascending node number, the sum starting from
@@ -278,13 +302,7 @@ def reference_sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     nodes = g.nodes
     n = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    neighbours: list[set[int]] = [set() for _ in nodes]
-    for u, v in g.edges:
-        if u != v:
-            neighbours[index[u]].add(index[v])
-            if not g.directed:
-                neighbours[index[v]].add(index[u])
-    succ = [sorted(s) for s in neighbours]
+    succ = [[index[w] for w in out] for out in neighbours(g)[0].values()]
     raw = [0.0] * n
     closeness: dict[Node, float] = {}
     for source in range(n):
@@ -345,10 +363,11 @@ def reference_write_matrix(m: CitationMatrix, path: Path) -> None:
     Path(f"{path}.meta.json").write_bytes(sidecar)
 
 
-# Rows the parser may split in bulk: two nonempty ids free of whitespace and
-# quoting characters, and one to ten ASCII digits per line (``\s`` matches
-# exactly the characters str.isspace accepts).
-CANONICAL_ROWS = re.compile(r'(?:[^\s,"\\]+,[^\s,"\\]+,[0-9]{1,10}\n)*')
+# Rows the parser may split in bulk: two nonempty ids free of whitespace,
+# quoting characters and lone surrogates, and one to ten ASCII digits per line
+# (``\s`` matches exactly the characters str.isspace accepts).
+_ID = r'[^\s,"\\\ud800-\udfff]+'
+CANONICAL_ROWS = re.compile(rf"(?:{_ID},{_ID},[0-9]{{1,10}}\n)*")
 
 
 def bulk_rows_accepted(text: str, start: int) -> bool:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import citenet.centrality
 from citenet import (
+    CitationMatrix,
     ConvergenceError,
     Graph,
+    Journal,
     UnknownNodeError,
     build_report,
     citation_degrees,
@@ -19,7 +21,13 @@ from citenet import (
     parse_citation_csv,
 )
 from citenet.centrality import _sweep
-from oracles import brute_force_betweenness, degree_centrality, geodesic_ledger, reference_sweep
+from oracles import (
+    brute_force_betweenness,
+    degree_centrality,
+    geodesic_ledger,
+    neighbours,
+    reference_sweep,
+)
 
 
 def betweenness_of(g):
@@ -47,10 +55,11 @@ def cycle4():
 
 
 def _reachable(g, source):
+    succ = neighbours(g)[0]
     seen = {source}
     stack = [source]
     while stack:
-        for w in g.successors(stack.pop()):
+        for w in succ[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -70,6 +79,9 @@ def random_graph(rng, n=None, density=None, directed=None):
             if rng.random() < density:
                 edges[(nodes[i], nodes[j])] = float(rng.uniform(0.1, 1.0))
     return Graph(nodes, edges, directed=directed)
+
+
+MATRIX_IDS = ["A", "B", "C", "D", "E", "F"]
 
 
 class TestGraph:
@@ -140,6 +152,34 @@ class TestGraph:
         with pytest.raises(UnknownNodeError):
             Graph.from_citation_matrix(m, nodes=["A", "nope"])
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cells=st.dictionaries(
+            st.tuples(st.sampled_from(MATRIX_IDS), st.sampled_from(MATRIX_IDS)),
+            st.integers(1, 9),
+            max_size=30,
+        ),
+        order=st.permutations(MATRIX_IDS),
+        size=st.integers(0, len(MATRIX_IDS)),
+    )
+    def test_from_citation_matrix_reads_the_cells_among_the_nodes(self, cells, order, size):
+        m = CitationMatrix(2005, [Journal(j, j) for j in MATRIX_IDS], cells)
+        nodes = order[:size]
+        place = {node: i for i, node in enumerate(nodes)}
+        expected = sorted(
+            ((place[u], place[v]), (u, v), float(count))
+            for (u, v), count in m.cells.items()
+            if u in place and v in place and u != v
+        )
+        g = Graph.from_citation_matrix(m, nodes)
+        assert g.directed and g.nodes == tuple(nodes)
+        assert list(g.edges.items()) == [(pair, count) for _, pair, count in expected]
+        with pytest.raises(UnknownNodeError):
+            Graph.from_citation_matrix(m, [*nodes, "nope"])
+        if nodes:
+            with pytest.raises(ValueError, match="duplicate"):
+                Graph.from_citation_matrix(m, [*nodes, nodes[-1]])
+
 
 def _no_rebuild(*args):
     raise AssertionError("the edge mapping was rebuilt")
@@ -158,20 +198,12 @@ class TestDegree:
         assert degree_centrality(g, "B") == (2, 0)
         assert degree_centrality(g, "A") == (0, 1)
 
-    def test_unknown_node(self):
-        with pytest.raises(UnknownNodeError):
-            degree_centrality(star(), "missing")
-
     def test_adding_an_edge_never_decreases_degree_or_reachability(self):
         rng = np.random.default_rng(50)
         for _ in range(30):
             g = random_graph(rng)
-            missing = [
-                (u, v)
-                for u in g.nodes
-                for v in g.nodes
-                if u != v and v not in g.successors(u)
-            ]
+            succ = neighbours(g)[0]
+            missing = [(u, v) for u in g.nodes for v in g.nodes if u != v and v not in succ[u]]
             if not missing:
                 continue
             u, v = missing[int(rng.integers(0, len(missing)))]
@@ -284,6 +316,25 @@ class TestBruteForceOracle:
             slow = brute_force_betweenness(g)
             for node in g.nodes:
                 assert fast[node] == pytest.approx(slow[node], abs=1e-9)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_oracles_do_not_walk_the_sweeps_hop_adjacency(self, monkeypatch, directed):
+        # With one entry dropped from the adjacency the sweep walks, the sweep
+        # must disagree with both oracles: neither may read that adjacency.
+        g = random_graph(np.random.default_rng(62), n=10, density=0.3, directed=directed)
+        hop_csr = citenet.centrality._hop_csr
+
+        def one_edge_short(graph):
+            indptr, heads = hop_csr(graph)
+            return np.maximum(indptr - 1, 0), heads[1:]
+
+        honest = _sweep(g)
+        monkeypatch.setattr(citenet.centrality, "_hop_csr", one_edge_short)
+        short = _sweep(g)
+        assert reference_sweep(g) == honest != short
+        slow = brute_force_betweenness(g)
+        assert all(honest[0][v] == pytest.approx(slow[v], abs=1e-9) for v in g.nodes)
+        assert any(abs(short[0][v] - slow[v]) > 1e-9 for v in g.nodes)
 
     def test_raw_sum_matches_ledger_interior_positions(self):
         rng = np.random.default_rng(52)
@@ -571,7 +622,7 @@ def test_sweep_is_bit_identical_to_the_level_order_reference():
 
 def _batched(g, monkeypatch, sources_per_batch):
     """``_sweep(g)`` with batches of *sources_per_batch* sources."""
-    edges = sum(len(g.successors(node)) for node in g.nodes)
+    edges = sum(map(len, neighbours(g)[0].values()))
     with monkeypatch.context() as patch:
         patch.setattr(citenet.centrality, "_BATCH_ENTRIES", sources_per_batch * max(edges, len(g)))
         return citenet.centrality._sweep(g)

@@ -34,6 +34,7 @@ from citenet import (
     write_matrix,
 )
 from citenet.cli import main
+from oracles import neighbours
 
 DATA_DIR = Path(__file__).parent / "data"
 SEED = "G00"
@@ -100,11 +101,12 @@ def cli_output(args: list[str]) -> str:
 
 def _components(g: Graph) -> int:
     """Strongly connected components (plain components when undirected)."""
+    succ = neighbours(g)[0]
     reach = {}
     for source in g.nodes:
         seen, stack = {source}, [source]
         while stack:
-            for w in g.successors(stack.pop()):
+            for w in succ[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

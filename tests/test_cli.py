@@ -135,11 +135,11 @@ class TestSidecar:
         assert str(_sidecar(matrix_path)) in err
         assert f"{matrix_path}:" in err
 
-    def test_sidecar_without_hash_loads(self, matrix_path, capsys):
+    def test_sidecar_without_hash_is_rejected(self, matrix_path, capsys):
         meta = json.loads(_sidecar(matrix_path).read_text(encoding="utf-8"))
         del meta["csv_sha256"]
         _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
-        assert main(["env", str(matrix_path), "--seed", "S"]) == 0
+        assert 'no string "csv_sha256"' in self._env_error(matrix_path, capsys)
 
     def test_sidecar_without_year(self, matrix_path, capsys):
         meta = json.loads(_sidecar(matrix_path).read_text(encoding="utf-8"))
@@ -170,6 +170,13 @@ class TestSidecar:
         meta["journals"].append({"id": "A", "display_name": "Other name", "source_index": "SSCI"})
         _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
         assert "journals entry 4: repeats the id 'A'" in self._env_error(matrix_path, capsys)
+
+    def test_lone_surrogate_journal_id(self, matrix_path, capsys):
+        meta = json.loads(_sidecar(matrix_path).read_text(encoding="utf-8"))
+        meta["journals"].append({"id": "\ud800", "display_name": "x", "source_index": "SCI"})
+        _sidecar(matrix_path).write_text(json.dumps(meta), encoding="utf-8")
+        err = self._env_error(matrix_path, capsys)
+        assert "journals entry 4: journal id '\\ud800' must not contain a lone surrogate" in err
 
     def test_deeply_nested_sidecar(self, matrix_path, capsys):
         _sidecar(matrix_path).write_text("[" * 100_000, encoding="utf-8")
@@ -289,6 +296,13 @@ class TestCentralityAndReport:
         assert capsys.readouterr().err == (
             f"error: {if_csv}:3: impact factor {value!r} is not a finite number\n"
         )
+
+    def test_report_rejects_a_repeated_impact_factor_id(self, tmp_path, matrix_path, capsys):
+        if_csv = tmp_path / "if.csv"
+        if_csv.write_text("id,impact_factor\nA,1.5\nA,2.5\n", encoding="utf-8")
+        code = main(["report", str(matrix_path), "--seed", "S", "--if-csv", str(if_csv)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {if_csv}:3: repeats the id 'A'\n"
 
 
 class TestMetricsCommand:

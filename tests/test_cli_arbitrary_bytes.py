@@ -8,6 +8,7 @@ exit 1 with exactly one ``error:`` line.  Arbitrary bytes in the
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -121,9 +122,9 @@ def test_persisted_csv(data, keep_hash, pick):
         written = matrix.read_bytes()
         _put(matrix, data)
         if not keep_hash:
-            # A sidecar written before the hash was recorded: the bytes are parsed.
+            # A sidecar that records the new bytes' hash: the bytes are parsed.
             meta = json.loads(_sidecar(matrix).read_text(encoding="utf-8"))
-            del meta["csv_sha256"]
+            meta["csv_sha256"] = hashlib.sha256(data).hexdigest()
             _put(_sidecar(matrix), json.dumps(meta).encode("utf-8"))
         code, _, err = _run(pick.draw(_reader_calls(matrix)))
         _check_contract(code, err)

@@ -450,15 +450,16 @@ class TestPersistence:
         with pytest.raises(SidecarError, match="m.csv.meta.json.*m.csv"):
             read_matrix(path)
 
-    def test_sidecar_without_hash_still_loads(self, tmp_path):
-        m = parse_citation_csv(THREE_CELLS, 2005)
+    def test_sidecar_without_hash_is_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_matrix(m, path)
+        write_matrix(parse_citation_csv(THREE_CELLS, 2005), path)
         sidecar = tmp_path / "m.csv.meta.json"
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
         del meta["csv_sha256"]
-        sidecar.write_text(json.dumps(meta), encoding="utf-8")
-        assert read_matrix(path) == m
+        for digest in ({}, {"csv_sha256": 5}):
+            sidecar.write_text(json.dumps({**meta, **digest}), encoding="utf-8")
+            with pytest.raises(SidecarError, match='m.csv.meta.json: no string "csv_sha256"'):
+                read_matrix(path)
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_unsorted_sidecar_loads_in_id_order(self, tmp_path, cached):

@@ -7,6 +7,7 @@ write the same bytes as the one-cell-at-a-time writer in ``oracles``, and
 the parser's bulk path must give what its line-by-line path gives.
 """
 
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -23,6 +24,7 @@ from citenet import (
     EdgeListParseError,
     Graph,
     Journal,
+    SidecarError,
     SourceIndex,
     merge_indices,
     parse_citation_csv,
@@ -104,12 +106,28 @@ def test_write_matrix_equals_the_scalar_writer(m):
     assert serialize_matrix(m).encode("utf-8") == reference[0]
 
 
-def test_lone_surrogate_id_serializes_but_is_not_written(tmp_path):
-    m = parse_citation_csv("\ud800,A,3\n", 2005)
-    assert serialize_matrix(m) == "citing,cited,count\n\ud800,A,3\n"
-    with pytest.raises(UnicodeEncodeError):
-        write_matrix(m, tmp_path / "m.csv")
-    assert list(tmp_path.iterdir()) == []
+def test_lone_surrogate_id_is_rejected_by_the_parse():
+    # The bulk path passes the surrogate through to the id check, and the
+    # line path then names the line.
+    with pytest.raises(EdgeListParseError, match="lone surrogate") as info:
+        parse_citation_csv("\ud800,A,3\n", 2005)
+    assert info.value.line_no == 1
+
+
+def test_lone_surrogate_id_is_rejected_by_journal():
+    with pytest.raises(ValueError, match="lone surrogate"):
+        Journal("A\udfff", "x")
+
+
+def test_lone_surrogate_id_in_a_sidecar_fails_the_load(tmp_path):
+    path = tmp_path / "m.csv"
+    write_matrix(parse_citation_csv("A,B,3\n", 2005), path)
+    sidecar = tmp_path / "m.csv.meta.json"
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    meta["journals"].append({"id": "\ud800", "display_name": "x", "source_index": "SCI"})
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(SidecarError, match="entry 2: .*lone surrogate"):
+        read_matrix(path)
 
 
 def _peak(call) -> int:
@@ -141,13 +159,14 @@ def test_write_memory_stays_near_the_scalar_writer(tmp_path):
 
 # Ids and counts near the bulk path's acceptance rule: whitespace the
 # regular expression's ``\s`` matches (no-break space, line separator, the
-# information separators), quoting characters, NUL, a lone surrogate, a
+# information separators), quoting characters, a lone surrogate, NUL, a
 # byte-order mark and multibyte characters, and an 8-byte part, so that ids
 # fill, cross and share the 8-byte words the bulk path numbers them by;
 # counts with leading zeros, ten digits above MAX_COUNT, eleven digits, bytes
 # next to the digits, and forms int() accepts.
-ID_PARTS = ["A", "B7", "É", "日本誌", "\U0001d50d", "\ufeff", "\x00", "\ud800", "ABCDEFGH"]
-ID_FLAWS = ["\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", '"', "\\", " ", "\t"]
+ID_PARTS = ["A", "B7", "É", "日本誌", "\U0001d50d", "\ufeff", "\x00", "ABCDEFGH"]
+ID_FLAWS = ["\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", '"', "\\", " ", "\t",
+            "\ud800"]
 COUNT_FLAWS = ["", "-1", "+5", "1_0", "\u0663", "\u00b2", "1.5", " 7", "x", "1:", "/", "5\r"]
 good_ids = st.lists(st.sampled_from(ID_PARTS), min_size=1, max_size=3).map("".join)
 bad_ids = st.one_of(

@@ -66,6 +66,18 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def _public_members(cls):
+    return sorted(name for name in dir(cls) if not name.startswith("_"))
+
+
+def test_graph_members_are_pinned():
+    graph = ["directed", "edges", "from_citation_matrix", "nodes"]
+    assert _public_members(citenet.Graph) == graph
+    assert _public_members(citenet.SimilarityGraph) == sorted(
+        [*graph, "basis", "threshold", "warnings"]
+    )
+
+
 def _journals_matrix(order):
     records = {
         "B": citenet.Journal("B", "Beta", citenet.SourceIndex.SSCI),

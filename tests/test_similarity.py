@@ -17,7 +17,7 @@ from citenet import (
     parse_citation_csv,
     similarity_graph,
 )
-from oracles import UndefinedSimilarityError, ZeroVarianceError, cosine, pearson
+from oracles import UndefinedSimilarityError, ZeroVarianceError, cosine, neighbours, pearson
 
 TRIANGLE = "B,A,3\nC,A,3\nA,B,3\nC,B,3\nA,C,3\nB,C,3"
 
@@ -158,7 +158,7 @@ class TestSimilarityGraph:
         m = parse_citation_csv("B,S,50\nC,S,50\nS,B,7\nS,C,7", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.01)
         g = similarity_graph(env, 0.2)
-        assert g.weight("B", "C") == 1.0
+        assert g.edges[("B", "C")] == 1.0
 
     def test_exact_threshold_is_excluded(self):
         env = _triangle_env()
@@ -207,7 +207,7 @@ class TestSimilarityGraph:
         env = extract_environment(m, "S", Direction.CITED, 0.01)
         g = similarity_graph(env, 0.0)
         # profiles of A and B over (S,A,B) are both (1,0,0): identical
-        assert g.weight("A", "B") == 1.0
+        assert g.edges[("A", "B")] == 1.0
 
     def test_direction_override(self):
         m = parse_citation_csv("B,S,50\nC,S,50\nS,B,5\nS,C,5\nB,C,9", 2005)
@@ -225,8 +225,8 @@ class TestSimilarityGraph:
         assert "D" not in env.members
         local = similarity_graph(env, 0.0)
         widened = similarity_graph(env, 0.0, full_matrix=m)
-        assert local.weight("B", "C") is None  # zero profiles locally
-        assert widened.weight("B", "C") == 1.0  # both cited only by D
+        assert ("B", "C") not in local.edges  # zero profiles locally
+        assert widened.edges[("B", "C")] == 1.0  # both cited only by D
 
     def test_too_few_members_rejected(self):
         m = parse_citation_csv("A,S,100\nA,A,1", 2005)
@@ -245,7 +245,7 @@ class TestSimilarityGraph:
         g = similarity_graph(_triangle_env(), 0.2)
         assert isinstance(g, Graph)
         assert not g.directed
-        assert g.successors("A") == ("B", "C")
+        assert neighbours(g) == ({"A": ("B", "C"), "B": ("A", "C"), "C": ("A", "B")},) * 2
 
     def test_labels_are_read_only(self):
         g = similarity_graph(_triangle_env(), 0.2)
@@ -264,7 +264,7 @@ class TestSimilarityGraph:
         monkeypatch.setattr(citenet.centrality, "_row_ids", rebuild)
         for _ in range(3):
             for (u, v), weight in edges.items():
-                assert g.weight(u, v) == g.weight(v, u) == g.edges[(u, v)] == weight
+                assert g.edges[(u, v)] == weight and (v, u) not in g.edges
         assert g.edges is edges
 
 
