@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import IsolatedSeedError, UnknownJournalError
-from .matrix import CitationMatrix, JournalId
+from .matrix import CitationMatrix, JournalId, totals
 
 
 class Direction(Enum):
@@ -45,6 +45,9 @@ class SeedEnvironment:
     def __post_init__(self) -> None:
         if not self.members or self.members[0] != self.seed:
             raise ValueError("seed must be the first member")
+        if sorted(self.members) != list(self.submatrix.journals):
+            raise ValueError("the submatrix must hold exactly the members, each once")
+        object.__setattr__(self, "direction", Direction(self.direction))
         object.__setattr__(
             self, "contributions", MappingProxyType(dict(self.contributions))
         )
@@ -66,6 +69,7 @@ def extract_environment(
     Raises :class:`UnknownJournalError` for an unknown seed and
     :class:`IsolatedSeedError` when the seed's relevant total is zero.
     """
+    direction = Direction(direction)
     if seed not in m:
         raise UnknownJournalError(f"unknown seed journal {seed!r}")
     if not 0.0 < threshold < 1.0:
@@ -104,8 +108,6 @@ def environment_totals(env: SeedEnvironment, j: JournalId) -> tuple[int, int]:
     """
     if j not in env.members:
         raise UnknownJournalError(f"{j!r} is not a member of this environment")
-    if env.direction is Direction.CITED:
-        gross = sum(env.submatrix.col(j).values())
-    else:
-        gross = sum(env.submatrix.row(j).values())
-    return gross, gross - env.submatrix.cell(j, j)
+    cited, citing, self_cites = totals(env.submatrix, j)
+    gross = cited if env.direction is Direction.CITED else citing
+    return gross, gross - self_cites

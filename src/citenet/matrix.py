@@ -120,6 +120,7 @@ class Journal:
         _validate_id(self.id)
         if not self.display_name:
             raise ValueError(f"journal {self.id!r}: display_name must be nonempty")
+        object.__setattr__(self, "source_index", SourceIndex(self.source_index))
 
     @classmethod
     def _unchecked(
@@ -628,6 +629,7 @@ def parse_citation_csv(
     its cell above it, and for input containing no data rows at all unless
     a *registry* is given (the matrix then has its journals and no cells).
     """
+    source = SourceIndex(source)
     if isinstance(stream, str):
         stream = io.StringIO(stream)
 
@@ -732,28 +734,6 @@ def citation_degrees(m: CitationMatrix) -> dict[JournalId, tuple[int, int]]:
     degree_out = np.diff(m._indptr) - self_cited
     degree_in = np.bincount(m._indices, minlength=len(m)) - self_cited
     return dict(zip(m._ids, zip(degree_in.tolist(), degree_out.tolist())))
-
-
-def citation_profiles(
-    m: CitationMatrix, journal_ids: Sequence[JournalId], *, citing: bool
-) -> np.ndarray:
-    """Profiles of *journal_ids* over every journal of *m*, one row each.
-
-    A dense int64 array: row k holds the outgoing (*citing*) or incoming
-    counts of ``journal_ids[k]``, one column per journal in id order, with
-    its own self-citation cell zeroed.
-    """
-    positions = m._positions(journal_ids)
-    profiles = np.zeros((len(positions), len(m)), dtype=np.int64)
-    if citing:
-        rows, entries = _row_entries(m._indptr, positions)
-        profiles[rows, m._indices[entries]] = m._data[entries]
-    else:
-        rows = m._lookup(positions)[m._indices]
-        entries = np.flatnonzero(rows >= 0)
-        profiles[rows[entries], _row_ids(m._indptr)[entries]] = m._data[entries]
-    profiles[np.arange(len(positions)), positions] = 0
-    return profiles
 
 
 def serialize_matrix(m: CitationMatrix) -> str:

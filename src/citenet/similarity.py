@@ -14,7 +14,7 @@ import numpy as np
 
 from .centrality import Graph
 from .environment import Direction, SeedEnvironment
-from .matrix import CitationMatrix, JournalId, citation_profiles
+from .matrix import JournalId, _row_ids
 
 
 class SimilarityGraph(Graph):
@@ -55,23 +55,13 @@ class SimilarityGraph(Graph):
         return self._warnings
 
 
-def similarity_graph(
-    env: SeedEnvironment,
-    threshold: float,
-    *,
-    direction: Direction | None = None,
-    full_matrix: CitationMatrix | None = None,
-) -> SimilarityGraph:
+def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
     """Build the cosine similarity graph over an environment's members.
 
-    Member profiles are compared along the environment member list as
-    coordinate axes, with each member's own diagonal (self-citation) entry
-    zeroed first.  An edge is stored iff its cosine strictly exceeds
-    *threshold*.
-
-    *direction* overrides the profile basis (default: the environment's own
-    direction).  Passing *full_matrix* switches the coordinate axes to the
-    full journal set of that matrix, for sensitivity analysis.
+    Each member's profile is its row (citing) or column (cited) of
+    ``env.submatrix``, as ``env.direction`` says, with the members as
+    coordinate axes and its own diagonal (self-citation) entry zeroed.  An
+    edge is stored iff its cosine strictly exceeds *threshold*.
 
     All cosines come from one Gram matrix G of the profiles, as
     ``G[i, j] / sqrt(G[i, i] * G[j, j])``, over the axes where some member
@@ -91,10 +81,16 @@ def similarity_graph(
         raise ValueError("environment must have at least 2 members")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    basis = env.direction if direction is None else direction
-    source = env.submatrix if full_matrix is None else full_matrix
+    basis, sub = env.direction, env.submatrix
 
-    profiles = citation_profiles(source, env.members, citing=basis is Direction.CITING)
+    # Row k is member k; columns are the submatrix journals in id order.
+    own = sub._positions(env.members)
+    profiles = np.zeros((len(own), len(own)), dtype=np.int64)
+    rows, cols = _row_ids(sub._indptr), sub._indices
+    if basis is Direction.CITED:
+        rows, cols = cols, rows
+    profiles[sub._lookup(own)[rows], cols] = sub._data
+    profiles[np.arange(len(own)), own] = 0
     profiles = profiles[:, profiles.any(axis=0)]
     as_float = profiles.astype(np.float64)
     # On nonnegative integers this float64 sum is exact below 2^53 and at

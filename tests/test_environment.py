@@ -6,6 +6,7 @@ import pytest
 from citenet import (
     Direction,
     IsolatedSeedError,
+    SeedEnvironment,
     UnknownJournalError,
     environment_totals,
     extract_environment,
@@ -70,6 +71,28 @@ class TestErrors:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 extract_environment(m, "S", Direction.CITED, bad)
+
+    def test_direction_given_as_a_string(self):
+        m = parse_citation_csv("B,S,50\nC,S,50\nS,D,9\nS,E,9", 2005)
+        for direction in Direction:
+            env = extract_environment(m, "S", direction.value, 0.01)
+            assert env == extract_environment(m, "S", direction, 0.01)
+            assert env.direction is direction
+        assert extract_environment(m, "S", "cited", 0.01).members == ("S", "B", "C")
+        with pytest.raises(ValueError, match="sideways"):
+            extract_environment(m, "S", "sideways", 0.01)
+        with pytest.raises(ValueError, match="sideways"):
+            SeedEnvironment("S", "sideways", 0.01, ("S", "B"), m.submatrix(["S", "B"]))
+
+    def test_submatrix_must_hold_exactly_the_members(self):
+        m = parse_citation_csv("B,S,50\nC,S,50\nS,D,9\nS,E,9", 2005)
+        for members, journals in (
+            (("S", "B"), ["S", "B", "C"]),
+            (("S", "B", "C"), ["S", "B"]),
+            (("S", "B", "B"), ["S", "B"]),
+        ):
+            with pytest.raises(ValueError, match="exactly the members"):
+                SeedEnvironment("S", Direction.CITED, 0.01, members, m.submatrix(journals))
 
 
 class TestEnvironmentStructure:

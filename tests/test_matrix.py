@@ -29,7 +29,7 @@ from citenet import (
     totals,
     write_matrix,
 )
-from citenet.matrix import _valid_ids, _validate_id, citation_profiles
+from citenet.matrix import _valid_ids, _validate_id
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7"
 
@@ -331,37 +331,6 @@ class TestTotalsAndProfiles:
         with pytest.raises(UnknownJournalError):
             totals(m, "nope")
 
-    def test_row_profile_lookup(self):
-        m = parse_citation_csv("A,B,5\nA,A,7\nC,A,1", 2005)
-        profiles = citation_profiles(m, ["A", "B"], citing=True)
-        # Columns are all journals in id order; a member's own cell is zeroed.
-        assert profiles.tolist() == [[0, 5, 0], [0, 0, 0]]
-        assert m.cell("A", "A") == 7  # the profiles are a copy
-
-    def test_col_profile_lookup(self):
-        m = parse_citation_csv("A,B,5\nA,A,7\nC,A,1", 2005)
-        profiles = citation_profiles(m, ["B", "A"], citing=False)
-        assert profiles.tolist() == [[5, 0, 0], [0, 0, 1]]
-        assert m.cell("A", "A") == 7
-
-    def test_profile_errors(self):
-        m = parse_citation_csv(THREE_CELLS, 2005)
-        with pytest.raises(UnknownJournalError, match="nope"):
-            citation_profiles(m, ["A", "nope"], citing=True)
-
-    def test_profile_sums_match_totals(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = _random_matrix(rng)
-            ids = sorted(m.journals)
-            rows = citation_profiles(m, ids, citing=True)
-            cols = citation_profiles(m, ids, citing=False)
-            assert (rows >= 0).all() and (cols >= 0).all()
-            for k, j in enumerate(ids):
-                cited_total, citing_total, self_cites = totals(m, j)
-                assert rows[k].sum() == citing_total - self_cites
-                assert cols[k].sum() == cited_total - self_cites
-
     def test_grand_total_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -388,6 +357,20 @@ class TestPersistence:
         again = read_matrix(path)
         assert again == m
         assert again.journals["Z"].source_index is SourceIndex.BOTH
+
+    def test_source_given_as_a_string_is_coerced(self, tmp_path):
+        registry = {"Z": Journal("Z", "Zeta Review", "BOTH")}
+        m = parse_citation_csv(THREE_CELLS, 2005, source="SSCI", registry=registry)
+        path = tmp_path / "m.csv"
+        write_matrix(m, path)
+        again = read_matrix(path)
+        assert again == m
+        assert again.journals["A"].source_index is SourceIndex.SSCI
+        assert again.journals["Z"].source_index is SourceIndex.BOTH
+        with pytest.raises(ValueError, match="XYZ"):
+            parse_citation_csv(THREE_CELLS, 2005, source="XYZ")
+        with pytest.raises(ValueError, match="XYZ"):
+            Journal("A", "A", "XYZ")
 
     def test_matrix_without_cells_reloads(self, tmp_path):
         m = parse_citation_csv("A,B,0", 2005)

@@ -4,6 +4,7 @@ A change to the public API edits this list, and records the change in
 CHANGES.md, in the same commit.
 """
 
+import inspect
 from collections.abc import Mapping, MutableMapping
 
 import pytest
@@ -76,6 +77,14 @@ def test_graph_members_are_pinned():
     assert _public_members(citenet.SimilarityGraph) == sorted(
         [*graph, "basis", "threshold", "warnings"]
     )
+
+
+def test_similarity_graph_takes_only_the_environment_and_threshold():
+    parameters = inspect.signature(citenet.similarity_graph).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("env", "threshold")
+    ]
 
 
 def _journals_matrix(order):

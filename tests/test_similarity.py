@@ -209,25 +209,6 @@ class TestSimilarityGraph:
         # profiles of A and B over (S,A,B) are both (1,0,0): identical
         assert g.edges[("A", "B")] == 1.0
 
-    def test_direction_override(self):
-        m = parse_citation_csv("B,S,50\nC,S,50\nS,B,5\nS,C,5\nB,C,9", 2005)
-        env = extract_environment(m, "S", Direction.CITED, 0.01)
-        default = similarity_graph(env, 0.0)
-        flipped = similarity_graph(env, 0.0, direction=Direction.CITING)
-        assert default.basis is Direction.CITED
-        assert flipped.basis is Direction.CITING
-        assert dict(default.edges) != dict(flipped.edges)
-
-    def test_full_matrix_axes_option(self):
-        # D is outside the environment but inside the full axes
-        m = parse_citation_csv("B,S,50\nC,S,50\nD,B,5\nD,C,5\nD,S,1\nS,D,1", 2005)
-        env = extract_environment(m, "S", Direction.CITED, 0.05)
-        assert "D" not in env.members
-        local = similarity_graph(env, 0.0)
-        widened = similarity_graph(env, 0.0, full_matrix=m)
-        assert ("B", "C") not in local.edges  # zero profiles locally
-        assert widened.edges[("B", "C")] == 1.0  # both cited only by D
-
     def test_too_few_members_rejected(self):
         m = parse_citation_csv("A,S,100\nA,A,1", 2005)
         env = extract_environment(m, "A", Direction.CITED, 0.99)
@@ -321,19 +302,13 @@ class TestGramPath:
             lambda ids: st.integers(2, len(ids)).map(lambda k: ids[:k])
         ),
         basis=st.sampled_from(Direction),
-        widen=st.booleans(),
         threshold=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
     )
-    def test_weights_equal_scalar_cosine_exactly(
-        self, cells, members, basis, widen, threshold
-    ):
+    def test_weights_equal_scalar_cosine_exactly(self, cells, members, basis, threshold):
         m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
         env = _env(m, members, basis)
-        source = m if widen else env.submatrix
-        g = similarity_graph(
-            env, threshold, direction=basis, full_matrix=m if widen else None
-        )
-        edges, zero = _reference_edges(source, env, basis, sorted(source.journals), threshold)
+        g = similarity_graph(env, threshold)
+        edges, zero = _reference_edges(env.submatrix, env, basis, sorted(members), threshold)
         # Same pairs, same insertion order, bit-identical weights.
         assert list(g.edges.items()) == edges
         assert all(type(weight) is float for weight in g.edges.values())
@@ -367,8 +342,8 @@ class TestGramPath:
         cells.update({("B", j): c for j, c in zip(axes, b_row) if c})
         m = CitationMatrix(2005, [Journal(j, j) for j in "AB" + axes], cells)
         assert low <= max(sum(c * c for c in row) for row in (a_row, b_row)) < high
-        env = _env(m, ["A", "B"], Direction.CITING)
-        g = similarity_graph(env, 0.0, full_matrix=m)
+        env = _env(m, ["A", "B", *axes], Direction.CITING)
+        g = similarity_graph(env, 0.0)
         edges, _ = _reference_edges(m, env, Direction.CITING, sorted(m.journals), 0.0)
         assert list(g.edges) == [pair for pair, _ in edges]
         assert edges[0][1] < 1.0
