@@ -16,6 +16,10 @@ from .centrality import Graph
 from .environment import Direction, SeedEnvironment
 from .matrix import JournalId, _row_ids
 
+# Rows of the Gram product computed at once: each block holds a few arrays of
+# _BLOCK_ROWS x members floats, instead of members x members.
+_BLOCK_ROWS = 64
+
 
 class SimilarityGraph(Graph):
     """Undirected cosine-weighted graph over environment members.
@@ -63,17 +67,21 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
     coordinate axes and its own diagonal (self-citation) entry zeroed.  An
     edge is stored iff its cosine strictly exceeds *threshold*.
 
-    All cosines come from one Gram matrix G of the profiles, as
-    ``G[i, j] / sqrt(G[i, i] * G[j, j])``, over the axes where some member
-    is nonzero.  No entry of G, nor any product or partial sum forming it,
-    exceeds the largest squared row norm, which picks the product:
+    All cosines come from a Gram product G of the profiles, computed in row
+    blocks, as ``G[i, j] / sqrt(G[i, i] * G[j, j])``, over the axes where
+    some member is nonzero.  No entry of G, nor any product or partial sum
+    forming it, exceeds the largest squared row norm, which picks the
+    product:
 
     - below 2^53, a float64 BLAS product, whose integer terms are all exact;
     - from 2^53 to 2^62, an int64 product, exact as nothing can wrap;
-    - from 2^62, a float64 product, rounded but free of wraparound.
+    - from 2^62, a float64 product, rounded but free of wraparound; the BLAS
+      build picks its rounding order per block, and the squared norms on the
+      diagonal are summed from the counts apart from it.
 
-    Below 2^62 G therefore equals the exact integer Gram, and on counts whose
-    squares stay below 2^53 each weight is bit-identical to the scalar cosine
+    Below 2^62 G therefore equals the exact integer Gram, so the result does
+    not depend on the block size, and on counts whose squares stay below
+    2^53 each weight is bit-identical to the scalar cosine
     ``dot / sqrt(|x|^2 * |y|^2)`` of the two profiles with all three sums
     exact.
     """
@@ -83,37 +91,42 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     basis, sub = env.direction, env.submatrix
 
-    # Row k is member k; columns are the submatrix journals in id order.
-    own = sub._positions(env.members)
-    profiles = np.zeros((len(own), len(own)), dtype=np.int64)
+    # Row k is member k; columns are the journals some member's profile
+    # holds, in id order.  Self-citations are left out.
     rows, cols = _row_ids(sub._indptr), sub._indices
     if basis is Direction.CITED:
         rows, cols = cols, rows
-    profiles[sub._lookup(own)[rows], cols] = sub._data
-    profiles[np.arange(len(own)), own] = 0
-    profiles = profiles[:, profiles.any(axis=0)]
-    as_float = profiles.astype(np.float64)
-    # On nonnegative integers this float64 sum is exact below 2^53 and at
-    # least 2^53 otherwise, so the first test is exact; the second keeps a
-    # factor-2 margin below 2^63, where int64 would wrap.
-    largest = (as_float * as_float).sum(axis=1).max()
-    if largest < 2.0**53 or largest >= 2.0**62:
-        gram = as_float @ as_float.T
-    else:
-        gram = profiles @ profiles.T
-    norms_sq = gram.diagonal().astype(np.float64)
+    off = rows != cols
+    member = sub._lookup(sub._positions(env.members))
+    rows, cols, counts = member[rows[off]], cols[off], sub._data[off]
+    # On nonnegative integers this float64 sum of squares is exact below 2^53
+    # and at least 2^53 otherwise, so the first test below is exact; the
+    # second keeps a factor-2 margin below 2^63, where int64 would wrap.
+    norms_sq = np.bincount(rows, counts * counts, len(env.members))
+    axes = np.flatnonzero(np.bincount(cols, minlength=len(env.members)))
+    profiles = np.zeros((len(env.members), len(axes)))
+    profiles[rows, sub._lookup(axes)[cols]] = counts
+    if 2.0**53 <= norms_sq.max() < 2.0**62:
+        profiles = profiles.astype(np.int64)
+        norms_sq = np.einsum("ij,ij->i", profiles, profiles).astype(np.float64)
     warnings = tuple(
         f"member {m!r} has an all-zero {basis.value} profile; kept as isolated node"
         for m, norm_sq in zip(env.members, norms_sq)
         if norm_sq == 0.0
     )
 
-    # A zero-profile member's cosines are 0/0 = nan, which no threshold passes.
-    with np.errstate(invalid="ignore"):
-        weights = np.minimum(gram / np.sqrt(np.multiply.outer(norms_sq, norms_sq)), 1.0)
-    rows, cols = np.nonzero(np.triu(weights > threshold, 1))
-    graph = SimilarityGraph._from_arrays(
-        env.members, rows, cols, weights[rows, cols], directed=False
-    )
+    # Rows a:b against rows a: give the upper triangle's block in row-major
+    # order; its cosines are computed in place, beside its Gram block.  A
+    # zero-profile member's cosines are 0/0 = nan, which no threshold passes.
+    found = []
+    for a in range(0, len(profiles), _BLOCK_ROWS):
+        gram = profiles[a : a + _BLOCK_ROWS] @ profiles[a:].T
+        weights = np.sqrt(np.multiply.outer(norms_sq[a : a + _BLOCK_ROWS], norms_sq[a:]))
+        with np.errstate(invalid="ignore"):
+            np.minimum(np.divide(gram, weights, out=weights), 1.0, out=weights)
+        r, c = np.nonzero(np.triu(weights > threshold, 1))
+        found.append((r + a, c + a, weights[r, c]))
+    rows, cols, weights = map(np.concatenate, zip(*found))
+    graph = SimilarityGraph._from_arrays(env.members, rows, cols, weights, directed=False)
     graph._label(threshold, basis, warnings)
     return graph

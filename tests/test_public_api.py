@@ -87,6 +87,19 @@ def test_similarity_graph_takes_only_the_environment_and_threshold():
     ]
 
 
+def test_similarity_module_names_are_pinned():
+    # Tuning constants such as the Gram product's block size stay private.
+    module = citenet.similarity
+    own = [
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and not inspect.ismodule(value)
+        and getattr(value, "__module__", module.__name__) == module.__name__
+    ]
+    assert sorted(own) == ["SimilarityGraph", "similarity_graph"]
+
+
 def _journals_matrix(order):
     records = {
         "B": citenet.Journal("B", "Beta", citenet.SourceIndex.SSCI),

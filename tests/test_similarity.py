@@ -1,11 +1,14 @@
 """Tests for cosine, Pearson, and similarity graph construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import citenet.centrality
+import citenet.similarity
 from citenet import (
     MAX_COUNT,
     CitationMatrix,
@@ -291,19 +294,52 @@ def _reference_edges(m, env, basis, axes, threshold):
     return edges, zero
 
 
-class TestGramPath:
-    @given(
-        cells=st.dictionaries(
-            st.tuples(st.sampled_from(GRAM_IDS), st.sampled_from(GRAM_IDS)),
-            st.one_of(st.integers(0, 9), st.integers(0, EXACT_COUNT)),
-            max_size=30,
-        ),
-        members=st.permutations(GRAM_IDS).flatmap(
-            lambda ids: st.integers(2, len(ids)).map(lambda k: ids[:k])
-        ),
-        basis=st.sampled_from(Direction),
-        threshold=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+GRAM_CASES = dict(
+    cells=st.dictionaries(
+        st.tuples(st.sampled_from(GRAM_IDS), st.sampled_from(GRAM_IDS)),
+        st.one_of(st.integers(0, 9), st.integers(0, EXACT_COUNT)),
+        max_size=30,
+    ),
+    members=st.permutations(GRAM_IDS).flatmap(
+        lambda ids: st.integers(2, len(ids)).map(lambda k: ids[:k])
+    ),
+    basis=st.sampled_from(Direction),
+    threshold=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+)
+
+
+def _bits(edges):
+    """``(pair, weight)`` items with each weight as its exact float bits."""
+    return [(pair, weight.hex()) for pair, weight in edges]
+
+
+def _zero_warnings(zero, basis):
+    return tuple(
+        f"member {j!r} has an all-zero {basis.value} profile; kept as isolated node"
+        for j in zero
     )
+
+
+# Citing profiles of A and B over the axes C to G, one per side of each
+# Gram regime boundary.  Every count product is exact in float64, so
+# cosine() is correctly rounded and the Gram weight must equal it bit for
+# bit while G is exact (below 2^62).  From 2^53 up, float64 partial sums
+# would round.
+GRAM_REGIMES = [
+    # largest squared norm just below 2^53: the float64 product
+    ((EXACT_COUNT, 10_000, 1, 0, 0), (EXACT_COUNT - 1, 3, 1, 0, 0), 2**52, 2**53),
+    # just above 2^53: int64; float64 would sum A.A term by term to
+    # 2^53 + 2^50, not 2^53 + 2^50 + 3
+    ((3 * 2**25, 1, 1, 1, 0), (3 * 2**25, 5_000, 1, 0, 0), 2**53, 2**54),
+    # just below 2^62: still int64
+    ((2**30, 2**30, 2**30, 1, 0), (2**30, 2**29, 1, 1, 0), 2**61, 2**62),
+    # just above 2^62: float64 again, within the tolerance below
+    ((2**30, 2**30, 2**30, 2**30, 1), (2**30, 3, 2**29, 1, 7), 2**62, 2**63),
+]
+
+
+class TestGramPath:
+    @given(**GRAM_CASES)
     def test_weights_equal_scalar_cosine_exactly(self, cells, members, basis, threshold):
         m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
         env = _env(m, members, basis)
@@ -312,30 +348,23 @@ class TestGramPath:
         # Same pairs, same insertion order, bit-identical weights.
         assert list(g.edges.items()) == edges
         assert all(type(weight) is float for weight in g.edges.values())
-        assert g.warnings == tuple(
-            f"member {j!r} has an all-zero {basis.value} profile; kept as isolated node"
-            for j in zero
-        )
+        assert g.warnings == _zero_warnings(zero, basis)
 
-    # Citing profiles of A and B over the axes C to G, one per side of each
-    # Gram regime boundary.  Every count product is exact in float64, so
-    # cosine() is correctly rounded and the Gram weight must equal it bit for
-    # bit while G is exact (below 2^62).  From 2^53 up, float64 partial sums
-    # would round.
-    @pytest.mark.parametrize(
-        "a_row, b_row, low, high",
-        [
-            # largest squared norm just below 2^53: the float64 product
-            ((EXACT_COUNT, 10_000, 1, 0, 0), (EXACT_COUNT - 1, 3, 1, 0, 0), 2**52, 2**53),
-            # just above 2^53: int64; float64 would sum A.A term by term to
-            # 2^53 + 2^50, not 2^53 + 2^50 + 3
-            ((3 * 2**25, 1, 1, 1, 0), (3 * 2**25, 5_000, 1, 0, 0), 2**53, 2**54),
-            # just below 2^62: still int64
-            ((2**30, 2**30, 2**30, 1, 0), (2**30, 2**29, 1, 1, 0), 2**61, 2**62),
-            # just above 2^62: float64 again, within the tolerance below
-            ((2**30, 2**30, 2**30, 2**30, 1), (2**30, 3, 2**29, 1, 7), 2**62, 2**63),
-        ],
-    )
+    @given(**GRAM_CASES)
+    def test_block_size_does_not_change_the_graph(self, cells, members, basis, threshold):
+        m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
+        env = _env(m, members, basis)
+        default = similarity_graph(env, threshold)
+        edges, zero = _reference_edges(env.submatrix, env, basis, sorted(members), threshold)
+        for rows in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(citenet.similarity, "_BLOCK_ROWS", rows)
+                g = similarity_graph(env, threshold)
+            # Same pairs, same order, same float bits.
+            assert _bits(g.edges.items()) == _bits(default.edges.items()) == _bits(edges)
+            assert g.warnings == default.warnings == _zero_warnings(zero, basis)
+
+    @pytest.mark.parametrize("a_row, b_row, low, high", GRAM_REGIMES)
     def test_weights_around_the_gram_regimes(self, a_row, b_row, low, high):
         axes = "CDEFG"
         cells = {("A", j): c for j, c in zip(axes, a_row) if c}
@@ -351,6 +380,45 @@ class TestGramPath:
             assert list(g.edges.items()) == edges
         else:
             assert g.edges[("A", "B")] == pytest.approx(edges[0][1], abs=1e-12)
+
+    @pytest.mark.parametrize("a_row, b_row, low, high", GRAM_REGIMES)
+    def test_weights_around_the_gram_regimes_in_one_row_blocks(
+        self, monkeypatch, a_row, b_row, low, high
+    ):
+        monkeypatch.setattr(citenet.similarity, "_BLOCK_ROWS", 1)
+        self.test_weights_around_the_gram_regimes(a_row, b_row, low, high)
+
+    @pytest.mark.parametrize("basis", Direction)
+    def test_all_zero_profiles_give_no_edges_and_a_warning_each(self, basis):
+        # A, B and C cite only themselves; D has no cell at all.  No member
+        # has an axis, so the profiles are members x 0.
+        members = ["C", "A", "D", "B"]
+        m = CitationMatrix(2005, [Journal(j, j) for j in "ABCD"], {(j, j): 5 for j in "ABC"})
+        g = similarity_graph(_env(m, members, basis), 0.0)
+        assert g.nodes == tuple(members)
+        assert dict(g.edges) == {}
+        assert g.warnings == _zero_warnings(members, basis)
+
+    def test_memory_stays_within_members_times_axes(self):
+        # 1,500 members that each cite 20 others: about as many axes as
+        # members.  One members x members float64 array is 17 MiB, and
+        # computing every pair at once holds several of them (86 MiB).
+        rng = np.random.default_rng(1500)
+        ids = [f"J{i:04d}" for i in range(1500)]
+        citing = np.repeat(np.arange(len(ids)), 20)
+        cited = rng.integers(0, len(ids), size=len(citing))
+        pairs = zip(map(ids.__getitem__, citing.tolist()), map(ids.__getitem__, cited.tolist()))
+        cells = dict(zip(pairs, rng.integers(1, 30, len(citing)).tolist()))
+        m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+        env = _env(m, ids, Direction.CITED)
+        tracemalloc.start()
+        try:
+            g = similarity_graph(env, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.nodes) == 1500 and g.edges
+        assert peak <= 30 * 2**20
 
     def test_counts_that_would_wrap_int64_use_float(self):
         # A's citing profile has three MAX_COUNT cells: its squared norm
