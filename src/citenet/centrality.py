@@ -350,8 +350,8 @@ def build_report(
 
     Closeness, betweenness, eigenvector, and the local degree come from
     *local*.  In/out degrees come from *degrees*, a ``node -> (in, out)``
-    mapping such as :func:`~citenet.matrix.citation_degrees` of the whole
-    matrix, in which every local node must be present.  The local degree
+    mapping such as ``citation_degrees(m, local.nodes)`` over the whole
+    matrix *m*, in which every local node must be present.  The local degree
     counts distinct neighbors in either direction, so it reads the same on
     undirected similarity graphs and directed raw-link graphs.
     Graphs without edges get eigenvector loadings of 0, and single-node

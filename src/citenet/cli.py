@@ -205,7 +205,7 @@ def _report(args: argparse.Namespace, basis: str):
         local_basis = f"raw citation links among members (seed {env.seed})"
     report = build_report(
         local,
-        citation_degrees(matrix),
+        citation_degrees(matrix, env.members),
         local_basis=local_basis,
         global_basis=f"citation matrix {matrix.year} ({len(matrix)} journals)",
     )

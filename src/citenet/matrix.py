@@ -47,7 +47,7 @@ from .errors import (
 )
 
 JournalId = str
-# A canonical CSR's int64 (indptr, indices, data).
+# A canonical CSR's (indptr, indices, data); a matrix holds int64, int32, int32.
 CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 EDGE_HEADER = "citing,cited,count"
@@ -59,8 +59,8 @@ BINARY_SUFFIX = ".csr.npz"
 # merge; the sidecar records this so persisted matrices are self-describing.
 MERGE_POLICY = "sum"
 
-# Largest count a row or a stored cell may carry.  Below 2^31, every int64
-# sum the toolkit forms stays below 2^63: a cell summed over fewer than 2^32
+# Largest count a row or a stored cell may carry: it fits in int32, and every
+# int64 sum of counts stays below 2^63: a cell summed over fewer than 2^32
 # duplicate rows, a row or column total, and the cell-wise sum of a merge.
 MAX_COUNT = 2**31 - 1
 
@@ -71,6 +71,7 @@ BOM = "\ufeff"
 _ID_LINES = re.compile(r'(?:[^\s",\\\ud800-\udfff]+\n)*')
 _BLOCK_CHARS = 1 << 20
 _HASH_BYTES = 1 << 18
+_COUNT_CELLS = 1 << 16
 
 
 class SourceIndex(Enum):
@@ -208,9 +209,9 @@ def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
     return indptr, key % n, values
 
 
-def _row_ids(indptr: np.ndarray, dtype=np.int64) -> np.ndarray:
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
     """The row of every stored entry of a CSR with this *indptr*."""
-    return np.repeat(np.arange(len(indptr) - 1, dtype=dtype), np.diff(indptr))
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +228,8 @@ class CitationMatrix:
     """Sparse directed weighted journal-to-journal citation counts for one year.
 
     Journal ids are sorted and numbered once; the counts live in one
-    canonical CSR over those numbers: three int64 numpy arrays ``indptr``,
-    ``indices`` and ``data``.  There is no column-major copy, so ``col``
+    canonical CSR over those numbers: numpy arrays ``indptr`` (int64),
+    ``indices`` and ``data`` (int32).  There is no column-major copy, so ``col``
     scans every stored index.  Immutable once constructed: all accessors
     return read-only views, so a matrix can be shared across concurrent
     computations without coordination.  Only strictly positive counts are
@@ -295,7 +296,8 @@ class CitationMatrix:
         self._year = year
         self._journals = registry
         self._ids, self._index = registry._ids, registry._index
-        self._indptr, self._indices, self._data = csr
+        self._indptr, self._indices, self._data = (
+            a.astype(dtype, copy=False) for a, dtype in zip(csr, (np.int64, np.int32, np.int32)))
 
     @property
     def year(self) -> int:
@@ -693,7 +695,7 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
         renumber = np.array([position[j] for j in m._ids], dtype=np.int64)
         rows.append(renumber[_row_ids(m._indptr)])
         cols.append(renumber[m._indices])
-        counts.append(m._data)
+        counts.append(m._data.astype(np.int64))
     csr = _canonical(
         len(ids), np.concatenate(rows), np.concatenate(cols), np.concatenate(counts)
     )
@@ -720,20 +722,28 @@ def totals(m: CitationMatrix, j: JournalId) -> tuple[int, int, int]:
     return cited_total, citing_total, m.cell(j, j)
 
 
-def citation_degrees(m: CitationMatrix) -> dict[JournalId, tuple[int, int]]:
-    """``journal -> (in, out)`` distinct-neighbour degrees of every journal.
+def citation_degrees(
+    m: CitationMatrix, journal_ids: Iterable[JournalId]
+) -> dict[JournalId, tuple[int, int]]:
+    """``journal -> (in, out)`` distinct-neighbour degrees of *journal_ids*, in order.
 
     In counts the other journals that cite it, out the other journals it
     cites; self-citations are excluded.  Read off the stored cells per row
     and per column, minus the diagonal, so it equals the neighbour counts of
     ``Graph.from_citation_matrix(m, sorted(m.journals))`` without the graph.
+    Raises :class:`UnknownJournalError` for an id that is not in *m*.
     """
-    self_cited = np.zeros(len(m), dtype=np.int64)
-    rows = _row_ids(m._indptr, np.int32)
-    self_cited[rows[m._indices == rows]] = 1
-    degree_out = np.diff(m._indptr) - self_cited
-    degree_in = np.bincount(m._indices, minlength=len(m)) - self_cited
-    return dict(zip(m._ids, zip(degree_in.tolist(), degree_out.tolist())))
+    journal_ids = list(journal_ids)
+    positions = m._positions(journal_ids)
+    place, entries = _row_entries(m._indptr, positions)
+    diagonal = place[m._indices[entries] == positions[place]]
+    self_cited = np.bincount(diagonal, minlength=len(positions))
+    degree_out = m._indptr[positions + 1] - m._indptr[positions] - self_cited
+    # Counted in pieces: bincount would copy all of the int32 indices to int64.
+    pieces = np.array_split(m._indices, len(m._indices) // _COUNT_CELLS + 1)
+    degree_in = sum(np.bincount(piece, minlength=len(m)) for piece in pieces)
+    degree_in = degree_in[positions] - self_cited
+    return dict(zip(journal_ids, zip(degree_in.tolist(), degree_out.tolist())))
 
 
 def serialize_matrix(m: CitationMatrix) -> str:
@@ -951,7 +961,7 @@ def _load_binary(
         return None
     if not _is_canonical_csr(indptr, indices, data, n):
         return None
-    return tuple(a.astype(np.int64, copy=False) for a in (indptr, indices, data))
+    return indptr, indices, data
 
 
 def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:

@@ -98,10 +98,10 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         rows, cols = cols, rows
     off = rows != cols
     member = sub._lookup(sub._positions(env.members))
-    rows, cols, counts = member[rows[off]], cols[off], sub._data[off]
-    # On nonnegative integers this float64 sum of squares is exact below 2^53
-    # and at least 2^53 otherwise, so the first test below is exact; the
-    # second keeps a factor-2 margin below 2^63, where int64 would wrap.
+    rows, cols, counts = member[rows[off]], cols[off], sub._data[off].astype(np.int64)
+    # Squared in int64 (int32 wraps above 46,340), this float64 sum of squares
+    # is exact below 2^53 and at least 2^53 otherwise: the first test below is
+    # exact, and the second keeps a factor-2 margin below 2^63 (int64 wraps).
     norms_sq = np.bincount(rows, counts * counts, len(env.members))
     axes = np.flatnonzero(np.bincount(cols, minlength=len(env.members)))
     profiles = np.zeros((len(env.members), len(axes)))

@@ -252,7 +252,8 @@ def degree_centrality(g: Graph, j: Node) -> tuple[int, int]:
 
     Both entries equal the plain neighbor count on undirected graphs.  On
     ``Graph.from_citation_matrix(m, sorted(m.journals))`` this is the
-    reference for :func:`citenet.citation_degrees`.
+    reference for ``citenet.citation_degrees(m, journal_ids)`` at each of
+    *journal_ids*.
     """
     succ, pred = neighbours(g)
     return len(pred[j]), len(succ[j])

@@ -269,7 +269,7 @@ def test_export_round_trips():
     graph = similarity_graph(env, 0.0)
     assert graph.edges, "fixture must produce edges"
     glyphs = make_glyphs(env)
-    report = build_report(graph, citation_degrees(m))
+    report = build_report(graph, citation_degrees(m, env.members))
 
     pajek = export_pajek(graph, glyphs)
     assert pajek == export_pajek(graph, glyphs)
@@ -323,7 +323,7 @@ def test_performance():
     m = parse_citation_csv(csv_text, 2005)
     env = extract_environment(m, "J0000", Direction.CITED, 0.01)
     graph = similarity_graph(env, 0.2)
-    report = build_report(graph, citation_degrees(m))
+    report = build_report(graph, citation_degrees(m, env.members))
     glyphs = make_glyphs(env)
     pajek = export_pajek(graph, glyphs)
     document = export_json(graph, glyphs, report)

@@ -713,7 +713,7 @@ class TestReport:
         )
         local = Graph("SAB", {("S", "A"): 0.9, ("S", "B"): 0.5}, directed=False)
         report = build_report(
-            local, citation_degrees(m), local_basis="sim", global_basis="full matrix"
+            local, citation_degrees(m, "SAB"), local_basis="sim", global_basis="full matrix"
         )
         row = report.rows["A"]
         assert row.degree_local == 1

@@ -16,11 +16,13 @@ from citenet import (
     MAX_COUNT,
     CitationMatrix,
     EdgeListParseError,
+    Graph,
     Journal,
     SidecarError,
     SourceIndex,
     UnknownJournalError,
     YearMismatchError,
+    citation_degrees,
     merge_indices,
     parse_citation_csv,
     read_matrix,
@@ -30,6 +32,7 @@ from citenet import (
     write_matrix,
 )
 from citenet.matrix import _valid_ids, _validate_id
+from oracles import degree_centrality
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7"
 
@@ -179,6 +182,13 @@ class TestCountBound:
         with pytest.raises(ValueError, match=r"\(A, B\)"):
             merge_indices(merge_indices(a, b), b)
 
+    def test_merge_of_two_largest_cells_is_summed_in_int64(self):
+        # Stored counts are int32, where MAX_COUNT + MAX_COUNT wraps to -2.
+        a = parse_citation_csv(f"A,A,1\nB,A,{MAX_COUNT}\nB,B,3", 2005)
+        message = f"merged cell (B, A): count {2 * MAX_COUNT} exceeds {MAX_COUNT}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            merge_indices(a, a)
+
 
 class TestMatrixInvariants:
     def test_only_positive_counts_stored(self):
@@ -325,6 +335,20 @@ class TestTotalsAndProfiles:
         registry = {"C": Journal("C", "C")}
         m = parse_citation_csv(THREE_CELLS, 2005, registry=registry)
         assert totals(m, "C") == (0, 0, 0)
+
+    def test_degrees_of_an_unknown_journal(self):
+        m = parse_citation_csv(THREE_CELLS, 2005)
+        assert citation_degrees(m, ["B", "A"]) == {"B": (1, 1), "A": (1, 1)}
+        with pytest.raises(UnknownJournalError, match=r"not in matrix: \['Z'\]"):
+            citation_degrees(m, ["A", "Z"])
+
+    @pytest.mark.parametrize("piece", [1, 3, 64])
+    def test_degrees_counted_in_pieces(self, monkeypatch, piece):
+        m = _random_matrix(np.random.default_rng(piece), n_journals=9, n_cells=60)
+        oracle = Graph.from_citation_matrix(m, sorted(m.journals))
+        monkeypatch.setattr("citenet.matrix._COUNT_CELLS", piece)
+        degrees = citation_degrees(m, list(m.journals))
+        assert degrees == {j: degree_centrality(oracle, j) for j in m.journals}
 
     def test_totals_unknown_journal(self):
         m = parse_citation_csv(THREE_CELLS, 2005)

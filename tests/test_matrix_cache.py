@@ -27,6 +27,7 @@ from citenet import (
     Journal,
     SidecarError,
     SourceIndex,
+    merge_indices,
     parse_citation_csv,
     read_matrix,
     serialize_matrix,
@@ -89,7 +90,45 @@ def test_round_trip_through_the_cache_equals_the_parse(m):
         assert read_matrix(path) == m
 
 
+def _assert_dtypes(m: CitationMatrix) -> None:
+    assert m._indptr.dtype == np.int64
+    assert m._indices.dtype == m._data.dtype == np.int32
+
+
+@given(matrices())
+@settings(max_examples=50, deadline=None)
+def test_cache_written_with_int64_arrays_still_loads(m):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.csv"
+        write_matrix(m, path)
+        with np.load(_binary(path)) as npz:
+            assert npz["indptr"].dtype == np.int64
+            assert npz["indices"].dtype == npz["data"].dtype == np.int32
+            wide = {key: npz[key].astype(np.int64) for key in ("indices", "data")}
+        # The arrays as an int64 writer stored them, under the same hashes.
+        _rewrite(path, **wide)
+        with mock.patch("citenet.matrix.parse_citation_csv", _parse_forbidden):
+            again = read_matrix(path)
+        assert again == m == _reparsed(m)
+        _assert_dtypes(again)
+
+
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7\nC,C,3"
+
+
+def test_every_path_holds_int64_indptr_and_int32_indices_and_data(tmp_path):
+    parsed = parse_citation_csv(THREE_CELLS, 2005)
+    constructed = CitationMatrix(2005, parsed.journals.values(), dict(parsed.cells))
+    merged = merge_indices(parsed, parse_citation_csv("A,B,1\nD,A,2", 2005))
+    path = tmp_path / "m.csv"
+    write_matrix(merged, path)
+    with mock.patch("citenet.matrix.parse_citation_csv", _parse_forbidden):
+        hit = read_matrix(path)
+    _binary(path).unlink()
+    miss = read_matrix(path)
+    for m in (parsed, constructed, merged, merged.submatrix(["A", "D"]), hit, miss):
+        _assert_dtypes(m)
+    assert hit == miss == merged
 
 
 @pytest.fixture()
@@ -359,28 +398,49 @@ def test_unsorted_row_after_an_empty_row_falls_back(tmp_path, parses):
     _falls_back(path, m, parses)
 
 
-def test_cache_hit_memory_stays_bounded(tmp_path):
+def _hundred_k_cells(tmp_path: Path) -> tuple[CitationMatrix, Path]:
     # 3,000 journals and ~100k cells; ids of 14 characters, as abbreviated
     # journal titles often are, make the CSV twice the size of its CSR.
     rng = np.random.default_rng(3000)
     pairs = rng.integers(0, 3000, size=(100_000, 2)).tolist()
     counts = rng.integers(1, 100, size=100_000).tolist()
     text = "".join(f"J.Journal.{a:04d},J.Journal.{b:04d},{c}\n" for (a, b), c in zip(pairs, counts))
-    m, path = _persisted(tmp_path, text)
-    csr_bytes = sum(a.nbytes for a in (m._indptr, m._indices, m._data))
+    return _persisted(tmp_path, text)
+
+
+def _read_peak(path: Path) -> tuple[CitationMatrix, int]:
+    """The matrix read from *path* and the read's tracemalloc peak."""
     tracemalloc.start()
     try:
         again = read_matrix(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        return again, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_cache_hit_memory_stays_bounded(tmp_path):
+    m, path = _hundred_k_cells(tmp_path)
+    csr_bytes = sum(a.nbytes for a in (m._indptr, m._indices, m._data))
+    again, peak = _read_peak(path)
     assert again == m
-    # ~3.0 MB: the CSR, the journal columns and the cache reader's buffers.
-    # Reading the CSV whole to hash it and building a Journal per entry made
-    # it ~8.6 MB.
+    # The CSR, the journal columns and the cache reader's buffers: ~3.0 MB
+    # with int64 cells.  Reading the CSV whole to hash it and building a
+    # Journal per entry made it ~8.6 MB.
     assert peak < 4 * 2**20
     # A cache hit never holds the CSV whole beside the CSR it returns.
     assert peak < path.stat().st_size + csr_bytes
+
+
+def test_cache_of_int32_cells_halves_the_file_and_the_hit(tmp_path):
+    m, path = _hundred_k_cells(tmp_path)
+    again, peak = _read_peak(path)
+    assert again == m
+    # 4 bytes of index and 4 of count per cell, 8 of indptr per journal and
+    # the zip's headers and hashes: ~0.82 MB, where int64 cells made ~1.62 MB.
+    assert _binary(path).stat().st_size <= 8 * len(m.cells) + 8 * len(m) + 4096
+    # ~2.3 MB: the int32 CSR, the journal columns and the reader's buffers;
+    # int64 cells made it ~3.0 MB.
+    assert peak < 2.5 * 2**20
 
 
 def test_csv_rewritten_after_it_was_hashed_is_not_parsed(persisted, monkeypatch):

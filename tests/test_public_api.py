@@ -87,6 +87,14 @@ def test_similarity_graph_takes_only_the_environment_and_threshold():
     ]
 
 
+def test_citation_degrees_takes_the_matrix_and_the_journal_ids():
+    parameters = inspect.signature(citenet.citation_degrees).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("m", "journal_ids")
+    ]
+
+
 def test_similarity_module_names_are_pinned():
     # Tuning constants such as the Gram product's block size stay private.
     module = citenet.similarity
