@@ -37,9 +37,9 @@ class Graph:
 
     The edges are stored once, as a canonical weighted CSR over the node
     numbers; an undirected pair is stored in the row of its endpoint that
-    comes first in node order.  Self-loops are kept (they carry
-    self-citation weight into the eigenvector adjacency) but are ignored by
-    degree counts and geodesics.
+    comes first in node order.  Self-loops given to the constructor are kept
+    (they carry weight into the eigenvector adjacency) but are ignored by
+    degree counts and geodesics; :meth:`from_citation_matrix` drops them.
     """
 
     __slots__ = ("_nodes", "_index", "_directed", "_csr", "_edges")

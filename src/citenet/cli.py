@@ -14,6 +14,7 @@ flags win.  The ``CITENET_DATA_DIR`` environment variable (or the config key
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -220,7 +221,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         with open(_resolve(args, args.registry), encoding="utf-8") as fh:
             registry = read_registry(fh)
     source = SourceIndex(args.source.upper())
-    if args.edges == "-":
+    if args.edges == "-" and hasattr(sys.stdin, "buffer"):
+        # Its bytes are UTF-8, as a path's are, whatever the locale says.
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        try:
+            matrix = parse_citation_csv(stdin, args.year, source=source, registry=registry)
+        finally:
+            stdin.detach()
+    elif args.edges == "-":
         matrix = parse_citation_csv(sys.stdin, args.year, source=source, registry=registry)
     else:
         with open(_resolve(args, args.edges), encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Journal-to-journal citation matrices: parsing, merging, totals, profiles.
+"""Journal-to-journal citation matrices: parsing, merging, totals.
 
 The interchange format is a plain edge-list CSV:
 
@@ -123,17 +123,6 @@ class Journal:
             raise ValueError(f"journal {self.id!r}: display_name must be nonempty")
         object.__setattr__(self, "source_index", SourceIndex(self.source_index))
 
-    @classmethod
-    def _unchecked(
-        cls, journal_id: JournalId, display_name: str, source_index: SourceIndex
-    ) -> "Journal":
-        """A journal whose fields have already passed the checks above."""
-        journal = object.__new__(cls)
-        journal.__dict__.update(
-            id=journal_id, display_name=display_name, source_index=source_index
-        )
-        return journal
-
 
 class _Registry(Mapping):
     """Read-only ``id -> Journal`` view of journal columns in id order.
@@ -171,7 +160,7 @@ class _Registry(Mapping):
 
     def __getitem__(self, journal_id: JournalId) -> Journal:
         k = self._index[journal_id]
-        return Journal._unchecked(self._ids[k], self._names[k], self._sources[k])
+        return Journal(self._ids[k], self._names[k], self._sources[k])
 
     def __iter__(self) -> Iterator[JournalId]:
         return iter(self._ids)
@@ -1009,10 +998,14 @@ def _text(data: bytes) -> IO[str]:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
-def _records(reader) -> Iterator[list[str]]:
-    """The reader's records, with the csv module's own errors made parse errors."""
+def _records(reader) -> Iterator[tuple[int, list[str]]]:
+    """(first line, record) of each of the reader's records, with the csv
+    module's own errors made parse errors."""
+    line_no = 1
     try:
-        yield from reader
+        for fields in reader:
+            yield line_no, fields
+            line_no = reader.line_num + 1
     except csv.Error as exc:
         raise EdgeListParseError(reader.line_num, str(exc)) from None
 
@@ -1023,7 +1016,7 @@ def read_registry(stream: IO[str] | str) -> dict[JournalId, Journal]:
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
     registry: dict[JournalId, Journal] = {}
-    for line_no, fields in enumerate(_records(reader), start=1):
+    for line_no, fields in _records(reader):
         if line_no == 1 and fields:
             fields[0] = fields[0].removeprefix(BOM)
         if not fields or not any(f.strip() for f in fields):

@@ -62,22 +62,23 @@ class SimilarityGraph(Graph):
 def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
     """Build the cosine similarity graph over an environment's members.
 
-    Each member's profile is its row (citing) or column (cited) of
-    ``env.submatrix``, as ``env.direction`` says, with the members as
-    coordinate axes and its own diagonal (self-citation) entry zeroed.  An
-    edge is stored iff its cosine strictly exceeds *threshold*.
+    Each member's profile is its row (citing) or column (cited) of the raw
+    citation links among the members, ``Graph.from_citation_matrix``, as
+    ``env.direction`` says: the members are the coordinate axes, and a
+    member's own (self-citation) coordinate is zero.  An edge is stored iff
+    its cosine strictly exceeds *threshold*.
 
     All cosines come from a Gram product G of the profiles, computed in row
-    blocks, as ``G[i, j] / sqrt(G[i, i] * G[j, j])``, over the axes where
-    some member is nonzero.  No entry of G, nor any product or partial sum
-    forming it, exceeds the largest squared row norm, which picks the
-    product:
+    blocks, as ``G[i, j] / sqrt(G[i, i] * G[j, j])``.  No entry of G, nor any
+    product or partial sum forming it, exceeds the largest squared row norm,
+    which picks the product:
 
     - below 2^53, a float64 BLAS product, whose integer terms are all exact;
     - from 2^53 to 2^62, an int64 product, exact as nothing can wrap;
     - from 2^62, a float64 product, rounded but free of wraparound; the BLAS
       build picks its rounding order per block, and the squared norms on the
-      diagonal are summed from the counts apart from it.
+      diagonal are summed from the counts apart from it, each float64 square
+      rounded as the exact integer square is.
 
     Below 2^62 G therefore equals the exact integer Gram, so the result does
     not depend on the block size, and on counts whose squares stay below
@@ -89,23 +90,17 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         raise ValueError("environment must have at least 2 members")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    basis, sub = env.direction, env.submatrix
-
-    # Row k is member k; columns are the journals some member's profile
-    # holds, in id order.  Self-citations are left out.
-    rows, cols = _row_ids(sub._indptr), sub._indices
+    basis = env.direction
+    indptr, cols, counts = Graph.from_citation_matrix(env.submatrix, env.members)._csr
+    rows = _row_ids(indptr)
     if basis is Direction.CITED:
         rows, cols = cols, rows
-    off = rows != cols
-    member = sub._lookup(sub._positions(env.members))
-    rows, cols, counts = member[rows[off]], cols[off], sub._data[off].astype(np.int64)
-    # Squared in int64 (int32 wraps above 46,340), this float64 sum of squares
-    # is exact below 2^53 and at least 2^53 otherwise: the first test below is
-    # exact, and the second keeps a factor-2 margin below 2^63 (int64 wraps).
+    # Each square is the exact one rounded, so this sum is exact below 2^53 and
+    # at least 2^53 otherwise: the first test below is exact, and the second
+    # keeps a factor-2 margin below 2^63 (int64 wraps).
     norms_sq = np.bincount(rows, counts * counts, len(env.members))
-    axes = np.flatnonzero(np.bincount(cols, minlength=len(env.members)))
-    profiles = np.zeros((len(env.members), len(axes)))
-    profiles[rows, sub._lookup(axes)[cols]] = counts
+    profiles = np.zeros((len(env.members), len(env.members)))
+    profiles[rows, cols] = counts
     if 2.0**53 <= norms_sq.max() < 2.0**62:
         profiles = profiles.astype(np.int64)
         norms_sq = np.einsum("ij,ij->i", profiles, profiles).astype(np.float64)

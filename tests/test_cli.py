@@ -70,6 +70,23 @@ class TestIngestAndMerge:
         assert main(argv + ["--out", str(tmp_path / "m.csv")]) == 1
         assert capsys.readouterr().err == "error: line 3: repeats the id 'A'\n"
 
+    def test_ingest_from_stdin_reads_utf8_whatever_the_locale(self, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_bytes((EDGES + "\u00c4J,S,4\nS,\u00c4J,1\n").encode("utf-8"))
+        env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]),
+                   PYTHONIOENCODING="latin-1")
+        ingest = [sys.executable, "-m", "citenet.cli", "ingest", "--year", "2005"]
+        for name, source in (("path", str(edges)), ("stdin", "-")):
+            (tmp_path / name).mkdir()
+            with open(edges, "rb") as stdin:
+                subprocess.run(ingest + [source, "--out", str(tmp_path / name / "m.csv")],
+                               env=env, stdin=stdin, capture_output=True, check=True)
+        # The sidecar holds the CSV's sha256, and the cache is keyed on both.
+        for suffix in ("", ".meta.json"):
+            path, stdin = (tmp_path / side / f"m.csv{suffix}" for side in ("path", "stdin"))
+            assert stdin.read_bytes() == path.read_bytes()
+        assert "\u00c4J,S,4" in (tmp_path / "stdin" / "m.csv").read_text(encoding="utf-8")
+
     def test_merge(self, tmp_path, matrix_path, capsys):
         other = tmp_path / "other_edges.csv"
         other.write_text("X,S,10\nA,S,5\n", encoding="utf-8")

@@ -126,6 +126,15 @@ class TestParse:
         with pytest.raises(EdgeListParseError, match="line 3: repeats the id 'A'"):
             read_registry("id,display_name,source_index\nA,First,SCI\nA,Second,SSCI\n")
 
+    @pytest.mark.parametrize(
+        "row, message", [("B,Beta,XXX", "unknown source_index 'XXX'"),
+                         ("A,Again,SCI", "repeats the id 'A'")]
+    )
+    def test_registry_errors_name_the_line_after_a_multi_line_name(self, row, message):
+        text = f'id,display_name,source_index\nA,"Alpha\nJournal",SCI\n{row}\n'
+        with pytest.raises(EdgeListParseError, match=re.escape(f"line 4: {message}")):
+            read_registry(text)
+
     def test_byte_order_mark_before_header_is_skipped(self):
         m = parse_citation_csv("\ufeffciting,cited,count\nA,B,5", 2005)
         assert dict(m.cells) == {("A", "B"): 5}

@@ -390,8 +390,8 @@ class TestGramPath:
 
     @pytest.mark.parametrize("basis", Direction)
     def test_all_zero_profiles_give_no_edges_and_a_warning_each(self, basis):
-        # A, B and C cite only themselves; D has no cell at all.  No member
-        # has an axis, so the profiles are members x 0.
+        # A, B and C cite only themselves; D has no cell at all.  The raw
+        # links among the members are none, so every profile is zero.
         members = ["C", "A", "D", "B"]
         m = CitationMatrix(2005, [Journal(j, j) for j in "ABCD"], {(j, j): 5 for j in "ABC"})
         g = similarity_graph(_env(m, members, basis), 0.0)
