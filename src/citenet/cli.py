@@ -167,10 +167,14 @@ def _add_basis_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
+    elif hasattr(sys.stdout, "buffer"):
+        # UTF-8, as --out writes, whatever the locale says.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
 
 
 def _environment(args: argparse.Namespace):
@@ -181,20 +185,19 @@ def _environment(args: argparse.Namespace):
         raise CitenetError(f"config key 'direction' must be cited|citing, not {args.direction!r}")
     direction = Direction(args.direction)
     matrix = read_matrix(_resolve(args, args.matrix))
-    env = extract_environment(matrix, args.seed, direction, args.min_contrib)
-    return matrix, env
+    return extract_environment(matrix, args.seed, direction, args.min_contrib)
 
 
 def _similarity(args: argparse.Namespace):
-    matrix, env = _environment(args)
+    env = _environment(args)
     graph = similarity_graph(env, args.cosine_threshold)
     for message in graph.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    return matrix, env, graph
+    return env, graph
 
 
 def _report(args: argparse.Namespace, basis: str):
-    matrix, env, graph = _similarity(args)
+    env, graph = _similarity(args)
     if basis == "sim":
         local = graph
         local_basis = (
@@ -202,15 +205,15 @@ def _report(args: argparse.Namespace, basis: str):
             f"seed {env.seed})"
         )
     else:
-        local = Graph.from_citation_matrix(env.submatrix, nodes=env.members)
+        local = Graph.from_citation_matrix(env.matrix, nodes=env.members)
         local_basis = f"raw citation links among members (seed {env.seed})"
     report = build_report(
         local,
-        citation_degrees(matrix, env.members),
+        citation_degrees(env.matrix, env.members),
         local_basis=local_basis,
-        global_basis=f"citation matrix {matrix.year} ({len(matrix)} journals)",
+        global_basis=f"citation matrix {env.matrix.year} ({len(env.matrix)} journals)",
     )
-    return matrix, env, graph, report
+    return env, graph, report
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -251,8 +254,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_env(args: argparse.Namespace) -> int:
     fmt = _format(args, ("table", "json"))
-    _, env = _environment(args)
-    rows = [(m, env.contributions[m], *environment_totals(env, m)) for m in env.members]
+    env = _environment(args)
+    rows = [(m, env.contributions[m], *t) for m, t in environment_totals(env).items()]
     if fmt == "json":
         document = {
             "seed": env.seed,
@@ -273,7 +276,7 @@ def _cmd_env(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    _, _, graph = _similarity(args)
+    _, graph = _similarity(args)
     lines = ["source,target,weight"]
     lines.extend(f"{u},{v},{weight!r}" for (u, v), weight in graph.edges.items())
     _emit("\n".join(lines) + "\n", args.out)
@@ -282,7 +285,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 def _cmd_centrality(args: argparse.Namespace) -> int:
     fmt = _format(args, ("table", "json"))
-    _, _, _, report = _report(args, _local_basis(args))
+    _, _, report = _report(args, _local_basis(args))
     if fmt == "json":
         _emit(json.dumps(report_document(report), indent=2) + "\n", args.out)
         return 0
@@ -344,11 +347,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     fmt = _format(args, ("pajek", "dot", "json"))
     basis = _local_basis(args)
     if fmt == "json":
-        _, env, graph, report = _report(args, basis)
+        env, graph, report = _report(args, basis)
         text = export_json(graph, make_glyphs(env), report)
     else:
         # Pajek and DOT print no centralities, so none are computed.
-        _, env, graph = _similarity(args)
+        env, graph = _similarity(args)
         exporter = export_pajek if fmt == "pajek" else export_dot
         text = exporter(graph, make_glyphs(env))
     _emit(text, args.out)
@@ -389,7 +392,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     impact_factors = {}
     if args.if_csv:
         impact_factors = _load_if_csv(_resolve(args, args.if_csv))
-    _, env, graph, report = _report(args, basis)
+    env, graph, report = _report(args, basis)
     if fmt == "json":
         document = graph_document(graph, make_glyphs(env), report)
         if impact_factors:

@@ -3,8 +3,10 @@
 A journal belongs to the seed's environment in one direction when its direct
 link to the seed contributes strictly more than a threshold fraction of the
 seed's total citations in that direction.  Contributions are measured against
-the seed's full-matrix total, not the submatrix total, so the member set does
-not depend on itself.
+the seed's full-matrix total, not a total among the members, so the member set
+does not depend on itself.  An environment keeps the whole matrix it was drawn
+from; ``Graph.from_citation_matrix(env.matrix, env.members)`` cuts the members'
+links out of it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
+from .centrality import Graph
 from .errors import IsolatedSeedError, UnknownJournalError
-from .matrix import CitationMatrix, JournalId, totals
+from .matrix import CitationMatrix, JournalId, _row_ids
 
 
 class Direction(Enum):
@@ -27,26 +32,29 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class SeedEnvironment:
-    """Journals around a seed, with the submatrix restricted to them.
+    """Journals around a seed, and the matrix they were drawn from.
 
     ``members`` starts with the seed, then qualifying journals by descending
-    contribution (ties broken by id).  ``contributions`` maps every member to
-    its fraction of the seed's relevant total; the seed's own entry is its
-    self-citation share.
+    contribution (ties broken by id); they are distinct journals of
+    ``matrix``.  ``contributions`` maps every member to its fraction of the
+    seed's relevant total; the seed's own entry is its self-citation share.
     """
 
     seed: JournalId
     direction: Direction
     threshold: float
     members: tuple[JournalId, ...]
-    submatrix: CitationMatrix
+    matrix: CitationMatrix
     contributions: Mapping[JournalId, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.members or self.members[0] != self.seed:
             raise ValueError("seed must be the first member")
-        if sorted(self.members) != list(self.submatrix.journals):
-            raise ValueError("the submatrix must hold exactly the members, each once")
+        if len(set(self.members)) != len(self.members):
+            raise ValueError("members must be distinct")
+        missing = [j for j in self.members if j not in self.matrix]
+        if missing:
+            raise UnknownJournalError(f"members not in the matrix: {missing}")
         object.__setattr__(self, "direction", Direction(self.direction))
         object.__setattr__(
             self, "contributions", MappingProxyType(dict(self.contributions))
@@ -95,19 +103,19 @@ def extract_environment(
         (journal_id, count / total) for journal_id, count in qualifying
     )
 
-    return SeedEnvironment(
-        seed, direction, threshold, members, m.submatrix(members), contributions
-    )
+    return SeedEnvironment(seed, direction, threshold, members, m, contributions)
 
 
-def environment_totals(env: SeedEnvironment, j: JournalId) -> tuple[int, int]:
-    """Return ``(gross, net_of_self)`` citation totals of a member.
+def environment_totals(env: SeedEnvironment) -> dict[JournalId, tuple[int, int]]:
+    """``member -> (gross, net_of_self)`` citation totals, in member order.
 
-    Gross is the member's total within the submatrix in the environment's
-    direction, diagonal included; net subtracts the self-citation cell.
+    A member's totals count its citations among the members in the
+    environment's direction: net sums its column (cited) or row (citing) of
+    the raw links ``Graph.from_citation_matrix(env.matrix, env.members)``,
+    which leave out self-citations; gross adds the self-citation cell.
     """
-    if j not in env.members:
-        raise UnknownJournalError(f"{j!r} is not a member of this environment")
-    cited, citing, self_cites = totals(env.submatrix, j)
-    gross = cited if env.direction is Direction.CITED else citing
-    return gross, gross - self_cites
+    indptr, cols, counts = Graph.from_citation_matrix(env.matrix, env.members)._csr
+    axis = cols if env.direction is Direction.CITED else _row_ids(indptr)
+    # float64 sums of counts below 2^31, exact for fewer than 2^22 members
+    net = np.bincount(axis, counts, len(env.members)).astype(np.int64).tolist()
+    return {j: (n + env.matrix.cell(j, j), n) for j, n in zip(env.members, net)}

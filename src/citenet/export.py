@@ -56,9 +56,7 @@ class NodeGlyph:
 
 def make_glyphs(env: SeedEnvironment) -> list[NodeGlyph]:
     """One glyph per environment member, in member order."""
-    return [
-        NodeGlyph(member, *environment_totals(env, member)) for member in env.members
-    ]
+    return [NodeGlyph(member, *totals) for member, totals in environment_totals(env).items()]
 
 
 def _glyph_map(

@@ -153,11 +153,6 @@ class _Registry(Mapping):
             [journal.source_index for journal in journals],
         )
 
-    def _take(self, positions: Sequence[int]) -> "_Registry":
-        """The journals at *positions*."""
-        columns = (self._ids, self._names, self._sources)
-        return _Registry(*([column[k] for k in positions] for column in columns))
-
     def __getitem__(self, journal_id: JournalId) -> Journal:
         k = self._index[journal_id]
         return Journal(self._ids[k], self._names[k], self._sources[k])
@@ -368,20 +363,6 @@ class CitationMatrix:
         if unknown:
             raise UnknownJournalError(f"not in matrix: {unknown}")
         return np.array([self._index[j] for j in journal_ids], dtype=np.int64)
-
-    def submatrix(self, journal_ids: Iterable[JournalId]) -> "CitationMatrix":
-        """The registry and the cells restricted to *journal_ids*."""
-        wanted = sorted(set(journal_ids))
-        positions = self._positions(wanted)
-        rows, entries = _row_entries(self._indptr, positions)
-        # positions ascend, so the renumbered columns stay sorted within a row
-        cols = self._lookup(positions)[self._indices[entries]]
-        kept = cols >= 0
-        indptr = np.zeros(len(wanted) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[kept], minlength=len(wanted)), out=indptr[1:])
-        registry = self._journals._take(positions.tolist())
-        csr = (indptr, cols[kept], self._data[entries][kept])
-        return CitationMatrix._from_csr(self._year, registry, csr)
 
     def _triples(self) -> tuple[Iterator[JournalId], Iterator[JournalId], list[int]]:
         """(citing ids, cited ids, counts) of every cell, in id order."""

@@ -91,7 +91,7 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     basis = env.direction
-    indptr, cols, counts = Graph.from_citation_matrix(env.submatrix, env.members)._csr
+    indptr, cols, counts = Graph.from_citation_matrix(env.matrix, env.members)._csr
     rows = _row_ids(indptr)
     if basis is Direction.CITED:
         rows, cols = cols, rows

@@ -6,8 +6,9 @@ the Pajek files :func:`citenet.export_pajek` writes, betweenness from an
 explicit enumeration of every geodesic, a scalar Brandes sweep that sums in
 the batched sweep's level order, neighbour-count degrees, a matrix writer
 that formats one cell and one journal at a time, the regular expression
-that once picked the edge-list blocks the parser splits in bulk, and the
-row-id check of canonical CSR arrays the cache loader once made.
+that once picked the edge-list blocks the parser splits in bulk, the
+row-id check of canonical CSR arrays the cache loader once made, and the
+members' own matrix that a seed environment once held as a copy.
 """
 
 from __future__ import annotations
@@ -369,6 +370,12 @@ def reference_write_matrix(m: CitationMatrix, path: Path) -> None:
 # (``\s`` matches exactly the characters str.isspace accepts).
 _ID = r'[^\s,"\\\ud800-\udfff]+'
 CANONICAL_ROWS = re.compile(rf"(?:{_ID},{_ID},[0-9]{{1,10}}\n)*")
+
+
+def restricted_matrix(m: CitationMatrix, members: Sequence[str]) -> CitationMatrix:
+    """The matrix of *members* alone and the cells among them."""
+    cells = {(a, b): c for (a, b), c in m.cells.items() if {a, b} <= set(members)}
+    return CitationMatrix(m.year, [m.journals[j] for j in members], cells)
 
 
 def bulk_rows_accepted(text: str, start: int) -> bool:

@@ -36,7 +36,7 @@ from citenet import (
     similarity_graph,
 )
 from citenet.centrality import _sweep
-from oracles import brute_force_betweenness, cosine, pearson
+from oracles import brute_force_betweenness, cosine, pearson, restricted_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -175,7 +175,7 @@ def test_environment_semantics():
                 assert members <= previous
             previous = members
         env = extract_environment(m, "S", Direction.CITED, 0.01)
-        again = extract_environment(env.submatrix, "S", Direction.CITED, 0.01)
+        again = extract_environment(restricted_matrix(m, env.members), "S", Direction.CITED, 0.01)
         assert again.members == env.members
 
 

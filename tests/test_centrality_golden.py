@@ -123,7 +123,7 @@ def test_fixture_graphs_have_several_components(direction, basis):
     if basis == "sim":
         g = similarity_graph(env, 0.2)
     else:
-        g = Graph.from_citation_matrix(env.submatrix, nodes=env.members)
+        g = Graph.from_citation_matrix(env.matrix, nodes=env.members)
     assert len(g) >= 3 and g.edges
     assert _components(g) > 1
 

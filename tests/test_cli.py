@@ -256,6 +256,21 @@ class TestSimCommand:
                 "warning: member 'C' has an all-zero cited profile; kept as isolated node\n"
             )
 
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path):
+        edges, matrix, out = tmp_path / "edges.csv", tmp_path / "m.csv", tmp_path / "sim.csv"
+        edges.write_bytes((EDGES + "\u0100J,S,40\nA,\u0100J,3\n").encode("utf-8"))
+        env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]),
+                   PYTHONIOENCODING="latin-1")
+        cli = [sys.executable, "-m", "citenet.cli"]
+        subprocess.run(cli + ["ingest", str(edges), "--year", "2005", "--out", str(matrix)],
+                       env=env, capture_output=True, check=True)
+        sim = cli + ["sim", str(matrix), "--seed", "S", "--cosine-threshold", "0.0"]
+        done = subprocess.run(sim, env=env, capture_output=True)
+        subprocess.run(sim + ["--out", str(out)], env=env, capture_output=True, check=True)
+        assert (done.returncode, done.stderr.count(b"error")) == (0, 0)
+        assert done.stdout == out.read_bytes()
+        assert "\u0100J" in done.stdout.decode("utf-8")
+
 
 class TestCentralityAndReport:
     def test_centrality_table(self, matrix_path, capsys):

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from citenet import (
+    CitationMatrix,
     Direction,
+    Graph,
     IsolatedSeedError,
+    Journal,
     SeedEnvironment,
     UnknownJournalError,
     environment_totals,
     extract_environment,
     parse_citation_csv,
 )
+from oracles import restricted_matrix
 
 
 def _matrix_with_cited_seed(counts):
@@ -82,27 +86,27 @@ class TestErrors:
         with pytest.raises(ValueError, match="sideways"):
             extract_environment(m, "S", "sideways", 0.01)
         with pytest.raises(ValueError, match="sideways"):
-            SeedEnvironment("S", "sideways", 0.01, ("S", "B"), m.submatrix(["S", "B"]))
+            SeedEnvironment("S", "sideways", 0.01, ("S", "B"), m)
 
-    def test_submatrix_must_hold_exactly_the_members(self):
+    def test_members_must_be_distinct_journals_of_the_matrix_seed_first(self):
         m = parse_citation_csv("B,S,50\nC,S,50\nS,D,9\nS,E,9", 2005)
-        for members, journals in (
-            (("S", "B"), ["S", "B", "C"]),
-            (("S", "B", "C"), ["S", "B"]),
-            (("S", "B", "B"), ["S", "B"]),
-        ):
-            with pytest.raises(ValueError, match="exactly the members"):
-                SeedEnvironment("S", Direction.CITED, 0.01, members, m.submatrix(journals))
+        for members in ((), ("B", "S"), ("S", "B", "C", "B")):
+            with pytest.raises(ValueError, match="seed must be the first|distinct"):
+                SeedEnvironment("S", Direction.CITED, 0.01, members, m)
+        for members in (("S", "B", "X"), ("S", "s")):
+            with pytest.raises(UnknownJournalError, match="not in the matrix"):
+                SeedEnvironment("S", Direction.CITED, 0.01, members, m)
 
 
 class TestEnvironmentStructure:
-    def test_submatrix_restricted_to_members(self):
+    def test_members_links_are_cut_from_the_whole_matrix(self):
         m = parse_citation_csv("A,S,50\nB,S,1\nA,B,7\nC,A,9", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.05)
         assert env.members == ("S", "A")
-        assert set(env.submatrix.journals) == {"S", "A"}
+        assert env.matrix is m
         # (A,B) and (C,A) touch non-members and are dropped
-        assert dict(env.submatrix.cells) == {("A", "S"): 50}
+        links = Graph.from_citation_matrix(env.matrix, env.members)
+        assert dict(links.edges) == {("A", "S"): 50.0}
 
     def test_every_nonseed_member_has_a_direct_link(self):
         rng = np.random.default_rng(3)
@@ -135,7 +139,8 @@ class TestEnvironmentStructure:
         for _ in range(20):
             m = _random_env_matrix(rng)
             env = extract_environment(m, "S", Direction.CITED, 0.01)
-            again = extract_environment(env.submatrix, "S", Direction.CITED, 0.01)
+            restricted = restricted_matrix(m, env.members)
+            again = extract_environment(restricted, "S", Direction.CITED, 0.01)
             assert again.members == env.members
 
 
@@ -156,29 +161,54 @@ class TestEnvironmentTotals:
     def test_gross_and_net_hand_summed(self):
         m = parse_citation_csv("A,A,4\nB,A,6\nA,S,60\nB,S,40", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.01)
-        assert set(env.members) == {"S", "A", "B"}
-        assert environment_totals(env, "A") == (10, 6)
+        assert env.members == ("S", "A", "B")
+        assert list(environment_totals(env).items()) == [
+            ("S", (100, 100)), ("A", (10, 6)), ("B", (0, 0))
+        ]
 
     def test_no_self_citations_means_gross_equals_net(self):
         m = parse_citation_csv("B,A,6\nA,S,60\nB,S,40", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.01)
-        gross, net = environment_totals(env, "A")
+        gross, net = environment_totals(env)["A"]
         assert gross == net == 6
 
     def test_only_self_citations_means_zero_net(self):
         m = parse_citation_csv("A,A,4\nA,S,100", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.01)
-        assert environment_totals(env, "A") == (4, 0)
+        assert environment_totals(env)["A"] == (4, 0)
 
     def test_citing_direction_totals(self):
         m = parse_citation_csv("S,A,50\nA,A,4\nA,B,6\nA,S,2", 2005)
         env = extract_environment(m, "S", Direction.CITING, 0.01)
-        assert "A" in env.members
+        assert env.members == ("S", "A")
         # A's outgoing within {S, A}: 4 self + 2 to seed; (A,B) is outside
-        assert environment_totals(env, "A") == (6, 2)
+        assert environment_totals(env) == {"S": (50, 50), "A": (6, 2)}
 
-    def test_non_member_rejected(self):
-        m = _matrix_with_cited_seed({"A": 100})
-        env = extract_environment(m, "S", Direction.CITED, 0.01)
-        with pytest.raises(UnknownJournalError):
-            environment_totals(env, "B")
+    def test_equal_the_cell_sums_over_the_members(self):
+        rng = np.random.default_rng(32)
+        ids = ["S"] + [f"J{k}" for k in range(15)]
+        seen_self = seen_outside = 0
+        for _ in range(30):
+            picks = zip(*(rng.integers(0, len(ids), 120) for _ in range(2)),
+                        rng.integers(1, 50, 120))
+            cells = {(ids[a], ids[b]): int(c) for a, b, c in picks}
+            cells[("S", "J0")] = cells[("J0", "S")] = 60  # the seed is never isolated
+            m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+            for direction in Direction:
+                env = extract_environment(m, "S", direction, 0.02)
+
+                def total(j, others):
+                    if direction is Direction.CITED:
+                        return sum(m.cell(i, j) for i in others)
+                    return sum(m.cell(j, i) for i in others)
+
+                expected = {
+                    j: (total(j, env.members), total(j, set(env.members) - {j}))
+                    for j in env.members
+                }
+                found = environment_totals(env)
+                assert list(found.items()) == list(expected.items())
+                assert all(type(n) is int for pair in found.values() for n in pair)
+                seen_self += any(m.cell(j, j) for j in env.members)
+                seen_outside += len(env.members) < len(ids)
+        assert seen_self and seen_outside

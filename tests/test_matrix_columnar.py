@@ -148,8 +148,9 @@ def test_seeded_random_matrices_across_parse_blocks(monkeypatch):
         ref = Reference(rows)
         _check_views(m, ref)
         _check_degrees(m)
-        sub_ids = list(rng.choice(ids, size=8, replace=False))
-        sub = m.submatrix(set(sub_ids) & set(m.journals))
-        assert dict(sub.cells) == {
-            key: c for key, c in ref.cells.items() if set(key) <= set(sub_ids)
+        # A member set's raw links: its cells, self-citations left out.
+        members = sorted(set(m.journals).intersection(rng.choice(ids, size=8, replace=False)))
+        assert Graph.from_citation_matrix(m, members).edges == {
+            (a, b): float(c) for (a, b), c in ref.cells.items()
+            if a != b and {a, b} <= set(members)
         }

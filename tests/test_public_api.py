@@ -4,6 +4,7 @@ A change to the public API edits this list, and records the change in
 CHANGES.md, in the same commit.
 """
 
+import dataclasses
 import inspect
 from collections.abc import Mapping, MutableMapping
 
@@ -93,6 +94,19 @@ def test_citation_degrees_takes_the_matrix_and_the_journal_ids():
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
         for name in ("m", "journal_ids")
     ]
+
+
+def test_environment_totals_takes_only_the_environment():
+    parameters = inspect.signature(citenet.environment_totals).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("env", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+    ]
+
+
+def test_a_seed_environment_keeps_its_matrix_and_a_matrix_cuts_no_submatrix():
+    fields = [field.name for field in dataclasses.fields(citenet.SeedEnvironment)]
+    assert fields == ["seed", "direction", "threshold", "members", "matrix", "contributions"]
+    assert not hasattr(citenet.CitationMatrix, "submatrix")
 
 
 def test_similarity_module_names_are_pinned():

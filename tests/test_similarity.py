@@ -272,9 +272,7 @@ GRAM_IDS = ["A", "B", "C", "D", "E", "F"]
 
 def _env(m, members, direction):
     """An environment with the given member order, bypassing the thresholds."""
-    return SeedEnvironment(
-        members[0], direction, 0.01, tuple(members), m.submatrix(members)
-    )
+    return SeedEnvironment(members[0], direction, 0.01, tuple(members), m)
 
 
 def _reference_edges(m, env, basis, axes, threshold):
@@ -344,7 +342,7 @@ class TestGramPath:
         m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
         env = _env(m, members, basis)
         g = similarity_graph(env, threshold)
-        edges, zero = _reference_edges(env.submatrix, env, basis, sorted(members), threshold)
+        edges, zero = _reference_edges(m, env, basis, sorted(members), threshold)
         # Same pairs, same insertion order, bit-identical weights.
         assert list(g.edges.items()) == edges
         assert all(type(weight) is float for weight in g.edges.values())
@@ -355,7 +353,7 @@ class TestGramPath:
         m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
         env = _env(m, members, basis)
         default = similarity_graph(env, threshold)
-        edges, zero = _reference_edges(env.submatrix, env, basis, sorted(members), threshold)
+        edges, zero = _reference_edges(m, env, basis, sorted(members), threshold)
         for rows in (1, 2, 3):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(citenet.similarity, "_BLOCK_ROWS", rows)
@@ -432,7 +430,7 @@ class TestGramPath:
         m = CitationMatrix(2005, [Journal(j, j) for j in "ABCS"], cells)
         env = _env(m, ["S", "A", "B", "C"], Direction.CITING)
         g = similarity_graph(env, 0.0)
-        edges, _ = _reference_edges(env.submatrix, env, Direction.CITING, "ABCS", 0.0)
+        edges, _ = _reference_edges(m, env, Direction.CITING, "ABCS", 0.0)
         assert list(g.edges) == [pair for pair, _ in edges]
         for pair, value in edges:
             assert 0.0 <= g.edges[pair] <= 1.0
