@@ -24,7 +24,6 @@ from .errors import (
     IsolatedSeedError,
     SidecarError,
     UnknownJournalError,
-    UnknownNodeError,
     YearMismatchError,
 )
 from .export import (
@@ -47,7 +46,6 @@ from .matrix import (
     read_matrix,
     read_registry,
     serialize_matrix,
-    totals,
     write_matrix,
 )
 from .metrics import (
@@ -79,7 +77,6 @@ __all__ = [
     "SimilarityGraph",
     "SourceIndex",
     "UnknownJournalError",
-    "UnknownNodeError",
     "YearMismatchError",
     "build_report",
     "citation_degrees",
@@ -101,6 +98,5 @@ __all__ = [
     "self_citation_rate",
     "serialize_matrix",
     "similarity_graph",
-    "totals",
     "write_matrix",
 ]

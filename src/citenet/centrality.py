@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, UnknownNodeError
+from .errors import ConvergenceError, UnknownJournalError
 from .matrix import CitationMatrix, _canonical, _row_entries, _row_ids
 
 Node = str
@@ -42,7 +42,7 @@ class Graph:
     degree counts and geodesics; :meth:`from_citation_matrix` drops them.
     """
 
-    __slots__ = ("_nodes", "_index", "_directed", "_csr", "_edges")
+    __slots__ = ("_nodes", "_directed", "_csr", "_edges")
 
     def __init__(
         self,
@@ -67,7 +67,7 @@ class Graph:
             rows.append(i)
             cols.append(j)
         weights = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
-        self._assign(nodes, index, directed, rows, cols, weights)
+        self._assign(nodes, directed, rows, cols, weights)
 
     @classmethod
     def _from_arrays(
@@ -76,11 +76,12 @@ class Graph:
         """A graph of checked edges ``rows[k] -> cols[k]``, ``rows <= cols`` if undirected."""
         g = cls.__new__(cls)
         nodes = tuple(nodes)
-        g._assign(nodes, _node_index(nodes), directed, rows, cols, weights)
+        _node_index(nodes)  # rejects duplicate node ids
+        g._assign(nodes, directed, rows, cols, weights)
         return g
 
-    def _assign(self, nodes, index, directed, rows, cols, weights) -> None:
-        self._nodes, self._index, self._directed = nodes, index, directed
+    def _assign(self, nodes, directed, rows, cols, weights) -> None:
+        self._nodes, self._directed = nodes, directed
         self._csr = _canonical(len(nodes), rows, cols, weights)
         self._edges = None
 
@@ -90,9 +91,6 @@ class Graph:
 
         The graph keeps the order of *nodes*; self-citation loops are dropped.
         """
-        unknown = {node for node in nodes if node not in m}
-        if unknown:
-            raise UnknownNodeError(f"not in matrix: {sorted(unknown)}")
         # The nodes' rows, their columns renumbered in node order (-1 outside).
         positions = m._positions(nodes)
         rows, entries = _row_entries(m._indptr, positions)
@@ -121,9 +119,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def __contains__(self, node: Node) -> bool:
-        return node in self._index
 
 
 def _node_index(nodes: tuple[Node, ...]) -> dict[Node, int]:
@@ -370,7 +365,7 @@ def build_report(
 
     missing = [node for node in local.nodes if node not in degrees]
     if missing:
-        raise UnknownNodeError(f"no global degrees for {missing}")
+        raise UnknownJournalError(f"no global degrees for {missing}")
 
     # Distinct neighbours in either direction: the off-diagonal cells of each
     # row of A + A^T.

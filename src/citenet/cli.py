@@ -399,7 +399,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             document["impact_factors"] = impact_factors
         _emit(json.dumps(document, indent=2) + "\n", args.out)
         return 0
-    _emit(report_table(env, report, impact_factors), args.out)
+    _emit(report_table(report, impact_factors), args.out)
     return 0
 
 

@@ -28,11 +28,7 @@ class YearMismatchError(CitenetError):
 
 
 class UnknownJournalError(CitenetError):
-    """A journal id was not found in the matrix or member set."""
-
-
-class UnknownNodeError(CitenetError):
-    """A node id was not found in the graph."""
+    """A journal or node id was not found in the matrix, member set or degrees."""
 
 
 class IsolatedSeedError(CitenetError):

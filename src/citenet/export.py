@@ -190,7 +190,6 @@ def _basis_comments(report: CentralityReport) -> list[str]:
 
 
 def report_table(
-    env: SeedEnvironment,
     centralities: CentralityReport,
     impact_factors: Mapping[JournalId, float] | None = None,
 ) -> str:
@@ -201,8 +200,6 @@ def report_table(
     tie-break.  Betweenness is rendered as a percentage with two decimals;
     journals without an impact factor get a blank cell.
     """
-    if set(env.members) != set(centralities.rows):
-        raise ValueError("centrality report does not cover the environment members")
     impact_factors = impact_factors or {}
 
     ordered = sorted(

@@ -1,4 +1,4 @@
-"""Journal-to-journal citation matrices: parsing, merging, totals.
+"""Journal-to-journal citation matrices: parsing, merging, persistence, degrees.
 
 The interchange format is a plain edge-list CSV:
 
@@ -678,18 +678,6 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
             f"{data[k]} exceeds {MAX_COUNT}"
         )
     return CitationMatrix._from_csr(a.year, journals, csr)
-
-
-def totals(m: CitationMatrix, j: JournalId) -> tuple[int, int, int]:
-    """Return ``(cited_total, citing_total, self_cites)`` for journal *j*.
-
-    Column and row sums both include the diagonal self-citation cell.
-    """
-    if j not in m:
-        raise UnknownJournalError(f"unknown journal {j!r}")
-    cited_total = sum(m.col(j).values())
-    citing_total = sum(m.row(j).values())
-    return cited_total, citing_total, m.cell(j, j)
 
 
 def citation_degrees(

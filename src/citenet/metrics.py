@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .matrix import CitationMatrix, JournalId, totals
+from .errors import UnknownJournalError
+from .matrix import CitationMatrix, JournalId
 
 
 def impact_factor(
@@ -63,8 +64,10 @@ def h_index(citation_counts: Iterable[int]) -> int:
 
 def self_citation_rate(m: CitationMatrix, j: JournalId) -> float:
     """Fraction of a journal's incoming citations that it supplied itself."""
-    cited_total, _, self_cites = totals(m, j)
+    if j not in m:
+        raise UnknownJournalError(f"unknown journal {j!r}")
+    cited_total = sum(m.col(j).values())
     if cited_total == 0:
         raise ValueError(f"journal {j!r} has no incoming citations")
-    return self_cites / cited_total
+    return m.cell(j, j) / cited_total
 

@@ -14,7 +14,7 @@ from citenet import (
     ConvergenceError,
     Graph,
     Journal,
-    UnknownNodeError,
+    UnknownJournalError,
     build_report,
     citation_degrees,
     eigenvector_centrality,
@@ -149,7 +149,7 @@ class TestGraph:
         g = Graph.from_citation_matrix(m, nodes=["B", "A"])
         assert g.nodes == ("B", "A")
         assert set(g.edges) == {("A", "B")}
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(UnknownJournalError):
             Graph.from_citation_matrix(m, nodes=["A", "nope"])
 
     @settings(max_examples=150, deadline=None)
@@ -174,7 +174,7 @@ class TestGraph:
         g = Graph.from_citation_matrix(m, nodes)
         assert g.directed and g.nodes == tuple(nodes)
         assert list(g.edges.items()) == [(pair, count) for _, pair, count in expected]
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(UnknownJournalError):
             Graph.from_citation_matrix(m, [*nodes, "nope"])
         if nodes:
             with pytest.raises(ValueError, match="duplicate"):
@@ -721,6 +721,11 @@ class TestReport:
         assert row.degree_out == 3  # cites S, B, X
         assert report.local_basis == "sim"
         assert report.global_basis == "full matrix"
+
+    def test_a_node_without_global_degrees_rejected(self):
+        local = Graph("SAB", {("S", "A"): 0.9}, directed=False)
+        with pytest.raises(UnknownJournalError, match=r"no global degrees for \['B'\]"):
+            build_report(local, dict.fromkeys("SA", (0, 0)))
 
     def test_zero_eigenvector_when_no_edges(self):
         local = Graph("SAB", {}, directed=False)

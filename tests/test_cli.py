@@ -355,6 +355,24 @@ class TestMetricsCommand:
         # A is cited by B (5) and S (2) and itself (9): 9/16
         assert document["self_citation_rate"] == pytest.approx(9 / 16)
 
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["--if-inputs", "30,30,50,50"], 0, "impact_factor = 0.6\n", ""),
+            (["--if-inputs", "1,2,3"], 1, "",
+             "error: --if-inputs expects cites_t1,cites_t2,citable_t1,citable_t2"
+             "[,self_t1,self_t2]\n"),
+            (["--h-counts", "1,x"], 1, "",
+             "error: --h-counts expects comma-separated integers, got '1,x'\n"),
+            (["--matrix", "m.csv"], 1, "",
+             "error: --matrix and --journal must be given together\n"),
+        ],
+    )
+    def test_inputs_and_their_errors(self, capsys, argv, code, out, err):
+        assert main(["metrics", *argv]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
     def test_nothing_to_compute(self, capsys):
         assert main(["metrics"]) == 1
         assert "error:" in capsys.readouterr().err

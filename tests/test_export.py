@@ -233,11 +233,6 @@ class TestIds:
         assert {(e["source"], e["target"]) for e in document["edges"]} == set(edges)
 
 
-def _env_two_members():
-    m = parse_citation_csv("EconJ,JEvolEcon,100", 2005)
-    return extract_environment(m, "JEvolEcon", Direction.CITED, 0.01)
-
-
 def _row(journal, betweenness, degree_local, degree_in, degree_out):
     return CentralityRow(
         journal, degree_in, degree_out, degree_local, 0.0, betweenness, 0.0
@@ -246,7 +241,6 @@ def _row(journal, betweenness, degree_local, degree_in, degree_out):
 
 class TestReportTable:
     def test_row_rendering(self):
-        env = _env_two_members()
         report = CentralityReport(
             {
                 "JEvolEcon": _row("JEvolEcon", 0.1587, 26, 41, 48),
@@ -255,7 +249,7 @@ class TestReportTable:
             "local",
             "global",
         )
-        text = report_table(env, report, {"JEvolEcon": 0.53, "EconJ": 1.44})
+        text = report_table(report, {"JEvolEcon": 0.53, "EconJ": 1.44})
         lines = text.splitlines()
         assert lines[0] == "# local basis: local"
         assert lines[1] == "# global basis: global"
@@ -273,7 +267,7 @@ class TestReportTable:
         report = CentralityReport(rows, "l", "g")
         ordered = [
             line.split()[0]
-            for line in report_table(_fake_env(rows), report).splitlines()[3:]
+            for line in report_table(report).splitlines()[3:]
         ]
         assert ordered == ["B", "C", "D", "E", "A"]
 
@@ -282,12 +276,11 @@ class TestReportTable:
         report = CentralityReport(rows, "l", "g")
         ordered = [
             line.split()[0]
-            for line in report_table(_fake_env(rows), report).splitlines()[3:]
+            for line in report_table(report).splitlines()[3:]
         ]
         assert ordered == ["alpha", "mid", "zeta"]
 
     def test_missing_impact_factor_renders_blank(self):
-        env = _env_two_members()
         report = CentralityReport(
             {
                 "JEvolEcon": _row("JEvolEcon", 0.2, 1, 1, 1),
@@ -296,18 +289,11 @@ class TestReportTable:
             "l",
             "g",
         )
-        text = report_table(env, report, {"EconJ": 1.44})
+        text = report_table(report, {"EconJ": 1.44})
         row = next(line for line in text.splitlines() if line.startswith("JEvolEcon"))
         assert row.split() == ["JEvolEcon", "20.00", "1", "1", "1"]
 
-    def test_member_set_mismatch_rejected(self):
-        env = _env_two_members()
-        report = CentralityReport({"EconJ": _row("EconJ", 0.1, 1, 1, 1)}, "l", "g")
-        with pytest.raises(ValueError, match="member"):
-            report_table(env, report)
-
     def test_deterministic(self):
-        env = _env_two_members()
         report = CentralityReport(
             {
                 "JEvolEcon": _row("JEvolEcon", 0.2, 1, 1, 1),
@@ -316,12 +302,4 @@ class TestReportTable:
             "l",
             "g",
         )
-        assert report_table(env, report) == report_table(env, report)
-
-
-def _fake_env(rows):
-    ids = sorted(rows)
-    seed = ids[0]
-    cells = "\n".join(f"{j},{seed},100" for j in ids if j != seed)
-    m = parse_citation_csv(cells, 2005)
-    return extract_environment(m, seed, Direction.CITED, 0.01)
+        assert report_table(report) == report_table(report)

@@ -1,4 +1,4 @@
-"""Tests for citation matrix parsing, merging, totals, and persistence."""
+"""Tests for citation matrix parsing, merging, row and column sums, and persistence."""
 
 import hashlib
 import json
@@ -27,14 +27,22 @@ from citenet import (
     parse_citation_csv,
     read_matrix,
     read_registry,
+    self_citation_rate,
     serialize_matrix,
-    totals,
     write_matrix,
 )
 from citenet.matrix import _valid_ids, _validate_id
 from oracles import degree_centrality
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7"
+
+
+def _cited(m, j):
+    return sum(m.col(j).values())
+
+
+def _citing(m, j):
+    return sum(m.row(j).values())
 
 
 def _random_matrix(rng, n_journals=8, n_cells=20, year=2005):
@@ -112,7 +120,16 @@ class TestParse:
         assert m.journals["A"].source_index is SourceIndex.SSCI
         assert m.journals["B"].source_index is SourceIndex.SCI
         assert "Z" in m.journals  # isolated registry journal retained
-        assert totals(m, "Z") == (0, 0, 0)
+        assert (_cited(m, "Z"), _citing(m, "Z"), m.cell("Z", "Z")) == (0, 0, 0)
+
+    def test_registry_skips_a_blank_record_between_journals(self):
+        registry = read_registry(
+            "id,display_name,source_index\nA,Alpha,SCI\n\n , ,\nB,Beta,SSCI\n"
+        )
+        assert registry == {
+            "A": Journal("A", "Alpha", SourceIndex.SCI),
+            "B": Journal("B", "Beta", SourceIndex.SSCI),
+        }
 
     def test_registry_rejects_unknown_source(self):
         with pytest.raises(EdgeListParseError, match="source_index"):
@@ -220,6 +237,16 @@ class TestMatrixInvariants:
     def test_cell_journal_must_be_registered(self):
         with pytest.raises(ValueError, match="unknown"):
             CitationMatrix(2005, [Journal("A", "A")], {("A", "B"): 1})
+        with pytest.raises(ValueError, match=r"cell \(B, A\): unknown citing journal"):
+            CitationMatrix(2005, [Journal("A", "A")], {("B", "A"): 1})
+
+    def test_conflicting_registry_entries_rejected(self):
+        journals = [Journal("A", "A"), Journal("B", "B"), Journal("A", "Other")]
+        with pytest.raises(ValueError, match="conflicting registry entries for 'A'"):
+            CitationMatrix(2005, journals, {})
+        # The same record twice is no conflict.
+        m = CitationMatrix(2005, [Journal("A", "A"), Journal("A", "A")], {("A", "A"): 1})
+        assert list(m.journals) == ["A"]
 
     def test_views_are_read_only(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
@@ -335,15 +362,17 @@ class TestMerge:
 
 
 class TestTotalsAndProfiles:
+    """Row and column sums (both include the diagonal cell) and degrees."""
+
     def test_totals_hand_summed(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
-        assert totals(m, "A") == (9, 12, 7)
-        assert totals(m, "B") == (5, 2, 0)
+        assert (_cited(m, "A"), _citing(m, "A"), m.cell("A", "A")) == (9, 12, 7)
+        assert (_cited(m, "B"), _citing(m, "B"), m.cell("B", "B")) == (5, 2, 0)
 
     def test_totals_isolated_journal(self):
         registry = {"C": Journal("C", "C")}
         m = parse_citation_csv(THREE_CELLS, 2005, registry=registry)
-        assert totals(m, "C") == (0, 0, 0)
+        assert (_cited(m, "C"), _citing(m, "C"), m.cell("C", "C")) == (0, 0, 0)
 
     def test_degrees_of_an_unknown_journal(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
@@ -361,15 +390,16 @@ class TestTotalsAndProfiles:
 
     def test_totals_unknown_journal(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
-        with pytest.raises(UnknownJournalError):
-            totals(m, "nope")
+        assert (m.row("nope"), m.col("nope"), m.cell("nope", "nope")) == ({}, {}, 0)
+        with pytest.raises(UnknownJournalError, match="unknown journal 'nope'"):
+            self_citation_rate(m, "nope")
 
     def test_grand_total_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             m = _random_matrix(rng)
-            cited = sum(totals(m, j)[0] for j in m.journals)
-            citing = sum(totals(m, j)[1] for j in m.journals)
+            cited = sum(_cited(m, j) for j in m.journals)
+            citing = sum(_citing(m, j) for j in m.journals)
             assert cited == citing == sum(m.cells.values())
 
 

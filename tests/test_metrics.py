@@ -51,6 +51,11 @@ class TestQuasiImpactFactor:
     def test_all_self_cites(self):
         assert quasi_impact_factor(30, 30, 50, 50, 30, 30) == 0.0
 
+    @pytest.mark.parametrize("self_cites", [(-1, 0), (0, -1)])
+    def test_negative_self_cites_rejected(self, self_cites):
+        with pytest.raises(ValueError, match="self-citation counts must be nonnegative"):
+            quasi_impact_factor(10, 10, 50, 50, *self_cites)
+
     def test_self_cites_cannot_exceed_cites(self):
         with pytest.raises(ValueError, match="exceed"):
             quasi_impact_factor(10, 10, 50, 50, 11, 0)
