@@ -124,9 +124,11 @@ def _resolve(args: argparse.Namespace, path: str) -> Path:
     return candidate
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, dest: str = "out", help: str = "output path (default: stdout)"
+) -> None:
     parser.add_argument("--config", help="JSON file presetting flags")
-    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--out", dest=dest, metavar="OUT", help=help)
 
 
 def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
@@ -169,6 +171,8 @@ def _add_basis_flag(parser: argparse.ArgumentParser) -> None:
 def _emit(text: str, out: str | None) -> None:
     if out is not None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
+    elif sys.stdout is None:
+        raise CitenetError("stdout is closed")
     elif hasattr(sys.stdout, "buffer"):
         # UTF-8, as --out writes, whatever the locale says.
         sys.stdout.flush()
@@ -216,43 +220,43 @@ def _report(args: argparse.Namespace, basis: str):
     return env, graph, report
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    if not args.out:
+def _cmd_ingest(args: argparse.Namespace) -> str:
+    if not args.matrix_out:
         raise CitenetError("ingest requires --out for the persisted matrix")
     registry = None
     if args.registry:
         with open(_resolve(args, args.registry), encoding="utf-8") as fh:
             registry = read_registry(fh)
     source = SourceIndex(args.source.upper())
-    if args.edges == "-" and hasattr(sys.stdin, "buffer"):
+    if args.edges != "-":
+        with open(_resolve(args, args.edges), encoding="utf-8") as fh:
+            matrix = parse_citation_csv(fh, args.year, source=source, registry=registry)
+    elif sys.stdin is None:
+        raise CitenetError("ingest -: stdin is closed")
+    elif hasattr(sys.stdin, "buffer"):
         # Its bytes are UTF-8, as a path's are, whatever the locale says.
         stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
         try:
             matrix = parse_citation_csv(stdin, args.year, source=source, registry=registry)
         finally:
             stdin.detach()
-    elif args.edges == "-":
-        matrix = parse_citation_csv(sys.stdin, args.year, source=source, registry=registry)
     else:
-        with open(_resolve(args, args.edges), encoding="utf-8") as fh:
-            matrix = parse_citation_csv(fh, args.year, source=source, registry=registry)
-    write_matrix(matrix, args.out)
-    print(f"wrote {args.out}: {len(matrix)} journals, {len(matrix.cells)} cells")
-    return 0
+        matrix = parse_citation_csv(sys.stdin, args.year, source=source, registry=registry)
+    write_matrix(matrix, args.matrix_out)
+    return f"wrote {args.matrix_out}: {len(matrix)} journals, {len(matrix.cells)} cells\n"
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
-    if not args.out:
+def _cmd_merge(args: argparse.Namespace) -> str:
+    if not args.matrix_out:
         raise CitenetError("merge requires --out for the persisted matrix")
     a = read_matrix(_resolve(args, args.matrix_a), year=args.year)
     b = read_matrix(_resolve(args, args.matrix_b), year=args.year)
     merged = merge_indices(a, b)
-    write_matrix(merged, args.out)
-    print(f"wrote {args.out}: {len(merged)} journals, {len(merged.cells)} cells")
-    return 0
+    write_matrix(merged, args.matrix_out)
+    return f"wrote {args.matrix_out}: {len(merged)} journals, {len(merged.cells)} cells\n"
 
 
-def _cmd_env(args: argparse.Namespace) -> int:
+def _cmd_env(args: argparse.Namespace) -> str:
     fmt = _format(args, ("table", "json"))
     env = _environment(args)
     rows = [(m, env.contributions[m], *t) for m, t in environment_totals(env).items()]
@@ -266,29 +270,25 @@ def _cmd_env(args: argparse.Namespace) -> int:
                 for m, c, g, n in rows
             ],
         }
-        _emit(json.dumps(document, indent=2) + "\n", args.out)
-        return 0
+        return json.dumps(document, indent=2) + "\n"
     comments = [f"# seed {env.seed}, {env.direction.value}, threshold {env.threshold}"]
     header = ("journal", "contribution_%", "gross", "net_of_self")
     cells = ((m, f"{c * 100:.2f}", str(g), str(n)) for m, c, g, n in rows)
-    _emit(aligned_table(comments, header, cells), args.out)
-    return 0
+    return aligned_table(comments, header, cells)
 
 
-def _cmd_sim(args: argparse.Namespace) -> int:
+def _cmd_sim(args: argparse.Namespace) -> str:
     _, graph = _similarity(args)
     lines = ["source,target,weight"]
     lines.extend(f"{u},{v},{weight!r}" for (u, v), weight in graph.edges.items())
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_centrality(args: argparse.Namespace) -> int:
+def _cmd_centrality(args: argparse.Namespace) -> str:
     fmt = _format(args, ("table", "json"))
     _, _, report = _report(args, _local_basis(args))
     if fmt == "json":
-        _emit(json.dumps(report_document(report), indent=2) + "\n", args.out)
-        return 0
+        return json.dumps(report_document(report), indent=2) + "\n"
     header = (
         "journal", "deg_local", "deg_in", "deg_out", "closeness", "betweenness_%", "eigenvector"
     )
@@ -297,8 +297,7 @@ def _cmd_centrality(args: argparse.Namespace) -> int:
          f"{row.closeness:.4f}", f"{row.betweenness * 100:.2f}", f"{row.eigenvector:.4f}")
         for row in report
     )
-    _emit(aligned_table(_basis_comments(report), header, cells), args.out)
-    return 0
+    return aligned_table(_basis_comments(report), header, cells)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -310,7 +309,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         ) from None
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> str:
     fmt = _format(args, ("table", "json"))
     results: dict[str, float | int] = {}
     if args.if_inputs:
@@ -337,25 +336,20 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             "nothing to compute: pass --if-inputs, --h-counts, or --matrix/--journal"
         )
     if fmt == "json":
-        _emit(json.dumps(results, indent=2) + "\n", args.out)
-    else:
-        _emit("".join(f"{name} = {value}\n" for name, value in results.items()), args.out)
-    return 0
+        return json.dumps(results, indent=2) + "\n"
+    return "".join(f"{name} = {value}\n" for name, value in results.items())
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace) -> str:
     fmt = _format(args, ("pajek", "dot", "json"))
     basis = _local_basis(args)
     if fmt == "json":
         env, graph, report = _report(args, basis)
-        text = export_json(graph, make_glyphs(env), report)
-    else:
-        # Pajek and DOT print no centralities, so none are computed.
-        env, graph = _similarity(args)
-        exporter = export_pajek if fmt == "pajek" else export_dot
-        text = exporter(graph, make_glyphs(env))
-    _emit(text, args.out)
-    return 0
+        return export_json(graph, make_glyphs(env), report)
+    # Pajek and DOT print no centralities, so none are computed.
+    env, graph = _similarity(args)
+    exporter = export_pajek if fmt == "pajek" else export_dot
+    return exporter(graph, make_glyphs(env))
 
 
 def _load_if_csv(path: Path) -> dict[str, float]:
@@ -386,7 +380,7 @@ def _load_if_csv(path: Path) -> dict[str, float]:
     return values
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> str:
     fmt = _format(args, ("table", "json"))
     basis = _local_basis(args)
     impact_factors = {}
@@ -397,10 +391,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         document = graph_document(graph, make_glyphs(env), report)
         if impact_factors:
             document["impact_factors"] = impact_factors
-        _emit(json.dumps(document, indent=2) + "\n", args.out)
-        return 0
-    _emit(report_table(report, impact_factors), args.out)
-    return 0
+        return json.dumps(document, indent=2) + "\n"
+    return report_table(report, impact_factors)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--year", type=int, required=True)
     p_ingest.add_argument("--source", choices=("sci", "ssci"), default="sci")
     p_ingest.add_argument("--registry", help="journal registry CSV")
-    _add_common(p_ingest)
+    _add_common(p_ingest, "matrix_out", "path of the persisted matrix (required)")
     p_ingest.set_defaults(handler=_cmd_ingest)
 
     p_merge = subparsers.add_parser("merge", help="merge two same-year matrices")
     p_merge.add_argument("matrix_a")
     p_merge.add_argument("matrix_b")
     p_merge.add_argument("--year", type=int, help="year for sidecar-less inputs")
-    _add_common(p_merge)
+    _add_common(p_merge, "matrix_out", "path of the persisted matrix (required)")
     p_merge.set_defaults(handler=_cmd_merge)
 
     p_env = subparsers.add_parser("env", help="extract a seed environment")
@@ -484,7 +476,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        return args.handler(args)
+        _emit(args.handler(args), getattr(args, "out", None))
+        return 0
     except (CitenetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

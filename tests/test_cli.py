@@ -27,6 +27,13 @@ def matrix_path(tmp_path):
     return out
 
 
+def _run_with_closed(fd, argv):
+    """Run the CLI in a child process whose file descriptor *fd* is closed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "citenet.cli", *argv], env=env,
+                          capture_output=True, preexec_fn=lambda: os.close(fd))
+
+
 def test_a_report_imports_no_scipy(matrix_path):
     script = (
         "import sys, citenet, citenet.cli\n"
@@ -86,6 +93,19 @@ class TestIngestAndMerge:
             path, stdin = (tmp_path / side / f"m.csv{suffix}" for side in ("path", "stdin"))
             assert stdin.read_bytes() == path.read_bytes()
         assert "\u00c4J,S,4" in (tmp_path / "stdin" / "m.csv").read_text(encoding="utf-8")
+
+    def test_ingest_reads_a_stdin_without_a_buffer_as_text(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(EDGES))
+        out = tmp_path / "m.csv"
+        assert main(["ingest", "-", "--year", "2005", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 4 journals, 7 cells\n"
+
+    def test_closed_stdin_gives_one_error_line(self, tmp_path):
+        out = tmp_path / "m.csv"
+        done = _run_with_closed(0, ["ingest", "-", "--year", "2005", "--out", str(out)])
+        assert done.returncode == 1
+        assert done.stderr.decode("utf-8").splitlines() == ["error: ingest -: stdin is closed"]
+        assert not out.exists()
 
     def test_merge(self, tmp_path, matrix_path, capsys):
         other = tmp_path / "other_edges.csv"
@@ -257,19 +277,31 @@ class TestSimCommand:
             )
 
     def test_stdout_is_utf8_whatever_the_locale(self, tmp_path):
-        edges, matrix, out = tmp_path / "edges.csv", tmp_path / "m.csv", tmp_path / "sim.csv"
+        edges, matrix, out = tmp_path / "edges.csv", tmp_path / "\u0100m.csv", tmp_path / "sim.csv"
         edges.write_bytes((EDGES + "\u0100J,S,40\nA,\u0100J,3\n").encode("utf-8"))
         env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]),
                    PYTHONIOENCODING="latin-1")
         cli = [sys.executable, "-m", "citenet.cli"]
-        subprocess.run(cli + ["ingest", str(edges), "--year", "2005", "--out", str(matrix)],
-                       env=env, capture_output=True, check=True)
+        merged = tmp_path / "\u0100merged.csv"
+        for argv, target in ((["ingest", str(edges), "--year", "2005"], matrix),
+                             (["merge", str(matrix), str(matrix)], merged)):
+            done = subprocess.run(cli + argv + ["--out", str(target)], env=env, capture_output=True)
+            assert (done.returncode, done.stderr) == (0, b"")
+            assert done.stdout == f"wrote {target}: 5 journals, 9 cells\n".encode("utf-8")
         sim = cli + ["sim", str(matrix), "--seed", "S", "--cosine-threshold", "0.0"]
         done = subprocess.run(sim, env=env, capture_output=True)
         subprocess.run(sim + ["--out", str(out)], env=env, capture_output=True, check=True)
         assert (done.returncode, done.stderr.count(b"error")) == (0, 0)
         assert done.stdout == out.read_bytes()
         assert "\u0100J" in done.stdout.decode("utf-8")
+
+    def test_closed_stdout_gives_one_error_line(self, matrix_path):
+        done = _run_with_closed(1, ["sim", str(matrix_path), "--seed", "S"])
+        assert done.returncode == 1
+        assert done.stderr.decode("utf-8").splitlines() == [
+            "warning: member 'C' has an all-zero cited profile; kept as isolated node",
+            "error: stdout is closed",
+        ]
 
 
 class TestCentralityAndReport:

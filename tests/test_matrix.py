@@ -257,6 +257,18 @@ class TestMatrixInvariants:
         with pytest.raises(TypeError):
             m.journals["A"] = Journal("A", "other")
 
+    def test_cells_lookup_of_a_non_pair_or_an_absent_cell(self):
+        m = parse_citation_csv(THREE_CELLS, 2005, registry={"Z": Journal("Z", "Z")})
+        for key in ("A", ("A", "Z")):
+            with pytest.raises(KeyError):
+                m.cells[key]
+        assert m.cells.get(("A", "Z")) is None
+
+    def test_a_matrix_equals_no_other_type(self):
+        m = parse_citation_csv(THREE_CELLS, 2005)
+        assert m.__eq__(1) is NotImplemented
+        assert (m == 1) is False and m != "A,B,5"
+
     def test_journal_id_validation(self):
         with pytest.raises(ValueError):
             Journal("", "name")
@@ -506,6 +518,13 @@ class TestPersistence:
             sidecar.write_text(json.dumps({**meta, **digest}), encoding="utf-8")
             with pytest.raises(SidecarError, match='m.csv.meta.json: no string "csv_sha256"'):
                 read_matrix(path)
+
+    def test_sidecar_that_is_not_a_json_object_is_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix(parse_citation_csv(THREE_CELLS, 2005), path)
+        (tmp_path / "m.csv.meta.json").write_text("[2005]", encoding="utf-8")
+        with pytest.raises(SidecarError, match="m.csv.meta.json: expected a JSON object"):
+            read_matrix(path)
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_unsorted_sidecar_loads_in_id_order(self, tmp_path, cached):
