@@ -57,19 +57,23 @@ DEFAULT_DIRECTION = "cited"
 
 _CONFIG_STRINGS = ("seed", "direction", "format", "local_basis", "data_dir")
 _CONFIG_NUMBERS = ("min_contrib", "cosine_threshold")
-_DEFAULTS = {
-    "direction": DEFAULT_DIRECTION,
-    "min_contrib": DEFAULT_MIN_CONTRIB,
-    "cosine_threshold": DEFAULT_COSINE_THRESHOLD,
-    "local_basis": "sim",
-}
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill each flag the command takes but was not given: config, then default.
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error:`` line, as every failure's is."""
 
-    Config keys for flags the command does not take are ignored; ``data_dir``
-    is kept as ``args.data_dir`` for :func:`_resolve`.
+    def error(self, message: str):
+        raise CitenetError(message)
+
+
+def _apply_config(
+    parser: argparse.ArgumentParser, argv: list[str], args: argparse.Namespace
+) -> argparse.Namespace:
+    """Parse *argv* again with the config's presets as flags before the given ones.
+
+    Explicit flags come later and so win.  Config keys for flags the command
+    does not take are ignored; ``data_dir`` is kept as ``args.data_dir`` for
+    :func:`_resolve`.
     """
     config = {}
     if args.config:
@@ -93,24 +97,15 @@ def _apply_config(args: argparse.Namespace) -> None:
                 raise CitenetError(f"config key {key!r} is too large for a float")
             else:
                 config[key] = float(value)
-    for key, value in {**_DEFAULTS, **config}.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+        presets = [
+            f"--{key.replace('_', '-')}={value}"
+            for key, value in config.items()
+            if key != "data_dir" and hasattr(args, key)
+        ]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args([*argv[:at], *presets, *argv[at:]])
     args.data_dir = config.get("data_dir")
-
-
-def _format(args: argparse.Namespace, formats: tuple[str, ...]) -> str:
-    """The output format, one of the command's *formats* (default the first)."""
-    fmt = formats[0] if args.format is None else args.format
-    if fmt not in formats:
-        raise CitenetError(f"{args.command} supports formats {'|'.join(formats)}, not {fmt!r}")
-    return fmt
-
-
-def _local_basis(args: argparse.Namespace) -> str:
-    if args.local_basis not in ("sim", "raw"):
-        raise CitenetError(f"--local-basis must be sim or raw, not {args.local_basis!r}")
-    return args.local_basis
+    return args
 
 
 def _resolve(args: argparse.Namespace, path: str) -> Path:
@@ -139,12 +134,14 @@ def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--direction",
         choices=("citing", "cited"),
+        default=DEFAULT_DIRECTION,
         help=f"environment direction (default: {DEFAULT_DIRECTION})",
     )
     parser.add_argument(
         "--min-contrib",
         type=float,
         dest="min_contrib",
+        default=DEFAULT_MIN_CONTRIB,
         help=f"contribution threshold fraction (default: {DEFAULT_MIN_CONTRIB})",
     )
 
@@ -154,6 +151,7 @@ def _add_similarity_flags(parser: argparse.ArgumentParser) -> None:
         "--cosine-threshold",
         type=float,
         dest="cosine_threshold",
+        default=DEFAULT_COSINE_THRESHOLD,
         help=f"similarity edge threshold (default: {DEFAULT_COSINE_THRESHOLD})",
     )
 
@@ -163,6 +161,7 @@ def _add_basis_flag(parser: argparse.ArgumentParser) -> None:
         "--local-basis",
         choices=("sim", "raw"),
         dest="local_basis",
+        default="sim",
         help="graph for local centralities: thresholded similarity graph (sim)"
         " or raw citation links among members (raw); default sim",
     )
@@ -171,8 +170,6 @@ def _add_basis_flag(parser: argparse.ArgumentParser) -> None:
 def _emit(text: str, out: str | None) -> None:
     if out is not None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
-    elif sys.stdout is None:
-        raise CitenetError("stdout is closed")
     elif hasattr(sys.stdout, "buffer"):
         # UTF-8, as --out writes, whatever the locale says.
         sys.stdout.flush()
@@ -184,9 +181,6 @@ def _emit(text: str, out: str | None) -> None:
 def _environment(args: argparse.Namespace):
     if not args.seed:
         raise CitenetError("--seed is required (flag or config)")
-    if args.direction not in ("cited", "citing"):
-        # Only a config value gets here: argparse checks the flag's choices.
-        raise CitenetError(f"config key 'direction' must be cited|citing, not {args.direction!r}")
     direction = Direction(args.direction)
     matrix = read_matrix(_resolve(args, args.matrix))
     return extract_environment(matrix, args.seed, direction, args.min_contrib)
@@ -200,9 +194,9 @@ def _similarity(args: argparse.Namespace):
     return env, graph
 
 
-def _report(args: argparse.Namespace, basis: str):
+def _report(args: argparse.Namespace):
     env, graph = _similarity(args)
-    if basis == "sim":
+    if args.local_basis == "sim":
         local = graph
         local_basis = (
             f"similarity graph ({graph.basis.value}, cosine > {graph.threshold}, "
@@ -257,10 +251,9 @@ def _cmd_merge(args: argparse.Namespace) -> str:
 
 
 def _cmd_env(args: argparse.Namespace) -> str:
-    fmt = _format(args, ("table", "json"))
     env = _environment(args)
     rows = [(m, env.contributions[m], *t) for m, t in environment_totals(env).items()]
-    if fmt == "json":
+    if args.format == "json":
         document = {
             "seed": env.seed,
             "direction": env.direction.value,
@@ -285,9 +278,8 @@ def _cmd_sim(args: argparse.Namespace) -> str:
 
 
 def _cmd_centrality(args: argparse.Namespace) -> str:
-    fmt = _format(args, ("table", "json"))
-    _, _, report = _report(args, _local_basis(args))
-    if fmt == "json":
+    _, _, report = _report(args)
+    if args.format == "json":
         return json.dumps(report_document(report), indent=2) + "\n"
     header = (
         "journal", "deg_local", "deg_in", "deg_out", "closeness", "betweenness_%", "eigenvector"
@@ -310,7 +302,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> str:
-    fmt = _format(args, ("table", "json"))
     results: dict[str, float | int] = {}
     if args.if_inputs:
         values = _parse_int_list(args.if_inputs, "--if-inputs")
@@ -335,20 +326,18 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
         raise CitenetError(
             "nothing to compute: pass --if-inputs, --h-counts, or --matrix/--journal"
         )
-    if fmt == "json":
+    if args.format == "json":
         return json.dumps(results, indent=2) + "\n"
     return "".join(f"{name} = {value}\n" for name, value in results.items())
 
 
 def _cmd_export(args: argparse.Namespace) -> str:
-    fmt = _format(args, ("pajek", "dot", "json"))
-    basis = _local_basis(args)
-    if fmt == "json":
-        env, graph, report = _report(args, basis)
+    if args.format == "json":
+        env, graph, report = _report(args)
         return export_json(graph, make_glyphs(env), report)
     # Pajek and DOT print no centralities, so none are computed.
     env, graph = _similarity(args)
-    exporter = export_pajek if fmt == "pajek" else export_dot
+    exporter = export_pajek if args.format == "pajek" else export_dot
     return exporter(graph, make_glyphs(env))
 
 
@@ -381,13 +370,11 @@ def _load_if_csv(path: Path) -> dict[str, float]:
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
-    fmt = _format(args, ("table", "json"))
-    basis = _local_basis(args)
     impact_factors = {}
     if args.if_csv:
         impact_factors = _load_if_csv(_resolve(args, args.if_csv))
-    env, graph, report = _report(args, basis)
-    if fmt == "json":
+    env, graph, report = _report(args)
+    if args.format == "json":
         document = graph_document(graph, make_glyphs(env), report)
         if impact_factors:
             document["impact_factors"] = impact_factors
@@ -396,7 +383,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="citenet",
         description="Journal citation network toolkit",
     )
@@ -420,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_env = subparsers.add_parser("env", help="extract a seed environment")
     _add_environment_flags(p_env)
-    p_env.add_argument("--format", choices=("table", "json"))
+    p_env.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_env)
     p_env.set_defaults(handler=_cmd_env)
 
@@ -434,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_environment_flags(p_centrality)
     _add_similarity_flags(p_centrality)
     _add_basis_flag(p_centrality)
-    p_centrality.add_argument("--format", choices=("table", "json"))
+    p_centrality.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_centrality)
     p_centrality.set_defaults(handler=_cmd_centrality)
 
@@ -447,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cites_t1,cites_t2,citable_t1,citable_t2[,self_t1,self_t2]",
     )
     p_metrics.add_argument("--h-counts", dest="h_counts", help="comma-separated counts")
-    p_metrics.add_argument("--format", choices=("table", "json"))
+    p_metrics.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_metrics)
     p_metrics.set_defaults(handler=_cmd_metrics)
 
@@ -455,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_environment_flags(p_export)
     _add_similarity_flags(p_export)
     _add_basis_flag(p_export)
-    p_export.add_argument("--format", choices=("pajek", "dot", "json"))
+    p_export.add_argument("--format", choices=("pajek", "dot", "json"), default="pajek")
     _add_common(p_export)
     p_export.set_defaults(handler=_cmd_export)
 
@@ -464,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_similarity_flags(p_report)
     _add_basis_flag(p_report)
     p_report.add_argument("--if-csv", dest="if_csv", help="CSV of id,impact_factor")
-    p_report.add_argument("--format", choices=("table", "json"))
+    p_report.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_report)
     p_report.set_defaults(handler=_cmd_report)
 
@@ -473,10 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config(args)
-        _emit(args.handler(args), getattr(args, "out", None))
+        args = _apply_config(parser, argv, parser.parse_args(argv))
+        out = getattr(args, "out", None)
+        if out is None and sys.stdout is None:
+            raise CitenetError("stdout is closed")
+        _emit(args.handler(args), out)
         return 0
     except (CitenetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

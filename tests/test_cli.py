@@ -295,13 +295,18 @@ class TestSimCommand:
         assert done.stdout == out.read_bytes()
         assert "\u0100J" in done.stdout.decode("utf-8")
 
-    def test_closed_stdout_gives_one_error_line(self, matrix_path):
-        done = _run_with_closed(1, ["sim", str(matrix_path), "--seed", "S"])
-        assert done.returncode == 1
-        assert done.stderr.decode("utf-8").splitlines() == [
-            "warning: member 'C' has an all-zero cited profile; kept as isolated node",
-            "error: stdout is closed",
-        ]
+    def test_closed_stdout_gives_one_error_line(self, tmp_path, matrix_path):
+        # The check comes before any work: no stage runs, no file is written.
+        out = tmp_path / "y.csv"
+        edges = tmp_path / "edges.csv"
+        for argv in (["sim", str(matrix_path), "--seed", "S"],
+                     ["ingest", str(edges), "--year", "2005", "--out", str(out)],
+                     ["merge", str(matrix_path), str(matrix_path), "--out", str(out)]):
+            done = _run_with_closed(1, argv)
+            assert done.returncode == 1
+            assert done.stderr.decode("utf-8").splitlines() == ["error: stdout is closed"]
+            for name in ("y.csv", "y.csv.meta.json", "y.csv.csr.npz"):
+                assert not (tmp_path / name).exists()
 
 
 class TestCentralityAndReport:
@@ -447,11 +452,43 @@ class TestConfigAndDataDir:
         document = json.loads(capsys.readouterr().out)
         assert len(document["members"]) == 4
 
+    @pytest.mark.parametrize(
+        "key, value, other",
+        [
+            ("seed", "A", "S"),
+            ("direction", "citing", "cited"),
+            ("min_contrib", 0.25, "0.01"),
+            ("cosine_threshold", 0.05, "0.2"),
+            ("format", "json", "table"),
+            ("local_basis", "raw", "sim"),
+        ],
+    )
+    def test_config_key_gives_the_bytes_of_its_flag(
+        self, tmp_path, matrix_path, capsys, key, value, other
+    ):
+        def run(*argv):
+            code = main(["report", str(matrix_path), *argv])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": "S", key: value}), encoding="utf-8")
+        flag = "--" + key.replace("_", "-")
+        seed = [] if key == "seed" else ["--seed", "S"]
+        by_flag = run(*seed, flag, str(value))
+        assert by_flag[0] == 0
+        assert run("--config", str(config)) == by_flag
+        # An explicit flag beats the preset, before or after --config.
+        by_other = run(*seed, flag, other)
+        assert by_other[0] == 0 and by_other != by_flag
+        assert run("--config", str(config), flag, other) == by_other
+        assert run(flag, other, "--config", str(config)) == by_other
+
     def test_unknown_config_key_rejected(self, tmp_path, matrix_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"sede": "S"}), encoding="utf-8")
         assert main(["env", str(matrix_path), "--config", str(config)]) == 1
-        assert "config" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown config keys: ['sede']\n"
 
     @pytest.mark.parametrize(
         "config, message",
@@ -462,6 +499,9 @@ class TestConfigAndDataDir:
             ({"seed": ["S"]}, "'seed' must be a string"),
             ({"seed": "S", "data_dir": 5}, "'data_dir' must be a string"),
             ({"seed": "S", "min_contrib": 10**400}, "'min_contrib' is too large"),
+            ({"seed": "S", "format": 5}, "'format' must be a string"),
+            ({"seed": "S", "local_basis": ["raw"]}, "'local_basis' must be a string"),
+            ({"seed": "S", "direction": None}, "'direction' must be a string"),
         ],
     )
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, config, message):
@@ -531,8 +571,8 @@ class TestConfigAndDataDir:
         path.write_text(json.dumps({"seed": "S", "direction": "sideways"}), encoding="utf-8")
         monkeypatch.setattr("citenet.cli.read_matrix", _no_load)
         assert main([command, str(matrix_path), "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: config key 'direction' must be cited|citing, not 'sideways'\n"
+        assert _error_line(capsys.readouterr().err) == (
+            "error: argument --direction: invalid choice: 'sideways'"
         )
 
     @pytest.mark.parametrize("data_dir", [None, "empty"])
@@ -564,24 +604,37 @@ def _no_load(*args, **kwargs):
     raise AssertionError("input loaded before the arguments were checked")
 
 
+def _error_line(err: str) -> str:
+    """*err*'s one line, less argparse's list of choices, whose quoting varies by Python version."""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return re.sub(r" \(choose from .*\)$", "", err[:-1])
+
+
 class TestBadArgumentsRejectedBeforeLoading:
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["ingest", "{edges}", "--year", "2005"], "ingest requires --out for the persisted matrix"),
             (["merge", "{matrix}", "{matrix}"], "merge requires --out for the persisted matrix"),
-            (["env", "{matrix}", "--config", "{config}"],
-             "env supports formats table|json, not 'csv'"),
-            (["centrality", "{matrix}", "--config", "{config}"],
-             "centrality supports formats table|json, not 'csv'"),
-            (["export", "{matrix}", "--config", "{config}"],
-             "export supports formats pajek|dot|json, not 'csv'"),
-            (["report", "{matrix}", "--config", "{config}"],
-             "report supports formats table|json, not 'csv'"),
-            (["metrics", "--matrix", "{matrix}", "--journal", "S", "--config", "{config}"],
-             "metrics supports formats table|json, not 'csv'"),
-            (["export", "{matrix}", "--format", "dot", "--config", "{basis_config}"],
-             "--local-basis must be sim or raw, not 'both'"),
+            pytest.param(["env", "{matrix}", "--config", "{config}"],
+                         "argument --format: invalid choice: 'csv'",
+                         id="argv2-env format from config"),
+            pytest.param(["centrality", "{matrix}", "--config", "{config}"],
+                         "argument --format: invalid choice: 'csv'",
+                         id="argv3-centrality format from config"),
+            pytest.param(["export", "{matrix}", "--config", "{config}"],
+                         "argument --format: invalid choice: 'csv'",
+                         id="argv4-export format from config"),
+            pytest.param(["report", "{matrix}", "--config", "{config}"],
+                         "argument --format: invalid choice: 'csv'",
+                         id="argv5-report format from config"),
+            pytest.param(["metrics", "--matrix", "{matrix}", "--journal", "S",
+                          "--config", "{config}"],
+                         "argument --format: invalid choice: 'csv'",
+                         id="argv6-metrics format from config"),
+            pytest.param(["export", "{matrix}", "--format", "dot", "--config", "{basis_config}"],
+                         "argument --local-basis: invalid choice: 'both'",
+                         id="argv7---local-basis from config"),
         ],
     )
     def test_error_line_without_reading_input(
@@ -599,7 +652,7 @@ class TestBadArgumentsRejectedBeforeLoading:
         monkeypatch.setattr("citenet.cli.read_matrix", _no_load)
         monkeypatch.setattr("citenet.cli.parse_citation_csv", _no_load)
         assert main([arg.format(**paths) for arg in argv]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _error_line(capsys.readouterr().err) == f"error: {message}"
 
     @pytest.mark.parametrize("content", [None, "id,impact_factor\nS,nan\n"])
     def test_impact_factor_file_read_before_the_matrix(

@@ -2,17 +2,20 @@
 
 Each input a user hands the CLI (an edge list, a registry, a persisted CSV,
 its sidecar, an impact-factor CSV, a config file) is replaced by arbitrary
-bytes, near-valid text or arbitrary JSON.  The call must either succeed or
-exit 1 with exactly one ``error:`` line.  Arbitrary bytes in the
-``.csr.npz`` cache must not change the call's output at all.
+bytes, near-valid text or arbitrary JSON, and so is the argument list.  The
+call must either succeed or exit 1 with exactly one ``error:`` line.
+Arbitrary bytes in the ``.csr.npz`` cache must not change the call's output
+at all.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +204,38 @@ def test_config_file(config, pick):
         )
         code, _, err = _run([*argv, "--config", path])
         _check_contract(code, err)
+
+
+SUBCOMMANDS = ["ingest", "merge", "env", "sim", "centrality", "metrics", "export", "report"]
+FLAGS = ["--year", "--source", "--registry", "--out", "--config", "--seed", "--direction",
+         "--min-contrib", "--cosine-threshold", "--local-basis", "--format", "--if-csv",
+         "--matrix", "--journal", "--if-inputs", "--h-counts"]
+# ALPHABET holds neither "h" nor "v", so no token below can name or
+# abbreviate -h, --help or --version: those exit 0 through argparse.
+JUNK = st.text(ALPHABET + "=", max_size=8)
+TOKENS = st.one_of(
+    st.sampled_from(
+        SUBCOMMANDS + FLAGS + ["-", "--", "sci", "cited", "raw", "json", "2005", "0.2", "1,2"]
+    ),
+    st.tuples(st.sampled_from(FLAGS), JUNK).map("=".join),
+    JUNK,
+)
+
+
+@given(argv=st.tuples(st.sampled_from(SUBCOMMANDS) | TOKENS, st.lists(TOKENS, max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_argument_list(argv):
+    # In a directory with no matrix, and with an empty stdin for `ingest -`,
+    # no call can start a long computation.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            with mock.patch("sys.stdin", io.StringIO()):
+                code, _, err = _run([argv[0], *argv[1]])
+        finally:
+            os.chdir(cwd)
+    _check_contract(code, err)
 
 
 @given(data=_near("id,impact_factor\nA,1.5\nS,2.25\n"))
