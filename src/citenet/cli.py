@@ -23,31 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .centrality import Graph, build_report
-from .environment import Direction, environment_totals, extract_environment
 from .errors import CitenetError
-from .export import (
-    _basis_comments,
-    aligned_table,
-    export_dot,
-    export_json,
-    export_pajek,
-    graph_document,
-    make_glyphs,
-    report_document,
-    report_table,
-)
-from .matrix import (
-    SourceIndex,
-    citation_degrees,
-    merge_indices,
-    parse_citation_csv,
-    read_matrix,
-    read_registry,
-    write_matrix,
-)
-from .metrics import h_index, impact_factor, quasi_impact_factor, self_citation_rate
-from .similarity import similarity_graph
 
 DATA_DIR_ENV = "CITENET_DATA_DIR"
 
@@ -57,6 +33,9 @@ DEFAULT_DIRECTION = "cited"
 
 _CONFIG_STRINGS = ("seed", "direction", "format", "local_basis", "data_dir")
 _CONFIG_NUMBERS = ("min_contrib", "cosine_threshold")
+
+# Each character str.splitlines breaks on, as its escape, so an error is one line.
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,6 +105,20 @@ def _add_common(
     parser.add_argument("--out", dest=dest, metavar="OUT", help=help)
 
 
+def _unit_fraction(closed_at_zero: bool):
+    """A flag type: a float in [0, 1) if *closed_at_zero*, else in (0, 1); never NaN."""
+    interval = "[0, 1)" if closed_at_zero else "(0, 1)"
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (0.0 <= value < 1.0 and (closed_at_zero or value > 0.0)):
+            raise argparse.ArgumentTypeError(f"must be in {interval}, got {value}")
+        return value
+
+    parse.__name__ = "float"  # argparse's "invalid float value: ..." names the type
+    return parse
+
+
 def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "matrix", help="persisted citation matrix (CSV + sidecar, with its .csr.npz cache)"
@@ -139,7 +132,7 @@ def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--min-contrib",
-        type=float,
+        type=_unit_fraction(closed_at_zero=False),
         dest="min_contrib",
         default=DEFAULT_MIN_CONTRIB,
         help=f"contribution threshold fraction (default: {DEFAULT_MIN_CONTRIB})",
@@ -149,7 +142,7 @@ def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
 def _add_similarity_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cosine-threshold",
-        type=float,
+        type=_unit_fraction(closed_at_zero=True),
         dest="cosine_threshold",
         default=DEFAULT_COSINE_THRESHOLD,
         help=f"similarity edge threshold (default: {DEFAULT_COSINE_THRESHOLD})",
@@ -179,6 +172,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _environment(args: argparse.Namespace):
+    from .environment import Direction, extract_environment
+    from .matrix import read_matrix
+
     if not args.seed:
         raise CitenetError("--seed is required (flag or config)")
     direction = Direction(args.direction)
@@ -187,6 +183,8 @@ def _environment(args: argparse.Namespace):
 
 
 def _similarity(args: argparse.Namespace):
+    from .similarity import similarity_graph
+
     env = _environment(args)
     graph = similarity_graph(env, args.cosine_threshold)
     for message in graph.warnings:
@@ -195,6 +193,9 @@ def _similarity(args: argparse.Namespace):
 
 
 def _report(args: argparse.Namespace):
+    from .centrality import Graph, build_report
+    from .matrix import citation_degrees
+
     env, graph = _similarity(args)
     if args.local_basis == "sim":
         local = graph
@@ -215,6 +216,8 @@ def _report(args: argparse.Namespace):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> str:
+    from .matrix import SourceIndex, parse_citation_csv, read_registry, write_matrix
+
     if not args.matrix_out:
         raise CitenetError("ingest requires --out for the persisted matrix")
     registry = None
@@ -241,6 +244,8 @@ def _cmd_ingest(args: argparse.Namespace) -> str:
 
 
 def _cmd_merge(args: argparse.Namespace) -> str:
+    from .matrix import merge_indices, read_matrix, write_matrix
+
     if not args.matrix_out:
         raise CitenetError("merge requires --out for the persisted matrix")
     a = read_matrix(_resolve(args, args.matrix_a), year=args.year)
@@ -251,6 +256,9 @@ def _cmd_merge(args: argparse.Namespace) -> str:
 
 
 def _cmd_env(args: argparse.Namespace) -> str:
+    from .environment import environment_totals
+    from .export import aligned_table
+
     env = _environment(args)
     rows = [(m, env.contributions[m], *t) for m, t in environment_totals(env).items()]
     if args.format == "json":
@@ -278,6 +286,8 @@ def _cmd_sim(args: argparse.Namespace) -> str:
 
 
 def _cmd_centrality(args: argparse.Namespace) -> str:
+    from .export import _basis_comments, aligned_table, report_document
+
     _, _, report = _report(args)
     if args.format == "json":
         return json.dumps(report_document(report), indent=2) + "\n"
@@ -302,6 +312,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> str:
+    from .metrics import h_index, impact_factor, quasi_impact_factor, self_citation_rate
+
     results: dict[str, float | int] = {}
     if args.if_inputs:
         values = _parse_int_list(args.if_inputs, "--if-inputs")
@@ -318,6 +330,8 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
     if args.h_counts:
         results["h_index"] = h_index(_parse_int_list(args.h_counts, "--h-counts"))
     if args.matrix and args.journal:
+        from .matrix import read_matrix
+
         matrix = read_matrix(_resolve(args, args.matrix))
         results["self_citation_rate"] = self_citation_rate(matrix, args.journal)
     elif args.matrix or args.journal:
@@ -332,6 +346,8 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
 
 
 def _cmd_export(args: argparse.Namespace) -> str:
+    from .export import export_dot, export_json, export_pajek, make_glyphs
+
     if args.format == "json":
         env, graph, report = _report(args)
         return export_json(graph, make_glyphs(env), report)
@@ -370,6 +386,8 @@ def _load_if_csv(path: Path) -> dict[str, float]:
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
+    from .export import graph_document, make_glyphs, report_table
+
     impact_factors = {}
     if args.if_csv:
         impact_factors = _load_if_csv(_resolve(args, args.if_csv))
@@ -469,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(args.handler(args), out)
         return 0
     except (CitenetError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return 1
 
 

@@ -8,10 +8,12 @@ quotients here and rounded only at report time.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import UnknownJournalError
-from .matrix import CitationMatrix, JournalId
+
+if TYPE_CHECKING:
+    from .matrix import CitationMatrix, JournalId
 
 
 def impact_factor(

@@ -47,6 +47,44 @@ def test_a_report_imports_no_scipy(matrix_path):
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
+def test_calls_that_compute_nothing_with_numpy_do_not_import_it():
+    calls = [
+        ["--version"],
+        ["--help"],
+        ["metrics", "--h-counts", "3,2,1"],
+        ["metrics", "--if-inputs", "30,30,50,50"],
+        ["metrics", "--h-counts", "3", "--format", "csv"],
+    ]
+    script = (
+        "import contextlib, io, sys, citenet\n"
+        "from citenet.cli import main\n"
+        "citenet.__all__\n"
+        "print('numpy' in sys.modules)\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(code, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines() == ["False", "0 False", "0 False", "0 False", "0 False",
+                                        "1 False"]
+
+
+@pytest.mark.parametrize(
+    "argument", ["x\ny", "x\ry", "x\r\ny", "x\x0by", "x\x85y", "x\u2028y"]
+)
+def test_an_argument_with_a_line_break_gives_one_error_line(capsys, argument):
+    assert main(["metrics", argument]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: unrecognized arguments: x")
+
+
 class TestIngestAndMerge:
     def test_ingest_writes_matrix_and_sidecar(self, matrix_path, capsys):
         assert matrix_path.exists()
@@ -569,7 +607,7 @@ class TestConfigAndDataDir:
     ):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": "S", "direction": "sideways"}), encoding="utf-8")
-        monkeypatch.setattr("citenet.cli.read_matrix", _no_load)
+        monkeypatch.setattr("citenet.matrix.read_matrix", _no_load)
         assert main([command, str(matrix_path), "--config", str(path)]) == 1
         assert _error_line(capsys.readouterr().err) == (
             "error: argument --direction: invalid choice: 'sideways'"
@@ -635,6 +673,27 @@ class TestBadArgumentsRejectedBeforeLoading:
             pytest.param(["export", "{matrix}", "--format", "dot", "--config", "{basis_config}"],
                          "argument --local-basis: invalid choice: 'both'",
                          id="argv7---local-basis from config"),
+            pytest.param(["env", "{matrix}", "--seed", "S", "--min-contrib", "1"],
+                         "argument --min-contrib: must be in (0, 1), got 1.0",
+                         id="argv8---min-contrib 1"),
+            pytest.param(["report", "{matrix}", "--seed", "S", "--min-contrib", "0"],
+                         "argument --min-contrib: must be in (0, 1), got 0.0",
+                         id="argv9---min-contrib 0"),
+            pytest.param(["sim", "{matrix}", "--seed", "S", "--min-contrib", "nan"],
+                         "argument --min-contrib: must be in (0, 1), got nan",
+                         id="argv10---min-contrib nan"),
+            pytest.param(["sim", "{matrix}", "--seed", "S", "--cosine-threshold", "1"],
+                         "argument --cosine-threshold: must be in [0, 1), got 1.0",
+                         id="argv11---cosine-threshold 1"),
+            pytest.param(["export", "{matrix}", "--seed", "S", "--cosine-threshold", "-0.5"],
+                         "argument --cosine-threshold: must be in [0, 1), got -0.5",
+                         id="argv12---cosine-threshold -0.5"),
+            pytest.param(["centrality", "{matrix}", "--seed", "S", "--cosine-threshold", "nan"],
+                         "argument --cosine-threshold: must be in [0, 1), got nan",
+                         id="argv13---cosine-threshold nan"),
+            pytest.param(["env", "{matrix}", "--config", "{range_config}"],
+                         "argument --min-contrib: must be in (0, 1), got 1.0",
+                         id="argv14---min-contrib from config"),
         ],
     )
     def test_error_line_without_reading_input(
@@ -647,10 +706,12 @@ class TestBadArgumentsRejectedBeforeLoading:
         basis_config = tmp_path / "basis.json"
         basis_config.write_text(json.dumps({"seed": "S", "local_basis": "both"}),
                                 encoding="utf-8")
+        range_config = tmp_path / "range.json"
+        range_config.write_text(json.dumps({"seed": "S", "min_contrib": 1}), encoding="utf-8")
         paths = {"edges": edges, "matrix": matrix_path, "config": config,
-                 "basis_config": basis_config}
-        monkeypatch.setattr("citenet.cli.read_matrix", _no_load)
-        monkeypatch.setattr("citenet.cli.parse_citation_csv", _no_load)
+                 "basis_config": basis_config, "range_config": range_config}
+        monkeypatch.setattr("citenet.matrix.read_matrix", _no_load)
+        monkeypatch.setattr("citenet.matrix.parse_citation_csv", _no_load)
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert _error_line(capsys.readouterr().err) == f"error: {message}"
 
@@ -661,7 +722,7 @@ class TestBadArgumentsRejectedBeforeLoading:
         if_csv = tmp_path / "if.csv"
         if content is not None:
             if_csv.write_text(content, encoding="utf-8")
-        monkeypatch.setattr("citenet.cli.read_matrix", _no_load)
+        monkeypatch.setattr("citenet.matrix.read_matrix", _no_load)
         argv = ["report", str(matrix_path), "--seed", "S", "--if-csv", str(if_csv)]
         assert main(argv) == 1
         err = capsys.readouterr().err

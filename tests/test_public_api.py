@@ -6,7 +6,11 @@ CHANGES.md, in the same commit.
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import os
+import subprocess
+import sys
 from collections.abc import Mapping, MutableMapping
 from pathlib import Path
 
@@ -66,6 +70,61 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     missing = [name for name in citenet.__all__ if not hasattr(citenet, name)]
     assert missing == []
+
+
+SUBMODULES = ["centrality", "environment", "errors", "export", "matrix", "metrics", "similarity"]
+
+
+def test_each_public_name_is_its_home_modules_attribute():
+    assert sorted(citenet._MODULES) == SUBMODULES
+    for module, names in citenet._MODULES.items():
+        home = importlib.import_module(f"citenet.{module}")
+        for name in names:
+            value = getattr(citenet, name)
+            assert value is getattr(home, name)
+            # Each class and function is listed under the module that defines it
+            # (JournalId is an alias of str).
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ in (home.__name__, "builtins"), name
+
+
+def test_dir_lists_the_public_names_and_the_submodules():
+    listed = dir(citenet)
+    assert set(citenet.__all__) <= set(listed)
+    assert set(SUBMODULES) <= set(listed)
+
+
+def test_an_unknown_attribute_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        citenet.no_such_name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from citenet import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_a_public_name_reads_its_modules_current_value(monkeypatch):
+    def replaced(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr("citenet.matrix.read_matrix", replaced)
+    assert citenet.read_matrix is replaced
+
+
+def test_importing_the_package_imports_no_submodule():
+    script = (
+        "import sys, citenet\n"
+        "citenet.__all__, citenet.__version__, dir(citenet)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('citenet.'))\n"
+        "print(loaded, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[] False\n"
 
 
 # Public names the package itself never calls, each with the reason it stays.
