@@ -4,13 +4,15 @@ Geodesics are hop-count shortest paths: edge weights never define path
 lengths here, they only matter for the eigenvector adjacency.  Betweenness
 and closeness come from one level-synchronous breadth-first search over a
 batch of sources at a time (Brandes, *J. Math. Sociol.* 25:163, 2001).  Each
-level of the forward pass expands the frontier over the rows of the graph's
-hop CSR, records the shortest-path DAG edges it finds and sums each newly
-reached node's path count over its predecessors in ascending (source,
-predecessor) order: exact below 2**53, rounded in that order above.  The
-backward pass walks the recorded edges deepest level first.  Every float sum
-of both passes is a ``bincount`` in a fixed order, so the results depend
-neither on the batch size nor on the BLAS build.
+level of the forward pass finds the shortest-path DAG edges into newly
+reached nodes, scanning either the frontier's rows of the graph's hop CSR or
+the unreached nodes' rows of its transpose, whichever side has fewer entries
+(Beamer, Asanovic & Patterson, SC 2012), and sums each newly reached node's
+path count over its predecessors in ascending (source, predecessor) order:
+exact below 2**53, rounded in that order above.  The backward pass walks the
+recorded edges deepest level first.  Every float sum of both passes is a
+``bincount`` in a fixed order, so the results depend neither on the batch
+size, nor on the direction each level is scanned in, nor on the BLAS build.
 """
 
 from __future__ import annotations
@@ -129,44 +131,90 @@ def _node_index(nodes: tuple[Node, ...]) -> dict[Node, int]:
 
 
 def _bfs(
-    indptr: np.ndarray, heads: np.ndarray, sources: np.ndarray
+    out_csr: tuple[np.ndarray, np.ndarray],
+    in_csr: tuple[np.ndarray, np.ndarray],
+    sources: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Level-synchronous BFS from each of *sources* over the hop CSR
-    ``(indptr, heads)``, one row per source.
+    *out_csr* ``(indptr, heads)`` and its transpose *in_csr* ``(indptr,
+    tails)``, one row per source.
 
     Returns ``(dist, sigma, levels)``: hop distances (-1 where unreached),
     shortest-path counts, and each level's shortest-path DAG entries
     ``(v, w)``, the edges v -> w with ``dist[w] == dist[v] + 1``.  v and w
-    are flat indices ``s * n + node`` in (source, tail, head) order.  The
-    frontier is the level's flat indices in ascending order; its CSR rows
-    give the edges, those into unreached cells are the level's entries, and
-    one ``bincount`` sums each new cell's count over its predecessors in
-    ascending (source, predecessor) order.  The counts are integers, so the
-    sums are exact below 2**53 and rounded in that fixed order above.
+    are flat indices ``s * n + node`` in (source, tail, head) order.
+
+    Each level scans the side with fewer CSR entries (Beamer, Asanovic &
+    Patterson, SC 2012): top-down, the frontier's out-rows, kept where they
+    reach an unreached cell; bottom-up, the unreached cells' in-rows, kept
+    where they come from the frontier and then sorted.  Both find the same
+    entries, since bottom-up never stops a row early: every predecessor
+    counts.  One ``bincount`` sums each new cell's count over its
+    predecessors in ascending (source, predecessor) order.  The counts are
+    integers, so the sums are exact below 2**53 and rounded in that fixed
+    order above.
+
+    A level costs in proportion to its entries, not to the batch: a running
+    total of the unreached cells' in-entries picks the side, the unreached
+    cells are listed at the first bottom-up level and only filtered after
+    it, and the sums run over all cells only for a level with at least a
+    sixteenth as many entries as cells.
     """
+    (indptr, heads), (in_indptr, tails) = out_csr, in_csr
     n = len(indptr) - 1
+    out_degree, in_degree = np.diff(indptr), np.diff(in_indptr)
     dist = np.full(len(sources) * n, -1, dtype=np.int32)
     sigma = np.zeros(dist.shape)
-    frontier = np.arange(len(sources)) * n + sources
+    frontier, nodes = np.arange(len(sources)) * n + sources, sources
     dist[frontier] = 0
     sigma[frontier] = 1.0
+    # The in-entries of the cells not yet reached, which a bottom-up level
+    # scans, and those cells, listed at the first bottom-up level.
+    unreached_entries = len(sources) * len(tails)
+    unreached = None
     levels = []
     while True:
-        nodes = frontier % n
-        # Rebinding the entries to their heads frees them before the next gather.
-        rows, w = _row_entries(indptr, nodes)
-        w = heads[w]
-        w += (frontier - nodes)[rows]
-        unreached = np.flatnonzero(dist[w] < 0)
-        if not len(unreached):
-            return dist.reshape(-1, n), sigma.reshape(-1, n), levels
-        v, w = frontier[rows[unreached]], w[unreached]
+        unreached_entries -= int(in_degree[nodes].sum())
+        if not unreached_entries:
+            break
+        if out_degree[nodes].sum() <= unreached_entries:
+            # Rebinding the entries to their heads frees them before the next gather.
+            rows, w = _row_entries(indptr, nodes)
+            w = heads[w]
+            w += (frontier - nodes)[rows]
+            keep = np.flatnonzero(dist[w] < 0)
+            v, w = frontier[rows[keep]], w[keep]
+        else:
+            # The cells reached since the previous listing leave the list.
+            if unreached is None:
+                unreached = np.flatnonzero(dist < 0)
+            else:
+                unreached = unreached[dist[unreached] < 0]
+            cells = unreached % n
+            rows, v = _row_entries(in_indptr, cells)
+            v = tails[v]
+            v += (unreached - cells)[rows]
+            keep = np.flatnonzero(dist[v] == len(levels))
+            # Sorted (tail, head) keys give (source, tail, head) order.
+            keys = v[keep] * len(dist) + unreached[rows[keep]]
+            keys.sort()
+            v, w = np.divmod(keys, len(dist))
+        if not len(v):
+            break
         levels.append((v, w))
-        # Path counts are at least 1, so the new cells are the nonzero sums.
-        counts = np.bincount(w, sigma[v])
-        frontier = np.flatnonzero(counts)
+        if 16 * len(w) >= len(dist):
+            # Path counts are at least 1, so the new cells are the positive sums.
+            counts = np.bincount(w, sigma[v])
+            frontier = np.flatnonzero(counts > 0)
+            counts = counts[frontier]
+        else:
+            # Far fewer entries than cells: number the new cells instead.
+            frontier, new = np.unique(w, return_inverse=True)
+            counts = np.bincount(new, sigma[v])
         dist[frontier] = len(levels)
-        sigma[frontier] = counts[frontier]
+        sigma[frontier] = counts
+        nodes = frontier % n
+    return dist.reshape(-1, n), sigma.reshape(-1, n), levels
 
 
 def _closeness(dist: np.ndarray) -> np.ndarray:
@@ -206,12 +254,13 @@ def _sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     nodes = g.nodes
     n = len(nodes)
     indptr, heads = _hop_csr(g)
+    hops = (indptr, heads), _transpose(indptr, heads)
     batch = max(1, _BATCH_ENTRIES // max(1, len(heads), n))
     raw = np.zeros(n)
     closeness = np.zeros(n)
     for start in range(0, n, batch):
         sources = np.arange(start, min(start + batch, n))
-        dist, sigma, levels = _bfs(indptr, heads, sources)
+        dist, sigma, levels = _bfs(*hops, sources)
         closeness[sources] = _closeness(dist)
         delta = _dependencies(levels, sigma)
         # A source's dependency on itself is no betweenness.
@@ -239,6 +288,15 @@ def _hop_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(len(g) + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails[hop], minlength=len(g)), out=indptr[1:])
     return indptr, heads[hop]
+
+
+def _transpose(indptr: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(indptr, tails)`` of the reversed edges: each node's
+    in-neighbours, ascending."""
+    tails = _row_ids(indptr)[np.argsort(heads, kind="stable")]
+    in_indptr = np.zeros_like(indptr)
+    np.cumsum(np.bincount(heads, minlength=len(indptr) - 1), out=in_indptr[1:])
+    return in_indptr, tails
 
 
 def _symmetric_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

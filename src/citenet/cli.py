@@ -9,6 +9,8 @@ DOT, or JSON files.
 A JSON config file (``--config``) may preset the common flags; explicit
 flags win.  The ``CITENET_DATA_DIR`` environment variable (or the config key
 ``data_dir``) names a directory against which bare input paths are resolved.
+Unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
+is set, :func:`main` sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ DEFAULT_DIRECTION = "cited"
 
 _CONFIG_STRINGS = ("seed", "direction", "format", "local_basis", "data_dir")
 _CONFIG_NUMBERS = ("min_contrib", "cosine_threshold")
+
+# The variables OpenBLAS reads for its thread count.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # Each character str.splitlines breaks on, as its escape, so an error is one line.
 _ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
@@ -257,7 +262,7 @@ def _cmd_merge(args: argparse.Namespace) -> str:
 
 def _cmd_env(args: argparse.Namespace) -> str:
     from .environment import environment_totals
-    from .export import aligned_table
+    from .export import aligned_table, json_text
 
     env = _environment(args)
     rows = [(m, env.contributions[m], *t) for m, t in environment_totals(env).items()]
@@ -271,7 +276,7 @@ def _cmd_env(args: argparse.Namespace) -> str:
                 for m, c, g, n in rows
             ],
         }
-        return json.dumps(document, indent=2) + "\n"
+        return json_text(document)
     comments = [f"# seed {env.seed}, {env.direction.value}, threshold {env.threshold}"]
     header = ("journal", "contribution_%", "gross", "net_of_self")
     cells = ((m, f"{c * 100:.2f}", str(g), str(n)) for m, c, g, n in rows)
@@ -286,11 +291,11 @@ def _cmd_sim(args: argparse.Namespace) -> str:
 
 
 def _cmd_centrality(args: argparse.Namespace) -> str:
-    from .export import _basis_comments, aligned_table, report_document
+    from .export import _basis_comments, aligned_table, json_text, report_document
 
     _, _, report = _report(args)
     if args.format == "json":
-        return json.dumps(report_document(report), indent=2) + "\n"
+        return json_text(report_document(report))
     header = (
         "journal", "deg_local", "deg_in", "deg_out", "closeness", "betweenness_%", "eigenvector"
     )
@@ -386,7 +391,7 @@ def _load_if_csv(path: Path) -> dict[str, float]:
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
-    from .export import graph_document, make_glyphs, report_table
+    from .export import graph_document, json_text, make_glyphs, report_table
 
     impact_factors = {}
     if args.if_csv:
@@ -396,7 +401,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
         document = graph_document(graph, make_glyphs(env), report)
         if impact_factors:
             document["impact_factors"] = impact_factors
-        return json.dumps(document, indent=2) + "\n"
+        return json_text(document)
     return report_table(report, impact_factors)
 
 
@@ -476,7 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread, unless the user set a thread count.
+
+    OpenBLAS reads the count once, when numpy loads, so a process that has
+    already loaded numpy (a library user's) is left as it is.
+    """
+    if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:

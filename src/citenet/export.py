@@ -9,6 +9,7 @@ without self-citations.  Spatial layout is left to downstream viewers.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -164,7 +165,22 @@ def export_json(
 
     Floats are serialized at full precision; see README for the schema.
     """
-    return json.dumps(graph_document(g, glyphs, report), indent=2) + "\n"
+    return json_text(graph_document(g, glyphs, report))
+
+
+def json_text(document) -> str:
+    """``json.dumps(document, indent=2)`` and a newline, from the same encoder.
+
+    ``json.dumps`` keeps a string for every token until it joins them: 2.9 MB
+    for a 351-member graph document, whose text is 0.4 MB.  Written through
+    an ASCII text buffer (the encoder escapes everything else), only the
+    bytes of the text are kept.
+    """
+    text = io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="")
+    json.dump(document, text, indent=2)
+    text.write("\n")
+    text.flush()
+    return text.buffer.getvalue().decode("ascii")
 
 
 def aligned_table(

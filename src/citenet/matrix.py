@@ -817,12 +817,33 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
     _replace(_sidecar_path(path), sidecar)
 
 
+def _sidecar_object(pairs: list[tuple[str, object]]) -> tuple | dict:
+    """A decoded sidecar object: the tuple of its values if its keys are
+    :data:`REGISTRY_HEADER` in that order, as :func:`write_matrix` writes each
+    journal (a third of a dict's memory), else a dict, in which a repeated
+    key keeps its last value.  JSON arrays decode to lists, so every tuple in
+    a decoded sidecar is such an entry."""
+    keys, values = zip(*pairs) if pairs else ((), ())
+    return values if keys == REGISTRY_HEADER else dict(pairs)
+
+
+def _entry_fields(entry: object) -> tuple:
+    """A journals entry's values under :data:`REGISTRY_HEADER`, None where absent."""
+    if isinstance(entry, tuple):
+        return entry
+    if isinstance(entry, dict):
+        return tuple(entry.get(key) for key in REGISTRY_HEADER)
+    return (None, None, None)
+
+
 def _read_sidecar(sidecar: Path, raw: bytes) -> tuple[int, _Registry, str]:
     """``(year, registry, recorded CSV sha256)`` from sidecar bytes."""
     try:
-        meta = json.loads(raw.decode("utf-8"))
+        meta = json.loads(raw.decode("utf-8"), object_pairs_hook=_sidecar_object)
     except (ValueError, RecursionError) as exc:
         raise SidecarError(f"{sidecar}: not a JSON document ({exc})") from None
+    if isinstance(meta, tuple):
+        meta = dict(zip(REGISTRY_HEADER, meta))
     if not isinstance(meta, dict):
         raise SidecarError(f"{sidecar}: expected a JSON object")
     year = meta.get("year")
@@ -831,15 +852,13 @@ def _read_sidecar(sidecar: Path, raw: bytes) -> tuple[int, _Registry, str]:
     entries = meta.get("journals")
     if not isinstance(entries, list):
         raise SidecarError(f"{sidecar}: no \"journals\" list")
-    registry = _journals_in_bulk(entries)
+    rows = [_entry_fields(entry) for entry in entries]
+    registry = _journals_in_bulk(rows)
     if registry is None:
         # Some entry is malformed or repeats an id: check one at a time to
         # name the first.
         journals = {}
-        for k, entry in enumerate(entries):
-            fields = [
-                entry.get(key) if isinstance(entry, dict) else None for key in REGISTRY_HEADER
-            ]
+        for k, fields in enumerate(rows):
             try:
                 if not all(isinstance(field, str) for field in fields):
                     raise ValueError(f"needs string fields {', '.join(REGISTRY_HEADER)}")
@@ -857,19 +876,17 @@ def _read_sidecar(sidecar: Path, raw: bytes) -> tuple[int, _Registry, str]:
     return year, registry, digest
 
 
-def _journals_in_bulk(entries: list) -> _Registry | None:
-    """The registry of sidecar *entries*, or None if any is malformed or
-    two share an id.
+def _journals_in_bulk(rows: list[tuple]) -> _Registry | None:
+    """The registry of sidecar entries' ``(id, display_name, source_index)``
+    *rows*, or None if any is malformed or two share an id.
 
     Makes the checks of :class:`Journal` once over all entries, so that a
     valid registry costs no per-journal validation.
     """
-    try:
-        ids, names, sources = ([entry[key] for entry in entries] for key in REGISTRY_HEADER)
-    except (TypeError, KeyError):  # an entry that is not an object, or lacks a key
-        return None
+    ids, names, sources = zip(*rows) if rows else ((), (), ())
+    # Decoded JSON strings are of type str exactly.
     if not (
-        all(isinstance(field, str) for column in (ids, names, sources) for field in column)
+        set(map(type, ids + names + sources)) <= {str}
         and _valid_ids(ids)
         and all(names)
         and set(sources) <= _SOURCES.keys()

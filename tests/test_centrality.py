@@ -1,6 +1,7 @@
 """Tests for degree, closeness, betweenness (fast vs oracle), eigenvector."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -644,6 +645,46 @@ def test_sweep_bits_do_not_depend_on_the_batch_size(monkeypatch):
         assert default == reference_sweep(g)
 
 
+def _dense_graph(rng, n, directed):
+    """Edge probability 0.3-0.9 per tail, so a directed graph's in- and
+    out-degrees differ."""
+    nodes = [f"N{i:02d}" for i in range(n)]
+    p = rng.uniform(0.3, 0.9, n)
+    edges = {
+        (nodes[i], nodes[j]): 1.0
+        for i in range(n)
+        for j in range(n)
+        if (i != j if directed else i < j) and rng.random() < p[i]
+    }
+    return Graph(nodes, edges, directed=directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_dense_sweeps_scan_both_directions_and_keep_the_bits(monkeypatch, directed):
+    rng = np.random.default_rng(16)
+    graphs = [_dense_graph(rng, int(rng.integers(12, 41)), directed) for _ in range(6)]
+    # Which CSR each level scans: the transpose's rows are a bottom-up level.
+    in_csrs, scanned = [], []
+    transpose, row_entries = citenet.centrality._transpose, citenet.centrality._row_entries
+
+    def spy_transpose(indptr, heads):
+        in_csrs.append(transpose(indptr, heads))
+        return in_csrs[-1]
+
+    def spy_row_entries(indptr, rows):
+        scanned.append(any(indptr is in_indptr for in_indptr, _ in in_csrs))
+        return row_entries(indptr, rows)
+
+    monkeypatch.setattr(citenet.centrality, "_transpose", spy_transpose)
+    monkeypatch.setattr(citenet.centrality, "_row_entries", spy_row_entries)
+    for g in graphs:
+        expected = pickle.dumps(reference_sweep(g))
+        for sources_per_batch in (1, 7):
+            assert pickle.dumps(_batched(g, monkeypatch, sources_per_batch)) == expected
+        assert pickle.dumps(_sweep(g)) == expected
+    assert True in scanned and False in scanned
+
+
 def test_path_longer_than_255_levels():
     n = 400
     nodes = [f"N{i:03d}" for i in range(n)]
@@ -679,6 +720,52 @@ def test_geodesic_counts_above_2_to_the_53(directed):
     for node in g.nodes:
         assert fast_betweenness[node] == pytest.approx(betweenness[node], abs=1e-9)
     assert fast_closeness == closeness
+
+
+def _float_path_counts(g, source):
+    """Geodesic counts from node number *source* in float64, each summed
+    from 0.0 over the node's predecessors in node order, level by level."""
+    succ, pred = neighbours(g)
+    index = {node: i for i, node in enumerate(g.nodes)}
+    dist, sigma = {g.nodes[source]: 0}, {g.nodes[source]: 1.0}
+    frontier = [g.nodes[source]]
+    while frontier:
+        reached = sorted({w for v in frontier for w in succ[v] if w not in dist}, key=index.get)
+        for w in reached:
+            dist[w] = dist[frontier[0]] + 1
+        for w in reached:
+            sigma[w] = 0.0
+            for v in pred[w]:
+                if dist.get(v) == dist[w] - 1:
+                    sigma[w] += sigma[v]
+        frontier = reached
+    return [sigma.get(node, 0.0) for node in g.nodes]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_counts_above_2_to_the_53_are_summed_in_ascending_predecessor_order(directed):
+    # 20 randomly linked layers of 13 nodes, then one node after the last
+    # layer: counts differ from node to node and pass 2**53, so another
+    # order of adding a node's predecessors would round differently.
+    rng = np.random.default_rng(17)
+    names = [[f"L{layer:02d}_{k:02d}" for k in range(13)] for layer in range(20)] + [["Z"]]
+    edges = {
+        (u, v): 1.0
+        for upper, lower in zip(names, names[1:])
+        for u in upper
+        for v in lower
+        if len(lower) == 1 or rng.random() < 0.7
+    }
+    g = Graph([node for layer in names for node in layer], edges, directed=directed)
+    out_csr = citenet.centrality._hop_csr(g)
+    in_csr = citenet.centrality._transpose(*out_csr)
+    expected = [_float_path_counts(g, source) for source in range(len(g))]
+    assert max(map(max, expected)) > 2**53
+    _, sigma, _ = citenet.centrality._bfs(out_csr, in_csr, np.arange(len(g)))
+    assert sigma.tolist() == expected
+    for source in range(len(g)):
+        _, sigma, _ = citenet.centrality._bfs(out_csr, in_csr, np.array([source]))
+        assert sigma[0].tolist() == expected[source]
 
 
 def test_report_memory_stays_bounded():

@@ -47,7 +47,18 @@ def test_a_report_imports_no_scipy(matrix_path):
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
-def test_calls_that_compute_nothing_with_numpy_do_not_import_it():
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+GOLDEN_SIM = ["sim", str(Path(__file__).parent / "data" / "matrix_golden.csv"), "--seed", "A"]
+
+
+def _without_blas_thread_counts() -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]))
+    for name in BLAS_THREADS:
+        env.pop(name, None)
+    return env
+
+
+def test_calls_that_compute_nothing_with_numpy_do_not_import_it(tmp_path):
     calls = [
         ["--version"],
         ["--help"],
@@ -55,8 +66,23 @@ def test_calls_that_compute_nothing_with_numpy_do_not_import_it():
         ["metrics", "--if-inputs", "30,30,50,50"],
         ["metrics", "--h-counts", "3", "--format", "csv"],
     ]
+    # Every subcommand's arguments, a config file's too, are parsed before
+    # numpy loads: the thread count main sets would come too late otherwise.
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": "S", "min_contrib": 0.05, "format": "json"}', encoding="utf-8")
+    parsed = {
+        "ingest": ["edges.csv", "--year", "2005", "--out", "m.csv"],
+        "merge": ["a.csv", "b.csv", "--out", "m.csv"],
+        "env": ["m.csv", "--config", str(config)],
+        "sim": ["m.csv", "--seed", "S", "--cosine-threshold", "0.1"],
+        "centrality": ["m.csv", "--seed", "S", "--local-basis", "raw"],
+        "metrics": ["--matrix", "m.csv", "--journal", "S"],
+        "export": ["m.csv", "--config", str(config), "--format", "dot"],
+        "report": ["m.csv", "--seed", "S", "--if-csv", "if.csv"],
+    }
     script = (
-        "import contextlib, io, sys, citenet\n"
+        "import contextlib, io, os, sys, citenet\n"
+        "import citenet.cli\n"
         "from citenet.cli import main\n"
         "citenet.__all__\n"
         "print('numpy' in sys.modules)\n"
@@ -67,13 +93,69 @@ def test_calls_that_compute_nothing_with_numpy_do_not_import_it():
         "        except SystemExit as exc:\n"
         "            code = exc.code\n"
         "    print(code, 'numpy' in sys.modules)\n"
+        "def handler(args):\n"
+        "    threads = os.environ['OPENBLAS_NUM_THREADS']\n"
+        "    return f'{args.command} {\"numpy\" in sys.modules} {threads}\\n'\n"
+        f"for command, argv in {parsed!r}.items():\n"
+        "    setattr(citenet.cli, '_cmd_' + command, handler)\n"
+        "    main([command, *argv])\n"
+        "print(sorted(name[5:] for name in dir(citenet.cli) if name.startswith('_cmd_')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=_without_blas_thread_counts(),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "False", "0 False", "0 False", "0 False", "0 False", "1 False",
+        *(f"{command} False 1" for command in parsed),
+        str(sorted(parsed)),
+    ]
+
+
+def _sim_in_a_child(env: dict[str, str], tmp_path, before: str = "") -> dict:
+    """Run *before*, then ``main`` on ``sim`` in a child with environment
+    *env*; return its exit code, thread count and changed variables."""
+    script = (
+        "import json, os, sys\n"
+        f"{before}\n"
+        "from citenet.cli import main\n"
+        "start = dict(os.environ)\n"
+        f"code = main({GOLDEN_SIM + ['--out', str(tmp_path / 'sim.csv')]!r})\n"
+        "changed = {k: os.environ.get(k) for k in {*start, *os.environ}\n"
+        "           if start.get(k) != os.environ.get(k)}\n"
+        "threads = len(os.listdir('/proc/self/task'))\n"
+        "print(json.dumps({'code': code, 'threads': threads, 'changed': changed}))\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.splitlines() == ["False", "0 False", "0 False", "0 False", "0 False",
-                                        "1 False"]
+    return json.loads(done.stdout)
+
+
+linux_only = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task"
+)
+
+
+@linux_only
+def test_the_cli_runs_blas_on_one_thread(tmp_path):
+    assert _sim_in_a_child(_without_blas_thread_counts(), tmp_path) == {
+        "code": 0, "threads": 1, "changed": {"OPENBLAS_NUM_THREADS": "1"}
+    }
+
+
+@linux_only
+@pytest.mark.parametrize("name", BLAS_THREADS)
+def test_a_thread_count_the_user_set_is_kept(tmp_path, name):
+    env = dict(_without_blas_thread_counts(), **{name: "2"})
+    done = _sim_in_a_child(env, tmp_path)
+    assert done["code"] == 0 and done["changed"] == {}
+
+
+@linux_only
+def test_a_process_that_loaded_numpy_keeps_its_environment(tmp_path):
+    done = _sim_in_a_child(_without_blas_thread_counts(), tmp_path, before="import numpy")
+    assert done["code"] == 0 and done["changed"] == {}
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from citenet import (
     parse_citation_csv,
     report_table,
 )
+from citenet.export import json_text
 from citenet.matrix import _validate_id
 from oracles import parse_pajek
 
@@ -185,6 +187,35 @@ class TestJson:
             for e in document["edges"]
         }
         assert json_edges == dict(parsed.edges)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_is_the_indented_encoding(value):
+    assert json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_text_keeps_no_token_strings():
+    # A document shaped like a 3,000-member graph's.  json.dumps holds a
+    # string per token until it joins them, ~8 times the text here.
+    document = {
+        "edges": [{"source": f"J{i:04d}", "target": "J0000", "weight": i / 7} for i in range(3000)]
+    }
+    tracemalloc.start()
+    try:
+        text = json_text(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
 
 
 # A DOT quoted string: any characters but '"', with backslash escapes.

@@ -584,6 +584,7 @@ class TestSidecarEntries:
             ("A", "needs string fields id, display_name, source_index"),
             ({"id": "B", "display_name": "B"}, "needs string fields"),
             ({"id": 5, "display_name": "B", "source_index": "SCI"}, "needs string fields"),
+            ({"id": "B", "display_name": 5, "source_index": "SCI"}, "needs string fields"),
             ({"id": "B", "display_name": "B", "source_index": "XXX"}, "'XXX' is not a valid"),
             ({"id": "", "display_name": "B", "source_index": "SCI"}, "must be nonempty"),
             ({"id": "B\u00a0C", "display_name": "B", "source_index": "SCI"}, "whitespace"),
@@ -604,6 +605,34 @@ class TestSidecarEntries:
         sidecar.write_text(json.dumps(meta), encoding="utf-8")
         pattern = f"{re.escape(str(sidecar))}: malformed journals entry 2: .*{re.escape(message)}"
         with pytest.raises(SidecarError, match=pattern):
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"source_index": "SSCI", "id": "B", "display_name": "Beta"}',
+            '{"id": "B", "display_name": "Beta", "source_index": "SSCI", "note": 1}',
+            '{"id": "Z", "display_name": "Beta", "source_index": "SSCI", "id": "B"}',
+            '{"id": "B", "display_name": "Zeta", "display_name": "Beta", "source_index": "SSCI"}',
+        ],
+    )
+    def test_entries_read_as_json_objects_whatever_their_keys(self, tmp_path, entry):
+        # Key order and extra keys do not matter, and a repeated key keeps
+        # its last value, as in any JSON object.
+        path = tmp_path / "m.csv"
+        write_matrix(parse_citation_csv("A,B,1", 2005), path)
+        sidecar = tmp_path / "m.csv.meta.json"
+        text = sidecar.read_text(encoding="utf-8")
+        start = text.index('{\n      "id": "B"')
+        sidecar.write_text(text[:start] + entry + text[text.index("}", start) + 1:])
+        assert read_matrix(path).journals["B"] == Journal("B", "Beta", SourceIndex.SSCI)
+
+    def test_a_top_level_shaped_like_an_entry_lacks_the_year(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix(parse_citation_csv("A,B,1", 2005), path)
+        sidecar = tmp_path / "m.csv.meta.json"
+        sidecar.write_text('{"id": "A", "display_name": "A", "source_index": "SCI"}')
+        with pytest.raises(SidecarError, match=f'^{re.escape(str(sidecar))}: no integer "year"$'):
             read_matrix(path)
 
     @pytest.mark.parametrize("cached", [True, False])
