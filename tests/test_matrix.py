@@ -584,7 +584,6 @@ class TestSidecarEntries:
             ("A", "needs string fields id, display_name, source_index"),
             ({"id": "B", "display_name": "B"}, "needs string fields"),
             ({"id": 5, "display_name": "B", "source_index": "SCI"}, "needs string fields"),
-            ({"id": "B", "display_name": 5, "source_index": "SCI"}, "needs string fields"),
             ({"id": "B", "display_name": "B", "source_index": "XXX"}, "'XXX' is not a valid"),
             ({"id": "", "display_name": "B", "source_index": "SCI"}, "must be nonempty"),
             ({"id": "B\u00a0C", "display_name": "B", "source_index": "SCI"}, "whitespace"),
@@ -593,6 +592,7 @@ class TestSidecarEntries:
             ({"id": "B\\", "display_name": "B", "source_index": "SCI"}, "backslash"),
             ({"id": "B", "display_name": "", "source_index": "SCI"}, "display_name must"),
             ({"id": "B,C", "display_name": "B", "source_index": "SCI"}, "comma"),
+            ({"id": "B", "display_name": 5, "source_index": "SCI"}, "needs string fields"),
         ],
     )
     @pytest.mark.parametrize("later", [[], ["also bad"]])
