@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, UnknownJournalError
-from .matrix import CitationMatrix, _canonical, _row_entries, _row_ids
+from .errors import ConvergenceError
+from .matrix import CitationMatrix, _canonical, _row_entries, _row_ids, citation_degrees
 
 Node = str
 
@@ -32,6 +32,10 @@ Node = str
 # both directions): a batch gathers at most that many CSR entries over all its
 # levels and records at most that many DAG entries, so its arrays stay near 3 MB.
 _BATCH_ENTRIES = 120_000
+
+# Power iteration stops at a step of at most _TOL, or fails after _MAX_ITER steps.
+_TOL = 1e-10
+_MAX_ITER = 10_000
 
 
 class Graph:
@@ -316,9 +320,7 @@ def _symmetric_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _row_ids(indptr), cols, weights
 
 
-def eigenvector_centrality(
-    g: Graph, *, tol: float = 1e-10, max_iter: int = 10_000
-) -> dict[Node, float]:
+def eigenvector_centrality(g: Graph) -> dict[Node, float]:
     """Loadings on the dominant eigenvector of the weighted adjacency.
 
     Power iteration on A + I from the uniform vector, so runs are
@@ -327,7 +329,7 @@ def eigenvector_centrality(
     unchanged.  The result has unit Euclidean norm and nonnegative sign.
 
     Raises ``ValueError`` for a graph without edges and
-    :class:`ConvergenceError` when *max_iter* is exhausted.
+    :class:`ConvergenceError` when ``_MAX_ITER`` steps are exhausted.
     """
     n = len(g)
     if not g._csr[2].size:
@@ -335,7 +337,7 @@ def eigenvector_centrality(
     rows, cols, weights = _symmetric_adjacency(g)
     vector = np.full(n, 1.0 / np.sqrt(n))
     step = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # A @ vector, each row summed from 0.0 in column order, as a CSR
         # product does, without BLAS.  Each np.linalg.norm below is a BLAS
         # dot, so the last bits of the loadings may depend on the BLAS build.
@@ -343,10 +345,10 @@ def eigenvector_centrality(
         candidate /= np.linalg.norm(candidate)
         step = float(np.linalg.norm(candidate - vector))
         vector = candidate
-        if step <= tol:
+        if step <= _TOL:
             break
     else:
-        raise ConvergenceError(max_iter, step)
+        raise ConvergenceError(_MAX_ITER, step)
     if vector.sum() < 0:
         vector = -vector
     return {node: float(vector[i]) for i, node in enumerate(g.nodes)}
@@ -393,37 +395,30 @@ class CentralityReport:
 
 
 def build_report(
-    local: Graph,
-    degrees: Mapping[Node, tuple[int, int]],
-    *,
-    local_basis: str = "local graph",
-    global_basis: str = "citation graph",
+    local: Graph, matrix: CitationMatrix, *, local_basis: str = "local graph"
 ) -> CentralityReport:
     """Assemble a :class:`CentralityReport` for the local graph's nodes.
 
     Closeness, betweenness, eigenvector, and the local degree come from
-    *local*.  In/out degrees come from *degrees*, a ``node -> (in, out)``
-    mapping such as ``citation_degrees(m, local.nodes)`` over the whole
-    matrix *m*, in which every local node must be present.  The local degree
-    counts distinct neighbors in either direction, so it reads the same on
-    undirected similarity graphs and directed raw-link graphs.
-    Graphs without edges get eigenvector loadings of 0, and single-node
-    graphs get closeness 0, mirroring the isolate convention.
+    *local*.  In/out degrees are ``citation_degrees(matrix, local.nodes)``,
+    read first, so a node not in *matrix* raises :class:`UnknownJournalError`
+    before the sweep; the global basis names the matrix's year and size.
+    The local degree counts distinct neighbors in either direction, so it
+    reads the same on undirected similarity graphs and directed raw-link
+    graphs.  Graphs without edges get eigenvector loadings of 0, and
+    single-node graphs get closeness 0, mirroring the isolate convention.
 
     Closeness and betweenness come from one sweep whose sums all run in a
     fixed order, so they are bit-reproducible.  Geodesic counts are exact
     below 2**53; above it they are rounded, summed in ascending (source,
     predecessor) order.
     """
+    degrees = citation_degrees(matrix, local.nodes)
     betweenness, closeness = _sweep(local)
     if local._csr[2].size:
         eigenvector = eigenvector_centrality(local)
     else:
         eigenvector = {node: 0.0 for node in local.nodes}
-
-    missing = [node for node in local.nodes if node not in degrees]
-    if missing:
-        raise UnknownJournalError(f"no global degrees for {missing}")
 
     # Distinct neighbours in either direction: the off-diagonal cells of each
     # row of A + A^T.
@@ -442,4 +437,5 @@ def build_report(
             betweenness=betweenness[node],
             eigenvector=eigenvector[node],
         )
+    global_basis = f"citation matrix {matrix.year} ({len(matrix)} journals)"
     return CentralityReport(rows, local_basis, global_basis)

@@ -124,47 +124,6 @@ def _unit_fraction(closed_at_zero: bool):
     return parse
 
 
-def _add_environment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "matrix", help="persisted citation matrix (CSV + sidecar, with its .csr.npz cache)"
-    )
-    parser.add_argument("--seed", help="seed journal id")
-    parser.add_argument(
-        "--direction",
-        choices=("citing", "cited"),
-        default=DEFAULT_DIRECTION,
-        help=f"environment direction (default: {DEFAULT_DIRECTION})",
-    )
-    parser.add_argument(
-        "--min-contrib",
-        type=_unit_fraction(closed_at_zero=False),
-        dest="min_contrib",
-        default=DEFAULT_MIN_CONTRIB,
-        help=f"contribution threshold fraction (default: {DEFAULT_MIN_CONTRIB})",
-    )
-
-
-def _add_similarity_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cosine-threshold",
-        type=_unit_fraction(closed_at_zero=True),
-        dest="cosine_threshold",
-        default=DEFAULT_COSINE_THRESHOLD,
-        help=f"similarity edge threshold (default: {DEFAULT_COSINE_THRESHOLD})",
-    )
-
-
-def _add_basis_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--local-basis",
-        choices=("sim", "raw"),
-        dest="local_basis",
-        default="sim",
-        help="graph for local centralities: thresholded similarity graph (sim)"
-        " or raw citation links among members (raw); default sim",
-    )
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is not None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
@@ -177,14 +136,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _environment(args: argparse.Namespace):
-    from .environment import Direction, extract_environment
+    from .environment import extract_environment
     from .matrix import read_matrix
 
     if not args.seed:
         raise CitenetError("--seed is required (flag or config)")
-    direction = Direction(args.direction)
     matrix = read_matrix(_resolve(args, args.matrix))
-    return extract_environment(matrix, args.seed, direction, args.min_contrib)
+    return extract_environment(matrix, args.seed, args.direction, args.min_contrib)
 
 
 def _similarity(args: argparse.Namespace):
@@ -199,7 +157,6 @@ def _similarity(args: argparse.Namespace):
 
 def _report(args: argparse.Namespace):
     from .centrality import Graph, build_report
-    from .matrix import citation_degrees
 
     env, graph = _similarity(args)
     if args.local_basis == "sim":
@@ -211,13 +168,7 @@ def _report(args: argparse.Namespace):
     else:
         local = Graph.from_citation_matrix(env.matrix, nodes=env.members)
         local_basis = f"raw citation links among members (seed {env.seed})"
-    report = build_report(
-        local,
-        citation_degrees(env.matrix, env.members),
-        local_basis=local_basis,
-        global_basis=f"citation matrix {env.matrix.year} ({len(env.matrix)} journals)",
-    )
-    return env, graph, report
+    return env, graph, build_report(local, env.matrix, local_basis=local_basis)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> str:
@@ -428,22 +379,55 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_merge, "matrix_out", "path of the persisted matrix (required)")
     p_merge.set_defaults(handler=_cmd_merge)
 
-    p_env = subparsers.add_parser("env", help="extract a seed environment")
-    _add_environment_flags(p_env)
+    # Chained as _environment -> _similarity -> _report run, so a subcommand takes
+    # the flags of every stage it runs, each stage's after those of the one before.
+    environment = argparse.ArgumentParser(add_help=False)
+    environment.add_argument(
+        "matrix", help="persisted citation matrix (CSV + sidecar, with its .csr.npz cache)"
+    )
+    environment.add_argument("--seed", help="seed journal id")
+    environment.add_argument(
+        "--direction",
+        choices=("citing", "cited"),
+        default=DEFAULT_DIRECTION,
+        help=f"environment direction (default: {DEFAULT_DIRECTION})",
+    )
+    environment.add_argument(
+        "--min-contrib",
+        type=_unit_fraction(closed_at_zero=False),
+        default=DEFAULT_MIN_CONTRIB,
+        help=f"contribution threshold fraction (default: {DEFAULT_MIN_CONTRIB})",
+    )
+    similarity = argparse.ArgumentParser(add_help=False, parents=[environment])
+    similarity.add_argument(
+        "--cosine-threshold",
+        type=_unit_fraction(closed_at_zero=True),
+        default=DEFAULT_COSINE_THRESHOLD,
+        help=f"similarity edge threshold (default: {DEFAULT_COSINE_THRESHOLD})",
+    )
+    centrality = argparse.ArgumentParser(add_help=False, parents=[similarity])
+    centrality.add_argument(
+        "--local-basis",
+        choices=("sim", "raw"),
+        default="sim",
+        help="graph for local centralities: thresholded similarity graph (sim)"
+        " or raw citation links among members (raw); default sim",
+    )
+
+    p_env = subparsers.add_parser("env", parents=[environment], help="extract a seed environment")
     p_env.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_env)
     p_env.set_defaults(handler=_cmd_env)
 
-    p_sim = subparsers.add_parser("sim", help="emit the cosine similarity edge list")
-    _add_environment_flags(p_sim)
-    _add_similarity_flags(p_sim)
+    p_sim = subparsers.add_parser(
+        "sim", parents=[similarity], help="emit the cosine similarity edge list"
+    )
     _add_common(p_sim)
     p_sim.set_defaults(handler=_cmd_sim)
 
-    p_centrality = subparsers.add_parser("centrality", help="centrality report")
-    _add_environment_flags(p_centrality)
-    _add_similarity_flags(p_centrality)
-    _add_basis_flag(p_centrality)
+    p_centrality = subparsers.add_parser(
+        "centrality", parents=[centrality], help="centrality report"
+    )
     p_centrality.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_centrality)
     p_centrality.set_defaults(handler=_cmd_centrality)
@@ -452,28 +436,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--matrix", help="persisted matrix for self-citation rate")
     p_metrics.add_argument("--journal", help="journal id for self-citation rate")
     p_metrics.add_argument(
-        "--if-inputs",
-        dest="if_inputs",
-        help="cites_t1,cites_t2,citable_t1,citable_t2[,self_t1,self_t2]",
+        "--if-inputs", help="cites_t1,cites_t2,citable_t1,citable_t2[,self_t1,self_t2]"
     )
-    p_metrics.add_argument("--h-counts", dest="h_counts", help="comma-separated counts")
+    p_metrics.add_argument("--h-counts", help="comma-separated counts")
     p_metrics.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_metrics)
     p_metrics.set_defaults(handler=_cmd_metrics)
 
-    p_export = subparsers.add_parser("export", help="write Pajek, DOT, or JSON")
-    _add_environment_flags(p_export)
-    _add_similarity_flags(p_export)
-    _add_basis_flag(p_export)
+    p_export = subparsers.add_parser(
+        "export", parents=[centrality], help="write Pajek, DOT, or JSON"
+    )
     p_export.add_argument("--format", choices=("pajek", "dot", "json"), default="pajek")
     _add_common(p_export)
     p_export.set_defaults(handler=_cmd_export)
 
-    p_report = subparsers.add_parser("report", help="tabular centrality report")
-    _add_environment_flags(p_report)
-    _add_similarity_flags(p_report)
-    _add_basis_flag(p_report)
-    p_report.add_argument("--if-csv", dest="if_csv", help="CSV of id,impact_factor")
+    p_report = subparsers.add_parser(
+        "report", parents=[centrality], help="tabular centrality report"
+    )
+    p_report.add_argument("--if-csv", help="CSV of id,impact_factor")
     p_report.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_report)
     p_report.set_defaults(handler=_cmd_report)

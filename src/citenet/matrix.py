@@ -686,8 +686,9 @@ def citation_degrees(
     """``journal -> (in, out)`` distinct-neighbour degrees of *journal_ids*, in order.
 
     In counts the other journals that cite it, out the other journals it
-    cites; self-citations are excluded.  Read off the stored cells per row
-    and per column, minus the diagonal, so it equals the neighbour counts of
+    cites; self-citations are excluded.  ``build_report`` reads a report's
+    global degrees here.  Read off the stored cells per row and per column,
+    minus the diagonal, so it equals the neighbour counts of
     ``Graph.from_citation_matrix(m, sorted(m.journals))`` without the graph.
     Raises :class:`UnknownJournalError` for an id that is not in *m*.
     """

@@ -21,7 +21,6 @@ from citenet import (
     Graph,
     Journal,
     build_report,
-    citation_degrees,
     eigenvector_centrality,
     export_json,
     export_pajek,
@@ -267,7 +266,7 @@ def test_export_round_trips():
     graph = similarity_graph(env, 0.0)
     assert graph.edges, "fixture must produce edges"
     glyphs = make_glyphs(env)
-    report = build_report(graph, citation_degrees(m, env.members))
+    report = build_report(graph, m)
 
     pajek = export_pajek(graph, glyphs)
     assert pajek == export_pajek(graph, glyphs)
@@ -321,7 +320,7 @@ def test_performance():
     m = parse_citation_csv(csv_text, 2005)
     env = extract_environment(m, "J0000", Direction.CITED, 0.01)
     graph = similarity_graph(env, 0.2)
-    report = build_report(graph, citation_degrees(m, env.members))
+    report = build_report(graph, m)
     glyphs = make_glyphs(env)
     pajek = export_pajek(graph, glyphs)
     document = export_json(graph, glyphs, report)

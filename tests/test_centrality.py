@@ -3,6 +3,7 @@
 import math
 import pickle
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from citenet import (
     Journal,
     UnknownJournalError,
     build_report,
-    citation_degrees,
     eigenvector_centrality,
     parse_citation_csv,
 )
@@ -37,6 +37,11 @@ def betweenness_of(g):
 
 def closeness_of(g):
     return _sweep(g)[1]
+
+
+def edgeless_matrix(nodes):
+    """A citation matrix of *nodes* without cells: every global degree is (0, 0)."""
+    return CitationMatrix(2005, [Journal(node, node) for node in nodes], {})
 
 
 def undirected(nodes, pairs, weight=1.0):
@@ -447,8 +452,9 @@ class TestEigenvector:
             eigenvector_centrality(g)
 
     def test_non_convergence_reports_iterations(self):
-        with pytest.raises(ConvergenceError, match="1 iteration") as excinfo:
-            eigenvector_centrality(star(), max_iter=1)
+        with patch.object(citenet.centrality, "_MAX_ITER", 1):
+            with pytest.raises(ConvergenceError, match="1 iteration") as excinfo:
+                eigenvector_centrality(star())
         assert excinfo.value.iterations == 1
 
     def test_deterministic_across_runs(self):
@@ -513,12 +519,14 @@ def test_eigenvector_is_bit_identical_to_the_row_order_reference(g):
     try:
         expected = reference_eigenvector(g, max_iter=2_000)
     except ConvergenceError as exc:
-        with pytest.raises(ConvergenceError) as excinfo:
-            eigenvector_centrality(g, max_iter=2_000)
+        with patch.object(citenet.centrality, "_MAX_ITER", 2_000):
+            with pytest.raises(ConvergenceError) as excinfo:
+                eigenvector_centrality(g)
         assert str(excinfo.value) == str(exc)
         assert excinfo.value.residual == exc.residual
         return
-    assert eigenvector_centrality(g, max_iter=2_000) == expected
+    with patch.object(citenet.centrality, "_MAX_ITER", 2_000):
+        assert eigenvector_centrality(g) == expected
 
 
 @st.composite
@@ -559,7 +567,7 @@ def reference_closeness(g, source):
 @given(hop_graphs())
 @settings(max_examples=300, deadline=None)
 def test_report_rows_equal_the_sweep_and_the_references(g):
-    report = build_report(g, dict.fromkeys(g.nodes, (0, 0)))
+    report = build_report(g, edgeless_matrix(g.nodes))
     betweenness, closeness = _sweep(g)
     oracle = brute_force_betweenness(g)
     for node in g.nodes:
@@ -615,7 +623,7 @@ def test_sweep_is_bit_identical_to_the_level_order_reference():
     for g in _level_order_cases():
         betweenness, closeness = reference_sweep(g)
         assert _sweep(g) == (betweenness, closeness)
-        report = build_report(g, dict.fromkeys(g.nodes, (0, 0)))
+        report = build_report(g, edgeless_matrix(g.nodes))
         for node in g.nodes:
             assert report.rows[node].betweenness == betweenness[node]
             assert report.rows[node].closeness == closeness[node]
@@ -783,10 +791,10 @@ def test_report_memory_stays_bounded():
             for i, j, w in zip(rows[keep], cols[keep], rng.uniform(0.05, 1.0, keep.sum()))
         }
         g = Graph(nodes, edges, directed=False)
-        degrees = dict.fromkeys(nodes, (0, 0))
+        matrix = edgeless_matrix(g.nodes)
         tracemalloc.start()
         try:
-            build_report(g, degrees)
+            build_report(g, matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -799,22 +807,29 @@ class TestReport:
             "A,S,50\nB,S,50\nA,B,5\nB,A,5\nS,A,2\nX,A,9\nA,X,3", 2005
         )
         local = Graph("SAB", {("S", "A"): 0.9, ("S", "B"): 0.5}, directed=False)
-        report = build_report(
-            local, citation_degrees(m, "SAB"), local_basis="sim", global_basis="full matrix"
-        )
+        report = build_report(local, m, local_basis="sim")
         row = report.rows["A"]
         assert row.degree_local == 1
         assert row.degree_in == 3  # cited by B, S, X
         assert row.degree_out == 3  # cites S, B, X
         assert report.local_basis == "sim"
-        assert report.global_basis == "full matrix"
+        assert report.global_basis == "citation matrix 2005 (4 journals)"
 
     def test_a_node_without_global_degrees_rejected(self):
         local = Graph("SAB", {("S", "A"): 0.9}, directed=False)
-        with pytest.raises(UnknownJournalError, match=r"no global degrees for \['B'\]"):
-            build_report(local, dict.fromkeys("SA", (0, 0)))
+        with pytest.raises(UnknownJournalError, match=r"not in matrix: \['B'\]"):
+            build_report(local, edgeless_matrix("SA"))
 
     def test_zero_eigenvector_when_no_edges(self):
         local = Graph("SAB", {}, directed=False)
-        report = build_report(local, dict.fromkeys("SAB", (0, 0)))
+        report = build_report(local, edgeless_matrix(local.nodes))
         assert all(row.eigenvector == 0.0 for row in report)
+
+    def test_a_node_outside_the_matrix_fails_before_the_sweep(self, monkeypatch):
+        def no_sweep(g):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(citenet.centrality, "_sweep", no_sweep)
+        local = Graph("SAB", {("S", "A"): 0.9}, directed=False)
+        with pytest.raises(UnknownJournalError, match=r"not in matrix: \['B'\]"):
+            build_report(local, edgeless_matrix("SA"))

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import citenet
-from citenet.cli import main
+from citenet.cli import build_parser, main
 
 EDGES = "citing,cited,count\nA,S,50\nB,S,30\nC,S,20\nA,B,5\nB,A,5\nS,A,2\nA,A,9\n"
 
@@ -165,6 +166,65 @@ def test_an_argument_with_a_line_break_gives_one_error_line(capsys, argument):
     assert main(["metrics", argument]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: unrecognized arguments: x")
+
+
+# Each subcommand's actions in order: option strings, dest, default, choices.
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None)
+_COMMON = [(("--config",), "config", None, None), (("--out",), "out", None, None)]
+_MATRIX_OUT = [(("--config",), "config", None, None), (("--out",), "matrix_out", None, None)]
+_ENVIRONMENT = [
+    ((), "matrix", None, None),
+    (("--seed",), "seed", None, None),
+    (("--direction",), "direction", "cited", ("citing", "cited")),
+    (("--min-contrib",), "min_contrib", 0.01, None),
+]
+_SIMILARITY = [*_ENVIRONMENT, (("--cosine-threshold",), "cosine_threshold", 0.2, None)]
+_CENTRALITY = [*_SIMILARITY, (("--local-basis",), "local_basis", "sim", ("sim", "raw"))]
+_TABLE_OR_JSON = (("--format",), "format", "table", ("table", "json"))
+_ACTIONS = {
+    "ingest": [
+        ((), "edges", None, None),
+        (("--year",), "year", None, None),
+        (("--source",), "source", "sci", ("sci", "ssci")),
+        (("--registry",), "registry", None, None),
+        *_MATRIX_OUT,
+    ],
+    "merge": [
+        ((), "matrix_a", None, None),
+        ((), "matrix_b", None, None),
+        (("--year",), "year", None, None),
+        *_MATRIX_OUT,
+    ],
+    "env": [*_ENVIRONMENT, _TABLE_OR_JSON, *_COMMON],
+    "sim": [*_SIMILARITY, *_COMMON],
+    "centrality": [*_CENTRALITY, _TABLE_OR_JSON, *_COMMON],
+    "metrics": [
+        (("--matrix",), "matrix", None, None),
+        (("--journal",), "journal", None, None),
+        (("--if-inputs",), "if_inputs", None, None),
+        (("--h-counts",), "h_counts", None, None),
+        _TABLE_OR_JSON,
+        *_COMMON,
+    ],
+    "export": [
+        *_CENTRALITY, (("--format",), "format", "pajek", ("pajek", "dot", "json")), *_COMMON
+    ],
+    "report": [*_CENTRALITY, (("--if-csv",), "if_csv", None, None), _TABLE_OR_JSON, *_COMMON],
+}
+
+
+@pytest.mark.parametrize("command", _ACTIONS)
+def test_each_subcommand_takes_its_flags_in_order(command):
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == list(_ACTIONS)
+    assert [
+        (tuple(action.option_strings), action.dest, action.default, action.choices)
+        for action in subparsers.choices[command]._actions
+    ] == [_HELP, *_ACTIONS[command]]
 
 
 class TestIngestAndMerge:

@@ -196,6 +196,22 @@ def test_citation_degrees_takes_the_matrix_and_the_journal_ids():
     ]
 
 
+def test_build_report_takes_the_local_graph_the_matrix_and_the_local_basis():
+    parameters = inspect.signature(citenet.build_report).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("local", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("matrix", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("local_basis", inspect.Parameter.KEYWORD_ONLY, "local graph"),
+    ]
+
+
+def test_eigenvector_centrality_takes_only_the_graph():
+    parameters = inspect.signature(citenet.eigenvector_centrality).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("g", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+    ]
+
+
 def test_report_table_takes_the_report_and_impact_factors():
     parameters = inspect.signature(citenet.report_table).parameters.values()
     assert [(p.name, p.kind, p.default) for p in parameters] == [
