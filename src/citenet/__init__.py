@@ -22,9 +22,7 @@ _MODULES = {
         "CitenetError", "ConvergenceError", "EdgeListParseError", "IsolatedSeedError",
         "SidecarError", "UnknownJournalError", "YearMismatchError",
     ),
-    "export": (
-        "NodeGlyph", "export_dot", "export_json", "export_pajek", "make_glyphs", "report_table",
-    ),
+    "export": ("export_dot", "export_json", "export_pajek", "report_table"),
     "matrix": (
         "MAX_COUNT", "CitationMatrix", "Journal", "JournalId", "SourceIndex", "citation_degrees",
         "merge_indices", "parse_citation_csv", "read_matrix", "read_registry",

@@ -148,27 +148,27 @@ def _environment(args: argparse.Namespace):
 def _similarity(args: argparse.Namespace):
     from .similarity import similarity_graph
 
-    env = _environment(args)
-    graph = similarity_graph(env, args.cosine_threshold)
+    graph = similarity_graph(_environment(args), args.cosine_threshold)
     for message in graph.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    return env, graph
+    return graph
 
 
 def _report(args: argparse.Namespace):
     from .centrality import Graph, build_report
 
-    env, graph = _similarity(args)
+    graph = _similarity(args)
+    env = graph.env
     if args.local_basis == "sim":
         local = graph
         local_basis = (
-            f"similarity graph ({graph.basis.value}, cosine > {graph.threshold}, "
+            f"similarity graph ({env.direction.value}, cosine > {graph.threshold}, "
             f"seed {env.seed})"
         )
     else:
         local = Graph.from_citation_matrix(env.matrix, nodes=env.members)
         local_basis = f"raw citation links among members (seed {env.seed})"
-    return env, graph, build_report(local, env.matrix, local_basis=local_basis)
+    return graph, build_report(local, env.matrix, local_basis=local_basis)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> str:
@@ -235,7 +235,7 @@ def _cmd_env(args: argparse.Namespace) -> str:
 
 
 def _cmd_sim(args: argparse.Namespace) -> str:
-    _, graph = _similarity(args)
+    graph = _similarity(args)
     lines = ["source,target,weight"]
     lines.extend(f"{u},{v},{weight!r}" for (u, v), weight in graph.edges.items())
     return "\n".join(lines) + "\n"
@@ -244,7 +244,7 @@ def _cmd_sim(args: argparse.Namespace) -> str:
 def _cmd_centrality(args: argparse.Namespace) -> str:
     from .export import _basis_comments, aligned_table, json_text, report_document
 
-    _, _, report = _report(args)
+    _, report = _report(args)
     if args.format == "json":
         return json_text(report_document(report))
     header = (
@@ -302,15 +302,13 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
 
 
 def _cmd_export(args: argparse.Namespace) -> str:
-    from .export import export_dot, export_json, export_pajek, make_glyphs
+    from .export import export_dot, export_json, export_pajek
 
     if args.format == "json":
-        env, graph, report = _report(args)
-        return export_json(graph, make_glyphs(env), report)
+        return export_json(*_report(args))
     # Pajek and DOT print no centralities, so none are computed.
-    env, graph = _similarity(args)
     exporter = export_pajek if args.format == "pajek" else export_dot
-    return exporter(graph, make_glyphs(env))
+    return exporter(_similarity(args))
 
 
 def _load_if_csv(path: Path) -> dict[str, float]:
@@ -342,14 +340,14 @@ def _load_if_csv(path: Path) -> dict[str, float]:
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
-    from .export import graph_document, json_text, make_glyphs, report_table
+    from .export import graph_document, json_text, report_table
 
     impact_factors = {}
     if args.if_csv:
         impact_factors = _load_if_csv(_resolve(args, args.if_csv))
-    env, graph, report = _report(args)
+    graph, report = _report(args)
     if args.format == "json":
-        document = graph_document(graph, make_glyphs(env), report)
+        document = graph_document(graph, report)
         if impact_factors:
             document["impact_factors"] = impact_factors
         return json_text(document)

@@ -1,8 +1,9 @@
 """Serializers: Pajek network files, DOT, JSON, and tabular reports.
 
 All exporters are pure functions of their inputs and emit byte-identical
-text across runs.  Node size parameters follow the ellipse-glyph encoding:
-the vertical extent is log10(1 + gross citations) and the horizontal extent
+text across runs.  A similarity graph's nodes are drawn as ellipses sized
+from its environment's citation totals, ``environment_totals(g.env)``: the
+vertical extent is log10(1 + gross citations) and the horizontal extent
 log10(1 + citations net of self-citations), so a perfectly round node is one
 without self-citations.  Spatial layout is left to downstream viewers.
 """
@@ -12,11 +13,11 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .centrality import CentralityReport
-from .environment import SeedEnvironment, environment_totals
+from .environment import environment_totals
 from .matrix import JournalId, _validate_id
 from .similarity import SimilarityGraph
 
@@ -32,42 +33,13 @@ _REPORT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class NodeGlyph:
-    """Ellipse extents for one journal's citation magnitudes."""
+def _glyphs(g: SimilarityGraph) -> Iterator[tuple[int, int, float, float]]:
+    """``(gross, net_of_self, x_extent, y_extent)`` of each node, in node order.
 
-    journal: JournalId
-    gross_cites: int
-    net_of_self: int
-
-    def __post_init__(self) -> None:
-        if self.net_of_self < 0:
-            raise ValueError(f"{self.journal}: net_of_self must be nonnegative")
-        if self.net_of_self > self.gross_cites:
-            raise ValueError(f"{self.journal}: net_of_self cannot exceed gross_cites")
-
-    @property
-    def y_extent(self) -> float:
-        return math.log10(1 + self.gross_cites)
-
-    @property
-    def x_extent(self) -> float:
-        return math.log10(1 + self.net_of_self)
-
-
-def make_glyphs(env: SeedEnvironment) -> list[NodeGlyph]:
-    """One glyph per environment member, in member order."""
-    return [NodeGlyph(member, *totals) for member, totals in environment_totals(env).items()]
-
-
-def _glyph_map(
-    g: SimilarityGraph, glyphs: Sequence[NodeGlyph]
-) -> dict[JournalId, NodeGlyph]:
-    by_journal = {glyph.journal: glyph for glyph in glyphs}
-    missing = [node for node in g.nodes if node not in by_journal]
-    if missing:
-        raise ValueError(f"missing glyphs for nodes: {missing}")
-    return by_journal
+    ``environment_totals`` gives 0 <= net <= gross, so both logarithms are defined.
+    """
+    for gross, net in environment_totals(g.env).values():
+        yield gross, net, math.log10(1 + net), math.log10(1 + gross)
 
 
 def _check_ids(g: SimilarityGraph) -> None:
@@ -76,40 +48,33 @@ def _check_ids(g: SimilarityGraph) -> None:
         _validate_id(node)
 
 
-def export_pajek(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
-    """Pajek .net text: vertices with x_fact/y_fact sizes, then edges.
+def export_pajek(g: SimilarityGraph) -> str:
+    """Pajek .net text: vertices with their glyph extents as x_fact/y_fact, then edges.
 
     Vertices are numbered 1..N in graph node order; edge weights carry four
     decimals, size factors full precision.  LF line endings.
     """
     _check_ids(g)
-    by_journal = _glyph_map(g, glyphs)
     index = {node: i + 1 for i, node in enumerate(g.nodes)}
     lines = [f"*Vertices {len(g.nodes)}"]
-    for node in g.nodes:
-        glyph = by_journal[node]
-        lines.append(
-            f'{index[node]} "{node}" x_fact {glyph.x_extent!r} y_fact {glyph.y_extent!r}'
-        )
+    for node, (_, _, x_extent, y_extent) in zip(g.nodes, _glyphs(g)):
+        lines.append(f'{index[node]} "{node}" x_fact {x_extent!r} y_fact {y_extent!r}')
     lines.append("*Edges")
     for (u, v), weight in g.edges.items():
         lines.append(f"{index[u]} {index[v]} {weight:.4f}")
     return "\n".join(lines) + "\n"
 
 
-def export_dot(g: SimilarityGraph, glyphs: Sequence[NodeGlyph]) -> str:
-    """Undirected DOT graph; cosine weight maps to pen width."""
+def export_dot(g: SimilarityGraph) -> str:
+    """Undirected DOT graph; glyph extents give node width and height, and
+    cosine weight maps to pen width."""
     _check_ids(g)
-    by_journal = _glyph_map(g, glyphs)
     lines = [
         "graph similarity {",
         "  node [shape=ellipse, fixedsize=true];",
     ]
-    for node in g.nodes:
-        glyph = by_journal[node]
-        lines.append(
-            f'  "{node}" [width={glyph.x_extent:.4f}, height={glyph.y_extent:.4f}];'
-        )
+    for node, (_, _, x_extent, y_extent) in zip(g.nodes, _glyphs(g)):
+        lines.append(f'  "{node}" [width={x_extent:.4f}, height={y_extent:.4f}];')
     for (u, v), weight in g.edges.items():
         width = STROKE_SCALE * weight
         lines.append(f'  "{u}" -- "{v}" [penwidth={width:.4f}, weight={weight:.4f}];')
@@ -126,26 +91,22 @@ def report_document(report: CentralityReport) -> dict:
     }
 
 
-def graph_document(
-    g: SimilarityGraph,
-    glyphs: Sequence[NodeGlyph],
-    report: CentralityReport | None,
-) -> dict:
-    """JSON object of a graph: nodes, glyph extents, edges, and the report."""
-    by_journal = _glyph_map(g, glyphs)
+def graph_document(g: SimilarityGraph, report: CentralityReport | None) -> dict:
+    """JSON object of a graph: nodes with their citation totals and glyph
+    extents, edges, and the report."""
     return {
         "format": "citenet-similarity-graph",
-        "basis": g.basis.value,
+        "basis": g.env.direction.value,
         "threshold": g.threshold,
         "nodes": [
             {
                 "id": node,
-                "gross_cites": by_journal[node].gross_cites,
-                "net_of_self": by_journal[node].net_of_self,
-                "x_extent": by_journal[node].x_extent,
-                "y_extent": by_journal[node].y_extent,
+                "gross_cites": gross,
+                "net_of_self": net,
+                "x_extent": x_extent,
+                "y_extent": y_extent,
             }
-            for node in g.nodes
+            for node, (gross, net, x_extent, y_extent) in zip(g.nodes, _glyphs(g))
         ],
         "edges": [
             {"source": u, "target": v, "weight": weight}
@@ -156,16 +117,12 @@ def graph_document(
     }
 
 
-def export_json(
-    g: SimilarityGraph,
-    glyphs: Sequence[NodeGlyph],
-    report: CentralityReport | None = None,
-) -> str:
+def export_json(g: SimilarityGraph, report: CentralityReport | None = None) -> str:
     """JSON document with nodes, glyph extents, edges, and optional report.
 
     Floats are serialized at full precision; see README for the schema.
     """
-    return json_text(graph_document(g, glyphs, report))
+    return json_text(graph_document(g, report))
 
 
 def json_text(document) -> str:

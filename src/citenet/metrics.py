@@ -26,7 +26,10 @@ def impact_factor(
     citable = citable_t1 + citable_t2
     if citable == 0:
         raise ValueError("no citable items in either year")
-    return (cites_to_t1 + cites_to_t2) / citable
+    try:
+        return (cites_to_t1 + cites_to_t2) / citable
+    except OverflowError:
+        raise ValueError("impact factor overflows the float range") from None
 
 
 def quasi_impact_factor(

@@ -22,37 +22,37 @@ _BLOCK_ROWS = 64
 
 
 class SimilarityGraph(Graph):
-    """Undirected cosine-weighted graph over environment members.
+    """Undirected cosine-weighted graph over an environment's members.
 
-    Edges are keyed ``(u, v)`` with u before v in node order; every stored
-    weight strictly exceeds ``threshold``.  ``basis`` records which profile
-    direction was compared.  Members whose profile was all-zero stay in
-    ``nodes`` as isolated vertices and are listed in ``warnings``.
+    ``nodes`` are ``env.members``, in member order, and ``env.direction`` is
+    the profile direction compared.  Edges are keyed ``(u, v)`` with u before
+    v in node order; every stored weight strictly exceeds ``threshold``.
+    Members whose profile was all-zero stay in ``nodes`` as isolated vertices
+    and are listed in ``warnings``.
     """
 
-    __slots__ = ("_threshold", "_basis", "_warnings")
+    __slots__ = ("_env", "_threshold", "_warnings")
 
     def __init__(
         self,
-        nodes: Sequence[JournalId],
+        env: SeedEnvironment,
         edges: Mapping[tuple[JournalId, JournalId], float],
         threshold: float,
-        basis: Direction,
         warnings: Sequence[str] = (),
     ) -> None:
-        super().__init__(nodes, edges, directed=False)
-        self._label(threshold, basis, warnings)
+        super().__init__(env.members, edges, directed=False)
+        self._label(env, threshold, warnings)
 
-    def _label(self, threshold: float, basis: Direction, warnings: Sequence[str]) -> None:
-        self._threshold, self._basis, self._warnings = threshold, basis, tuple(warnings)
+    def _label(self, env: SeedEnvironment, threshold: float, warnings: Sequence[str]) -> None:
+        self._env, self._threshold, self._warnings = env, threshold, tuple(warnings)
+
+    @property
+    def env(self) -> SeedEnvironment:
+        return self._env
 
     @property
     def threshold(self) -> float:
         return self._threshold
-
-    @property
-    def basis(self) -> Direction:
-        return self._basis
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -90,10 +90,9 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         raise ValueError("environment must have at least 2 members")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    basis = env.direction
     indptr, cols, counts = Graph.from_citation_matrix(env.matrix, env.members)._csr
     rows = _row_ids(indptr)
-    if basis is Direction.CITED:
+    if env.direction is Direction.CITED:
         rows, cols = cols, rows
     # Each square is the exact one rounded, so this sum is exact below 2^53 and
     # at least 2^53 otherwise: the first test below is exact, and the second
@@ -105,7 +104,7 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         profiles = profiles.astype(np.int64)
         norms_sq = np.einsum("ij,ij->i", profiles, profiles).astype(np.float64)
     warnings = tuple(
-        f"member {m!r} has an all-zero {basis.value} profile; kept as isolated node"
+        f"member {m!r} has an all-zero {env.direction.value} profile; kept as isolated node"
         for m, norm_sq in zip(env.members, norms_sq)
         if norm_sq == 0.0
     )
@@ -123,5 +122,5 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         found.append((r + a, c + a, weights[r, c]))
     rows, cols, weights = map(np.concatenate, zip(*found))
     graph = SimilarityGraph._from_arrays(env.members, rows, cols, weights, directed=False)
-    graph._label(threshold, basis, warnings)
+    graph._label(env, threshold, warnings)
     return graph

@@ -8,6 +8,7 @@ search, or golden files), never against the code path under test.
 
 import functools
 import json
+import math
 import time
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from citenet import (
     extract_environment,
     h_index,
     impact_factor,
-    make_glyphs,
     merge_indices,
     parse_citation_csv,
     quasi_impact_factor,
@@ -265,25 +265,27 @@ def test_export_round_trips():
     env = extract_environment(m, "S", Direction.CITED, 0.01)
     graph = similarity_graph(env, 0.0)
     assert graph.edges, "fixture must produce edges"
-    glyphs = make_glyphs(env)
+    # Each member's citations from the members, with and without its self-citations.
+    totals = {"S": (99, 99), "A": (16, 7), "B": (9, 8), "C": (0, 0)}
+    extents = {
+        j: (math.log10(1 + net), math.log10(1 + gross)) for j, (gross, net) in totals.items()
+    }
     report = build_report(graph, m)
 
-    pajek = export_pajek(graph, glyphs)
-    assert pajek == export_pajek(graph, glyphs)
+    pajek = export_pajek(graph)
+    assert pajek == export_pajek(graph)
     labels, x_facts, y_facts, edges = _reparse_pajek(pajek)
     assert tuple(labels) == graph.nodes
-    for glyph in glyphs:
-        assert x_facts[glyph.journal] == glyph.x_extent
-        assert y_facts[glyph.journal] == glyph.y_extent
+    assert {j: (x_facts[j], y_facts[j]) for j in labels} == extents
     assert edges == {pair: float(f"{w:.4f}") for pair, w in graph.edges.items()}
 
-    text = export_json(graph, glyphs, report)
-    assert text == export_json(graph, glyphs, report)
+    text = export_json(graph, report)
+    assert text == export_json(graph, report)
     document = json.loads(text)
     assert [node["id"] for node in document["nodes"]] == list(graph.nodes)
-    for node, glyph in zip(document["nodes"], glyphs):
-        assert node["x_extent"] == glyph.x_extent
-        assert node["y_extent"] == glyph.y_extent
+    for node in document["nodes"]:
+        assert (node["gross_cites"], node["net_of_self"]) == totals[node["id"]]
+        assert (node["x_extent"], node["y_extent"]) == extents[node["id"]]
     assert {
         (edge["source"], edge["target"]): edge["weight"]
         for edge in document["edges"]
@@ -321,9 +323,8 @@ def test_performance():
     env = extract_environment(m, "J0000", Direction.CITED, 0.01)
     graph = similarity_graph(env, 0.2)
     report = build_report(graph, m)
-    glyphs = make_glyphs(env)
-    pajek = export_pajek(graph, glyphs)
-    document = export_json(graph, glyphs, report)
+    pajek = export_pajek(graph)
+    document = export_json(graph, report)
     elapsed = time.perf_counter() - start
 
     assert len(m) == 7534

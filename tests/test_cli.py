@@ -583,6 +583,8 @@ class TestMetricsCommand:
              "error: --h-counts expects comma-separated integers, got '1,x'\n"),
             (["--matrix", "m.csv"], 1, "",
              "error: --matrix and --journal must be given together\n"),
+            (["--if-inputs", "9" * 400 + ",1,1,1"], 1, "",
+             "error: impact factor overflows the float range\n"),
         ],
     )
     def test_inputs_and_their_errors(self, capsys, argv, code, out, err):

@@ -9,133 +9,153 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import citenet.matrix
 from citenet import (
     CentralityReport,
     CentralityRow,
+    CitationMatrix,
     Direction,
-    NodeGlyph,
+    Journal,
+    SeedEnvironment,
     SimilarityGraph,
     export_dot,
     export_json,
     export_pajek,
     extract_environment,
-    make_glyphs,
     parse_citation_csv,
     report_table,
+    similarity_graph,
 )
 from citenet.export import json_text
 from citenet.matrix import _validate_id
 from oracles import parse_pajek
 
 
-def sim_graph(nodes, edges, threshold=0.2, basis=Direction.CITED):
-    return SimilarityGraph(tuple(nodes), edges, threshold, basis)
+def sim_graph(nodes, edges, threshold=0.2, totals=None):
+    """A graph with *edges* over an environment of *nodes*, seeded at the first.
+
+    Node j's ``(gross, net_of_self)`` citation totals are ``totals[j]``, by
+    default ``(10, 7)``: the next node cites it net times and it cites itself
+    gross - net times.
+    """
+    nodes = list(nodes)
+    cells = {}
+    for i, j in enumerate(nodes):
+        gross, net = (totals or {}).get(j, (10, 7))
+        cells[(nodes[(i + 1) % len(nodes)], j)] = net
+        cells[(j, j)] = gross - net
+    m = CitationMatrix(2005, [Journal(j, j) for j in nodes], cells)
+    env = SeedEnvironment(nodes[0], Direction.CITED, 0.01, tuple(nodes), m)
+    return SimilarityGraph(env, edges, threshold)
 
 
-def glyphs_for(nodes, gross=10, net=7):
-    return [NodeGlyph(node, gross, net) for node in nodes]
+def written_glyphs(g):
+    """``node -> (gross_cites, net_of_self, x_extent, y_extent)`` as export_json
+    writes them, in node order, once the Pajek x_fact/y_fact are checked equal."""
+    parsed = parse_pajek(export_pajek(g))
+    glyphs = {}
+    for node in json.loads(export_json(g))["nodes"]:
+        extents = (node["x_extent"], node["y_extent"])
+        assert (parsed.x_facts[node["id"]], parsed.y_facts[node["id"]]) == extents
+        glyphs[node["id"]] = (node["gross_cites"], node["net_of_self"], *extents)
+    return glyphs
 
 
 class TestNodeGlyph:
+    """The ellipse a node is drawn as, as the exporters write it."""
+
     def test_round_glyph_without_self_citations(self):
-        glyph = NodeGlyph("J", 10, 10)
-        assert glyph.x_extent == glyph.y_extent
+        glyphs = written_glyphs(sim_graph("JK", {}, totals={"J": (10, 10)}))
+        _, _, x_extent, y_extent = glyphs["J"]
+        assert x_extent == y_extent
 
     def test_all_self_citations_flattens_x(self):
-        glyph = NodeGlyph("J", 10, 0)
-        assert glyph.x_extent == 0.0
-        assert glyph.y_extent > 0.0
+        glyphs = written_glyphs(sim_graph("JK", {}, totals={"J": (10, 0)}))
+        _, _, x_extent, y_extent = glyphs["J"]
+        assert x_extent == 0.0
+        assert y_extent > 0.0
 
     def test_log_extents(self):
-        glyph = NodeGlyph("J", 99, 9)
-        assert glyph.y_extent == 2.0
-        assert glyph.x_extent == 1.0
-
-    def test_net_cannot_exceed_gross(self):
-        with pytest.raises(ValueError):
-            NodeGlyph("J", 5, 6)
-        with pytest.raises(ValueError):
-            NodeGlyph("J", 5, -1)
+        glyph = written_glyphs(sim_graph("JK", {}, totals={"J": (99, 9)}))["J"]
+        assert glyph == (99, 9, 1.0, 2.0)
 
     def test_extents_monotone_in_counts(self):
-        extents = [NodeGlyph("J", g, g).y_extent for g in range(0, 200, 7)]
+        totals = {f"J{g:03d}": (g, g) for g in range(0, 200, 7)}
+        glyphs = written_glyphs(sim_graph(totals, {}, totals=totals))
+        extents = [y_extent for _, _, _, y_extent in glyphs.values()]
         assert extents == sorted(extents)
         assert extents[0] == 0.0  # zero-citation glyph still drawable
 
     def test_round_iff_no_self_cites(self):
-        for gross in range(0, 30):
-            for net in range(0, gross + 1):
-                glyph = NodeGlyph("J", gross, net)
-                assert (glyph.x_extent == glyph.y_extent) == (net == gross)
+        totals = {
+            f"J{gross}_{net}": (gross, net)
+            for gross in range(0, 30)
+            for net in range(0, gross + 1)
+        }
+        glyphs = written_glyphs(sim_graph(totals, {}, totals=totals))
+        assert [(gross, net) for gross, net, _, _ in glyphs.values()] == list(totals.values())
+        for gross, net, x_extent, y_extent in glyphs.values():
+            assert (x_extent == y_extent) == (net == gross)
 
     def test_make_glyphs_in_member_order(self):
         m = parse_citation_csv("A,A,4\nB,A,6\nA,S,60\nB,S,40", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.01)
-        glyphs = make_glyphs(env)
-        assert [g.journal for g in glyphs] == list(env.members)
-        by_journal = {g.journal: g for g in glyphs}
-        assert by_journal["A"].gross_cites == 10
-        assert by_journal["A"].net_of_self == 6
+        glyphs = written_glyphs(similarity_graph(env, 0.2))
+        assert list(glyphs) == list(env.members)
+        assert glyphs["A"][:2] == (10, 6)
 
 
 class TestPajek:
     def test_edge_line_format(self):
         g = sim_graph("AB", {("A", "B"): 0.35})
-        text = export_pajek(g, glyphs_for("AB"))
+        text = export_pajek(g)
         assert "1 2 0.3500\n" in text
         assert text.startswith("*Vertices 2\n")
 
     def test_empty_edge_set_keeps_header(self):
         g = sim_graph("AB", {})
-        text = export_pajek(g, glyphs_for("AB"))
+        text = export_pajek(g)
         assert text.endswith("*Edges\n")
 
     def test_round_trip(self):
-        g = sim_graph("ABC", {("A", "B"): 0.35, ("B", "C"): 1 / 3})
-        glyphs = [NodeGlyph("A", 99, 9), NodeGlyph("B", 10, 10), NodeGlyph("C", 0, 0)]
-        parsed = parse_pajek(export_pajek(g, glyphs))
+        totals = {"A": (99, 9), "B": (10, 10), "C": (0, 0)}
+        g = sim_graph("ABC", {("A", "B"): 0.35, ("B", "C"): 1 / 3}, totals=totals)
+        parsed = parse_pajek(export_pajek(g))
         assert parsed.labels == g.nodes
-        for glyph in glyphs:
-            assert parsed.x_facts[glyph.journal] == glyph.x_extent
-            assert parsed.y_facts[glyph.journal] == glyph.y_extent
+        for journal, (gross, net) in totals.items():
+            assert parsed.x_facts[journal] == math.log10(1 + net)
+            assert parsed.y_facts[journal] == math.log10(1 + gross)
         assert parsed.edges == {("A", "B"): 0.35, ("B", "C"): float(f"{1 / 3:.4f}")}
 
     def test_deterministic(self):
         g = sim_graph("ABC", {("A", "B"): 0.4, ("A", "C"): 0.7})
-        glyphs = glyphs_for("ABC")
-        assert export_pajek(g, glyphs) == export_pajek(g, glyphs)
-
-    def test_missing_glyph_rejected(self):
-        g = sim_graph("AB", {("A", "B"): 0.5})
-        with pytest.raises(ValueError, match="missing"):
-            export_pajek(g, glyphs_for("A"))
+        assert export_pajek(g) == export_pajek(g)
 
     def test_lf_endings_only(self):
         g = sim_graph("AB", {("A", "B"): 0.5})
-        assert "\r" not in export_pajek(g, glyphs_for("AB"))
+        assert "\r" not in export_pajek(g)
 
 
 class TestDot:
     def test_triangle_has_exactly_three_edge_statements(self):
         g = sim_graph("ABC", {("A", "B"): 0.3, ("A", "C"): 0.4, ("B", "C"): 0.5})
-        text = export_dot(g, glyphs_for("ABC"))
+        text = export_dot(g)
         assert text.count(" -- ") == 3
 
     def test_deterministic(self):
         g = sim_graph("ABC", {("B", "C"): 0.5, ("A", "B"): 0.3})
-        glyphs = glyphs_for("ABC")
-        assert export_dot(g, glyphs) == export_dot(g, glyphs)
+        assert export_dot(g) == export_dot(g)
 
     def test_penwidth_follows_weight(self):
         g = sim_graph("ABC", {("A", "B"): 0.3, ("B", "C"): 0.9})
-        text = export_dot(g, glyphs_for("ABC"))
+        text = export_dot(g)
         assert "penwidth=1.5000" in text
         assert "penwidth=4.5000" in text
 
     def test_penwidth_strictly_increasing_in_weight(self):
         g = sim_graph("ABC", {("A", "B"): 0.3, ("A", "C"): 0.6, ("B", "C"): 0.9})
         statements = re.findall(
-            r'"(\w)" -- "(\w)" \[penwidth=([0-9.]+)', export_dot(g, glyphs_for("ABC"))
+            r'"(\w)" -- "(\w)" \[penwidth=([0-9.]+)', export_dot(g)
         )
         by_weight = sorted(statements, key=lambda s: g.edges[(s[0], s[1])])
         widths = [float(width) for _, _, width in by_weight]
@@ -152,11 +172,11 @@ class TestJson:
         return CentralityReport(rows, "local", "global")
 
     def test_round_trip_full_precision(self):
-        g = sim_graph("AB", {("A", "B"): 1 / 3})
-        glyphs = [NodeGlyph("A", 99, 9), NodeGlyph("B", 7, 0)]
-        document = json.loads(export_json(g, glyphs, self._report()))
+        g = sim_graph("AB", {("A", "B"): 1 / 3}, totals={"A": (99, 9), "B": (7, 0)})
+        document = json.loads(export_json(g, self._report()))
         assert document["edges"] == [{"source": "A", "target": "B", "weight": 1 / 3}]
         node_a = document["nodes"][0]
+        assert (node_a["gross_cites"], node_a["net_of_self"]) == (99, 9)
         assert node_a["x_extent"] == math.log10(10)
         assert node_a["y_extent"] == math.log10(100)
         row_a = document["report"]["rows"][0]
@@ -165,23 +185,19 @@ class TestJson:
 
     def test_report_optional(self):
         g = sim_graph("AB", {})
-        document = json.loads(export_json(g, glyphs_for("AB")))
+        document = json.loads(export_json(g))
         assert document["report"] is None
         assert document["basis"] == "cited"
         assert document["threshold"] == 0.2
 
     def test_deterministic(self):
         g = sim_graph("AB", {("A", "B"): 0.25})
-        glyphs = glyphs_for("AB")
-        assert export_json(g, glyphs, self._report()) == export_json(
-            g, glyphs, self._report()
-        )
+        assert export_json(g, self._report()) == export_json(g, self._report())
 
     def test_same_edge_multiset_as_pajek(self):
         g = sim_graph("ABCD", {("A", "B"): 0.3, ("C", "D"): 0.8, ("A", "D"): 0.55})
-        glyphs = glyphs_for("ABCD")
-        parsed = parse_pajek(export_pajek(g, glyphs))
-        document = json.loads(export_json(g, glyphs))
+        parsed = parse_pajek(export_pajek(g))
+        document = json.loads(export_json(g))
         json_edges = {
             (e["source"], e["target"]): float(f"{e['weight']:.4f}")
             for e in document["edges"]
@@ -234,11 +250,14 @@ def _accepted(token):
 
 class TestIds:
     @pytest.mark.parametrize("bad", ['A"x', "A\\x", "A x"])
-    def test_unquotable_id_rejected_by_pajek_and_dot(self, bad):
-        g = sim_graph(["A", bad], {("A", bad): 0.5})
+    def test_unquotable_id_rejected_by_pajek_and_dot(self, bad, monkeypatch):
+        # A matrix that took the id unchecked; the exporters check it again.
+        with monkeypatch.context() as patch:
+            patch.setattr(citenet.matrix, "_validate_id", str)
+            g = sim_graph(["A", bad], {("A", bad): 0.5})
         for exporter in (export_pajek, export_dot):
             with pytest.raises(ValueError, match="must not contain"):
-                exporter(g, glyphs_for(["A", bad]))
+                exporter(g)
 
     @given(
         st.lists(st.text(min_size=1, max_size=8).filter(_accepted),
@@ -247,19 +266,18 @@ class TestIds:
     def test_every_accepted_id_round_trips(self, ids):
         edges = {(ids[0], v): 0.5 for v in ids[1:]}
         g = sim_graph(ids, edges)
-        glyphs = glyphs_for(ids)
 
-        parsed = parse_pajek(export_pajek(g, glyphs))
+        parsed = parse_pajek(export_pajek(g))
         assert parsed.labels == tuple(ids)
         assert set(parsed.edges) == set(edges)
 
-        lines = export_dot(g, glyphs).split("\n")
+        lines = export_dot(g).split("\n")
         nodes = [m.group(1) for m in map(_DOT_NODE.match, lines) if m]
         dot_edges = [m.groups() for m in map(_DOT_EDGE.match, lines) if m]
         assert nodes == ids
         assert set(dot_edges) == set(edges)
 
-        document = json.loads(export_json(g, glyphs))
+        document = json.loads(export_json(g))
         assert [node["id"] for node in document["nodes"]] == ids
         assert {(e["source"], e["target"]) for e in document["edges"]} == set(edges)
 

@@ -31,6 +31,10 @@ class TestImpactFactor:
         with pytest.raises(ValueError):
             impact_factor(-1, 0, 10, 10)
 
+    def test_a_quotient_beyond_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            impact_factor(10**400, 0, 1, 0)
+
     def test_homogeneous_under_doubling(self):
         rng = np.random.default_rng(60)
         for _ in range(500):
@@ -59,6 +63,10 @@ class TestQuasiImpactFactor:
     def test_self_cites_cannot_exceed_cites(self):
         with pytest.raises(ValueError, match="exceed"):
             quasi_impact_factor(10, 10, 50, 50, 11, 0)
+
+    def test_a_quotient_beyond_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            quasi_impact_factor(10**400, 5, 1, 1, 1, 5)
 
     def test_never_exceeds_impact_factor(self):
         rng = np.random.default_rng(61)

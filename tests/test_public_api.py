@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import citenet
+from citenet.cli import main
 
 PUBLIC_NAMES = [
     "CentralityReport",
@@ -31,7 +32,6 @@ PUBLIC_NAMES = [
     "Journal",
     "JournalId",
     "MAX_COUNT",
-    "NodeGlyph",
     "SeedEnvironment",
     "SidecarError",
     "SimilarityGraph",
@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "extract_environment",
     "h_index",
     "impact_factor",
-    "make_glyphs",
     "merge_indices",
     "parse_citation_csv",
     "quasi_impact_factor",
@@ -63,7 +62,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(citenet.__all__) == PUBLIC_NAMES
 
 
@@ -176,8 +175,35 @@ def test_graph_members_are_pinned():
     graph = ["directed", "edges", "from_citation_matrix", "nodes"]
     assert _public_members(citenet.Graph) == graph
     assert _public_members(citenet.SimilarityGraph) == sorted(
-        [*graph, "basis", "threshold", "warnings"]
+        [*graph, "env", "threshold", "warnings"]
     )
+
+
+def test_a_similarity_graph_is_built_over_its_environment():
+    parameters = inspect.signature(citenet.SimilarityGraph.__init__).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("env", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("edges", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("threshold", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("warnings", inspect.Parameter.POSITIONAL_OR_KEYWORD, ()),
+    ]
+
+
+@pytest.mark.parametrize("name", ["export_pajek", "export_dot"])
+def test_pajek_and_dot_take_only_the_graph(name):
+    parameters = inspect.signature(getattr(citenet, name)).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("g", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+    ]
+
+
+def test_export_json_takes_the_graph_and_an_optional_report():
+    parameters = inspect.signature(citenet.export_json).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("g", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("report", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+    ]
 
 
 def test_similarity_graph_takes_only_the_environment_and_threshold():
@@ -287,3 +313,38 @@ def test_journals_keeps_id_order_equality_and_journal_values():
     assert m.journals.get("Z") is None and "Z" not in m.journals and "A" in m.journals
     assert all(type(journal) is citenet.Journal for journal in m.journals.values())
     assert len(m.journals) == 3
+
+
+README_EDGES = """citing,cited,count
+EconJ,JEvolEcon,40
+ResPolicy,JEvolEcon,30
+JEvolEcon,JEvolEcon,10
+AmEconRev,JEvolEcon,20
+EconJ,ResPolicy,5
+ResPolicy,EconJ,7
+JEvolEcon,EconJ,3
+AmEconRev,EconJ,9
+EconJ,AmEconRev,4
+"""
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n") :]
+    start = library.index("```python\n") + len("```python\n")
+    example = library[start : library.index("```\n", start)]
+    (tmp_path / "edges.csv").write_text(README_EDGES, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+
+    # The CLI prints the same table, under its own local basis, and the same Pajek file.
+    assert main(["ingest", "edges.csv", "--year", "2005", "--out", "m.csv"]) == 0
+    capsys.readouterr()
+    assert main(["report", "m.csv", "--seed", "JEvolEcon"]) == 0
+    table = capsys.readouterr().out
+    assert main(["export", "m.csv", "--seed", "JEvolEcon"]) == 0
+    pajek = capsys.readouterr().out
+    rows = table.split("\n", 1)[1]
+    assert printed == f"# local basis: local graph\n{rows}\n{pajek}\n"
+    assert pajek.startswith("*Vertices 4\n")

@@ -154,7 +154,7 @@ class TestSimilarityGraph:
             ("A", "C"): 0.5,
             ("B", "C"): 0.5,
         }
-        assert g.basis is Direction.CITED
+        assert g.env.direction is Direction.CITED
 
     def test_identical_profiles_give_weight_one(self):
         # B and C receive identical citation columns within the environment
@@ -232,11 +232,13 @@ class TestSimilarityGraph:
         assert neighbours(g) == ({"A": ("B", "C"), "B": ("A", "C"), "C": ("A", "B")},) * 2
 
     def test_labels_are_read_only(self):
-        g = similarity_graph(_triangle_env(), 0.2)
-        for name, value in (("threshold", 0.5), ("basis", Direction.CITING), ("warnings", ())):
+        env = _triangle_env()
+        g = similarity_graph(env, 0.2)
+        for name, value in (("threshold", 0.5), ("env", _triangle_env()), ("warnings", ())):
             with pytest.raises(AttributeError):
                 setattr(g, name, value)
-        assert (g.threshold, g.basis, g.warnings) == (0.2, Direction.CITED, ())
+        assert g.env is env
+        assert (g.threshold, g.warnings) == (0.2, ())
 
     def test_weight_lookups_do_not_rebuild_the_edges(self, monkeypatch):
         g = similarity_graph(_triangle_env(), 0.2)
