@@ -1,5 +1,6 @@
 """Tests for cosine, Pearson, and similarity graph construction."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -338,31 +339,100 @@ GRAM_REGIMES = [
 ]
 
 
+# Each side of the Gram dispatch, forced through its cost constant, and the
+# sparse side with its pair chunks cut to one, two and three pairs.  An
+# environment without entry pairs has no Gram term to form, and takes the
+# sparse side whatever the constant.
+GRAM_PATHS = [
+    pytest.param({"_PAIR_COST": 0}, id="sparse"),
+    pytest.param({"_PAIR_COST": 2**64}, id="dense"),
+    *(
+        pytest.param({"_PAIR_COST": 0, "_PAIR_CHUNK": k}, id=f"sparse-chunk{k}")
+        for k in (1, 2, 3)
+    ),
+]
+
+
+@contextlib.contextmanager
+def _gram_path(patches):
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in patches.items():
+            patch.setattr(citenet.similarity, name, value)
+        yield
+
+
+def _assert_scalar_cosine_exactly(cells, members, basis, threshold):
+    m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
+    env = _env(m, members, basis)
+    g = similarity_graph(env, threshold)
+    edges, zero = _reference_edges(m, env, basis, sorted(members), threshold)
+    # Same pairs, same insertion order, bit-identical weights.
+    assert list(g.edges.items()) == edges
+    assert all(type(weight) is float for weight in g.edges.values())
+    assert g.warnings == _zero_warnings(zero, basis)
+
+
+def _assert_block_size_does_not_change_the_graph(cells, members, basis, threshold):
+    m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
+    env = _env(m, members, basis)
+    default = similarity_graph(env, threshold)
+    edges, zero = _reference_edges(m, env, basis, sorted(members), threshold)
+    for rows in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(citenet.similarity, "_BLOCK_ROWS", rows)
+            g = similarity_graph(env, threshold)
+        # Same pairs, same order, same float bits.
+        assert _bits(g.edges.items()) == _bits(default.edges.items()) == _bits(edges)
+        assert g.warnings == default.warnings == _zero_warnings(zero, basis)
+
+
+def _hub_environment(n, hubs, rng):
+    """n members that each cite the first *hubs* members once and 5 others
+    1-30 times: each hub's axis holds nearly every member."""
+    ids = [f"J{i:04d}" for i in range(n)]
+    cells = {(j, ids[h]): 1 for j in ids for h in range(hubs) if j != ids[h]}
+    for i, j in enumerate(ids):
+        for k, c in zip(rng.choice(n - hubs, 5, replace=False) + hubs, rng.integers(1, 31, 5)):
+            if k != i:
+                cells[(j, ids[k])] = int(c)
+    m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+    return m, _env(m, ids, Direction.CITING)
+
+
+def _entry_pairs(m, env):
+    """Pairs of nonzero profile entries that share an axis."""
+    indptr, cols, _ = Graph.from_citation_matrix(m, env.members)._csr
+    if env.direction is Direction.CITED:
+        axis_len = np.diff(indptr)
+    else:
+        axis_len = np.bincount(cols, minlength=len(env.members))
+    return int((axis_len * (axis_len - 1) // 2).sum())
+
+
 class TestGramPath:
     @given(**GRAM_CASES)
     def test_weights_equal_scalar_cosine_exactly(self, cells, members, basis, threshold):
-        m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
-        env = _env(m, members, basis)
-        g = similarity_graph(env, threshold)
-        edges, zero = _reference_edges(m, env, basis, sorted(members), threshold)
-        # Same pairs, same insertion order, bit-identical weights.
-        assert list(g.edges.items()) == edges
-        assert all(type(weight) is float for weight in g.edges.values())
-        assert g.warnings == _zero_warnings(zero, basis)
+        _assert_scalar_cosine_exactly(cells, members, basis, threshold)
 
     @given(**GRAM_CASES)
     def test_block_size_does_not_change_the_graph(self, cells, members, basis, threshold):
-        m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
-        env = _env(m, members, basis)
-        default = similarity_graph(env, threshold)
-        edges, zero = _reference_edges(m, env, basis, sorted(members), threshold)
-        for rows in (1, 2, 3):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(citenet.similarity, "_BLOCK_ROWS", rows)
-                g = similarity_graph(env, threshold)
-            # Same pairs, same order, same float bits.
-            assert _bits(g.edges.items()) == _bits(default.edges.items()) == _bits(edges)
-            assert g.warnings == default.warnings == _zero_warnings(zero, basis)
+        _assert_block_size_does_not_change_the_graph(cells, members, basis, threshold)
+
+    @pytest.mark.parametrize("path", GRAM_PATHS)
+    @given(**GRAM_CASES)
+    def test_weights_equal_scalar_cosine_exactly_on_each_path(
+        self, path, cells, members, basis, threshold
+    ):
+        with _gram_path(path):
+            _assert_scalar_cosine_exactly(cells, members, basis, threshold)
+
+    @pytest.mark.parametrize("path", GRAM_PATHS)
+    @given(**GRAM_CASES)
+    def test_block_size_does_not_change_the_graph_on_each_path(
+        self, path, cells, members, basis, threshold
+    ):
+        with _gram_path(path):
+            _assert_block_size_does_not_change_the_graph(cells, members, basis, threshold)
 
     @pytest.mark.parametrize("a_row, b_row, low, high", GRAM_REGIMES)
     def test_weights_around_the_gram_regimes(self, a_row, b_row, low, high):
@@ -387,6 +457,16 @@ class TestGramPath:
     ):
         monkeypatch.setattr(citenet.similarity, "_BLOCK_ROWS", 1)
         self.test_weights_around_the_gram_regimes(a_row, b_row, low, high)
+
+    @pytest.mark.parametrize("rows", [64, 1])
+    @pytest.mark.parametrize("a_row, b_row, low, high", GRAM_REGIMES)
+    @pytest.mark.parametrize("path", GRAM_PATHS)
+    def test_weights_around_the_gram_regimes_on_each_path(
+        self, monkeypatch, path, a_row, b_row, low, high, rows
+    ):
+        monkeypatch.setattr(citenet.similarity, "_BLOCK_ROWS", rows)
+        with _gram_path(path):
+            self.test_weights_around_the_gram_regimes(a_row, b_row, low, high)
 
     @pytest.mark.parametrize("basis", Direction)
     def test_all_zero_profiles_give_no_edges_and_a_warning_each(self, basis):
@@ -437,3 +517,50 @@ class TestGramPath:
         for pair, value in edges:
             assert 0.0 <= g.edges[pair] <= 1.0
             assert g.edges[pair] == pytest.approx(value, abs=1e-12)
+
+    def test_hub_axes_stay_within_blocks_and_chunks(self, monkeypatch):
+        # 2,000 members on 8 hub axes: 16M entry pairs, 1M of them in each row
+        # block.  Held at once, one int64 array of a block's pairs is 8 MB and
+        # of all pairs 128 MB; chunk by chunk the peak depends on neither.
+        rng = np.random.default_rng(2000)
+        m, env = _hub_environment(2000, 8, rng)
+        pairs = _entry_pairs(m, env)
+        assert pairs > 16 * 10**6
+        assert pairs * citenet.similarity._PAIR_COST < 2000**3  # the sparse side
+        sizes = []
+        chunks = citenet.similarity._pair_chunks
+
+        def counted(entries, partners):
+            for first, second in chunks(entries, partners):
+                sizes.append(len(first))
+                yield first, second
+
+        monkeypatch.setattr(citenet.similarity, "_pair_chunks", counted)
+        tracemalloc.start()
+        try:
+            g = similarity_graph(env, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) == pairs and max(sizes) == citenet.similarity._PAIR_CHUNK
+        assert len(g.nodes) == 2000 and g.edges
+        assert peak <= 12 * 2**20
+
+    def test_a_complete_environment_takes_the_dense_side(self, monkeypatch):
+        # Every member cites every other: 40 axes of 39 entries, 29,640 entry
+        # pairs, which at _PAIR_COST each outweigh the 40^3 of a dense product.
+        rng = np.random.default_rng(40)
+        ids = [f"J{i:02d}" for i in range(40)]
+        cells = {(u, v): int(rng.integers(1, 60)) for u in ids for v in ids if u != v}
+        m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+
+        def expanded(*args):
+            raise AssertionError("entry pairs were expanded")
+
+        monkeypatch.setattr(citenet.similarity, "_pair_chunks", expanded)
+        for basis in Direction:
+            env = _env(m, ids, basis)
+            assert _entry_pairs(m, env) * citenet.similarity._PAIR_COST > 40**3
+            g = similarity_graph(env, 0.0)
+            edges, _ = _reference_edges(m, env, basis, sorted(ids), 0.0)
+            assert list(g.edges.items()) == edges
