@@ -462,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _one_blas_thread() -> None:
     """Run BLAS on one thread, unless the user set a thread count.
 
-    Only dense similarity blocks and eigenvector norms use BLAS.  OpenBLAS reads
-    the count when numpy loads: a process that has loaded numpy is left as it is.
+    Only the eigenvector norms use BLAS.  OpenBLAS reads the count when numpy
+    loads, so a process that has already loaded numpy is left as it is.
     """
     if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -23,11 +23,6 @@ _BLOCK_ROWS = 64
 # Entry pairs added at once: a few arrays of _PAIR_CHUNK integers per chunk.
 _PAIR_CHUNK = 1 << 16
 
-# Sparse cost of an entry pair over dense cost per unit of members^3: on one
-# thread of a Xeon (numpy 2.4, OpenBLAS 0.3.31), 10-12 ns against 0.02-0.045 ns
-# (members^3 / 2 multiply-adds), a break-even of 225 to 760 at 300-1,000 members.
-_PAIR_COST = 400
-
 
 class SimilarityGraph(Graph):
     """Undirected cosine-weighted graph over an environment's members.
@@ -79,21 +74,20 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
     All cosines come from a Gram product G of the profiles, computed in row
     blocks, as ``G[i, j] / sqrt(G[i, i] * G[j, j])``.  A block adds up the
     products of the nonzero entries that share an axis, in ascending axis
-    order (Gustavson, *ACM TOMS* 4:250, 1978); only profiles so nearly
-    complete that their entry pairs outnumber members^3 / ``_PAIR_COST``
-    take a dense BLAS product.  No entry of G, nor any product or partial
-    sum forming it, exceeds the largest squared row norm, which picks:
+    order (Gustavson, *ACM TOMS* 4:250, 1978), without BLAS.  No entry of G,
+    nor any product or partial sum forming it, exceeds the largest squared
+    row norm, which picks:
 
     - below 2^53, float64, whose integer sums are all exact;
     - from 2^53 to 2^62, int64, squared norms too, exact as nothing can wrap;
-    - from 2^62, float64, rounded but free of wraparound, in a fixed order
-      save in a dense block (the BLAS build's); the squared norms are summed
-      apart, each float64 square rounded as the exact integer square is.
+    - from 2^62, float64, rounded but free of wraparound, in that fixed
+      order; the squared norms are summed apart, each float64 square
+      rounded as the exact integer square is.
 
-    Below 2^62 G therefore equals the exact integer Gram, so the result
-    depends on neither the block size nor the path, and on counts whose
+    Below 2^62 G therefore equals the exact integer Gram, and on counts whose
     squares stay below 2^53 each weight is bit-identical to the scalar
-    cosine ``dot / sqrt(|x|^2 * |y|^2)`` with all three sums exact.
+    cosine ``dot / sqrt(|x|^2 * |y|^2)`` with all three sums exact.  At any
+    size the result depends on neither the block size nor the BLAS build.
     """
     if len(env.members) < 2:
         raise ValueError("environment must have at least 2 members")
@@ -137,12 +131,6 @@ def _gram_blocks(n: int, owners: np.ndarray, axes: np.ndarray, counts: np.ndarra
     """``(a, G[a : a + _BLOCK_ROWS, a:])`` in *counts*' dtype, filled above G's diagonal,
     for the Gram product G of the n profiles with *counts* at (*owners*, *axes*)."""
     axis_len = np.bincount(axes, minlength=n)
-    if int((axis_len * (axis_len - 1) // 2).sum()) * _PAIR_COST > n**3:
-        profiles = np.zeros((n, n), counts.dtype)
-        profiles[owners, axes] = counts
-        for a in range(0, n, _BLOCK_ROWS):
-            yield a, profiles[a : a + _BLOCK_ROWS] @ profiles[a:].T
-        return
     # Each axis's entries in ascending owner order (the CSR's owners ascend within
     # each axis, and the sort is stable): an entry pairs with the later ones, and
     # a block takes its rows' entries in that order.

@@ -1,6 +1,6 @@
 """Tests for cosine, Pearson, and similarity graph construction."""
 
-import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -339,26 +339,8 @@ GRAM_REGIMES = [
 ]
 
 
-# Each side of the Gram dispatch, forced through its cost constant, and the
-# sparse side with its pair chunks cut to one, two and three pairs.  An
-# environment without entry pairs has no Gram term to form, and takes the
-# sparse side whatever the constant.
-GRAM_PATHS = [
-    pytest.param({"_PAIR_COST": 0}, id="sparse"),
-    pytest.param({"_PAIR_COST": 2**64}, id="dense"),
-    *(
-        pytest.param({"_PAIR_COST": 0, "_PAIR_CHUNK": k}, id=f"sparse-chunk{k}")
-        for k in (1, 2, 3)
-    ),
-]
-
-
-@contextlib.contextmanager
-def _gram_path(patches):
-    with pytest.MonkeyPatch.context() as patch:
-        for name, value in patches.items():
-            patch.setattr(citenet.similarity, name, value)
-        yield
+# The Gram blocks' pair chunks cut to one, two and three pairs.
+PAIR_CHUNKS = [pytest.param(k, id=f"chunk{k}") for k in (1, 2, 3)]
 
 
 def _assert_scalar_cosine_exactly(cells, members, basis, threshold):
@@ -418,20 +400,22 @@ class TestGramPath:
     def test_block_size_does_not_change_the_graph(self, cells, members, basis, threshold):
         _assert_block_size_does_not_change_the_graph(cells, members, basis, threshold)
 
-    @pytest.mark.parametrize("path", GRAM_PATHS)
+    @pytest.mark.parametrize("chunk", PAIR_CHUNKS)
     @given(**GRAM_CASES)
-    def test_weights_equal_scalar_cosine_exactly_on_each_path(
-        self, path, cells, members, basis, threshold
+    def test_weights_equal_scalar_cosine_exactly_in_pair_chunks(
+        self, chunk, cells, members, basis, threshold
     ):
-        with _gram_path(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(citenet.similarity, "_PAIR_CHUNK", chunk)
             _assert_scalar_cosine_exactly(cells, members, basis, threshold)
 
-    @pytest.mark.parametrize("path", GRAM_PATHS)
+    @pytest.mark.parametrize("chunk", PAIR_CHUNKS)
     @given(**GRAM_CASES)
-    def test_block_size_does_not_change_the_graph_on_each_path(
-        self, path, cells, members, basis, threshold
+    def test_block_size_does_not_change_the_graph_in_pair_chunks(
+        self, chunk, cells, members, basis, threshold
     ):
-        with _gram_path(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(citenet.similarity, "_PAIR_CHUNK", chunk)
             _assert_block_size_does_not_change_the_graph(cells, members, basis, threshold)
 
     @pytest.mark.parametrize("a_row, b_row, low, high", GRAM_REGIMES)
@@ -460,13 +444,44 @@ class TestGramPath:
 
     @pytest.mark.parametrize("rows", [64, 1])
     @pytest.mark.parametrize("a_row, b_row, low, high", GRAM_REGIMES)
-    @pytest.mark.parametrize("path", GRAM_PATHS)
-    def test_weights_around_the_gram_regimes_on_each_path(
-        self, monkeypatch, path, a_row, b_row, low, high, rows
+    @pytest.mark.parametrize("chunk", PAIR_CHUNKS)
+    def test_weights_around_the_gram_regimes_in_pair_chunks(
+        self, monkeypatch, chunk, a_row, b_row, low, high, rows
     ):
         monkeypatch.setattr(citenet.similarity, "_BLOCK_ROWS", rows)
-        with _gram_path(path):
-            self.test_weights_around_the_gram_regimes(a_row, b_row, low, high)
+        monkeypatch.setattr(citenet.similarity, "_PAIR_CHUNK", chunk)
+        self.test_weights_around_the_gram_regimes(a_row, b_row, low, high)
+
+    def test_sums_above_2_to_the_62_keep_their_bits_in_any_block_or_chunk(self):
+        # A's squared norm is about 2^63, so the Gram sums are float64 and
+        # round.  A.B's terms are about 2^62 (ulp 512), 300 and 300: added in
+        # ascending axis order they round up twice, added the other way they
+        # give a weight one ulp lower.
+        big = MAX_COUNT
+        a_row, b_row = (big, 15, 15, big), (big, 20, 20, 0)
+        axes = "CDEF"
+        cells = {("A", j): c for j, c in zip(axes, a_row)}
+        cells.update({("B", j): c for j, c in zip(axes, b_row) if c})
+        m = CitationMatrix(2005, [Journal(j, j) for j in "AB" + axes], cells)
+        env = _env(m, ["A", "B", *axes], Direction.CITING)
+
+        def in_axis_order(terms):
+            total = 0.0
+            for term in terms:
+                total += float(term)
+            return total
+
+        norm_a, norm_b = (in_axis_order(float(c) ** 2 for c in row) for row in (a_row, b_row))
+        assert norm_a >= 2.0**62
+        dot = in_axis_order(x * y for x, y in zip(a_row, b_row))
+        assert dot != in_axis_order(x * y for x, y in zip(a_row[::-1], b_row[::-1]))
+        expected = [(("A", "B"), min(dot / math.sqrt(norm_a * norm_b), 1.0).hex())]
+        for rows in (64, 1):
+            for chunk in (1, 2, 3, citenet.similarity._PAIR_CHUNK):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(citenet.similarity, "_BLOCK_ROWS", rows)
+                    patch.setattr(citenet.similarity, "_PAIR_CHUNK", chunk)
+                    assert _bits(similarity_graph(env, 0.0).edges.items()) == expected
 
     @pytest.mark.parametrize("basis", Direction)
     def test_all_zero_profiles_give_no_edges_and_a_warning_each(self, basis):
@@ -526,7 +541,6 @@ class TestGramPath:
         m, env = _hub_environment(2000, 8, rng)
         pairs = _entry_pairs(m, env)
         assert pairs > 16 * 10**6
-        assert pairs * citenet.similarity._PAIR_COST < 2000**3  # the sparse side
         sizes = []
         chunks = citenet.similarity._pair_chunks
 
@@ -545,22 +559,3 @@ class TestGramPath:
         assert sum(sizes) == pairs and max(sizes) == citenet.similarity._PAIR_CHUNK
         assert len(g.nodes) == 2000 and g.edges
         assert peak <= 12 * 2**20
-
-    def test_a_complete_environment_takes_the_dense_side(self, monkeypatch):
-        # Every member cites every other: 40 axes of 39 entries, 29,640 entry
-        # pairs, which at _PAIR_COST each outweigh the 40^3 of a dense product.
-        rng = np.random.default_rng(40)
-        ids = [f"J{i:02d}" for i in range(40)]
-        cells = {(u, v): int(rng.integers(1, 60)) for u in ids for v in ids if u != v}
-        m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
-
-        def expanded(*args):
-            raise AssertionError("entry pairs were expanded")
-
-        monkeypatch.setattr(citenet.similarity, "_pair_chunks", expanded)
-        for basis in Direction:
-            env = _env(m, ids, basis)
-            assert _entry_pairs(m, env) * citenet.similarity._PAIR_COST > 40**3
-            g = similarity_graph(env, 0.0)
-            edges, _ = _reference_edges(m, env, basis, sorted(ids), 0.0)
-            assert list(g.edges.items()) == edges
