@@ -155,7 +155,7 @@ def _similarity(args: argparse.Namespace):
 
 
 def _report(args: argparse.Namespace):
-    from .centrality import Graph, build_report
+    from .centrality import build_report
 
     graph = _similarity(args)
     env = graph.env
@@ -166,7 +166,7 @@ def _report(args: argparse.Namespace):
             f"seed {env.seed})"
         )
     else:
-        local = Graph.from_citation_matrix(env.matrix, nodes=env.members)
+        local = env.links
         local_basis = f"raw citation links among members (seed {env.seed})"
     return graph, build_report(local, env.matrix, local_basis=local_basis)
 

@@ -5,8 +5,7 @@ link to the seed contributes strictly more than a threshold fraction of the
 seed's total citations in that direction.  Contributions are measured against
 the seed's full-matrix total, not a total among the members, so the member set
 does not depend on itself.  An environment keeps the whole matrix it was drawn
-from; ``Graph.from_citation_matrix(env.matrix, env.members)`` cuts the members'
-links out of it.
+from, and ``env.links``, the members' raw links cut out of it once.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ class SeedEnvironment:
     contribution (ties broken by id); they are distinct journals of
     ``matrix``.  ``contributions`` maps every member to its fraction of the
     seed's relevant total; the seed's own entry is its self-citation share.
+    ``links``, not a dataclass field, is the graph of raw citation links among
+    the members, ``Graph.from_citation_matrix(matrix, members)``, built once.
     """
 
     seed: JournalId
@@ -59,6 +60,7 @@ class SeedEnvironment:
         object.__setattr__(
             self, "contributions", MappingProxyType(dict(self.contributions))
         )
+        object.__setattr__(self, "links", Graph.from_citation_matrix(self.matrix, self.members))
 
 
 def extract_environment(
@@ -111,10 +113,9 @@ def environment_totals(env: SeedEnvironment) -> dict[JournalId, tuple[int, int]]
 
     A member's totals count its citations among the members in the
     environment's direction: net sums its column (cited) or row (citing) of
-    the raw links ``Graph.from_citation_matrix(env.matrix, env.members)``,
-    which leave out self-citations; gross adds the self-citation cell.
+    ``env.links``, which leave out self-citations; gross adds the self-citation cell.
     """
-    indptr, cols, counts = Graph.from_citation_matrix(env.matrix, env.members)._csr
+    indptr, cols, counts = env.links._csr
     axis = cols if env.direction is Direction.CITED else _row_ids(indptr)
     # float64 sums of counts below 2^31, exact for fewer than 2^22 members
     net = np.bincount(axis, counts, len(env.members)).astype(np.int64).tolist()

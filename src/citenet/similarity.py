@@ -65,11 +65,10 @@ class SimilarityGraph(Graph):
 def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
     """Build the cosine similarity graph over an environment's members.
 
-    Each member's profile is its row (citing) or column (cited) of the raw
-    citation links among the members, ``Graph.from_citation_matrix``, as
-    ``env.direction`` says: the members are the coordinate axes, and a
-    member's own (self-citation) coordinate is zero.  An edge is stored iff
-    its cosine strictly exceeds *threshold*.
+    Each member's profile is its row (citing) or column (cited) of
+    ``env.links`` as ``env.direction`` says: the members are the coordinate
+    axes, and a member's own (self-citation) coordinate is zero.  An edge is
+    stored iff its cosine strictly exceeds *threshold*.
 
     All cosines come from a Gram product G of the profiles, computed in row
     blocks, as ``G[i, j] / sqrt(G[i, i] * G[j, j])``.  A block adds up the
@@ -93,7 +92,7 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         raise ValueError("environment must have at least 2 members")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    indptr, cols, counts = Graph.from_citation_matrix(env.matrix, env.members)._csr
+    indptr, cols, counts = env.links._csr
     rows = _row_ids(indptr)
     if env.direction is Direction.CITED:
         rows, cols = cols, rows

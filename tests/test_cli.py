@@ -554,6 +554,51 @@ class TestCentralityAndReport:
         assert capsys.readouterr().err == f"error: {if_csv}:3: repeats the id 'A'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["env"],
+        ["sim"],
+        ["centrality", "--local-basis", "raw"],
+        ["report"],
+        ["report", "--format", "json"],
+        ["report", "--local-basis", "raw", "--format", "json"],
+        ["export"],
+        ["export", "--format", "dot"],
+        ["export", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_each_pipeline_run_builds_the_raw_link_graph_once(matrix_path, monkeypatch, capsys, argv):
+    build = citenet.Graph.from_citation_matrix.__func__
+    calls = []
+
+    def counted(cls, m, nodes):
+        calls.append(tuple(nodes))
+        return build(cls, m, nodes)
+
+    monkeypatch.setattr(citenet.Graph, "from_citation_matrix", classmethod(counted))
+    assert main([argv[0], str(matrix_path), "--seed", "S", *argv[1:]]) == 0
+    assert calls == [("S", "A", "B", "C")]
+
+
+def test_the_raw_basis_report_reads_the_environments_links(matrix_path, monkeypatch):
+    from citenet import centrality, cli
+
+    build_report, local = centrality.build_report, []
+
+    def recorded(graph, *args, **kwargs):
+        local.append(graph)
+        return build_report(graph, *args, **kwargs)
+
+    monkeypatch.setattr(centrality, "build_report", recorded)
+    args = build_parser().parse_args(
+        ["report", str(matrix_path), "--seed", "S", "--local-basis", "raw"]
+    )
+    graph, _ = cli._report(args)
+    assert len(local) == 1 and local[0] is graph.env.links
+
+
 class TestMetricsCommand:
     def test_if_inputs(self, capsys):
         assert main(["metrics", "--if-inputs", "30,30,50,50,5,5"]) == 0

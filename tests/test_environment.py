@@ -11,9 +11,12 @@ from citenet import (
     Journal,
     SeedEnvironment,
     UnknownJournalError,
+    build_report,
     environment_totals,
+    export_json,
     extract_environment,
     parse_citation_csv,
+    similarity_graph,
 )
 from oracles import restricted_matrix
 
@@ -105,8 +108,7 @@ class TestEnvironmentStructure:
         assert env.members == ("S", "A")
         assert env.matrix is m
         # (A,B) and (C,A) touch non-members and are dropped
-        links = Graph.from_citation_matrix(env.matrix, env.members)
-        assert dict(links.edges) == {("A", "S"): 50.0}
+        assert dict(env.links.edges) == {("A", "S"): 50.0}
 
     def test_every_nonseed_member_has_a_direct_link(self):
         rng = np.random.default_rng(3)
@@ -142,6 +144,27 @@ class TestEnvironmentStructure:
             restricted = restricted_matrix(m, env.members)
             again = extract_environment(restricted, "S", Direction.CITED, 0.01)
             assert again.members == env.members
+
+
+class TestSharedLinks:
+    # S cites and is cited by A, B and C, so both directions have the same
+    # members; D cites only A and stays outside.
+    EDGES = (
+        "A,S,50\nB,S,30\nC,S,20\nS,A,40\nS,B,30\nS,C,10\nS,S,4\n"
+        "A,B,5\nB,A,7\nC,A,3\nA,C,2\nA,A,9\nD,A,6"
+    )
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_no_stage_writes_into_the_environments_links(self, direction):
+        env = extract_environment(parse_citation_csv(self.EDGES, 2005), "S", direction, 0.01)
+        assert env.members == ("S", "A", "B", "C")
+        graph = similarity_graph(env, 0.0)
+        environment_totals(env)
+        export_json(graph, build_report(env.links, env.matrix))
+        fresh = Graph.from_citation_matrix(env.matrix, env.members)._csr
+        for shared, built in zip(env.links._csr, fresh, strict=True):
+            assert shared.dtype == built.dtype
+            assert shared.tolist() == built.tolist()
 
 
 def _random_env_matrix(rng):

@@ -3,7 +3,8 @@
 The CSR layout, the int32 counts and the self-citation rule belong to
 ``CitationMatrix``.  Any other module that reads its private arrays on
 another object would have to change with them, so it reads the raw links
-through ``Graph.from_citation_matrix`` instead.
+through ``Graph.from_citation_matrix`` instead.  And only a seed environment
+builds that graph, once, as ``env.links``: every later stage reads it there.
 """
 
 import ast
@@ -52,3 +53,23 @@ def test_only_matrix_reads_the_matrix_csr():
         if (path.name, function) not in ALLOWED
     ]
     assert reads == []
+
+
+def _calls(source: str, name: str) -> list[int]:
+    """Line of each call of a function or attribute named *name*."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+
+
+def test_only_the_environment_builds_the_raw_link_graph():
+    package = Path(citenet.__file__).parent
+    calls = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for _ in _calls(path.read_text(encoding="utf-8"), "from_citation_matrix")
+    ]
+    assert calls == ["environment.py"]

@@ -264,6 +264,17 @@ def test_a_seed_environment_keeps_its_matrix_and_a_matrix_cuts_no_submatrix():
     assert not hasattr(citenet.CitationMatrix, "submatrix")
 
 
+def test_seed_environment_members_are_pinned():
+    m = citenet.parse_citation_csv("A,S,1", 2005)
+    env = citenet.extract_environment(m, "S", citenet.Direction.CITED, 0.01)
+    assert _public_members(env) == [
+        "contributions", "direction", "links", "matrix", "members", "seed", "threshold"
+    ]
+    # links is derived from the fields, so repr and == leave it out.
+    assert "links" not in repr(env)
+    assert env == dataclasses.replace(env) and env.links is not dataclasses.replace(env).links
+
+
 def test_similarity_module_names_are_pinned():
     # Tuning constants such as the Gram product's block size stay private.
     module = citenet.similarity

@@ -378,12 +378,12 @@ def _hub_environment(n, hubs, rng):
             if k != i:
                 cells[(j, ids[k])] = int(c)
     m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
-    return m, _env(m, ids, Direction.CITING)
+    return _env(m, ids, Direction.CITING)
 
 
-def _entry_pairs(m, env):
+def _entry_pairs(env):
     """Pairs of nonzero profile entries that share an axis."""
-    indptr, cols, _ = Graph.from_citation_matrix(m, env.members)._csr
+    indptr, cols, _ = env.links._csr
     if env.direction is Direction.CITED:
         axis_len = np.diff(indptr)
     else:
@@ -538,8 +538,8 @@ class TestGramPath:
         # block.  Held at once, one int64 array of a block's pairs is 8 MB and
         # of all pairs 128 MB; chunk by chunk the peak depends on neither.
         rng = np.random.default_rng(2000)
-        m, env = _hub_environment(2000, 8, rng)
-        pairs = _entry_pairs(m, env)
+        env = _hub_environment(2000, 8, rng)
+        pairs = _entry_pairs(env)
         assert pairs > 16 * 10**6
         sizes = []
         chunks = citenet.similarity._pair_chunks
