@@ -145,30 +145,28 @@ def _environment(args: argparse.Namespace):
     return extract_environment(matrix, args.seed, args.direction, args.min_contrib)
 
 
-def _similarity(args: argparse.Namespace):
+def _similarity(args: argparse.Namespace, env):
     from .similarity import similarity_graph
 
-    graph = similarity_graph(_environment(args), args.cosine_threshold)
+    graph = similarity_graph(env, args.cosine_threshold)
     for message in graph.warnings:
         print(f"warning: {message}", file=sys.stderr)
     return graph
 
 
-def _report(args: argparse.Namespace):
+def _report(args: argparse.Namespace, env, graph=None):
     from .centrality import build_report
 
-    graph = _similarity(args)
-    env = graph.env
-    if args.local_basis == "sim":
-        local = graph
-        local_basis = (
-            f"similarity graph ({env.direction.value}, cosine > {graph.threshold}, "
-            f"seed {env.seed})"
-        )
-    else:
+    if args.local_basis == "raw":
         local = env.links
         local_basis = f"raw citation links among members (seed {env.seed})"
-    return graph, build_report(local, env.matrix, local_basis=local_basis)
+    else:
+        local = _similarity(args, env) if graph is None else graph
+        local_basis = (
+            f"similarity graph ({env.direction.value}, cosine > {local.threshold}, "
+            f"seed {env.seed})"
+        )
+    return build_report(local, env.matrix, local_basis=local_basis)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> str:
@@ -235,7 +233,7 @@ def _cmd_env(args: argparse.Namespace) -> str:
 
 
 def _cmd_sim(args: argparse.Namespace) -> str:
-    graph = _similarity(args)
+    graph = _similarity(args, _environment(args))
     lines = ["source,target,weight"]
     lines.extend(f"{u},{v},{weight!r}" for (u, v), weight in graph.edges.items())
     return "\n".join(lines) + "\n"
@@ -244,7 +242,7 @@ def _cmd_sim(args: argparse.Namespace) -> str:
 def _cmd_centrality(args: argparse.Namespace) -> str:
     from .export import _basis_comments, aligned_table, json_text, report_document
 
-    _, report = _report(args)
+    report = _report(args, _environment(args))
     if args.format == "json":
         return json_text(report_document(report))
     header = (
@@ -304,11 +302,13 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
 def _cmd_export(args: argparse.Namespace) -> str:
     from .export import export_dot, export_json, export_pajek
 
+    env = _environment(args)
+    graph = _similarity(args, env)
     if args.format == "json":
-        return export_json(*_report(args))
+        return export_json(graph, _report(args, env, graph))
     # Pajek and DOT print no centralities, so none are computed.
     exporter = export_pajek if args.format == "pajek" else export_dot
-    return exporter(_similarity(args))
+    return exporter(graph)
 
 
 def _load_if_csv(path: Path) -> dict[str, float]:
@@ -342,16 +342,15 @@ def _load_if_csv(path: Path) -> dict[str, float]:
 def _cmd_report(args: argparse.Namespace) -> str:
     from .export import graph_document, json_text, report_table
 
-    impact_factors = {}
-    if args.if_csv:
-        impact_factors = _load_if_csv(_resolve(args, args.if_csv))
-    graph, report = _report(args)
+    impact_factors = _load_if_csv(_resolve(args, args.if_csv)) if args.if_csv else {}
+    env = _environment(args)
     if args.format == "json":
-        document = graph_document(graph, report)
+        graph = _similarity(args, env)
+        document = graph_document(graph, _report(args, env, graph))
         if impact_factors:
             document["impact_factors"] = impact_factors
         return json_text(document)
-    return report_table(report, impact_factors)
+    return report_table(_report(args, env), impact_factors)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_merge, "matrix_out", "path of the persisted matrix (required)")
     p_merge.set_defaults(handler=_cmd_merge)
 
-    # Chained as _environment -> _similarity -> _report run, so a subcommand takes
-    # the flags of every stage it runs, each stage's after those of the one before.
+    # Chained as _environment -> _similarity -> _report, so a subcommand takes the
+    # flags of every stage it may run, each stage's after those of the one before.
     environment = argparse.ArgumentParser(add_help=False)
     environment.add_argument(
         "matrix", help="persisted citation matrix (CSV + sidecar, with its .csr.npz cache)"

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -582,6 +583,112 @@ def test_each_pipeline_run_builds_the_raw_link_graph_once(matrix_path, monkeypat
     assert calls == [("S", "A", "B", "C")]
 
 
+@pytest.mark.parametrize(
+    ("argv", "builds"),
+    [
+        (["env"], 0),
+        (["centrality", "--local-basis", "raw"], 0),
+        (["centrality", "--local-basis", "raw", "--format", "json"], 0),
+        (["report", "--local-basis", "raw"], 0),
+        (["sim"], 1),
+        (["centrality"], 1),
+        (["report"], 1),
+        (["report", "--format", "json"], 1),
+        (["report", "--local-basis", "raw", "--format", "json"], 1),
+        (["export"], 1),
+        (["export", "--format", "dot"], 1),
+        (["export", "--format", "json"], 1),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else f"{value} builds",
+)
+def test_a_run_builds_the_similarity_graph_only_where_it_reads_it(
+    matrix_path, monkeypatch, capsys, argv, builds
+):
+    from citenet import similarity
+
+    build, calls = similarity.similarity_graph, []
+
+    def counted(env, threshold):
+        calls.append(env.members)
+        return build(env, threshold)
+
+    monkeypatch.setattr(similarity, "similarity_graph", counted)
+    assert main([argv[0], str(matrix_path), "--seed", "S", *argv[1:]]) == 0
+    assert len(calls) == builds
+
+
+def _ingested(tmp_path, capsys, cells: str) -> str:
+    edges, matrix = tmp_path / "edges.csv", tmp_path / "m.csv"
+    edges.write_text("citing,cited,count\n" + cells, encoding="utf-8")
+    assert main(["ingest", str(edges), "--year", "2005", "--out", str(matrix)]) == 0
+    capsys.readouterr()
+    return str(matrix)
+
+
+def _table_rows(out: str) -> list[str]:
+    """The journal column of a table's rows, below its comments and header."""
+    return [line.split()[0] for line in out.splitlines() if not line.startswith("#")][1:]
+
+
+def test_a_one_member_environment_has_a_raw_basis_report(tmp_path, capsys):
+    # Only A cites A, so A's cited environment is A alone.
+    matrix = _ingested(tmp_path, capsys, "A,A,5\nB,C,3\nC,B,2\n")
+    for command in ("centrality", "report"):
+        assert main([command, matrix, "--seed", "A", "--local-basis", "raw"]) == 0
+        out, err = capsys.readouterr()
+        assert (_table_rows(out), err) == (["A"], "")
+    for command in ("sim", "centrality"):
+        assert main([command, matrix, "--seed", "A"]) == 1
+        assert capsys.readouterr().err == "error: environment must have at least 2 members\n"
+
+
+def test_only_a_run_that_builds_the_similarity_graph_warns_of_a_zero_profile(tmp_path, capsys):
+    # No member cites C, so its cited profile is all-zero.
+    matrix = _ingested(tmp_path, capsys, "A,B,3\nB,A,2\nA,A,1\nC,A,4\n")
+    for command in ("centrality", "report"):
+        assert main([command, matrix, "--seed", "A", "--local-basis", "raw"]) == 0
+        out, err = capsys.readouterr()
+        assert (sorted(_table_rows(out)), err) == (["A", "B", "C"], "")
+    assert main(["report", matrix, "--seed", "A"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: member 'C' has an all-zero cited profile; kept as isolated node\n"
+    )
+
+
+def _stage_calls(source: str) -> dict[str, list[str]]:
+    """Each function of *source* that calls a pipeline stage: the stages it calls."""
+    stages = {"_environment", "extract_environment", "similarity_graph", "build_report"}
+    found: dict[str, list[str]] = {}
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in stages:
+                    found.setdefault(function.name, []).append(node.func.id)
+    return found
+
+
+def test_the_stage_guard_sees_a_handler_that_runs_a_stage_itself():
+    source = (
+        "def _cmd_x(args):\n"
+        "    env = _environment(args)\n"
+        "    return build_report(similarity_graph(env, 0.2), env.matrix)\n"
+    )
+    assert _stage_calls(source) == {
+        "_cmd_x": ["_environment", "build_report", "similarity_graph"]
+    }
+
+
+def test_each_library_stage_runs_from_its_own_helper_and_each_handler_loads_once():
+    calls = _stage_calls(Path(citenet.cli.__file__).read_text(encoding="utf-8"))
+    helpers = {
+        "_environment": ["extract_environment"],
+        "_similarity": ["similarity_graph"],
+        "_report": ["build_report"],
+    }
+    handlers = ["_cmd_centrality", "_cmd_env", "_cmd_export", "_cmd_report", "_cmd_sim"]
+    assert calls == {**helpers, **{name: ["_environment"] for name in handlers}}
+
+
 def test_the_raw_basis_report_reads_the_environments_links(matrix_path, monkeypatch):
     from citenet import centrality, cli
 
@@ -595,8 +702,9 @@ def test_the_raw_basis_report_reads_the_environments_links(matrix_path, monkeypa
     args = build_parser().parse_args(
         ["report", str(matrix_path), "--seed", "S", "--local-basis", "raw"]
     )
-    graph, _ = cli._report(args)
-    assert len(local) == 1 and local[0] is graph.env.links
+    env = cli._environment(args)
+    cli._report(args, env)
+    assert len(local) == 1 and local[0] is env.links
 
 
 class TestMetricsCommand:
