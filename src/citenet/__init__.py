@@ -15,9 +15,7 @@ _MODULES = {
     "centrality": (
         "CentralityReport", "CentralityRow", "Graph", "build_report", "eigenvector_centrality",
     ),
-    "environment": (
-        "Direction", "SeedEnvironment", "environment_totals", "extract_environment",
-    ),
+    "environment": ("Direction", "SeedEnvironment", "extract_environment"),
     "errors": (
         "CitenetError", "ConvergenceError", "EdgeListParseError", "IsolatedSeedError",
         "SidecarError", "UnknownJournalError", "YearMismatchError",
@@ -25,8 +23,7 @@ _MODULES = {
     "export": ("export_dot", "export_json", "export_pajek", "report_table"),
     "matrix": (
         "MAX_COUNT", "CitationMatrix", "Journal", "JournalId", "SourceIndex", "citation_degrees",
-        "merge_indices", "parse_citation_csv", "read_matrix", "read_registry",
-        "serialize_matrix", "write_matrix",
+        "merge_indices", "parse_citation_csv", "read_matrix", "read_registry", "write_matrix",
     ),
     "metrics": ("h_index", "impact_factor", "quasi_impact_factor", "self_citation_rate"),
     "similarity": ("SimilarityGraph", "similarity_graph"),

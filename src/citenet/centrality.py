@@ -326,7 +326,8 @@ def eigenvector_centrality(g: Graph) -> dict[Node, float]:
     Power iteration on A + I from the uniform vector, so runs are
     deterministic and bipartite-like spectra (where |lambda_min| equals the
     Perron root of A) still converge; the +I shift leaves eigenvectors
-    unchanged.  The result has unit Euclidean norm and nonnegative sign.
+    unchanged.  The result has unit Euclidean norm and nonnegative sign: A + I
+    is nonnegative, so every iterate from the positive start stays so.
 
     Raises ``ValueError`` for a graph without edges and
     :class:`ConvergenceError` when ``_MAX_ITER`` steps are exhausted.
@@ -349,8 +350,6 @@ def eigenvector_centrality(g: Graph) -> dict[Node, float]:
             break
     else:
         raise ConvergenceError(_MAX_ITER, step)
-    if vector.sum() < 0:
-        vector = -vector
     return {node: float(vector[i]) for i, node in enumerate(g.nodes)}
 
 

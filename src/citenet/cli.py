@@ -210,11 +210,10 @@ def _cmd_merge(args: argparse.Namespace) -> str:
 
 
 def _cmd_env(args: argparse.Namespace) -> str:
-    from .environment import environment_totals
     from .export import aligned_table, json_text
 
     env = _environment(args)
-    rows = [(m, env.contributions[m], *t) for m, t in environment_totals(env).items()]
+    rows = [(m, env.contributions[m], *t) for m, t in env.totals.items()]
     if args.format == "json":
         document = {
             "seed": env.seed,
@@ -295,6 +294,7 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
             "nothing to compute: pass --if-inputs, --h-counts, or --matrix/--journal"
         )
     if args.format == "json":
+        # Not export.json_text: importing citenet.export would import numpy.
         return json.dumps(results, indent=2) + "\n"
     return "".join(f"{name} = {value}\n" for name, value in results.items())
 

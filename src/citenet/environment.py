@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -39,6 +40,7 @@ class SeedEnvironment:
     seed's relevant total; the seed's own entry is its self-citation share.
     ``links``, not a dataclass field, is the graph of raw citation links among
     the members, ``Graph.from_citation_matrix(matrix, members)``, built once.
+    ``totals``, not a field either, maps each member to its citation totals.
     """
 
     seed: JournalId
@@ -61,6 +63,23 @@ class SeedEnvironment:
             self, "contributions", MappingProxyType(dict(self.contributions))
         )
         object.__setattr__(self, "links", Graph.from_citation_matrix(self.matrix, self.members))
+
+    @cached_property
+    def totals(self) -> Mapping[JournalId, tuple[int, int]]:
+        """Read-only ``member -> (gross, net_of_self)`` citation totals, in member order.
+
+        A member's totals count its citations among the members in the
+        environment's direction: net sums its column (cited) or row (citing) of
+        ``links``, which leave out self-citations; gross adds the self-citation
+        cell.  Computed on first read.
+        """
+        indptr, cols, counts = self.links._csr
+        axis = cols if self.direction is Direction.CITED else _row_ids(indptr)
+        # float64 sums of counts below 2^31, exact for fewer than 2^22 members
+        net = np.bincount(axis, counts, len(self.members)).astype(np.int64).tolist()
+        return MappingProxyType(
+            {j: (n + self.matrix.cell(j, j), n) for j, n in zip(self.members, net)}
+        )
 
 
 def extract_environment(
@@ -106,17 +125,3 @@ def extract_environment(
     )
 
     return SeedEnvironment(seed, direction, threshold, members, m, contributions)
-
-
-def environment_totals(env: SeedEnvironment) -> dict[JournalId, tuple[int, int]]:
-    """``member -> (gross, net_of_self)`` citation totals, in member order.
-
-    A member's totals count its citations among the members in the
-    environment's direction: net sums its column (cited) or row (citing) of
-    ``env.links``, which leave out self-citations; gross adds the self-citation cell.
-    """
-    indptr, cols, counts = env.links._csr
-    axis = cols if env.direction is Direction.CITED else _row_ids(indptr)
-    # float64 sums of counts below 2^31, exact for fewer than 2^22 members
-    net = np.bincount(axis, counts, len(env.members)).astype(np.int64).tolist()
-    return {j: (n + env.matrix.cell(j, j), n) for j, n in zip(env.members, net)}

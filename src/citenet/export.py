@@ -2,7 +2,7 @@
 
 All exporters are pure functions of their inputs and emit byte-identical
 text across runs.  A similarity graph's nodes are drawn as ellipses sized
-from its environment's citation totals, ``environment_totals(g.env)``: the
+from its environment's citation totals, ``g.env.totals``: the
 vertical extent is log10(1 + gross citations) and the horizontal extent
 log10(1 + citations net of self-citations), so a perfectly round node is one
 without self-citations.  Spatial layout is left to downstream viewers.
@@ -17,7 +17,6 @@ from dataclasses import asdict
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .centrality import CentralityReport
-from .environment import environment_totals
 from .matrix import JournalId, _validate_id
 from .similarity import SimilarityGraph
 
@@ -36,9 +35,9 @@ _REPORT_COLUMNS = (
 def _glyphs(g: SimilarityGraph) -> Iterator[tuple[int, int, float, float]]:
     """``(gross, net_of_self, x_extent, y_extent)`` of each node, in node order.
 
-    ``environment_totals`` gives 0 <= net <= gross, so both logarithms are defined.
+    ``SeedEnvironment.totals`` gives 0 <= net <= gross, so both logarithms are defined.
     """
-    for gross, net in environment_totals(g.env).values():
+    for gross, net in g.env.totals.values():
         yield gross, net, math.log10(1 + net), math.log10(1 + gross)
 
 

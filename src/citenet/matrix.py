@@ -705,15 +705,10 @@ def citation_degrees(
     return dict(zip(journal_ids, zip(degree_in.tolist(), degree_out.tolist())))
 
 
-def serialize_matrix(m: CitationMatrix) -> str:
-    """Deterministic edge-list CSV text (sorted cells, LF endings)."""
-    return _csv_bytes(m).decode("utf-8")
-
-
 def _csv_bytes(m: CitationMatrix) -> bytes:
-    """The UTF-8 bytes of :func:`serialize_matrix`, built in numpy: each id is
-    encoded once and gathered into every line naming it, and each count is
-    written one decimal digit per pass, from the right."""
+    """Deterministic edge-list CSV as UTF-8 bytes (sorted cells, LF endings),
+    built in numpy: each id is encoded once and gathered into every line naming
+    it, and each count is written one decimal digit per pass, from the right."""
     header = np.frombuffer((EDGE_HEADER + "\n").encode(), dtype=np.uint8)
     names = [journal_id.encode("utf-8") for journal_id in m._ids]
     pool = np.frombuffer(b"".join(names), dtype=np.uint8)

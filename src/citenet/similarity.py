@@ -111,14 +111,15 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
     )
 
     # Rows a:b against rows a: give the upper triangle's block in row-major
-    # order; its cosines are computed in place, beside its Gram block.  A
-    # zero-profile member's cosines are 0/0 = nan, which no threshold passes.
+    # order; its cosines are computed in place, beside its Gram block.  A cell
+    # on or below G's diagonal stays 0, so its cosine is 0 (or 0/0 = nan for a
+    # zero-profile member), and neither passes a threshold >= 0.
     found = []
     for a, gram in _gram_blocks(len(env.members), rows, cols, counts):
         weights = np.sqrt(np.multiply.outer(norms_sq[a : a + _BLOCK_ROWS], norms_sq[a:]))
         with np.errstate(invalid="ignore"):
             np.minimum(np.divide(gram, weights, out=weights), 1.0, out=weights)
-        r, c = np.nonzero(np.triu(weights > threshold, 1))
+        r, c = np.nonzero(weights > threshold)
         found.append((r + a, c + a, weights[r, c]))
     rows, cols, weights = map(np.concatenate, zip(*found))
     graph = SimilarityGraph._from_arrays(env.members, rows, cols, weights, directed=False)

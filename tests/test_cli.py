@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import functools
 import io
 import json
 import os
@@ -66,6 +67,7 @@ def test_calls_that_compute_nothing_with_numpy_do_not_import_it(tmp_path):
         ["--help"],
         ["metrics", "--h-counts", "3,2,1"],
         ["metrics", "--if-inputs", "30,30,50,50"],
+        ["metrics", "--if-inputs", "30,30,50,50", "--format", "json"],
         ["metrics", "--h-counts", "3", "--format", "csv"],
     ]
     # Every subcommand's arguments, a config file's too, are parsed before
@@ -108,7 +110,7 @@ def test_calls_that_compute_nothing_with_numpy_do_not_import_it(tmp_path):
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.splitlines() == [
-        "False", "0 False", "0 False", "0 False", "0 False", "1 False",
+        "False", "0 False", "0 False", "0 False", "0 False", "0 False", "1 False",
         *(f"{command} False 1" for command in parsed),
         str(sorted(parsed)),
     ]
@@ -615,6 +617,40 @@ def test_a_run_builds_the_similarity_graph_only_where_it_reads_it(
     monkeypatch.setattr(similarity, "similarity_graph", counted)
     assert main([argv[0], str(matrix_path), "--seed", "S", *argv[1:]]) == 0
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize(
+    ("argv", "computes"),
+    [
+        (["env"], 1),
+        (["env", "--format", "json"], 1),
+        (["export"], 1),
+        (["export", "--format", "dot"], 1),
+        (["export", "--format", "json"], 1),
+        (["report", "--format", "json"], 1),
+        (["report", "--local-basis", "raw", "--format", "json"], 1),
+        (["sim"], 0),
+        (["centrality"], 0),
+        (["centrality", "--local-basis", "raw", "--format", "json"], 0),
+        (["report"], 0),
+        (["report", "--local-basis", "raw"], 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else f"{value} computed",
+)
+def test_a_run_computes_the_environments_totals_only_where_it_prints_them(
+    matrix_path, monkeypatch, capsys, argv, computes
+):
+    compute, calls = citenet.SeedEnvironment.totals.func, []
+
+    def counted(env):
+        calls.append(env.members)
+        return compute(env)
+
+    totals = functools.cached_property(counted)
+    totals.__set_name__(citenet.SeedEnvironment, "totals")
+    monkeypatch.setattr(citenet.SeedEnvironment, "totals", totals)
+    assert main([argv[0], str(matrix_path), "--seed", "S", *argv[1:]]) == 0
+    assert len(calls) == computes
 
 
 def _ingested(tmp_path, capsys, cells: str) -> str:

@@ -12,7 +12,6 @@ from citenet import (
     SeedEnvironment,
     UnknownJournalError,
     build_report,
-    environment_totals,
     export_json,
     extract_environment,
     parse_citation_csv,
@@ -159,7 +158,7 @@ class TestSharedLinks:
         env = extract_environment(parse_citation_csv(self.EDGES, 2005), "S", direction, 0.01)
         assert env.members == ("S", "A", "B", "C")
         graph = similarity_graph(env, 0.0)
-        environment_totals(env)
+        env.totals
         export_json(graph, build_report(env.links, env.matrix))
         fresh = Graph.from_citation_matrix(env.matrix, env.members)._csr
         for shared, built in zip(env.links._csr, fresh, strict=True):
@@ -185,27 +184,27 @@ class TestEnvironmentTotals:
         m = parse_citation_csv("A,A,4\nB,A,6\nA,S,60\nB,S,40", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.01)
         assert env.members == ("S", "A", "B")
-        assert list(environment_totals(env).items()) == [
+        assert list(env.totals.items()) == [
             ("S", (100, 100)), ("A", (10, 6)), ("B", (0, 0))
         ]
 
     def test_no_self_citations_means_gross_equals_net(self):
         m = parse_citation_csv("B,A,6\nA,S,60\nB,S,40", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.01)
-        gross, net = environment_totals(env)["A"]
+        gross, net = env.totals["A"]
         assert gross == net == 6
 
     def test_only_self_citations_means_zero_net(self):
         m = parse_citation_csv("A,A,4\nA,S,100", 2005)
         env = extract_environment(m, "S", Direction.CITED, 0.01)
-        assert environment_totals(env)["A"] == (4, 0)
+        assert env.totals["A"] == (4, 0)
 
     def test_citing_direction_totals(self):
         m = parse_citation_csv("S,A,50\nA,A,4\nA,B,6\nA,S,2", 2005)
         env = extract_environment(m, "S", Direction.CITING, 0.01)
         assert env.members == ("S", "A")
         # A's outgoing within {S, A}: 4 self + 2 to seed; (A,B) is outside
-        assert environment_totals(env) == {"S": (50, 50), "A": (6, 2)}
+        assert env.totals == {"S": (50, 50), "A": (6, 2)}
 
     def test_equal_the_cell_sums_over_the_members(self):
         rng = np.random.default_rng(32)
@@ -229,7 +228,7 @@ class TestEnvironmentTotals:
                     j: (total(j, env.members), total(j, set(env.members) - {j}))
                     for j in env.members
                 }
-                found = environment_totals(env)
+                found = env.totals
                 assert list(found.items()) == list(expected.items())
                 assert all(type(n) is int for pair in found.values() for n in pair)
                 seen_self += any(m.cell(j, j) for j in env.members)

@@ -29,7 +29,6 @@ from citenet import (
     merge_indices,
     parse_citation_csv,
     read_matrix,
-    serialize_matrix,
     write_matrix,
 )
 from citenet.centrality import _symmetric_adjacency
@@ -74,7 +73,6 @@ def test_written_bytes_match_the_golden_files(tmp_path, name):
     for suffix in SUFFIXES[:2]:
         golden = (DATA_DIR / (name + suffix)).read_bytes()
         assert (tmp_path / (name + suffix)).read_bytes() == golden, suffix
-    assert serialize_matrix(m) == (DATA_DIR / name).read_text(encoding="utf-8")
     assert read_matrix(DATA_DIR / name) == m
 
 
@@ -103,7 +101,6 @@ def _written(m: CitationMatrix, writer) -> list[bytes]:
 def test_write_matrix_equals_the_scalar_writer(m):
     reference = _written(m, reference_write_matrix)
     assert _written(m, write_matrix) == reference
-    assert serialize_matrix(m).encode("utf-8") == reference[0]
 
 
 def test_lone_surrogate_id_is_rejected_by_the_parse():

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "build_report",
     "citation_degrees",
     "eigenvector_centrality",
-    "environment_totals",
     "export_dot",
     "export_json",
     "export_pajek",
@@ -55,14 +54,13 @@ PUBLIC_NAMES = [
     "read_registry",
     "report_table",
     "self_citation_rate",
-    "serialize_matrix",
     "similarity_graph",
     "write_matrix",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 36
     assert sorted(citenet.__all__) == PUBLIC_NAMES
 
 
@@ -126,14 +124,6 @@ def test_importing_the_package_imports_no_submodule():
     assert done.stdout == "[] False\n"
 
 
-# Public names the package itself never calls, each with the reason it stays.
-UNCALLED_ALLOWED = {
-    # The in-memory form of what write_matrix persists: a wrapper that hides
-    # a file format stays public.
-    "serialize_matrix",
-}
-
-
 def _referenced_names(source: str) -> set[str]:
     """Names a module reads, imports or reads as an attribute."""
     names = set()
@@ -158,13 +148,14 @@ def test_the_guard_flags_a_public_name_nothing_references():
 
 
 def test_every_public_name_has_a_caller_in_the_package():
+    # Public API that nothing in the package uses is deleted, not kept.
     package = Path(citenet.__file__).parent
     sources = [
         path.read_text(encoding="utf-8")
         for path in sorted(package.glob("*.py"))
         if path.name != "__init__.py"
     ]
-    assert _uncalled(citenet.__all__, sources) == sorted(UNCALLED_ALLOWED)
+    assert _uncalled(citenet.__all__, sources) == []
 
 
 def _public_members(cls):
@@ -251,13 +242,6 @@ def test_a_graph_has_no_membership_test_or_node_index():
     assert "_index" not in citenet.Graph.__slots__
 
 
-def test_environment_totals_takes_only_the_environment():
-    parameters = inspect.signature(citenet.environment_totals).parameters.values()
-    assert [(p.name, p.kind, p.default) for p in parameters] == [
-        ("env", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
-    ]
-
-
 def test_a_seed_environment_keeps_its_matrix_and_a_matrix_cuts_no_submatrix():
     fields = [field.name for field in dataclasses.fields(citenet.SeedEnvironment)]
     assert fields == ["seed", "direction", "threshold", "members", "matrix", "contributions"]
@@ -268,11 +252,14 @@ def test_seed_environment_members_are_pinned():
     m = citenet.parse_citation_csv("A,S,1", 2005)
     env = citenet.extract_environment(m, "S", citenet.Direction.CITED, 0.01)
     assert _public_members(env) == [
-        "contributions", "direction", "links", "matrix", "members", "seed", "threshold"
+        "contributions", "direction", "links", "matrix", "members", "seed", "threshold", "totals"
     ]
-    # links is derived from the fields, so repr and == leave it out.
-    assert "links" not in repr(env)
+    # links and totals are derived from the fields, so repr and == leave them out.
+    assert "links" not in repr(env) and "totals" not in repr(env)
     assert env == dataclasses.replace(env) and env.links is not dataclasses.replace(env).links
+    assert env.totals is env.totals and env.totals == dataclasses.replace(env).totals
+    with pytest.raises(TypeError):
+        env.totals["S"] = (0, 0)
 
 
 def test_similarity_module_names_are_pinned():

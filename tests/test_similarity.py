@@ -418,6 +418,27 @@ class TestGramPath:
             patch.setattr(citenet.similarity, "_PAIR_CHUNK", chunk)
             _assert_block_size_does_not_change_the_graph(cells, members, basis, threshold)
 
+    @pytest.mark.parametrize("chunk", PAIR_CHUNKS)
+    @given(**{name: GRAM_CASES[name] for name in ("cells", "members", "basis")})
+    def test_gram_blocks_fill_nothing_on_or_below_the_diagonal(
+        self, chunk, cells, members, basis
+    ):
+        # similarity_graph reads every cell of a block, so an unfilled one
+        # must have a cosine no threshold passes: 0, or nan for a zero profile.
+        m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
+        indptr, cols, counts = _env(m, members, basis).links._csr
+        owners, axes = citenet.centrality._row_ids(indptr), cols
+        if basis is Direction.CITED:
+            owners, axes = axes, owners
+        for rows in (1, 2, 3, citenet.similarity._BLOCK_ROWS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(citenet.similarity, "_BLOCK_ROWS", rows)
+                patch.setattr(citenet.similarity, "_PAIR_CHUNK", chunk)
+                blocks = citenet.similarity._gram_blocks(len(members), owners, axes, counts)
+                for a, gram in blocks:
+                    assert gram.shape == (min(rows, len(members) - a), len(members) - a)
+                    assert not np.tril(gram).any()
+
     @pytest.mark.parametrize("a_row, b_row, low, high", GRAM_REGIMES)
     def test_weights_around_the_gram_regimes(self, a_row, b_row, low, high):
         axes = "CDEFG"
