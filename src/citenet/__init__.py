@@ -21,9 +21,10 @@ _MODULES = {
         "SidecarError", "UnknownJournalError", "YearMismatchError",
     ),
     "export": ("export_dot", "export_json", "export_pajek", "report_table"),
+    "ingest": ("merge_indices", "parse_citation_csv", "read_registry", "write_matrix"),
     "matrix": (
         "MAX_COUNT", "CitationMatrix", "Journal", "JournalId", "SourceIndex", "citation_degrees",
-        "merge_indices", "parse_citation_csv", "read_matrix", "read_registry", "write_matrix",
+        "read_matrix",
     ),
     "metrics": ("h_index", "impact_factor", "quasi_impact_factor", "self_citation_rate"),
     "similarity": ("SimilarityGraph", "similarity_graph"),

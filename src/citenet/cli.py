@@ -170,7 +170,8 @@ def _report(args: argparse.Namespace, env, graph=None):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> str:
-    from .matrix import SourceIndex, parse_citation_csv, read_registry, write_matrix
+    from .ingest import parse_citation_csv, read_registry, write_matrix
+    from .matrix import SourceIndex
 
     if not args.matrix_out:
         raise CitenetError("ingest requires --out for the persisted matrix")
@@ -198,7 +199,8 @@ def _cmd_ingest(args: argparse.Namespace) -> str:
 
 
 def _cmd_merge(args: argparse.Namespace) -> str:
-    from .matrix import merge_indices, read_matrix, write_matrix
+    from .ingest import merge_indices, write_matrix
+    from .matrix import read_matrix
 
     if not args.matrix_out:
         raise CitenetError("merge requires --out for the persisted matrix")
@@ -463,6 +465,10 @@ def _one_blas_thread() -> None:
 
     Only the eigenvector norms use BLAS.  OpenBLAS reads the count when numpy
     loads, so a process that has already loaded numpy is left as it is.
+    Keep this even once no call uses BLAS: OpenBLAS starts its thread pool
+    when numpy loads, and on a 2-CPU Linux container ``import numpy`` took a
+    median of 50 ms on one thread against 99 ms threaded (7 fresh processes
+    each; another such container read 104 against 170 ms).
     """
     if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

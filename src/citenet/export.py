@@ -14,11 +14,13 @@ import io
 import json
 import math
 from dataclasses import asdict
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .centrality import CentralityReport
 from .matrix import JournalId, _validate_id
-from .similarity import SimilarityGraph
+
+if TYPE_CHECKING:
+    from .centrality import CentralityReport
+    from .similarity import SimilarityGraph
 
 # Edge thickness is proportional to the cosine weight.
 STROKE_SCALE = 5.0

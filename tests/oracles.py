@@ -25,7 +25,8 @@ import numpy as np
 
 from citenet.centrality import Graph, Node
 from citenet.errors import CitenetError
-from citenet.matrix import EDGE_HEADER, MAX_COUNT, MERGE_POLICY, CitationMatrix
+from citenet.ingest import EDGE_HEADER, MERGE_POLICY
+from citenet.matrix import MAX_COUNT, CitationMatrix
 
 BRUTE_FORCE_MAX_NODES = 64
 

@@ -50,7 +50,65 @@ def test_a_report_imports_no_scipy(matrix_path):
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_LOADED = (
+    "import json, sys, citenet.cli\n"
+    "code = citenet.cli.main(sys.argv[2:])\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('citenet.'))\n"
+    "with open(sys.argv[1], 'w', encoding='utf-8') as fh:\n"
+    "    json.dump([code, loaded], fh)\n"
+)
+
+
+def _fresh_call(tmp_path, argv) -> tuple[int, set[str], bytes]:
+    """(exit code, loaded ``citenet.*`` modules, stdout) of ``main(argv)`` in a new process."""
+    record = tmp_path / "loaded.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, str(record), *argv], env=env, capture_output=True,
+        check=True,
+    )
+    code, loaded = json.loads(record.read_text(encoding="utf-8"))
+    return code, set(loaded), done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["env", "{m}", "--seed", "S"], {"citenet.ingest", "citenet.similarity"}),
+        (["sim", "{m}", "--seed", "S"], {"citenet.ingest"}),
+        (["centrality", "{m}", "--seed", "S"], {"citenet.ingest"}),
+        (["report", "{m}", "--seed", "S"], {"citenet.ingest"}),
+        (["export", "{m}", "--seed", "S", "--format", "json"], {"citenet.ingest"}),
+        (["metrics", "--matrix", "{m}", "--journal", "S"], {"citenet.ingest"}),
+    ],
+)
+def test_an_analysis_call_never_loads_the_write_path(matrix_path, tmp_path, argv, absent):
+    code, loaded, _ = _fresh_call(tmp_path, [arg.format(m=matrix_path) for arg in argv])
+    assert code == 0 and "citenet.matrix" in loaded
+    assert loaded.isdisjoint(absent)
+
+
+def test_ingest_and_merge_load_the_write_path(matrix_path, tmp_path):
+    other = tmp_path / "other.csv"
+    for argv in (
+        ["ingest", str(tmp_path / "edges.csv"), "--year", "2005", "--out", str(other)],
+        ["merge", str(matrix_path), str(other), "--out", str(tmp_path / "merged.csv")],
+    ):
+        code, loaded, _ = _fresh_call(tmp_path, argv)
+        assert code == 0 and "citenet.ingest" in loaded
+
+
+def test_a_report_without_its_cache_parses_and_prints_the_same_bytes(matrix_path, tmp_path):
+    argv = ["report", str(matrix_path), "--seed", "S"]
+    code, loaded, cached = _fresh_call(tmp_path, argv)
+    assert code == 0 and "citenet.ingest" not in loaded
+    matrix_path.with_name(matrix_path.name + ".csr.npz").unlink()
+    code, loaded, parsed = _fresh_call(tmp_path, argv)
+    assert code == 0 and "citenet.ingest" in loaded
+    assert parsed == cached != b""
+
+
+BLAS_THREADS =("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 GOLDEN_SIM = ["sim", str(Path(__file__).parent / "data" / "matrix_golden.csv"), "--seed", "A"]
 
 
@@ -1044,7 +1102,7 @@ class TestBadArgumentsRejectedBeforeLoading:
         paths = {"edges": edges, "matrix": matrix_path, "config": config,
                  "basis_config": basis_config, "range_config": range_config}
         monkeypatch.setattr("citenet.matrix.read_matrix", _no_load)
-        monkeypatch.setattr("citenet.matrix.parse_citation_csv", _no_load)
+        monkeypatch.setattr("citenet.ingest.parse_citation_csv", _no_load)
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert _error_line(capsys.readouterr().err) == f"error: {message}"
 

@@ -30,7 +30,8 @@ from citenet import (
     self_citation_rate,
     write_matrix,
 )
-from citenet.matrix import _csv_bytes, _valid_ids, _validate_id
+from citenet.ingest import _csv_bytes
+from citenet.matrix import _valid_ids, _validate_id
 from oracles import degree_centrality
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7"
@@ -162,7 +163,7 @@ class TestParse:
         assert set(m.journals) == {"A", "B"}
 
     def test_errors_keep_line_numbers_across_blocks(self, monkeypatch):
-        monkeypatch.setattr("citenet.matrix._BLOCK_CHARS", 16)
+        monkeypatch.setattr("citenet.ingest._BLOCK_CHARS", 16)
         rows = [f"J{k},J{k + 1},{k}" for k in range(40)]
         m = parse_citation_csv("citing,cited,count\n" + "\n".join(rows), 2005)
         assert len(m.cells) == 39 and m.cell("J39", "J40") == 39
@@ -477,7 +478,7 @@ class TestPersistence:
         replaced = []
         real_replace = os.replace
         monkeypatch.setattr(
-            "citenet.matrix.os.replace",
+            "citenet.ingest.os.replace",
             lambda src, dst: (replaced.append(Path(dst).name), real_replace(src, dst)),
         )
         write_matrix(m, path)
@@ -495,7 +496,7 @@ class TestPersistence:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("citenet.matrix.os.replace", fail)
+        monkeypatch.setattr("citenet.ingest.os.replace", fail)
         with pytest.raises(OSError):
             write_matrix(parse_citation_csv("A,B,1", 2005), path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,4 +1,5 @@
-"""Only ``matrix.py`` and ``Graph.from_citation_matrix`` read a matrix's CSR.
+"""Only ``matrix.py``, the three writers of ``ingest.py`` that merge, write or
+cache those arrays, and ``Graph.from_citation_matrix`` read a matrix's CSR.
 
 The CSR layout, the int32 counts and the self-citation rule belong to
 ``CitationMatrix``.  Any other module that reads its private arrays on
@@ -14,7 +15,12 @@ import citenet
 
 # CitationMatrix state no other module has an attribute of that name for.
 PRIVATE = {"_indptr", "_indices", "_data", "_lookup", "_positions"}
-ALLOWED = {("centrality.py", "from_citation_matrix")}
+ALLOWED = {
+    ("centrality.py", "from_citation_matrix"),
+    ("ingest.py", "merge_indices"),
+    ("ingest.py", "_csv_bytes"),
+    ("ingest.py", "write_matrix"),
+}
 
 
 def _private_reads(source: str) -> list[tuple[str | None, int, str]]:

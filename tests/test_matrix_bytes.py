@@ -32,7 +32,7 @@ from citenet import (
     write_matrix,
 )
 from citenet.centrality import _symmetric_adjacency
-from citenet.matrix import _bulk_rows, _field_numbers, _parse_block
+from citenet.ingest import _bulk_rows, _field_numbers, _parse_block
 from oracles import bulk_rows_accepted, reference_write_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -230,7 +230,7 @@ def _outcome(text: str, first_line: int):
 @example("日本誌,日本誌\x00,1\n日本,日本誌,2\n", 1)  # multibyte across a word
 def test_bulk_path_agrees_with_the_line_path_and_the_old_rule(text, first_line):
     bulk = _outcome(text, first_line)
-    with mock.patch("citenet.matrix._bulk_rows", return_value=None):
+    with mock.patch("citenet.ingest._bulk_rows", return_value=None):
         assert _outcome(text, first_line) == bulk
     body = text if text.endswith("\n") else text + "\n"
     taken = _bulk_rows(body, 0, first_line, {}) is not None
@@ -241,7 +241,7 @@ def test_bulk_path_takes_canonical_blocks():
     # Multibyte ids, ten-digit counts and a missing final newline stay bulk.
     text = "日本誌,\U0001d50d,0000000001\n\x00A,É,2147483647\nA,A,7"
     assert bulk_rows_accepted(text + "\n", 0)
-    with mock.patch("citenet.matrix._parse_lines", side_effect=AssertionError):
+    with mock.patch("citenet.ingest._parse_lines", side_effect=AssertionError):
         m = parse_citation_csv(text, 2005)
     assert m.cell("日本誌", "\U0001d50d") == 1 and m.cell("\x00A", "É") == MAX_COUNT
 
@@ -266,10 +266,10 @@ def test_bulk_numbering_of_many_ids_across_small_blocks(monkeypatch):
     citing, cited = rng.integers(0, len(ids), (2, 50_000)).tolist()
     counts = rng.integers(0, 10**6, 50_000).tolist()
     text = "".join(f"{ids[a]},{ids[b]},{c}\n" for a, b, c in zip(citing, cited, counts))
-    monkeypatch.setattr("citenet.matrix._BLOCK_CHARS", 4096)
-    with mock.patch("citenet.matrix._parse_lines", side_effect=AssertionError):
+    monkeypatch.setattr("citenet.ingest._BLOCK_CHARS", 4096)
+    with mock.patch("citenet.ingest._parse_lines", side_effect=AssertionError):
         bulk = parse_citation_csv(text, 2005)
-    with mock.patch("citenet.matrix._bulk_rows", return_value=None):
+    with mock.patch("citenet.ingest._bulk_rows", return_value=None):
         assert parse_citation_csv(text, 2005) == bulk
     assert len(bulk) == len(set(citing + cited))
 

@@ -32,7 +32,8 @@ from citenet import (
     read_matrix,
     write_matrix,
 )
-from citenet.matrix import _csv_bytes, _is_canonical_csr
+from citenet.ingest import _csv_bytes
+from citenet.matrix import _is_canonical_csr
 from oracles import canonical_csr
 
 IDS = ["A", "B", "C", "D", "E", "F"]
@@ -77,7 +78,7 @@ def test_round_trip_through_the_cache_equals_the_parse(m):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "m.csv"
         write_matrix(m, path)
-        with mock.patch("citenet.matrix.parse_citation_csv", _parse_forbidden):
+        with mock.patch("citenet.ingest.parse_citation_csv", _parse_forbidden):
             again = read_matrix(path)
         assert again == m
         assert again == _reparsed(m)
@@ -106,7 +107,7 @@ def test_cache_written_with_int64_arrays_still_loads(m):
             wide = {key: npz[key].astype(np.int64) for key in ("indices", "data")}
         # The arrays as an int64 writer stored them, under the same hashes.
         _rewrite(path, **wide)
-        with mock.patch("citenet.matrix.parse_citation_csv", _parse_forbidden):
+        with mock.patch("citenet.ingest.parse_citation_csv", _parse_forbidden):
             again = read_matrix(path)
         assert again == m == _reparsed(m)
         _assert_dtypes(again)
@@ -121,7 +122,7 @@ def test_every_path_holds_int64_indptr_and_int32_indices_and_data(tmp_path):
     merged = merge_indices(parsed, parse_citation_csv("A,B,1\nD,A,2", 2005))
     path = tmp_path / "m.csv"
     write_matrix(merged, path)
-    with mock.patch("citenet.matrix.parse_citation_csv", _parse_forbidden):
+    with mock.patch("citenet.ingest.parse_citation_csv", _parse_forbidden):
         hit = read_matrix(path)
     _binary(path).unlink()
     miss = read_matrix(path)
@@ -152,7 +153,7 @@ def parses(monkeypatch):
         calls["unpickle"] += 1
         raise pickle.UnpicklingError("unpickling is not allowed here")
 
-    monkeypatch.setattr("citenet.matrix.parse_citation_csv", parse)
+    monkeypatch.setattr("citenet.ingest.parse_citation_csv", parse)
     monkeypatch.setattr(pickle, "load", unpickle)
     monkeypatch.setattr(pickle, "loads", unpickle)
     return calls

@@ -17,7 +17,7 @@ from citenet import (
     merge_indices,
     parse_citation_csv,
 )
-from citenet.matrix import _csv_bytes
+from citenet.ingest import _csv_bytes
 from oracles import degree_centrality
 
 IDS = ["A", "B", "C", "D", "E", "F", "G", "H"]
@@ -131,7 +131,7 @@ def test_merge_matches_summed_reference(rows_a, rows_b):
 
 def test_seeded_random_matrices_across_parse_blocks(monkeypatch):
     # Small blocks mix bulk-split and line-by-line blocks within one parse.
-    monkeypatch.setattr("citenet.matrix._BLOCK_CHARS", 64)
+    monkeypatch.setattr("citenet.ingest._BLOCK_CHARS", 64)
     rng = np.random.default_rng(2005)
     ids = [f"J{k:02d}" for k in range(30)]
     for _ in range(20):

@@ -69,7 +69,9 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-SUBMODULES = ["centrality", "environment", "errors", "export", "matrix", "metrics", "similarity"]
+SUBMODULES = [
+    "centrality", "environment", "errors", "export", "ingest", "matrix", "metrics", "similarity"
+]
 
 
 def test_each_public_name_is_its_home_modules_attribute():
