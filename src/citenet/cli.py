@@ -204,8 +204,8 @@ def _cmd_merge(args: argparse.Namespace) -> str:
 
     if not args.matrix_out:
         raise CitenetError("merge requires --out for the persisted matrix")
-    a = read_matrix(_resolve(args, args.matrix_a), year=args.year)
-    b = read_matrix(_resolve(args, args.matrix_b), year=args.year)
+    a = read_matrix(_resolve(args, args.matrix_a))
+    b = read_matrix(_resolve(args, args.matrix_b))
     merged = merge_indices(a, b)
     write_matrix(merged, args.matrix_out)
     return f"wrote {args.matrix_out}: {len(merged)} journals, {len(merged.cells)} cells\n"
@@ -371,10 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ingest, "matrix_out", "path of the persisted matrix (required)")
     p_ingest.set_defaults(handler=_cmd_ingest)
 
-    p_merge = subparsers.add_parser("merge", help="merge two same-year matrices")
+    p_merge = subparsers.add_parser(
+        "merge", help="merge two same-year matrices persisted by ingest or merge"
+    )
     p_merge.add_argument("matrix_a")
     p_merge.add_argument("matrix_b")
-    p_merge.add_argument("--year", type=int, help="year for sidecar-less inputs")
     _add_common(p_merge, "matrix_out", "path of the persisted matrix (required)")
     p_merge.set_defaults(handler=_cmd_merge)
 

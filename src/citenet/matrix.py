@@ -7,7 +7,8 @@ sha256, and ``<path>.csr.npz``, which caches the matrix's CSR arrays keyed on
 the sha256 of the exact CSV and sidecar bytes it was written with.  The cache
 only makes loads faster: a missing, stale or damaged cache is ignored and the
 CSV is parsed, so deleting it is always safe, and matrices persisted without
-one load by parsing.
+one load by parsing.  A CSV without its sidecar does not load; ``citenet
+ingest`` persists an edge list.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -558,14 +559,16 @@ def _load_binary(
     return indptr, indices, data
 
 
-def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
+def read_matrix(path: str | Path) -> CitationMatrix:
     """Load a persisted matrix (CSV plus sidecar, and the CSR cache if valid).
 
-    Without a sidecar the *year* argument is required and all journals
-    default to SCI with ``display_name == id``.  A sidecar must record the
-    sha256 of the CSV, and it must match.  A header-only CSV loads as a
-    matrix with the sidecar's journals and no cells.  Raises
-    :class:`SidecarError` for a malformed or mismatched sidecar.
+    Only a matrix that ``citenet ingest`` or ``citenet merge`` persisted
+    loads: a CSV without its sidecar raises :class:`SidecarError` naming the
+    sidecar, and a missing CSV raises :class:`FileNotFoundError` naming it.
+    The sidecar must record the sha256 of the CSV, and it must match.  A
+    header-only CSV loads as a matrix with the sidecar's journals and no
+    cells.  Raises :class:`SidecarError` for a malformed or mismatched
+    sidecar.
 
     After those checks the ``.csr.npz`` cache is used when it records the
     sha256 of these exact CSV and sidecar bytes and holds a canonical CSR
@@ -577,14 +580,10 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     path = Path(path)
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
-        # Read before the year check, so that a missing CSV is reported as such.
-        data = path.read_bytes()
-        if year is None:
-            raise ValueError(f"no sidecar at {sidecar} and no year given")
-        # Imported here: a load through a valid cache never compiles the parser.
-        from .ingest import parse_citation_csv
-
-        return parse_citation_csv(_text(data), year)
+        path.stat()  # a missing CSV is reported as such
+        raise SidecarError(
+            f"no sidecar at {sidecar}: persist the edge list with citenet ingest first"
+        )
     meta = sidecar.read_bytes()
     year, registry, digest = _read_sidecar(sidecar, meta)
     csv_sha256 = _file_sha256(path)
@@ -602,8 +601,5 @@ def read_matrix(path: str | Path, *, year: int | None = None) -> CitationMatrix:
     # Imported here: a load through a valid cache never compiles the parser.
     from .ingest import parse_citation_csv
 
-    return parse_citation_csv(_text(data), year, registry=registry)
-
-
-def _text(data: bytes) -> IO[str]:
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return parse_citation_csv(text, year, registry=registry)

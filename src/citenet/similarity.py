@@ -30,8 +30,8 @@ class SimilarityGraph(Graph):
     ``nodes`` are ``env.members``, in member order, and ``env.direction`` is
     the profile direction compared.  Edges are keyed ``(u, v)`` with u before
     v in node order; every stored weight strictly exceeds ``threshold``.
-    Members whose profile was all-zero stay in ``nodes`` as isolated vertices
-    and are listed in ``warnings``.
+    Members whose profile was all-zero stay in ``nodes`` as isolated vertices,
+    and :func:`similarity_graph` lists them in ``warnings``.
     """
 
     __slots__ = ("_env", "_threshold", "_warnings")
@@ -41,10 +41,9 @@ class SimilarityGraph(Graph):
         env: SeedEnvironment,
         edges: Mapping[tuple[JournalId, JournalId], float],
         threshold: float,
-        warnings: Sequence[str] = (),
     ) -> None:
         super().__init__(env.members, edges, directed=False)
-        self._label(env, threshold, warnings)
+        self._label(env, threshold, ())
 
     def _label(self, env: SeedEnvironment, threshold: float, warnings: Sequence[str]) -> None:
         self._env, self._threshold, self._warnings = env, threshold, tuple(warnings)

@@ -12,9 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import citenet
+from citenet import merge_indices, parse_citation_csv, read_matrix, write_matrix
 from citenet.cli import build_parser, main
 
 EDGES = "citing,cited,count\nA,S,50\nB,S,30\nC,S,20\nA,B,5\nB,A,5\nS,A,2\nA,A,9\n"
@@ -253,7 +255,6 @@ _ACTIONS = {
     "merge": [
         ((), "matrix_a", None, None),
         ((), "matrix_b", None, None),
-        (("--year",), "year", None, None),
         *_MATRIX_OUT,
     ],
     "env": [*_ENVIRONMENT, _TABLE_OR_JSON, *_COMMON],
@@ -384,6 +385,25 @@ class TestIngestAndMerge:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "isolated" in err
 
+    def test_merge_of_an_edge_list_without_sidecar_names_it_and_writes_nothing(
+        self, tmp_path, matrix_path, capsys
+    ):
+        bare = tmp_path / "bare.csv"
+        bare.write_text(EDGES, encoding="utf-8")
+        argv = ["merge", str(bare), str(matrix_path), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: no sidecar at {bare}.meta.json: ")
+        assert "citenet ingest" in line
+        assert list(tmp_path.glob("x.csv*")) == []
+
+    def test_merge_takes_no_year(self, tmp_path, matrix_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["merge", str(matrix_path), str(matrix_path), "--year", "2009", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --year 2009\n"
+        assert list(tmp_path.glob("x.csv*")) == []
+
     def test_merge_year_mismatch_fails(self, tmp_path, matrix_path, capsys):
         other_edges = tmp_path / "e2.csv"
         other_edges.write_text("X,S,10\n", encoding="utf-8")
@@ -394,6 +414,51 @@ class TestIngestAndMerge:
                      str(tmp_path / "nope.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _random_edges(rng, journals: int = 40, rows: int = 300) -> str:
+    """An edge list with repeated cells, zero counts and self-citations."""
+    citing, cited = rng.integers(0, journals, (2, rows))
+    counts = rng.integers(0, 30, rows)
+    lines = (f"J{a:02d},J{b:02d},{c}\n" for a, b, c in zip(citing, cited, counts))
+    return "citing,cited,count\n" + "".join(lines)
+
+
+@pytest.mark.parametrize("second", ["edge list", "persisted matrix"])
+def test_ingesting_each_edge_list_then_merging_writes_the_merge_of_their_parses(
+    tmp_path, capsys, second
+):
+    # The reference parses each bare edge list under default metadata (SCI,
+    # display name = id) for the year, then merges.
+    rng = np.random.default_rng(600)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(_random_edges(rng), encoding="utf-8")
+    b.write_text(_random_edges(rng), encoding="utf-8")
+    ingest_b = ["ingest", str(b), "--year", "2005", "--out", str(tmp_path / "mb.csv")]
+    if second == "persisted matrix":
+        registry = tmp_path / "registry.csv"
+        registry.write_text("J03,Third,SSCI\nJ07,Seventh,SSCI\n", encoding="utf-8")
+        ingest_b += ["--source", "ssci", "--registry", str(registry)]
+    assert main(["ingest", str(a), "--year", "2005", "--out", str(tmp_path / "ma.csv")]) == 0
+    assert main(ingest_b) == 0
+    merged = tmp_path / "merged.csv"
+    assert main(["merge", str(tmp_path / "ma.csv"), str(tmp_path / "mb.csv"),
+                 "--out", str(merged)]) == 0
+    capsys.readouterr()
+
+    with open(a, encoding="utf-8") as fh:
+        first = parse_citation_csv(fh, 2005)
+    if second == "persisted matrix":
+        other = read_matrix(tmp_path / "mb.csv")
+        assert other.journals["J03"].display_name == "Third"
+    else:
+        with open(b, encoding="utf-8") as fh:
+            other = parse_citation_csv(fh, 2005)
+    expected = tmp_path / "expected.csv"
+    write_matrix(merge_indices(first, other), expected)
+    for suffix in ("", ".meta.json", ".csr.npz"):
+        written = merged.with_name(merged.name + suffix).read_bytes()
+        assert written == expected.with_name(expected.name + suffix).read_bytes(), suffix
 
 
 def _sidecar(path):

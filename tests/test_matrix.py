@@ -462,13 +462,19 @@ class TestPersistence:
         (tmp_path / "m.csv.csr.npz").unlink()
         assert read_matrix(path) == m
 
-    def test_read_without_sidecar_needs_year(self, tmp_path):
+    def test_read_without_sidecar_fails_naming_it_and_parses_nothing(
+        self, tmp_path, monkeypatch
+    ):
         path = tmp_path / "bare.csv"
         path.write_text("citing,cited,count\nA,B,5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="year"):
+
+        def parse(*args, **kwargs):
+            raise AssertionError("a CSV without a sidecar was parsed")
+
+        monkeypatch.setattr("citenet.ingest.parse_citation_csv", parse)
+        sidecar = re.escape(str(tmp_path / "bare.csv.meta.json"))
+        with pytest.raises(SidecarError, match=f"^no sidecar at {sidecar}: .*citenet ingest"):
             read_matrix(path)
-        m = read_matrix(path, year=2004)
-        assert m.year == 2004
 
     def test_sidecar_records_csv_hash_and_files_are_replaced_atomically(
         self, tmp_path, monkeypatch

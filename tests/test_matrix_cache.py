@@ -296,12 +296,12 @@ def test_deleted_cache(persisted, parses):
     assert not _binary(path).exists()
 
 
-def test_csv_without_sidecar_is_parsed_despite_a_cache(persisted, parses):
+def test_csv_without_sidecar_does_not_load_despite_a_cache(persisted, parses):
     _, path = persisted
     _sidecar(path).unlink()
-    again = read_matrix(path, year=2010)
-    assert again == parse_citation_csv(THREE_CELLS, 2010)
-    assert parses["parse"] == 1
+    with pytest.raises(SidecarError, match=re.escape(f"no sidecar at {_sidecar(path)}: ")):
+        read_matrix(path)
+    assert parses == {"parse": 0, "unpickle": 0}
 
 
 def test_cache_is_not_rewritten_on_read(persisted):

@@ -126,6 +126,19 @@ def test_importing_the_package_imports_no_submodule():
     assert done.stdout == "[] False\n"
 
 
+def test_a_submodule_is_imported_when_first_read():
+    script = (
+        "import sys, citenet\n"
+        "before = 'citenet.ingest' in sys.modules\n"
+        "print(before, citenet.ingest is sys.modules['citenet.ingest'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(citenet.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False True\n"
+
+
 def _referenced_names(source: str) -> set[str]:
     """Names a module reads, imports or reads as an attribute."""
     names = set()
@@ -179,7 +192,13 @@ def test_a_similarity_graph_is_built_over_its_environment():
         ("env", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("edges", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("threshold", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
-        ("warnings", inspect.Parameter.POSITIONAL_OR_KEYWORD, ()),
+    ]
+
+
+def test_read_matrix_takes_only_the_path():
+    parameters = inspect.signature(citenet.read_matrix).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("path", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
     ]
 
 
@@ -313,6 +332,9 @@ def test_journals_keeps_id_order_equality_and_journal_values():
     assert m.journals.get("Z") is None and "Z" not in m.journals and "A" in m.journals
     assert all(type(journal) is citenet.Journal for journal in m.journals.values())
     assert len(m.journals) == 3
+    text = repr(m.journals)
+    places = [text.index(repr(journal)) for journal in expected.values()]
+    assert places == sorted(places)
 
 
 README_EDGES = """citing,cited,count
