@@ -329,12 +329,13 @@ def eigenvector_centrality(g: Graph) -> dict[Node, float]:
     unchanged.  The result has unit Euclidean norm and nonnegative sign: A + I
     is nonnegative, so every iterate from the positive start stays so.
 
-    Raises ``ValueError`` for a graph without edges and
+    A graph without edges gets loadings of 0, the value the iteration drives
+    every isolated node toward in a graph with edges.  Raises
     :class:`ConvergenceError` when ``_MAX_ITER`` steps are exhausted.
     """
     n = len(g)
     if not g._csr[2].size:
-        raise ValueError("eigenvector centrality needs at least one edge")
+        return dict.fromkeys(g.nodes, 0.0)
     rows, cols, weights = _symmetric_adjacency(g)
     vector = np.full(n, 1.0 / np.sqrt(n))
     step = np.inf
@@ -404,8 +405,8 @@ def build_report(
     before the sweep; the global basis names the matrix's year and size.
     The local degree counts distinct neighbors in either direction, so it
     reads the same on undirected similarity graphs and directed raw-link
-    graphs.  Graphs without edges get eigenvector loadings of 0, and
-    single-node graphs get closeness 0, mirroring the isolate convention.
+    graphs.  Single-node graphs get closeness 0, mirroring the isolate
+    convention.
 
     Closeness and betweenness come from one sweep whose sums all run in a
     fixed order, so they are bit-reproducible.  Geodesic counts are exact
@@ -414,10 +415,7 @@ def build_report(
     """
     degrees = citation_degrees(matrix, local.nodes)
     betweenness, closeness = _sweep(local)
-    if local._csr[2].size:
-        eigenvector = eigenvector_centrality(local)
-    else:
-        eigenvector = {node: 0.0 for node in local.nodes}
+    eigenvector = eigenvector_centrality(local)
 
     # Distinct neighbours in either direction: the off-diagonal cells of each
     # row of A + A^T.

@@ -35,11 +35,11 @@ class SeedEnvironment:
     """Journals around a seed, and the matrix they were drawn from.
 
     ``members`` starts with the seed, then qualifying journals by descending
-    contribution (ties broken by id); they are distinct journals of
-    ``matrix``.  ``contributions`` maps every member to its fraction of the
-    seed's relevant total; the seed's own entry is its self-citation share.
-    ``links``, not a dataclass field, is the graph of raw citation links among
-    the members, ``Graph.from_citation_matrix(matrix, members)``, built once.
+    contribution (ties broken by id).  ``contributions`` maps every member to
+    its fraction of the seed's relevant total; the seed's own entry is its
+    self-citation share.  ``links``, not a dataclass field, is the members'
+    raw-link graph ``Graph.from_citation_matrix(matrix, members)``, built
+    once, which checks that the members are distinct journals of ``matrix``.
     ``totals``, not a field either, maps each member to its citation totals.
     """
 
@@ -53,11 +53,6 @@ class SeedEnvironment:
     def __post_init__(self) -> None:
         if not self.members or self.members[0] != self.seed:
             raise ValueError("seed must be the first member")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("members must be distinct")
-        missing = [j for j in self.members if j not in self.matrix]
-        if missing:
-            raise UnknownJournalError(f"members not in the matrix: {missing}")
         object.__setattr__(self, "direction", Direction(self.direction))
         object.__setattr__(
             self, "contributions", MappingProxyType(dict(self.contributions))

@@ -475,21 +475,21 @@ def _read_sidecar(sidecar: Path, raw: bytes) -> tuple[int, _Registry, str]:
     rows = [_entry_fields(entry) for entry in entries]
     registry = _journals_in_bulk(rows)
     if registry is None:
-        # Some entry is malformed or repeats an id: check one at a time to
-        # name the first.
-        journals = {}
+        # Some entry is malformed or repeats an id.  These checks reject
+        # exactly what the bulk check rejects, so they raise on the first.
+        seen = set()
         for k, fields in enumerate(rows):
             try:
                 if not all(isinstance(field, str) for field in fields):
                     raise ValueError(f"needs string fields {', '.join(REGISTRY_HEADER)}")
-                if fields[0] in journals:
+                if fields[0] in seen:
                     raise ValueError(f"repeats the id {fields[0]!r}")
-                journals[fields[0]] = Journal(fields[0], fields[1], SourceIndex(fields[2]))
+                Journal(fields[0], fields[1], SourceIndex(fields[2]))
+                seen.add(fields[0])
             except ValueError as exc:
                 raise SidecarError(
                     f"{sidecar}: malformed journals entry {k}: {exc}"
                 ) from None
-        registry = _Registry._of(journals.values())
     digest = meta.get("csv_sha256")
     if not isinstance(digest, str):
         raise SidecarError(f"{sidecar}: no string \"csv_sha256\"")

@@ -8,7 +8,7 @@ contribution rule used for environment membership.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -43,10 +43,7 @@ class SimilarityGraph(Graph):
         threshold: float,
     ) -> None:
         super().__init__(env.members, edges, directed=False)
-        self._label(env, threshold, ())
-
-    def _label(self, env: SeedEnvironment, threshold: float, warnings: Sequence[str]) -> None:
-        self._env, self._threshold, self._warnings = env, threshold, tuple(warnings)
+        self._env, self._threshold, self._warnings = env, threshold, ()
 
     @property
     def env(self) -> SeedEnvironment:
@@ -122,7 +119,7 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         found.append((r + a, c + a, weights[r, c]))
     rows, cols, weights = map(np.concatenate, zip(*found))
     graph = SimilarityGraph._from_arrays(env.members, rows, cols, weights, directed=False)
-    graph._label(env, threshold, warnings)
+    graph._env, graph._threshold, graph._warnings = env, threshold, warnings
     return graph
 
 

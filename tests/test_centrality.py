@@ -446,10 +446,16 @@ class TestEigenvector:
             residual = np.linalg.norm(adjacency @ vector - lam * vector)
             assert residual / np.linalg.norm(vector) <= 1e-8
 
-    def test_no_edges_rejected(self):
-        g = Graph(["A", "B"], {}, directed=False)
-        with pytest.raises(ValueError, match="edge"):
-            eigenvector_centrality(g)
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("nodes", ["A", "ABC"])
+    def test_no_edges_give_zero_loadings(self, nodes, directed):
+        g = Graph(nodes, {}, directed=directed)
+        assert eigenvector_centrality(g) == dict.fromkeys(nodes, 0.0)
+        report = build_report(g, edgeless_matrix(nodes))
+        assert [row.eigenvector for row in report] == [0.0] * len(nodes)
+        # 0 is what the iteration drives isolated nodes toward once there is an edge.
+        with_edge = eigenvector_centrality(Graph("YZ" + nodes, {("Y", "Z"): 1.0}, directed=directed))
+        assert all(0.0 <= with_edge[node] < 1e-9 for node in nodes)
 
     def test_non_convergence_reports_iterations(self):
         with patch.object(citenet.centrality, "_MAX_ITER", 1):

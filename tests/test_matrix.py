@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citenet import (
@@ -31,7 +31,14 @@ from citenet import (
     write_matrix,
 )
 from citenet.ingest import _csv_bytes
-from citenet.matrix import _valid_ids, _validate_id
+from citenet.matrix import (
+    REGISTRY_HEADER,
+    _journals_in_bulk,
+    _read_sidecar,
+    _Registry,
+    _valid_ids,
+    _validate_id,
+)
 from oracles import degree_centrality
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7"
@@ -579,6 +586,68 @@ def _accepted(token):
 )
 def test_bulk_id_check_accepts_exactly_what_validate_id_accepts(tokens):
     assert _valid_ids(tokens) == all(map(_accepted, tokens))
+
+
+def _first_rejected(rows):
+    """The index of the first row that fails alone as a Journal or repeats an
+    earlier id, or None."""
+    seen = set()
+    for k, (journal_id, name, source) in enumerate(rows):
+        if not all(isinstance(field, str) for field in (journal_id, name, source)):
+            return k
+        if journal_id in seen:
+            return k
+        try:
+            Journal(journal_id, name, SourceIndex(source))
+        except ValueError:
+            return k
+        seen.add(journal_id)
+    return None
+
+
+NOT_STRINGS = st.one_of(st.none(), st.integers(-1, 1), st.booleans(), st.just([]))
+GOOD_FIELDS = (
+    st.sampled_from(["A", "B", "C", "D", "E", "F"]),
+    st.sampled_from(["Alpha", "é"]),
+    st.sampled_from(["SCI", "SSCI"]),
+)
+BAD_FIELDS = (
+    st.one_of(st.sampled_from(["", " A", "A,B", 'A"', "A\\", "\ud800", "A\u2028"]), NOT_STRINGS),
+    st.one_of(st.just(""), NOT_STRINGS),
+    st.one_of(st.sampled_from(["XXX", "sci", ""]), NOT_STRINGS),
+)
+
+
+@st.composite
+def sidecar_rows(draw):
+    """Up to four ``(id, display_name, source_index)`` rows: most valid, with
+    ids from six so that some repeat, the rest with one field bad."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        bad = draw(st.sampled_from([None] * 6 + [0, 1, 2]))
+        rows.append(tuple(draw((BAD_FIELDS if i == bad else GOOD_FIELDS)[i]) for i in range(3)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sidecar_rows())
+@example([("B", "Beta", "SSCI"), ("A", "Alpha", "SCI")])
+@example([("A", "Alpha", "SCI"), ("A", "Beta", "SCI")])
+def test_sidecar_fallback_only_names_what_the_bulk_check_rejects(rows):
+    entries = [dict(zip(REGISTRY_HEADER, row)) for row in rows]
+    meta = {"year": 2005, "journals": entries, "csv_sha256": "0" * 64}
+    raw = json.dumps(meta).encode("utf-8")
+    sidecar = Path("m.csv.meta.json")
+    first = _first_rejected(rows)
+    if _journals_in_bulk(rows) is not None:
+        assert first is None
+        journals = [Journal(j, name, SourceIndex(source)) for j, name, source in rows]
+        _, registry, _ = _read_sidecar(sidecar, raw)
+        assert list(registry.items()) == list(_Registry._of(journals).items())
+    else:
+        assert first is not None
+        with pytest.raises(SidecarError, match=f"malformed journals entry {first}: "):
+            _read_sidecar(sidecar, raw)
 
 
 class TestSidecarEntries:
