@@ -92,11 +92,12 @@ class Graph:
         self._edges = None
 
     @classmethod
-    def from_citation_matrix(cls, m: CitationMatrix, nodes: Sequence[Node]) -> "Graph":
+    def from_citation_matrix(cls, m: CitationMatrix, nodes: Iterable[Node]) -> "Graph":
         """Directed graph of raw citation links among *nodes*, weights = counts.
 
         The graph keeps the order of *nodes*; self-citation loops are dropped.
         """
+        nodes = tuple(nodes)  # read once: an iterator is read only once
         # The nodes' rows, their columns renumbered in node order (-1 outside).
         positions = m._positions(nodes)
         rows, entries = _row_entries(m._indptr, positions)

@@ -24,15 +24,24 @@ citation links at all) and the CSV's sha256.  ``<path>.csr.npz`` caches the
 matrix's CSR arrays with the sha256 of the CSV and sidecar bytes written
 beside it.  The output is deterministic: the same matrix gives the same
 bytes in all three files.
+
+Each stage is a few whole-array numpy passes, so what it costs is mostly its
+sorts.  The parse reads blocks of ``_BLOCK_CHARS`` characters and numbers
+each block's id fields from their bytes with one sort per 8-byte word; an id
+is decoded and checked only the first time the file names it.  The merge
+interleaves its two inputs' cells, each already one sorted run, without a
+sort.  The writer lays out lines at a fixed width, ``_PIECE_BYTES`` at a
+time, and streams them to the file through one running sha256.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -41,7 +50,7 @@ import numpy as np
 from .errors import EdgeListParseError, YearMismatchError
 from .matrix import (
     MAX_COUNT, REGISTRY_HEADER, CitationMatrix, Journal, JournalId, SourceIndex, _binary_path,
-    _canonical, _Registry, _row_ids, _sha256, _sidecar_path, _valid_ids, _validate_id,
+    _canonical, _Registry, _sha256, _sidecar_path, _valid_ids, _validate_id,
 )
 
 EDGE_HEADER = "citing,cited,count"
@@ -51,7 +60,11 @@ EDGE_HEADER = "citing,cited,count"
 MERGE_POLICY = "sum"
 
 BOM = "\ufeff"
-_BLOCK_CHARS = 1 << 20
+_BLOCK_CHARS = 1 << 19
+# The most bytes of fixed-width CSV lines the writer lays out at once, and
+# the byte it pads them with, which valid UTF-8 never holds.
+_PIECE_BYTES = 1 << 20
+_PAD = 0xFF
 
 
 def _parse_count(field: str, line_no: int) -> int:
@@ -99,10 +112,13 @@ def _intern(token: str, line_no: int, seen: dict[JournalId, int]) -> int:
     return seen[token]
 
 
-def _parse_block(text: str, first_line: int, seen: dict[JournalId, int]):
+def _parse_block(
+    text: str, first_line: int, seen: dict[JournalId, int], known: dict[bytes, int]
+):
     """Rows of one block as ``(citing, cited, count, line number)`` arrays.
 
-    Ids are numbered in *seen*, each validated when first met.  Blocks of
+    Ids are numbered in *seen*, each validated when first met (*known* is
+    :func:`_bulk_rows`'s map of id bytes to numbers).  Blocks of
     canonical rows are split in bulk; any other block, or one with a count
     above ``MAX_COUNT``, goes line by line, which raises the exact error.
     """
@@ -115,18 +131,22 @@ def _parse_block(text: str, first_line: int, seen: dict[JournalId, int]):
     if not text.endswith("\n"):
         text += "\n"
     data_line = first_line + text.count("\n", 0, start)
-    bulk = _bulk_rows(text, start, data_line, seen)
+    bulk = _bulk_rows(text, start, data_line, seen, known)
     return bulk if bulk is not None else _parse_lines(text, start, data_line, seen)
 
 
-def _bulk_rows(text: str, start: int, data_line: int, seen: dict[JournalId, int]):
-    """The rows of ``text[start:]`` split in bulk, or None (leaving *seen* as
-    it was) unless each line is two ids :func:`_valid_ids` accepts and a
-    count of one to ten ASCII digits, at most ``MAX_COUNT``.  Checked on the
-    UTF-8 bytes, where no multibyte character holds a comma or newline byte.
+def _bulk_rows(
+    text: str, start: int, data_line: int, seen: dict[JournalId, int], known: dict[bytes, int]
+):
+    """The rows of ``text[start:]`` split in bulk, or None (leaving *seen*
+    and *known* as they were) unless each line is two ids :func:`_valid_ids`
+    accepts and a count of one to ten ASCII digits, at most ``MAX_COUNT``.
+    Checked on the UTF-8 bytes, where no multibyte character holds a comma or
+    newline byte.
 
-    Id fields are numbered from their bytes (:func:`_field_numbers`); only
-    one field per distinct id is decoded, checked and numbered in *seen*."""
+    Id fields are numbered from their bytes (:func:`_field_numbers`).  *known*
+    maps the bytes of each id an earlier block numbered to its number in
+    *seen*; only an id not met before is decoded, checked and numbered."""
     raw = text[start:].encode("utf-8", "surrogatepass") + bytes(8)
     data = np.frombuffer(raw, dtype=np.uint8)[:-8]
     ends = np.flatnonzero(data == ord("\n"))
@@ -156,12 +176,14 @@ def _bulk_rows(text: str, start: int, data_line: int, seen: dict[JournalId, int]
     # Fields with one number hold the same bytes: any of them stands for it.
     sample = np.empty(numbers.max(initial=-1) + 1, dtype=np.int64)
     sample[numbers] = np.arange(len(numbers))
-    tokens = [raw[a:b].decode("utf-8", "surrogatepass")
-              for a, b in zip(firsts[sample].tolist(), commas[sample].tolist())]
+    fields = [raw[a:b] for a, b in zip(firsts[sample].tolist(), commas[sample].tolist())]
+    unmet = [field for field in fields if field not in known]
+    tokens = [field.decode("utf-8", "surrogatepass") for field in unmet]
     if not _valid_ids(tokens):
         return None
-    ids = np.array([seen.setdefault(token, len(seen)) for token in tokens], dtype=np.int64)
-    ids = ids[numbers]
+    for field, token in zip(unmet, tokens):
+        known[field] = seen.setdefault(token, len(seen))
+    ids = np.array([known[field] for field in fields], dtype=np.int64)[numbers]
     line_nos = np.arange(data_line, data_line + len(counts), dtype=np.int64)
     return ids[0::2], ids[1::2], counts, line_nos
 
@@ -170,24 +192,29 @@ def _bulk_rows(text: str, start: int, data_line: int, seen: dict[JournalId, int]
 _WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _field_numbers(raw: bytes, firsts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Numbers 0, 1, ... of the fields ``raw[firsts[j]:ends[j]]``,
-    equal exactly when the fields' bytes are.  *raw* ends in 8 bytes that no
-    field covers.
+def _field_numbers(raw: bytes, firsts: np.ndarray, commas: np.ndarray) -> np.ndarray:
+    """Numbers 0, 1, ... of the fields ``raw[firsts[j]:commas[j]]``, each
+    ended by the comma at ``commas[j]`` and holding none, equal exactly when
+    the fields' bytes are.  *raw* ends in 8 bytes that no field covers.
 
-    Fields are grouped by length, then regrouped by each 8-byte word in turn,
-    read little-endian and masked to the field's length: two fields share a
-    number only if their lengths and all their words are equal.
+    Each field is read with its comma as 8-byte words, little-endian and
+    masked to the bytes it covers, and numbered by its first word, then
+    renumbered by each further word in turn.  Two fields of different
+    lengths differ in a word: at the shorter one's comma.  So fields of at
+    most 7 bytes take one sort.
     """
-    lengths = ends - firsts
+    spans = commas + 1 - firsts
     words = np.ndarray((len(raw) - 7,), "<u8", raw, 0, (1,))  # words[p]: raw[p:p + 8]
-    numbers = lengths
-    for offset in range(0, int(lengths.max(initial=0)), 8):
+
+    def word_numbers(offset: int) -> np.ndarray:
         word = words[np.minimum(firsts + offset, len(words) - 1)]
-        word &= _WORD_MASKS[np.clip(lengths - offset, 0, 8)]
-        _, word_numbers = np.unique(word, return_inverse=True)
-        key = numbers * (word_numbers.max() + 1) + word_numbers
-        _, numbers = np.unique(key, return_inverse=True)
+        word &= _WORD_MASKS[np.clip(spans - offset, 0, 8)]
+        return np.unique(word, return_inverse=True)[1]
+
+    numbers = word_numbers(0)
+    for offset in range(8, int(spans.max(initial=0)), 8):
+        word = word_numbers(offset)
+        _, numbers = np.unique(numbers * (word.max() + 1) + word, return_inverse=True)
     return numbers
 
 
@@ -246,11 +273,15 @@ def parse_citation_csv(
         stream = io.StringIO(stream)
 
     seen: dict[JournalId, int] = {}
-    blocks = [_parse_block(text, line_no, seen) for line_no, text in _blocks(stream)]
-    if registry is None and not any(len(block[2]) for block in blocks):
+    known: dict[bytes, int] = {}
+    columns: list[list[np.ndarray]] = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
+    for line_no, text in _blocks(stream):
+        for column, part in zip(columns, _parse_block(text, line_no, seen, known)):
+            column.append(part)
+    if registry is None and not any(map(len, columns[2])):
         raise EdgeListParseError(0, "empty input: no edge rows")
-    parts = zip(*blocks) if blocks else [[np.zeros(0, dtype=np.int64)]] * 4
-    rows, cols, counts, line_nos = map(np.concatenate, parts)
+    # Each column is joined in turn, and its blocks' parts let go.
+    rows, cols, counts, line_nos = (np.concatenate(columns.pop(0)) for _ in range(4))
 
     # Ids in *seen* are validated: an id the registry lacks needs no checks.
     given = {journal.id: journal for journal in (registry or {}).values()}
@@ -300,62 +331,78 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
     records = [_merged_record(a._journals, b._journals, journal_id) for journal_id in ids]
     journals = _Registry(ids, [name for name, _ in records], [source for _, source in records])
     position = journals._index
-    rows, cols, counts = [], [], []
-    for m in (a, b):
-        renumber = np.array([position[j] for j in m._ids], dtype=np.int64)
-        rows.append(renumber[_row_ids(m._indptr)])
-        cols.append(renumber[m._indices])
-        counts.append(m._data.astype(np.int64))
-    csr = _canonical(
-        len(ids), np.concatenate(rows), np.concatenate(cols), np.concatenate(counts)
+    key, data = _merged_runs(
+        _cell_keys(a, position), a._data, _cell_keys(b, position), b._data
     )
-    indptr, indices, data = csr
     if data.max(initial=0) > MAX_COUNT:
         k = int(np.argmax(data))
-        citing = ids[int(np.searchsorted(indptr, k, side="right")) - 1]
+        citing, cited = divmod(int(key[k]), len(ids))
         raise ValueError(
-            f"merged cell ({citing}, {ids[indices[k]]}): count "
+            f"merged cell ({ids[citing]}, {ids[cited]}): count "
             f"{data[k]} exceeds {MAX_COUNT}"
         )
-    return CitationMatrix._from_csr(a.year, journals, csr)
+    indptr = np.searchsorted(key, np.arange(len(ids) + 1) * len(ids))
+    return CitationMatrix._from_csr(a.year, journals, (indptr, key % len(ids), data))
 
 
-def _csv_bytes(m: CitationMatrix) -> bytes:
-    """Deterministic edge-list CSV as UTF-8 bytes (sorted cells, LF endings),
-    built in numpy: each id is encoded once and gathered into every line naming
-    it, and each count is written one decimal digit per pass, from the right."""
-    header = np.frombuffer((EDGE_HEADER + "\n").encode(), dtype=np.uint8)
-    names = [journal_id.encode("utf-8") for journal_id in m._ids]
-    pool = np.frombuffer(b"".join(names), dtype=np.uint8)
-    length = np.fromiter(map(len, names), np.int64, len(names))
-    offset = np.cumsum(length) - length
-    rows, left = _row_ids(m._indptr), m._data
-    citing, cited = length[rows], length[m._indices]
-    # Two ids, a count of 1 to 10 digits, two commas and a newline.
-    line = np.searchsorted(10 ** np.arange(1, 10), left, side="right") + 4 + citing + cited
-    ends = np.cumsum(line) + (len(header) - 1)  # the newline of each line
-    out = np.empty(len(header) + line.sum(), dtype=np.uint8)
-    out[: len(header)] = header
-    starts = ends + 1 - line
-    _gather(out, starts, pool, offset[rows], citing)
-    _gather(out, starts + citing + 1, pool, offset[m._indices], cited)
-    out[starts + citing] = out[starts + citing + 1 + cited] = ord(",")
-    out[ends] = ord("\n")
-    place = ends - 1
-    while len(left):
-        out[place] = ord("0") + left % 10
-        left = left // 10
-        place, left = place[left > 0] - 1, left[left > 0]
-    return out.tobytes()
+def _cell_keys(m: CitationMatrix, position: Mapping[JournalId, int]) -> np.ndarray:
+    """``row * n + col`` of each cell of *m* once its journals are renumbered
+    by *position* into n of them: sorted, since the renumbering keeps order."""
+    renumber = np.array([position[j] for j in m._ids], dtype=np.int64)
+    return np.repeat(renumber * len(position), np.diff(m._indptr)) + renumber[m._indices]
 
 
-def _gather(out: np.ndarray, starts, pool: np.ndarray, first, length) -> None:
-    """Copy ``pool[first[k]:first[k] + length[k]]`` into *out* at ``starts[k]``."""
-    source = np.repeat(first - np.cumsum(length) + length, length)
-    source += np.arange(len(source))
-    target = np.repeat(starts - first, length)
-    target += source
-    out[target] = pool[source]
+def _merged_runs(key_a, data_a, key_b, data_b) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of two sorted runs of distinct keys, with the values
+    of a key in both summed as int64."""
+    place = np.searchsorted(key_a, key_b)  # where each key of b goes in a
+    shared = place < len(key_a)
+    shared[shared] = key_a[place[shared]] == key_b[shared]
+    data = data_a.astype(np.int64)
+    data[place[shared]] += data_b[shared]
+    fresh = ~shared
+    return (np.insert(key_a, place[fresh], key_b[fresh]),
+            np.insert(data, place[fresh], data_b[fresh]))
+
+
+def _csv_bytes(m: CitationMatrix) -> Iterator[bytes]:
+    """The deterministic edge-list CSV (sorted cells, LF endings) as pieces
+    of UTF-8 bytes, each laid out in numpy over a range of cells.
+
+    Every line is first laid out at one fixed width: the citing id and its
+    comma, then the cited id and its comma, each copied from a table holding
+    one padded entry per journal, then the count's digits, written from the
+    right, and the newline.  Padding is the byte 0xFF, which valid UTF-8
+    never holds (ids hold no lone surrogate, so they encode as valid UTF-8):
+    deleting every 0xFF leaves the lines.  A piece lays out at most
+    ``_PIECE_BYTES`` (or one line), so its memory does not grow with the
+    matrix.
+    """
+    yield (EDGE_HEADER + "\n").encode()
+    if not len(m._data):
+        return
+    names = [journal_id.encode("utf-8") + b"," for journal_id in m._ids]
+    width = max(map(len, names))
+    table = np.array(names, dtype=f"S{width}").view(np.uint8).reshape(len(names), width)
+    table[np.arange(width) >= np.fromiter(map(len, names), np.int64, len(names))[:, None]] = _PAD
+    table = table.view(f"V{width}").ravel()
+    digits = len(str(m._data.max()))
+    line = np.dtype([("citing", table.dtype), ("cited", table.dtype),
+                     ("count", np.uint8, (digits,)), ("newline", np.uint8)])
+    step = max(1, _PIECE_BYTES // line.itemsize)
+    cells = len(m._data)
+    for first in range(0, cells, step):
+        last = min(first + step, cells)
+        piece = np.empty(last - first, dtype=line)
+        piece["citing"] = np.repeat(table, np.diff(np.clip(m._indptr, first, last)))
+        piece["cited"] = table[m._indices[first:last]]
+        left, count = m._data[first:last], piece["count"]
+        for column in range(digits - 1, -1, -1):
+            quotient = left // 10
+            count[:, column] = np.where(left > 0, left - 10 * quotient + ord("0"), _PAD)
+            left = quotient
+        piece["newline"] = ord("\n")
+        yield piece.tobytes().translate(None, bytes([_PAD]))
 
 
 def _sidecar_bytes(m: CitationMatrix, csv_sha256: str) -> bytes:
@@ -375,15 +422,21 @@ def _sidecar_bytes(m: CitationMatrix, csv_sha256: str) -> bytes:
     return (text + "\n").encode()
 
 
-def _replace(path: Path, data: bytes) -> None:
-    """Write *data* beside *path* under a temporary name, then move it there."""
+def _replace(path: Path, pieces: Iterable[bytes]) -> str:
+    """Write *pieces* beside *path* under a temporary name, then move it
+    there.  Returns the sha256 of the bytes written."""
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest = hashlib.sha256()
     try:
-        temporary.write_bytes(data)
+        with temporary.open("wb") as stream:
+            for piece in pieces:
+                digest.update(piece)
+                stream.write(piece)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
 def write_matrix(m: CitationMatrix, path: str | Path) -> None:
@@ -394,15 +447,13 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
     records the sha256 of the CSV and sidecar bytes written with it.
     """
     path = Path(path)
-    data = _csv_bytes(m)
-    digest = _sha256(data)
+    digest = _replace(path, _csv_bytes(m))
     sidecar = _sidecar_bytes(m, digest)
     binary = io.BytesIO()
     np.savez(binary, indptr=m._indptr, indices=m._indices, data=m._data,
              csv_sha256=np.array(digest), sidecar_sha256=np.array(_sha256(sidecar)))
-    _replace(path, data)
-    _replace(_binary_path(path), binary.getvalue())
-    _replace(_sidecar_path(path), sidecar)
+    _replace(_binary_path(path), [binary.getbuffer()])
+    _replace(_sidecar_path(path), [sidecar])
 
 
 def _records(reader) -> Iterator[tuple[int, list[str]]]:

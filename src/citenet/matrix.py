@@ -333,7 +333,7 @@ class CitationMatrix:
         lookup[positions] = np.arange(len(positions))
         return lookup
 
-    def _positions(self, journal_ids: Iterable[JournalId]) -> np.ndarray:
+    def _positions(self, journal_ids: Sequence[JournalId]) -> np.ndarray:
         unknown = [journal_id for journal_id in journal_ids if journal_id not in self._index]
         if unknown:
             raise UnknownJournalError(f"not in matrix: {unknown}")

@@ -331,13 +331,19 @@ def reference_sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     return {node: raw[i] * scale for i, node in enumerate(nodes)}, closeness
 
 
+def reference_csv_bytes(m: CitationMatrix) -> bytes:
+    """The edge-list CSV :func:`citenet.write_matrix` writes, one line per
+    cell, formatted in Python over the cells in id order."""
+    lines = [EDGE_HEADER + "\n"]
+    lines.extend(f"{a},{b},{c}\n" for (a, b), c in m.cells.items())
+    return "".join(lines).encode("utf-8")
+
+
 def reference_write_matrix(m: CitationMatrix, path: Path) -> None:
     """Write the files :func:`citenet.write_matrix` writes, one cell and one
     journal at a time: the CSV at *path*, its ``.csr.npz`` cache and its
     ``.meta.json`` sidecar."""
-    lines = [EDGE_HEADER]
-    lines.extend("{},{},{}".format(a, b, c) for (a, b), c in m.cells.items())
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    data = reference_csv_bytes(m)
     meta = {
         "format": "citation-matrix",
         "year": m.year,

@@ -158,6 +158,15 @@ class TestGraph:
         with pytest.raises(UnknownJournalError):
             Graph.from_citation_matrix(m, nodes=["A", "nope"])
 
+    def test_from_citation_matrix_reads_an_iterator_once(self):
+        m = parse_citation_csv("A,B,5\nB,C,2\nC,A,1", 2005)
+        listed = Graph.from_citation_matrix(m, ["C", "A", "B"])
+        read = Graph.from_citation_matrix(m, iter(["C", "A", "B"]))
+        assert read.nodes == listed.nodes == ("C", "A", "B")
+        assert read.edges == listed.edges and len(read.edges) == 3
+        with pytest.raises(UnknownJournalError):
+            Graph.from_citation_matrix(m, iter(["A", "nope"]))
+
     @settings(max_examples=150, deadline=None)
     @given(
         cells=st.dictionaries(

@@ -425,7 +425,7 @@ class TestTotalsAndProfiles:
 class TestPersistence:
     def test_serialize_parse_round_trip(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
-        again = parse_citation_csv(_csv_bytes(m).decode("utf-8"), m.year)
+        again = parse_citation_csv(b"".join(_csv_bytes(m)).decode("utf-8"), m.year)
         assert again == m
 
     def test_write_read_round_trip_keeps_isolated_journals(self, tmp_path):
@@ -563,8 +563,8 @@ class TestPersistence:
 
     def test_serialization_is_deterministic(self):
         m = parse_citation_csv("B,A,2\nA,A,7\nA,B,5", 2005)
-        assert _csv_bytes(m) == _csv_bytes(m)
-        assert _csv_bytes(m) == b"citing,cited,count\nA,A,7\nA,B,5\nB,A,2\n"
+        assert b"".join(_csv_bytes(m)) == b"".join(_csv_bytes(m))
+        assert b"".join(_csv_bytes(m)) == b"citing,cited,count\nA,A,7\nA,B,5\nB,A,2\n"
 
 
 WHITESPACE = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())

@@ -1,4 +1,4 @@
-"""Only ``matrix.py``, the three writers of ``ingest.py`` that merge, write or
+"""Only ``matrix.py``, the four functions of ``ingest.py`` that merge, write or
 cache those arrays, and ``Graph.from_citation_matrix`` read a matrix's CSR.
 
 The CSR layout, the int32 counts and the self-citation rule belong to
@@ -18,6 +18,7 @@ PRIVATE = {"_indptr", "_indices", "_data", "_lookup", "_positions"}
 ALLOWED = {
     ("centrality.py", "from_citation_matrix"),
     ("ingest.py", "merge_indices"),
+    ("ingest.py", "_cell_keys"),
     ("ingest.py", "_csv_bytes"),
     ("ingest.py", "write_matrix"),
 }

@@ -32,8 +32,9 @@ from citenet import (
     write_matrix,
 )
 from citenet.centrality import _symmetric_adjacency
-from citenet.ingest import _bulk_rows, _field_numbers, _parse_block
-from oracles import bulk_rows_accepted, reference_write_matrix
+from citenet.ingest import _bulk_rows, _csv_bytes, _field_numbers, _parse_block
+from citenet.matrix import _valid_ids
+from oracles import bulk_rows_accepted, reference_csv_bytes, reference_write_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
 SUFFIXES = ("", ".meta.json", ".csr.npz")
@@ -103,6 +104,60 @@ def test_write_matrix_equals_the_scalar_writer(m):
     assert _written(m, write_matrix) == reference
 
 
+# Ids of 1 to 40 UTF-8 bytes: ASCII, NUL, DEL and characters of two to four
+# bytes, so that ids fill, cross and share the writer's padded table rows.
+CSV_ID_PARTS = ["A", "z9", "\x00", "\x7f", "é", "日", "\U0001d50d", "ABCDEFGH"]
+csv_ids = (
+    st.lists(st.sampled_from(CSV_ID_PARTS), min_size=1, max_size=12)
+    .map("".join)
+    .filter(lambda token: len(token.encode()) <= 40)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(csv_ids, min_size=1, max_size=6, unique=True),
+    counts=st.lists(st.one_of(st.sampled_from([1, MAX_COUNT]), st.integers(1, MAX_COUNT))),
+    budget=st.integers(1, 400),
+    data=st.data(),
+)
+def test_csv_pieces_equal_the_scalar_writer(ids, counts, budget, data):
+    # A small piece budget splits pieces inside a matrix row and at its end;
+    # a budget below one line gives one line per piece.
+    keys = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              min_size=len(counts), max_size=len(counts), unique=True))
+    m = CitationMatrix(2005, [Journal(j, j) for j in ids], dict(zip(keys, counts)))
+    with mock.patch("citenet.ingest._PIECE_BYTES", budget):
+        pieces = list(_csv_bytes(m))
+    assert b"".join(pieces) == reference_csv_bytes(m)
+    assert all(piece.endswith(b"\n") for piece in pieces)
+    widest = max(len(j.encode()) for j in ids) * 2 + len(str(max(counts, default=1))) + 3
+    assert len(pieces) == 1 + -(-len(counts) // max(1, budget // widest))
+
+
+def test_csv_pieces_of_a_matrix_without_cells():
+    m = CitationMatrix(2005, [Journal("日本", "x"), Journal("\x00", "y")], {})
+    assert list(_csv_bytes(m)) == [b"citing,cited,count\n"] == [reference_csv_bytes(m)]
+
+
+def test_one_long_id_bounds_each_piece_not_the_matrix():
+    # One 1 KB id widens every line of the fixed-width layout to ~2 KB: the
+    # layout of this 5,000-cell matrix would take ~10 MB at once.
+    rng = np.random.default_rng(1024)
+    ids = ["L" * 1024, *(f"S{k}" for k in range(200))]
+    keys = rng.choice(len(ids) ** 2, size=5000, replace=False).tolist()
+    cells = {(ids[k // len(ids)], ids[k % len(ids)]): 1 + k % 997 for k in keys}
+    m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+    budget = 1 << 16
+    with mock.patch("citenet.ingest._PIECE_BYTES", budget):
+        list(_csv_bytes(m))  # warm
+        peak = _peak(lambda: [len(piece) for piece in _csv_bytes(m)])
+        assert b"".join(_csv_bytes(m)) == reference_csv_bytes(m)
+    # The id table and its padding mask, then a few copies of one piece.
+    table = len(ids) * 1025
+    assert peak < 3 * table + 6 * budget, f"{peak} bytes"
+
+
 def test_lone_surrogate_id_is_rejected_by_the_parse():
     # The bulk path passes the surrogate through to the id check, and the
     # line path then names the line.
@@ -152,6 +207,44 @@ def test_write_memory_stays_near_the_scalar_writer(tmp_path):
     reference = _peak(lambda: reference_write_matrix(m, tmp_path / "slow.csv"))
     fast = _peak(lambda: write_matrix(m, tmp_path / "fast.csv"))
     assert fast <= 1.15 * reference, f"{fast / 1e6:.1f} MB against {reference / 1e6:.1f} MB"
+
+
+@pytest.fixture(scope="module")
+def seeded_100k(tmp_path_factory):
+    """A seeded matrix of ~100k cells over 3,000 journals and its persisted
+    path: a 1.6 MB CSV and a 0.8 MB CSR."""
+    rng = np.random.default_rng(100)
+    n = 3000
+    ids = [f"J{k:04d}" for k in range(n)]
+    keys = np.unique(rng.integers(0, n * n, 100_000)).tolist()
+    counts = rng.integers(1, 1000, len(keys)).tolist()
+    cells = {(ids[k // n], ids[k % n]): c for k, c in zip(keys, counts)}
+    m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+    path = tmp_path_factory.mktemp("seeded") / "m.csv"
+    write_matrix(m, path)  # also warms any lazy imports
+    return m, path
+
+
+# Bounds on the traced peak of one write and one parse of the seeded matrix
+# (measured: 3.4 and 10.5 MiB).  A writer that lays out the whole CSV at once
+# (16.1 MiB) fails the first, and a parse of 1 M-character blocks that holds
+# every block to the end (16.8 MiB) the second.
+def test_write_peak_stays_within_its_bound(seeded_100k):
+    m, path = seeded_100k
+    peak = _peak(lambda: write_matrix(m, path))
+    assert peak <= 6 * 2**20, f"write peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_parse_peak_stays_within_its_bound(seeded_100k):
+    m, path = seeded_100k
+
+    def parse():
+        with path.open(encoding="utf-8") as stream:
+            return parse_citation_csv(stream, 2005)
+
+    assert parse() == m
+    peak = _peak(parse)
+    assert peak <= 13 * 2**20, f"parse peaked at {peak / 2**20:.1f} MiB"
 
 
 # Ids and counts near the bulk path's acceptance rule: whitespace the
@@ -210,7 +303,7 @@ def _outcome(text: str, first_line: int):
     """The block's rows by id, or the line and message of its parse error."""
     seen: dict[str, int] = {}
     try:
-        rows, cols, counts, line_nos = _parse_block(text, first_line, seen)
+        rows, cols, counts, line_nos = _parse_block(text, first_line, seen, {})
     except EdgeListParseError as exc:
         return exc.line_no, str(exc)
     assert rows.dtype == cols.dtype == counts.dtype == line_nos.dtype == np.int64
@@ -228,12 +321,13 @@ def _outcome(text: str, first_line: int):
 @example("ABCDEFG,ABCDEFGH,1\nABCDEFGHI,ABCDEFGHIJKLMNOP,2\nABCDEFGHIJKLMNOPQ,A,3\n"
          "ABCDEFG\x00,ABCDEFGH\x00,4\nABCDEFGHIJKLMNOP\x00,ABCDEFGHI,5\n", 1)
 @example("日本誌,日本誌\x00,1\n日本,日本誌,2\n", 1)  # multibyte across a word
+@example("A,AB,1\nAB,A\x00,2\nABC,A,3\n", 1)  # ids that are prefixes of each other
 def test_bulk_path_agrees_with_the_line_path_and_the_old_rule(text, first_line):
     bulk = _outcome(text, first_line)
     with mock.patch("citenet.ingest._bulk_rows", return_value=None):
         assert _outcome(text, first_line) == bulk
     body = text if text.endswith("\n") else text + "\n"
-    taken = _bulk_rows(body, 0, first_line, {}) is not None
+    taken = _bulk_rows(body, 0, first_line, {}, {}) is not None
     assert taken == bulk_rows_accepted(body, 0)
 
 
@@ -276,21 +370,35 @@ def test_bulk_numbering_of_many_ids_across_small_blocks(monkeypatch):
     # One invalid id among valid ones: the block is refused and ids met in
     # it are not numbered.
     seen = {ids[0]: 0, ids[1]: 1}
+    known = {ids[0].encode(): 0}
     for flaw in ['"', "\u00a0", "\\"]:
         lines = text.splitlines(keepends=True)[:200]
         lines.insert(100, f"{ids[7]},{ids[8]}{flaw}A,3\n")
-        assert _bulk_rows("".join(lines), 0, 1, seen) is None
-        assert seen == {ids[0]: 0, ids[1]: 1}
+        assert _bulk_rows("".join(lines), 0, 1, seen, known) is None
+        assert seen == {ids[0]: 0, ids[1]: 1} and known == {ids[0].encode(): 0}
         with pytest.raises(EdgeListParseError) as raised:
             parse_citation_csv("".join(lines), 2005)
         assert raised.value.line_no == 101
 
 
-def test_field_numbers_are_equal_exactly_when_the_bytes_are():
+# Ids that are prefixes of each other, that differ only by a trailing NUL,
+# inside a word and past its end, and ids of 7, 8, 9, 16 and 17 bytes sharing
+# their first 8 (one differing only in its second word); then 2,000 seeded ids.
+FIELD_IDS = [
+    ["A", "AB", "ABC", "B", "BA", "BAB"],
+    ["A", "A\x00", "A\x00\x00", "\x00", "\x00\x00", "ABCDEFG", "ABCDEFG\x00",
+     "ABCDEFGH\x00"],
+    ["ABCDEFG", "ABCDEFGH", "ABCDEFGHI", "ABCDEFGHIJKLMNOP", "ABCDEFGHIJKLMNOPQ",
+     "ABCDEFGHIJKLMNOX"],
+    _seeded_ids(np.random.default_rng(2006), 2000),
+]
+
+
+@pytest.mark.parametrize("ids", FIELD_IDS, ids=["prefixes", "nuls", "words", "seeded"])
+def test_field_numbers_are_equal_exactly_when_the_bytes_are(ids):
     # One number per distinct id, not per field: each is decoded once.
-    rng = np.random.default_rng(2006)
-    ids = [token.encode("utf-8") for token in _seeded_ids(rng, 2000)]
-    fields = [ids[k] for k in rng.integers(0, len(ids), 20_000)]
+    rng = np.random.default_rng(len(ids))
+    fields = [ids[k].encode("utf-8") for k in rng.integers(0, len(ids), 20_000)]
     raw = b"".join(field + b"," for field in fields) + bytes(8)
     lengths = np.array([len(field) for field in fields])
     ends = np.cumsum(lengths + 1) - 1
@@ -298,6 +406,25 @@ def test_field_numbers_are_equal_exactly_when_the_bytes_are():
     distinct = set(fields)
     assert len(set(numbers)) == len(distinct) == max(numbers) + 1
     assert len(set(zip(numbers, fields))) == len(distinct)
+
+
+def test_each_distinct_id_is_decoded_once_per_file(monkeypatch):
+    rng = np.random.default_rng(2007)
+    ids = _seeded_ids(rng, 3000)
+    citing, cited = rng.integers(0, len(ids), (2, 30_000)).tolist()
+    text = "".join(f"{ids[a]},{ids[b]},1\n" for a, b in zip(citing, cited))
+    monkeypatch.setattr("citenet.ingest._BLOCK_CHARS", 4096)
+    checked = []
+
+    def counting(tokens):
+        checked.extend(tokens)
+        return _valid_ids(tokens)
+
+    monkeypatch.setattr("citenet.ingest._valid_ids", counting)
+    with mock.patch("citenet.ingest._parse_lines", side_effect=AssertionError):
+        m = parse_citation_csv(text, 2005)
+    assert len(text) > 100 * 4096
+    assert sorted(checked) == sorted(m.journals) == sorted({ids[k] for k in citing + cited})
 
 
 def test_shuffled_rows_give_an_identical_csr():
