@@ -41,7 +41,8 @@ import hashlib
 import io
 import json
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -115,7 +116,8 @@ def _intern(token: str, line_no: int, seen: dict[JournalId, int]) -> int:
 def _parse_block(
     text: str, first_line: int, seen: dict[JournalId, int], known: dict[bytes, int]
 ):
-    """Rows of one block as ``(citing, cited, count, line number)`` arrays.
+    """Rows of one block as ``(citing, cited, count, line number)`` arrays,
+    int32 but for the int64 line numbers.
 
     Ids are numbered in *seen*, each validated when first met (*known* is
     :func:`_bulk_rows`'s map of id bytes to numbers).  Blocks of
@@ -167,6 +169,7 @@ def _bulk_rows(
         counts[lines] += digits * np.int64(10) ** place
     if counts.max(initial=0) > MAX_COUNT:
         return None
+    counts = counts.astype(np.int32)
     # Field 2k is line k's citing id, field 2k + 1 its cited id; field j
     # ends at commas[j] and starts after the newline or comma before it.
     firsts = np.zeros(len(commas), dtype=np.int64)
@@ -183,7 +186,7 @@ def _bulk_rows(
         return None
     for field, token in zip(unmet, tokens):
         known[field] = seen.setdefault(token, len(seen))
-    ids = np.array([known[field] for field in fields], dtype=np.int64)[numbers]
+    ids = np.array([known[field] for field in fields], dtype=np.int32)[numbers]
     line_nos = np.arange(data_line, data_line + len(counts), dtype=np.int64)
     return ids[0::2], ids[1::2], counts, line_nos
 
@@ -234,7 +237,8 @@ def _parse_lines(text: str, start: int, data_line: int, seen: dict[JournalId, in
         cols.append(_intern(cited_field, line_no, seen))
         counts.append(_parse_count(count_field, line_no))
         line_nos.append(line_no)
-    return tuple(np.array(column, dtype=np.int64) for column in (rows, cols, counts, line_nos))
+    return (*(np.array(column, dtype=np.int32) for column in (rows, cols, counts)),
+            np.array(line_nos, dtype=np.int64))
 
 
 def _first_overflow(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> int:
@@ -274,7 +278,8 @@ def parse_citation_csv(
 
     seen: dict[JournalId, int] = {}
     known: dict[bytes, int] = {}
-    columns: list[list[np.ndarray]] = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
+    columns: list[list[np.ndarray]] = [
+        [np.zeros(0, dtype=dtype)] for dtype in (np.int32, np.int32, np.int32, np.int64)]
     for line_no, text in _blocks(stream):
         for column, part in zip(columns, _parse_block(text, line_no, seen, known)):
             column.append(part)
@@ -291,7 +296,7 @@ def parse_citation_csv(
         [given[j].display_name if j in given else j for j in ids],
         [given[j].source_index if j in given else source for j in ids],
     )
-    renumber = np.array([journals._index[journal_id] for journal_id in seen], dtype=np.int64)
+    renumber = np.array([journals._index[journal_id] for journal_id in seen], dtype=np.int32)
     rows, cols = renumber[rows], renumber[cols]
 
     csr = _canonical(len(journals), rows, cols, counts)
@@ -422,21 +427,18 @@ def _sidecar_bytes(m: CitationMatrix, csv_sha256: str) -> bytes:
     return (text + "\n").encode()
 
 
-def _replace(path: Path, pieces: Iterable[bytes]) -> str:
-    """Write *pieces* beside *path* under a temporary name, then move it
-    there.  Returns the sha256 of the bytes written."""
+@contextmanager
+def _replacing(path: Path) -> Iterator[IO[bytes]]:
+    """A file to write beside *path* under a temporary name, moved there
+    once the block ends, and removed if it raises."""
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    digest = hashlib.sha256()
     try:
         with temporary.open("wb") as stream:
-            for piece in pieces:
-                digest.update(piece)
-                stream.write(piece)
+            yield stream
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
-    return digest.hexdigest()
 
 
 def write_matrix(m: CitationMatrix, path: str | Path) -> None:
@@ -447,13 +449,18 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
     records the sha256 of the CSV and sidecar bytes written with it.
     """
     path = Path(path)
-    digest = _replace(path, _csv_bytes(m))
-    sidecar = _sidecar_bytes(m, digest)
-    binary = io.BytesIO()
-    np.savez(binary, indptr=m._indptr, indices=m._indices, data=m._data,
-             csv_sha256=np.array(digest), sidecar_sha256=np.array(_sha256(sidecar)))
-    _replace(_binary_path(path), [binary.getbuffer()])
-    _replace(_sidecar_path(path), [sidecar])
+    digest = hashlib.sha256()
+    with _replacing(path) as stream:
+        for piece in _csv_bytes(m):
+            digest.update(piece)
+            stream.write(piece)
+    csv_sha256 = digest.hexdigest()
+    sidecar = _sidecar_bytes(m, csv_sha256)
+    with _replacing(_binary_path(path)) as stream:
+        np.savez(stream, indptr=m._indptr, indices=m._indices, data=m._data,
+                 csv_sha256=np.array(csv_sha256), sidecar_sha256=np.array(_sha256(sidecar)))
+    with _replacing(_sidecar_path(path)) as stream:
+        stream.write(sidecar)
 
 
 def _records(reader) -> Iterator[tuple[int, list[str]]]:

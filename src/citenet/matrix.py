@@ -149,7 +149,8 @@ def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
     """``(indptr, indices, data)`` of the n-by-n CSR holding the given cells.
 
     Duplicate cells are summed, zero sums dropped and each row's indices
-    sorted.  *values* keeps its dtype.  The sort is not stable, so
+    sorted.  Float *values* keep their dtype; integer ones are summed in
+    int64, so a sum of int32 counts cannot wrap.  The sort is not stable, so
     duplicates are summed in no fixed order.  Every caller's sums are
     exact in any order: integer sums are, ``Graph`` cells are distinct, and
     ``_symmetric_adjacency`` sums at most two floats per cell, which commute.
@@ -160,7 +161,8 @@ def _canonical(n: int, rows, cols, values: np.ndarray) -> CSR:
     key, values = key[order], values[order]
     if len(key):
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        key, values = key[first], np.add.reduceat(values, first)
+        total = np.promote_types(values.dtype, np.int64)
+        key, values = key[first], np.add.reduceat(values, first, dtype=total)
         nonzero = values != 0
         key, values = key[nonzero], values[nonzero]
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -442,17 +444,35 @@ def _sidecar_object(pairs: list[tuple[str, object]]) -> tuple | dict:
     :data:`REGISTRY_HEADER` in that order, as ``write_matrix`` writes each
     journal (a third of a dict's memory), else a dict, in which a repeated
     key keeps its last value.  JSON arrays decode to lists, so every tuple in
-    a decoded sidecar is such an entry."""
+    a decoded sidecar is such an entry.
+
+    An entry's values pass through :func:`_entry`.  That happens here, as
+    the decoder reads each entry, because the strings it drops are then freed
+    before the next entry is decoded, which reuses their memory; the same
+    sharing done once the whole document is decoded leaves them as holes
+    between the strings that stay, and a load peaks no lower."""
     keys, values = zip(*pairs) if pairs else ((), ())
-    return values if keys == REGISTRY_HEADER else dict(pairs)
+    return _entry(*values) if keys == REGISTRY_HEADER else dict(pairs)
+
+
+def _entry(journal_id: object, name: object, source: object) -> tuple:
+    """A journals entry's values, each field kept once: a display name equal
+    to its id is the id object, and a source naming a :class:`SourceIndex`
+    is that member.  Any other value is kept as decoded, for the checks."""
+    if type(name) is str and name == journal_id:
+        name = journal_id
+    if type(source) is str:
+        source = _SOURCES.get(source, source)
+    return journal_id, name, source
 
 
 def _entry_fields(entry: object) -> tuple:
-    """A journals entry's values under :data:`REGISTRY_HEADER`, None where absent."""
+    """A journals entry's values under :data:`REGISTRY_HEADER`, as
+    :func:`_entry` gives them, None where absent."""
     if isinstance(entry, tuple):
         return entry
     if isinstance(entry, dict):
-        return tuple(entry.get(key) for key in REGISTRY_HEADER)
+        return _entry(*(entry.get(key) for key in REGISTRY_HEADER))
     return (None, None, None)
 
 
@@ -478,14 +498,18 @@ def _read_sidecar(sidecar: Path, raw: bytes) -> tuple[int, _Registry, str]:
         # Some entry is malformed or repeats an id.  These checks reject
         # exactly what the bulk check rejects, so they raise on the first.
         seen = set()
-        for k, fields in enumerate(rows):
+        for k, (journal_id, name, source) in enumerate(rows):
             try:
-                if not all(isinstance(field, str) for field in fields):
+                if not (
+                    isinstance(journal_id, str)
+                    and isinstance(name, str)
+                    and isinstance(source, (str, SourceIndex))
+                ):
                     raise ValueError(f"needs string fields {', '.join(REGISTRY_HEADER)}")
-                if fields[0] in seen:
-                    raise ValueError(f"repeats the id {fields[0]!r}")
-                Journal(fields[0], fields[1], SourceIndex(fields[2]))
-                seen.add(fields[0])
+                if journal_id in seen:
+                    raise ValueError(f"repeats the id {journal_id!r}")
+                Journal(journal_id, name, SourceIndex(source))
+                seen.add(journal_id)
             except ValueError as exc:
                 raise SidecarError(
                     f"{sidecar}: malformed journals entry {k}: {exc}"
@@ -498,7 +522,8 @@ def _read_sidecar(sidecar: Path, raw: bytes) -> tuple[int, _Registry, str]:
 
 def _journals_in_bulk(rows: list[tuple]) -> _Registry | None:
     """The registry of sidecar entries' ``(id, display_name, source_index)``
-    *rows*, or None if any is malformed or two share an id.
+    *rows*, as :func:`_entry` gives them, or None if any is malformed or two
+    share an id.
 
     Makes the checks of :class:`Journal` once over all entries, so that a
     valid registry costs no per-journal validation.
@@ -506,13 +531,13 @@ def _journals_in_bulk(rows: list[tuple]) -> _Registry | None:
     ids, names, sources = zip(*rows) if rows else ((), (), ())
     # Decoded JSON strings are of type str exactly.
     if not (
-        set(map(type, ids + names + sources)) <= {str}
+        set(map(type, ids + names)) <= {str}
         and _valid_ids(ids)
         and all(names)
-        and set(sources) <= _SOURCES.keys()
+        and set(map(type, sources)) <= {SourceIndex}
     ):
         return None
-    registry = _Registry(ids, names, [_SOURCES[source] for source in sources])
+    registry = _Registry(ids, names, sources)
     return registry if len(registry._index) == len(ids) else None
 
 

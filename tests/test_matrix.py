@@ -33,6 +33,7 @@ from citenet import (
 from citenet.ingest import _csv_bytes
 from citenet.matrix import (
     REGISTRY_HEADER,
+    _entry,
     _journals_in_bulk,
     _read_sidecar,
     _Registry,
@@ -440,6 +441,20 @@ class TestPersistence:
         assert again == m
         assert again.journals["Z"].source_index is SourceIndex.BOTH
 
+    def test_a_load_keeps_one_string_per_journal_field(self, tmp_path):
+        # A display name equal to its id is the id object, as the sidecar
+        # decoder shares it, and every source is a SourceIndex member.  Ids
+        # are longer than one character, which CPython keeps one copy of.
+        registry = {"AA": Journal("AA", "Journal A", SourceIndex.SSCI)}
+        m = parse_citation_csv("AA,BB,5\nBB,AA,2\nCC,AA,1", 2005, registry=registry)
+        path = tmp_path / "m.csv"
+        write_matrix(m, path)
+        again = read_matrix(path)._journals
+        assert again._names == ("Journal A", "BB", "CC")
+        assert [name is journal_id for journal_id, name in zip(again._ids, again._names)] == [
+            False, True, True]
+        assert all(type(source) is SourceIndex for source in again._sources)
+
     def test_source_given_as_a_string_is_coerced(self, tmp_path):
         registry = {"Z": Journal("Z", "Zeta Review", "BOTH")}
         m = parse_citation_csv(THREE_CELLS, 2005, source="SSCI", registry=registry)
@@ -513,6 +528,15 @@ class TestPersistence:
         with pytest.raises(OSError):
             write_matrix(parse_citation_csv("A,B,1", 2005), path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_write_that_fails_midway_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("citenet.ingest.np.savez", fail)
+        with pytest.raises(OSError):
+            write_matrix(parse_citation_csv(THREE_CELLS, 2005), tmp_path / "m.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
     def test_stale_sidecar_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -639,7 +663,8 @@ def test_sidecar_fallback_only_names_what_the_bulk_check_rejects(rows):
     raw = json.dumps(meta).encode("utf-8")
     sidecar = Path("m.csv.meta.json")
     first = _first_rejected(rows)
-    if _journals_in_bulk(rows) is not None:
+    # The rows as the sidecar decoder hands them to the bulk check.
+    if _journals_in_bulk([_entry(*row) for row in rows]) is not None:
         assert first is None
         journals = [Journal(j, name, SourceIndex(source)) for j, name, source in rows]
         _, registry, _ = _read_sidecar(sidecar, raw)
@@ -660,6 +685,8 @@ class TestSidecarEntries:
             ({"id": "B", "display_name": "B"}, "needs string fields"),
             ({"id": 5, "display_name": "B", "source_index": "SCI"}, "needs string fields"),
             ({"id": "B", "display_name": "B", "source_index": "XXX"}, "'XXX' is not a valid"),
+            ({"id": "B", "display_name": "B", "source_index": "sci"}, "'sci' is not a valid"),
+            ({"id": "B", "display_name": "B", "source_index": 5}, "needs string fields"),
             ({"id": "", "display_name": "B", "source_index": "SCI"}, "must be nonempty"),
             ({"id": "B\u00a0C", "display_name": "B", "source_index": "SCI"}, "whitespace"),
             ({"id": "B\u2028", "display_name": "B", "source_index": "SCI"}, "whitespace"),
@@ -670,7 +697,9 @@ class TestSidecarEntries:
             ({"id": "B", "display_name": 5, "source_index": "SCI"}, "needs string fields"),
         ],
     )
-    @pytest.mark.parametrize("later", [[], ["also bad"]])
+    @pytest.mark.parametrize(
+        "later", [[], ["also bad"], [{"id": "Y", "display_name": "Y", "source_index": "SSCI"}]]
+    )
     def test_first_malformed_entry_is_named(self, tmp_path, entry, message, later):
         path = tmp_path / "m.csv"
         write_matrix(parse_citation_csv("A,A,1", 2005), path)

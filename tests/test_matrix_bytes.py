@@ -306,7 +306,7 @@ def _outcome(text: str, first_line: int):
         rows, cols, counts, line_nos = _parse_block(text, first_line, seen, {})
     except EdgeListParseError as exc:
         return exc.line_no, str(exc)
-    assert rows.dtype == cols.dtype == counts.dtype == line_nos.dtype == np.int64
+    assert rows.dtype == cols.dtype == counts.dtype == np.int32 and line_nos.dtype == np.int64
     ids = list(seen)
     return [ids[i] for i in rows], [ids[j] for j in cols], counts.tolist(), line_nos.tolist()
 
