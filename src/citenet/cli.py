@@ -194,8 +194,8 @@ def _cmd_ingest(args: argparse.Namespace) -> str:
             stdin.detach()
     else:
         matrix = parse_citation_csv(sys.stdin, args.year, source=source, registry=registry)
-    write_matrix(matrix, args.matrix_out)
-    return f"wrote {args.matrix_out}: {len(matrix)} journals, {len(matrix.cells)} cells\n"
+    cells = write_matrix(matrix, args.matrix_out)
+    return f"wrote {args.matrix_out}: {len(matrix)} journals, {cells} cells\n"
 
 
 def _cmd_merge(args: argparse.Namespace) -> str:
@@ -207,8 +207,8 @@ def _cmd_merge(args: argparse.Namespace) -> str:
     a = read_matrix(_resolve(args, args.matrix_a))
     b = read_matrix(_resolve(args, args.matrix_b))
     merged = merge_indices(a, b)
-    write_matrix(merged, args.matrix_out)
-    return f"wrote {args.matrix_out}: {len(merged)} journals, {len(merged.cells)} cells\n"
+    cells = write_matrix(merged, args.matrix_out)
+    return f"wrote {args.matrix_out}: {len(merged)} journals, {cells} cells\n"
 
 
 def _cmd_env(args: argparse.Namespace) -> str:

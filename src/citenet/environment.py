@@ -86,7 +86,7 @@ def extract_environment(
     """Extract the seed's environment under a strict contribution threshold.
 
     For ``Direction.CITED`` a journal j qualifies iff
-    ``cells[(j, seed)] / cited_total(seed) > threshold``; for
+    ``cell(j, seed) / cited_total(seed) > threshold``; for
     ``Direction.CITING`` the roles are swapped.  The inequality is strict:
     a journal contributing exactly the threshold fraction is excluded.
 
@@ -99,24 +99,24 @@ def extract_environment(
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
 
-    links = m.col(seed) if direction is Direction.CITED else m.row(seed)
-    total = sum(links.values())
+    others, counts = m._line(seed, cited=direction is Direction.CITED)
+    counts = counts.tolist()
+    total = sum(counts)
     if total == 0:
         raise IsolatedSeedError(
             f"seed {seed!r} is isolated: no {direction.value} citations"
         )
 
-    qualifying = [
-        (journal_id, count)
-        for journal_id, count in links.items()
-        if journal_id != seed and count / total > threshold
-    ]
-    qualifying.sort(key=lambda item: (-item[1], item[0]))
-
-    members = (seed,) + tuple(journal_id for journal_id, _ in qualifying)
-    contributions = {seed: links.get(seed, 0) / total}
-    contributions.update(
-        (journal_id, count / total) for journal_id, count in qualifying
+    ids = m._ids
+    # Descending count, ties by id: journal numbers follow id order.
+    qualifying = sorted(
+        ((k, count) for k, count in zip(others.tolist(), counts)
+         if count / total > threshold and ids[k] != seed),
+        key=lambda item: (-item[1], item[0]),
     )
+
+    members = (seed,) + tuple(ids[k] for k, _ in qualifying)
+    contributions = {seed: m.cell(seed, seed) / total}
+    contributions.update((ids[k], count / total) for k, count in qualifying)
 
     return SeedEnvironment(seed, direction, threshold, members, m, contributions)

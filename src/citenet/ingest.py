@@ -291,9 +291,11 @@ def parse_citation_csv(
     # Ids in *seen* are validated: an id the registry lacks needs no checks.
     given = {journal.id: journal for journal in (registry or {}).values()}
     ids = sorted(seen.keys() | given.keys())
+    # A display name equal to its id is the id object, as a load shares it.
+    names = (given[j].display_name if j in given else j for j in ids)
     journals = _Registry(
         ids,
-        [given[j].display_name if j in given else j for j in ids],
+        [j if name == j else name for j, name in zip(ids, names)],
         [given[j].source_index if j in given else source for j in ids],
     )
     renumber = np.array([journals._index[journal_id] for journal_id in seen], dtype=np.int32)
@@ -307,7 +309,7 @@ def parse_citation_csv(
             int(line_nos[k]),
             f"cell ({ids[rows[k]]}, {ids[cols[k]]}) sums to more than {MAX_COUNT}",
         )
-    return CitationMatrix._from_csr(year, journals, csr)
+    return CitationMatrix(year, journals, csr)
 
 
 def _merged_record(a: _Registry, b: _Registry, journal_id: JournalId) -> tuple[str, SourceIndex]:
@@ -347,7 +349,7 @@ def merge_indices(a: CitationMatrix, b: CitationMatrix) -> CitationMatrix:
             f"{data[k]} exceeds {MAX_COUNT}"
         )
     indptr = np.searchsorted(key, np.arange(len(ids) + 1) * len(ids))
-    return CitationMatrix._from_csr(a.year, journals, (indptr, key % len(ids), data))
+    return CitationMatrix(a.year, journals, (indptr, key % len(ids), data))
 
 
 def _cell_keys(m: CitationMatrix, position: Mapping[JournalId, int]) -> np.ndarray:
@@ -441,8 +443,9 @@ def _replacing(path: Path) -> Iterator[IO[bytes]]:
         raise
 
 
-def write_matrix(m: CitationMatrix, path: str | Path) -> None:
+def write_matrix(m: CitationMatrix, path: str | Path) -> int:
     """Persist a matrix: edge-list CSV at *path*, its CSR cache, a sidecar.
+    Returns the number of cells written.
 
     Each file is written under a temporary name and moved into place, the
     sidecar last, so a reader never sees a half-written file.  The cache
@@ -461,6 +464,7 @@ def write_matrix(m: CitationMatrix, path: str | Path) -> None:
                  csv_sha256=np.array(csv_sha256), sidecar_sha256=np.array(_sha256(sidecar)))
     with _replacing(_sidecar_path(path)) as stream:
         stream.write(sidecar)
+    return len(m._data)
 
 
 def _records(reader) -> Iterator[tuple[int, list[str]]]:

@@ -16,13 +16,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import operator
 import re
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -118,16 +116,6 @@ class _Registry(Mapping):
         self._ids, self._names, self._sources = tuple(ids), tuple(names), tuple(sources)
         self._index = {journal_id: k for k, journal_id in enumerate(self._ids)}
 
-    @classmethod
-    def _of(cls, journals: Iterable[Journal]) -> "_Registry":
-        """The registry of *journals*, whose ids are distinct."""
-        journals = list(journals)
-        return cls(
-            [journal.id for journal in journals],
-            [journal.display_name for journal in journals],
-            [journal.source_index for journal in journals],
-        )
-
     def __getitem__(self, journal_id: JournalId) -> Journal:
         k = self._index[journal_id]
         return Journal(self._ids[k], self._names[k], self._sources[k])
@@ -190,70 +178,23 @@ class CitationMatrix:
 
     Journal ids are sorted and numbered once; the counts live in one
     canonical CSR over those numbers: numpy arrays ``indptr`` (int64),
-    ``indices`` and ``data`` (int32).  There is no column-major copy, so ``col``
-    scans every stored index.  Immutable once constructed: all accessors
-    return read-only views, so a matrix can be shared across concurrent
-    computations without coordination.  Only strictly positive counts are
-    stored; every journal referenced by a cell is present in the registry
-    (the registry may contain additional, isolated journals).  The registry
-    is kept as columns of ids, display names and source indices, and
-    ``journals`` builds each :class:`Journal` when it is read.  ``cells``,
-    ``journals``, ``row`` and ``col`` iterate in journal-id order.
+    ``indices`` and ``data`` (int32).  There is no column-major copy, so
+    reading a journal's column scans every stored index.  Immutable once
+    constructed: all accessors return read-only views, so a matrix can be
+    shared across concurrent computations without coordination.  Only
+    strictly positive counts are stored; every journal referenced by a cell
+    is present in the registry (the registry may contain additional,
+    isolated journals).  The registry is kept as columns of ids, display
+    names and source indices, and ``journals`` builds each :class:`Journal`
+    when it is read, in journal-id order.  Matrices are built by
+    :func:`citenet.parse_citation_csv`, :func:`citenet.merge_indices` and
+    :func:`read_matrix`, which check the counts and journals first.
     """
 
     __slots__ = ("_year", "_journals", "_ids", "_index", "_indptr", "_indices", "_data")
 
-    def __init__(
-        self,
-        year: int,
-        journals: Iterable[Journal],
-        cells: Mapping[tuple[JournalId, JournalId], int],
-    ) -> None:
-        registry: dict[JournalId, Journal] = {}
-        for journal in journals:
-            existing = registry.get(journal.id)
-            if existing is not None and existing != journal:
-                raise ValueError(f"conflicting registry entries for {journal.id!r}")
-            registry[journal.id] = journal
-        registry = _Registry._of(registry.values())
-        index = registry._index
-
-        rows: list[int] = []
-        cols: list[int] = []
-        counts: list[int] = []
-        for (citing, cited), count in cells.items():
-            try:
-                count = operator.index(count)
-            except TypeError:
-                raise ValueError(
-                    f"cell ({citing}, {cited}): count {count!r} is not an integer"
-                ) from None
-            if count < 0:
-                raise ValueError(f"cell ({citing}, {cited}): negative count {count}")
-            if count > MAX_COUNT:
-                raise ValueError(
-                    f"cell ({citing}, {cited}): count {count} exceeds {MAX_COUNT}"
-                )
-            if count == 0:
-                continue
-            if citing not in index:
-                raise ValueError(f"cell ({citing}, {cited}): unknown citing journal")
-            if cited not in index:
-                raise ValueError(f"cell ({citing}, {cited}): unknown cited journal")
-            rows.append(index[citing])
-            cols.append(index[cited])
-            counts.append(count)
-        csr = _canonical(len(index), rows, cols, np.array(counts, dtype=np.int64))
-        self._assign(year, registry, csr)
-
-    @classmethod
-    def _from_csr(cls, year: int, registry: _Registry, csr: CSR) -> "CitationMatrix":
+    def __init__(self, year: int, registry: _Registry, csr: CSR) -> None:
         """Wrap a canonical CSR whose axes are the journals of *registry*."""
-        m = cls.__new__(cls)
-        m._assign(year, registry, csr)
-        return m
-
-    def _assign(self, year: int, registry: _Registry, csr: CSR) -> None:
         self._year = year
         self._journals = registry
         self._ids, self._index = registry._ids, registry._index
@@ -268,10 +209,6 @@ class CitationMatrix:
     def journals(self) -> Mapping[JournalId, Journal]:
         """Read-only ``id -> Journal`` view in id order."""
         return self._journals
-
-    @property
-    def cells(self) -> Mapping[tuple[JournalId, JournalId], int]:
-        return _Cells(self)
 
     def __contains__(self, journal_id: JournalId) -> bool:
         return journal_id in self._journals
@@ -308,26 +245,17 @@ class CitationMatrix:
             return int(self._data[k])
         return 0
 
-    def row(self, citing: JournalId) -> Mapping[JournalId, int]:
-        """Outgoing counts of *citing*: cited journal -> count."""
-        i = self._index.get(citing)
-        if i is None:
-            return MappingProxyType({})
-        entries = slice(self._indptr[i], self._indptr[i + 1])
-        return self._line(self._indices[entries], self._data[entries])
-
-    def col(self, cited: JournalId) -> Mapping[JournalId, int]:
-        """Incoming counts of *cited*: citing journal -> count."""
-        j = self._index.get(cited)
-        if j is None:
-            return MappingProxyType({})
-        entries = np.flatnonzero(self._indices == j)
-        rows = np.searchsorted(self._indptr, entries, side="right") - 1
-        return self._line(rows, self._data[entries])
-
-    def _line(self, others: np.ndarray, counts: np.ndarray) -> Mapping[JournalId, int]:
-        journal_ids = map(self._ids.__getitem__, others.tolist())
-        return MappingProxyType(dict(zip(journal_ids, counts.tolist())))
+    def _line(self, journal_id: JournalId, cited: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(numbers, counts)`` of the column (*cited*) or row of
+        *journal_id*, a journal of the matrix: the numbers of the journals at
+        the other end of its stored cells, ascending and so in id order, and
+        the cells' counts."""
+        k = self._index[journal_id]
+        if cited:
+            entries = np.flatnonzero(self._indices == k)
+            return np.searchsorted(self._indptr, entries, side="right") - 1, self._data[entries]
+        entries = slice(self._indptr[k], self._indptr[k + 1])
+        return self._indices[entries], self._data[entries]
 
     def _lookup(self, positions: np.ndarray) -> np.ndarray:
         """Journal number -> its place in *positions*, or -1 if absent."""
@@ -340,55 +268,6 @@ class CitationMatrix:
         if unknown:
             raise UnknownJournalError(f"not in matrix: {unknown}")
         return np.array([self._index[j] for j in journal_ids], dtype=np.int64)
-
-    def _triples(self) -> tuple[Iterator[JournalId], Iterator[JournalId], list[int]]:
-        """(citing ids, cited ids, counts) of every cell, in id order."""
-        citing = map(self._ids.__getitem__, _row_ids(self._indptr).tolist())
-        cited = map(self._ids.__getitem__, self._indices.tolist())
-        return citing, cited, self._data.tolist()
-
-
-class _Cells(Mapping):
-    """Read-only ``(citing, cited) -> count`` view of a matrix's stored cells."""
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix: CitationMatrix) -> None:
-        self._matrix = matrix
-
-    def __getitem__(self, key: tuple[JournalId, JournalId]) -> int:
-        try:
-            citing, cited = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        count = self._matrix.cell(citing, cited)
-        if count == 0:
-            raise KeyError(key)
-        return count
-
-    def __len__(self) -> int:
-        return len(self._matrix._data)
-
-    def __iter__(self) -> Iterator[tuple[JournalId, JournalId]]:
-        citing, cited, _ = self._matrix._triples()
-        return zip(citing, cited)
-
-    def items(self) -> ItemsView:
-        return _CellItems(self)
-
-    def values(self) -> ValuesView:
-        return _CellValues(self)
-
-
-class _CellItems(ItemsView):
-    def __iter__(self):
-        citing, cited, counts = self._mapping._matrix._triples()
-        return zip(zip(citing, cited), counts)
-
-
-class _CellValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._matrix._data.tolist())
 
 
 def citation_degrees(
@@ -619,7 +498,7 @@ def read_matrix(path: str | Path) -> CitationMatrix:
         )
     csr = _load_binary(_binary_path(path), len(registry), csv_sha256, _sha256(meta))
     if csr is not None:
-        return CitationMatrix._from_csr(year, registry, csr)
+        return CitationMatrix(year, registry, csr)
     data = path.read_bytes()
     if _sha256(data) != csv_sha256:
         raise SidecarError(f"{path} changed while it was being read")

@@ -71,7 +71,7 @@ def self_citation_rate(m: CitationMatrix, j: JournalId) -> float:
     """Fraction of a journal's incoming citations that it supplied itself."""
     if j not in m:
         raise UnknownJournalError(f"unknown journal {j!r}")
-    cited_total = sum(m.col(j).values())
+    cited_total = sum(m._line(j, cited=True)[1].tolist())
     if cited_total == 0:
         raise ValueError(f"journal {j!r} has no incoming citations")
     return m.cell(j, j) / cited_total

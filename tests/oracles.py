@@ -7,8 +7,9 @@ explicit enumeration of every geodesic, a scalar Brandes sweep that sums in
 the batched sweep's level order, neighbour-count degrees, a matrix writer
 that formats one cell and one journal at a time, the regular expression
 that once picked the edge-list blocks the parser splits in bulk, the
-row-id check of canonical CSR arrays the cache loader once made, and the
-members' own matrix that a seed environment once held as a copy.
+row-id check of canonical CSR arrays the cache loader once made, the
+members' own matrix that a seed environment once held as a copy, and a
+matrix built from a ``{(citing, cited): count}`` mapping and read back as one.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from citenet.centrality import Graph, Node
 from citenet.errors import CitenetError
 from citenet.ingest import EDGE_HEADER, MERGE_POLICY
-from citenet.matrix import MAX_COUNT, CitationMatrix
+from citenet.matrix import MAX_COUNT, CitationMatrix, Journal, _Registry
 
 BRUTE_FORCE_MAX_NODES = 64
 
@@ -331,11 +332,55 @@ def reference_sweep(g: Graph) -> tuple[dict[Node, float], dict[Node, float]]:
     return {node: raw[i] * scale for i, node in enumerate(nodes)}, closeness
 
 
+def matrix_of(
+    year: int, journals: Iterable[Journal], cells: Mapping[tuple[str, str], int]
+) -> CitationMatrix:
+    """The matrix of *journals* (a repeated id keeps its last record) holding
+    *cells*, whose journals must be among them and whose zero counts are
+    dropped.  Its CSR is built by sorting the cells' journal-number pairs in
+    Python, sharing no code with the parser."""
+    records = {journal.id: journal for journal in journals}
+    ids = sorted(records)
+    number = {journal_id: k for k, journal_id in enumerate(ids)}
+    keyed = sorted(
+        ((number[citing], number[cited]), int(count))
+        for (citing, cited), count in cells.items()
+        if count
+    )
+    indptr = [0] * (len(ids) + 1)
+    for (row, _), _ in keyed:
+        indptr[row + 1] += 1
+    for k in range(len(ids)):
+        indptr[k + 1] += indptr[k]
+    registry = _Registry(
+        ids,
+        [records[j].display_name for j in ids],
+        [records[j].source_index for j in ids],
+    )
+    # int64 arrays, which the matrix narrows to its own dtypes.
+    csr = tuple(
+        np.array(column, dtype=np.int64)
+        for column in (indptr, [col for (_, col), _ in keyed], [c for _, c in keyed])
+    )
+    return CitationMatrix(year, registry, csr)
+
+
+def cells_of(m: CitationMatrix) -> dict[tuple[str, str], int]:
+    """``(citing, cited) -> count`` of every stored cell of *m*, in id order."""
+    ids = list(m.journals)
+    indptr, indices, data = (a.tolist() for a in (m._indptr, m._indices, m._data))
+    return {
+        (ids[i], ids[indices[k]]): data[k]
+        for i in range(len(ids))
+        for k in range(indptr[i], indptr[i + 1])
+    }
+
+
 def reference_csv_bytes(m: CitationMatrix) -> bytes:
     """The edge-list CSV :func:`citenet.write_matrix` writes, one line per
     cell, formatted in Python over the cells in id order."""
     lines = [EDGE_HEADER + "\n"]
-    lines.extend(f"{a},{b},{c}\n" for (a, b), c in m.cells.items())
+    lines.extend(f"{a},{b},{c}\n" for (a, b), c in cells_of(m).items())
     return "".join(lines).encode("utf-8")
 
 
@@ -381,8 +426,8 @@ CANONICAL_ROWS = re.compile(rf"(?:{_ID},{_ID},[0-9]{{1,10}}\n)*")
 
 def restricted_matrix(m: CitationMatrix, members: Sequence[str]) -> CitationMatrix:
     """The matrix of *members* alone and the cells among them."""
-    cells = {(a, b): c for (a, b), c in m.cells.items() if {a, b} <= set(members)}
-    return CitationMatrix(m.year, [m.journals[j] for j in members], cells)
+    cells = {(a, b): c for (a, b), c in cells_of(m).items() if {a, b} <= set(members)}
+    return matrix_of(m.year, [m.journals[j] for j in members], cells)
 
 
 def bulk_rows_accepted(text: str, start: int) -> bool:

@@ -17,7 +17,6 @@ import numpy as np
 from citenet import (
     CentralityReport,
     CentralityRow,
-    CitationMatrix,
     Direction,
     Graph,
     Journal,
@@ -35,7 +34,7 @@ from citenet import (
     similarity_graph,
 )
 from citenet.centrality import _sweep
-from oracles import brute_force_betweenness, cosine, pearson, restricted_matrix
+from oracles import brute_force_betweenness, cosine, matrix_of, pearson, restricted_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -192,8 +191,8 @@ def test_merge_count_identity():
         }
 
     start = time.perf_counter()
-    sci = CitationMatrix(2005, [Journal(i, i) for i in sci_ids], cells_for(sci_ids, 5000))
-    ssci = CitationMatrix(
+    sci = matrix_of(2005, [Journal(i, i) for i in sci_ids], cells_for(sci_ids, 5000))
+    ssci = matrix_of(
         2005, [Journal(i, i) for i in ssci_ids], cells_for(ssci_ids, 5000)
     )
     merged = merge_indices(sci, ssci)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import citenet.centrality
 from citenet import (
-    CitationMatrix,
     ConvergenceError,
     Graph,
     Journal,
@@ -24,8 +23,10 @@ from citenet import (
 from citenet.centrality import _sweep
 from oracles import (
     brute_force_betweenness,
+    cells_of,
     degree_centrality,
     geodesic_ledger,
+    matrix_of,
     neighbours,
     reference_sweep,
 )
@@ -41,7 +42,7 @@ def closeness_of(g):
 
 def edgeless_matrix(nodes):
     """A citation matrix of *nodes* without cells: every global degree is (0, 0)."""
-    return CitationMatrix(2005, [Journal(node, node) for node in nodes], {})
+    return matrix_of(2005, [Journal(node, node) for node in nodes], {})
 
 
 def undirected(nodes, pairs, weight=1.0):
@@ -178,12 +179,12 @@ class TestGraph:
         size=st.integers(0, len(MATRIX_IDS)),
     )
     def test_from_citation_matrix_reads_the_cells_among_the_nodes(self, cells, order, size):
-        m = CitationMatrix(2005, [Journal(j, j) for j in MATRIX_IDS], cells)
+        m = matrix_of(2005, [Journal(j, j) for j in MATRIX_IDS], cells)
         nodes = order[:size]
         place = {node: i for i, node in enumerate(nodes)}
         expected = sorted(
             ((place[u], place[v]), (u, v), float(count))
-            for (u, v), count in m.cells.items()
+            for (u, v), count in cells_of(m).items()
             if u in place and v in place and u != v
         )
         g = Graph.from_citation_matrix(m, nodes)

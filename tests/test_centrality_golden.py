@@ -34,7 +34,7 @@ from citenet import (
     write_matrix,
 )
 from citenet.cli import main
-from oracles import neighbours
+from oracles import matrix_of, neighbours
 
 DATA_DIR = Path(__file__).parent / "data"
 SEED = "G00"
@@ -76,7 +76,7 @@ def golden_matrix() -> CitationMatrix:
                     cells[(citing, cited)] = int(rng.integers(1, 4))
             elif cluster[i] == cluster[j] and rng.random() < 0.3:
                 cells[(citing, cited)] = int(rng.integers(5, 60))
-    return CitationMatrix(2005, [Journal(x, x) for x in ids], cells)
+    return matrix_of(2005, [Journal(x, x) for x in ids], cells)
 
 
 def run_cli(args: list[str]) -> tuple[int, str, str]:

@@ -1,10 +1,13 @@
 """Tests for seed environment extraction and member totals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citenet import (
-    CitationMatrix,
     Direction,
     Graph,
     IsolatedSeedError,
@@ -17,7 +20,7 @@ from citenet import (
     parse_citation_csv,
     similarity_graph,
 )
-from oracles import restricted_matrix
+from oracles import matrix_of, restricted_matrix
 
 
 def _matrix_with_cited_seed(counts):
@@ -218,7 +221,7 @@ class TestEnvironmentTotals:
                         rng.integers(1, 50, 120))
             cells = {(ids[a], ids[b]): int(c) for a, b, c in picks}
             cells[("S", "J0")] = cells[("J0", "S")] = 60  # the seed is never isolated
-            m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+            m = matrix_of(2005, [Journal(j, j) for j in ids], cells)
             for direction in Direction:
                 env = extract_environment(m, "S", direction, 0.02)
 
@@ -237,3 +240,62 @@ class TestEnvironmentTotals:
                 seen_self += any(m.cell(j, j) for j in env.members)
                 seen_outside += len(env.members) < len(ids)
         assert seen_self and seen_outside
+
+
+TRANSPOSE_IDS = ["S", "A", "B", "C", "D", "E", "F"]
+
+
+def _reference_citing_environment(cells, seed, threshold):
+    """``(members, contributions)`` of the seed's citing environment, read
+    off a ``{(citing, cited): count}`` dict one cell at a time."""
+    line = {cited: c for (citing, cited), c in cells.items() if citing == seed and c}
+    total = sum(line.values())
+    qualifying = sorted(
+        ((journal_id, count) for journal_id, count in line.items()
+         if journal_id != seed and count / total > threshold),
+        key=lambda item: (-item[1], item[0]),
+    )
+    contributions = {seed: line.get(seed, 0) / total}
+    contributions.update((journal_id, count / total) for journal_id, count in qualifying)
+    return (seed, *(journal_id for journal_id, _ in qualifying)), contributions
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.sampled_from(TRANSPOSE_IDS), st.sampled_from(TRANSPOSE_IDS)),
+        st.one_of(st.integers(0, 3), st.integers(1, 60)),
+        max_size=30,
+    ),
+    threshold=st.sampled_from([0.01, 0.1, 0.25]),
+    cosine=st.sampled_from([0.0, 0.2]),
+)
+def test_citing_on_a_matrix_equals_cited_on_its_transpose(cells, threshold, cosine):
+    journals = [Journal(j, j) for j in TRANSPOSE_IDS]
+    m = matrix_of(2005, journals, cells)
+    transposed = {(cited, citing): count for (citing, cited), count in cells.items()}
+    t = matrix_of(2005, journals, transposed)
+    for seed in TRANSPOSE_IDS:
+        try:
+            citing = extract_environment(m, seed, Direction.CITING, threshold)
+        except IsolatedSeedError:
+            with pytest.raises(IsolatedSeedError):
+                extract_environment(t, seed, Direction.CITED, threshold)
+            continue
+        cited = extract_environment(t, seed, Direction.CITED, threshold)
+        members, contributions = _reference_citing_environment(cells, seed, threshold)
+        assert citing.members == cited.members == members
+        assert list(citing.contributions.items()) == list(contributions.items())
+        assert list(cited.contributions.items()) == list(contributions.items())
+        assert list(citing.totals.items()) == list(cited.totals.items())
+        if len(members) < 2:
+            continue  # a similarity graph needs two members
+        citing_graph = similarity_graph(citing, cosine)
+        cited_graph = similarity_graph(cited, cosine)
+        assert list(citing_graph.edges.items()) == list(cited_graph.edges.items())
+        citing_rows = build_report(citing_graph, m).rows
+        cited_rows = build_report(cited_graph, t).rows
+        assert [
+            dataclasses.replace(row, degree_in=row.degree_out, degree_out=row.degree_in)
+            for row in citing_rows.values()
+        ] == list(cited_rows.values())

@@ -13,7 +13,6 @@ import citenet.matrix
 from citenet import (
     CentralityReport,
     CentralityRow,
-    CitationMatrix,
     Direction,
     Journal,
     SeedEnvironment,
@@ -28,7 +27,7 @@ from citenet import (
 )
 from citenet.export import json_text
 from citenet.matrix import _validate_id
-from oracles import parse_pajek
+from oracles import matrix_of, parse_pajek
 
 
 def sim_graph(nodes, edges, threshold=0.2, totals=None):
@@ -44,7 +43,7 @@ def sim_graph(nodes, edges, threshold=0.2, totals=None):
         gross, net = (totals or {}).get(j, (10, 7))
         cells[(nodes[(i + 1) % len(nodes)], j)] = net
         cells[(j, j)] = gross - net
-    m = CitationMatrix(2005, [Journal(j, j) for j in nodes], cells)
+    m = matrix_of(2005, [Journal(j, j) for j in nodes], cells)
     env = SeedEnvironment(nodes[0], Direction.CITED, 0.01, tuple(nodes), m)
     return SimilarityGraph(env, edges, threshold)
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from citenet import (
     MAX_COUNT,
-    CitationMatrix,
     EdgeListParseError,
     Graph,
     Journal,
@@ -36,21 +35,20 @@ from citenet.matrix import (
     _entry,
     _journals_in_bulk,
     _read_sidecar,
-    _Registry,
     _valid_ids,
     _validate_id,
 )
-from oracles import degree_centrality
+from oracles import cells_of, degree_centrality, matrix_of
 
 THREE_CELLS = "A,B,5\nB,A,2\nA,A,7"
 
 
 def _cited(m, j):
-    return sum(m.col(j).values())
+    return sum(count for (_, cited), count in cells_of(m).items() if cited == j)
 
 
 def _citing(m, j):
-    return sum(m.row(j).values())
+    return sum(count for (citing, _), count in cells_of(m).items() if citing == j)
 
 
 def _random_matrix(rng, n_journals=8, n_cells=20, year=2005):
@@ -59,13 +57,13 @@ def _random_matrix(rng, n_journals=8, n_cells=20, year=2005):
     for _ in range(n_cells):
         citing, cited = rng.choice(ids), rng.choice(ids)
         cells[(citing, cited)] = cells.get((citing, cited), 0) + int(rng.integers(1, 9))
-    return CitationMatrix(year, [Journal(i, i) for i in ids], cells)
+    return matrix_of(year, [Journal(i, i) for i in ids], cells)
 
 
 class TestParse:
     def test_direct_transcription(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
-        assert dict(m.cells) == {("A", "B"): 5, ("B", "A"): 2, ("A", "A"): 7}
+        assert cells_of(m) == {("A", "B"): 5, ("B", "A"): 2, ("A", "A"): 7}
         assert set(m.journals) == {"A", "B"}
         assert m.year == 2005
 
@@ -93,7 +91,7 @@ class TestParse:
         for text in ("", "citing,cited,count\n"):
             m = parse_citation_csv(text, 2005, registry=registry)
             assert list(m.journals) == ["A", "B"]
-            assert m.cells == {}
+            assert cells_of(m) == {}
 
     @pytest.mark.parametrize(
         "row, line_no",
@@ -117,7 +115,7 @@ class TestParse:
     def test_zero_count_registers_journals_without_cell(self):
         m = parse_citation_csv("A,B,0", 2005)
         assert set(m.journals) == {"A", "B"}
-        assert m.cells == {}
+        assert cells_of(m) == {}
 
     def test_registry_supplies_names_and_extra_journals(self):
         registry = read_registry(
@@ -162,7 +160,7 @@ class TestParse:
 
     def test_byte_order_mark_before_header_is_skipped(self):
         m = parse_citation_csv("\ufeffciting,cited,count\nA,B,5", 2005)
-        assert dict(m.cells) == {("A", "B"): 5}
+        assert cells_of(m) == {("A", "B"): 5}
         registry = read_registry("\ufeffid,display_name,source_index\nA,Journal A,SSCI\n")
         assert set(registry) == {"A"}
 
@@ -174,7 +172,7 @@ class TestParse:
         monkeypatch.setattr("citenet.ingest._BLOCK_CHARS", 16)
         rows = [f"J{k},J{k + 1},{k}" for k in range(40)]
         m = parse_citation_csv("citing,cited,count\n" + "\n".join(rows), 2005)
-        assert len(m.cells) == 39 and m.cell("J39", "J40") == 39
+        assert len(cells_of(m)) == 39 and m.cell("J39", "J40") == 39
         rows[30] = "J30,J31"
         with pytest.raises(EdgeListParseError) as excinfo:
             parse_citation_csv("citing,cited,count\n\n" + "\n".join(rows), 2005)
@@ -205,10 +203,6 @@ class TestCountBound:
             parse_citation_csv(text, 2005)
         assert excinfo.value.line_no == 4
 
-    def test_constructor_rejects_count_above_bound(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            CitationMatrix(2005, [Journal("A", "A")], {("A", "A"): MAX_COUNT + 1})
-
     def test_merge_rejects_cell_above_bound(self):
         a = parse_citation_csv(f"A,B,{MAX_COUNT - 1}", 2005)
         b = parse_citation_csv("A,B,1", 2005)
@@ -226,51 +220,32 @@ class TestCountBound:
 
 class TestMatrixInvariants:
     def test_only_positive_counts_stored(self):
-        m = CitationMatrix(2005, [Journal("A", "A"), Journal("B", "B")], {("A", "B"): 0})
-        assert m.cells == {}
+        m = parse_citation_csv("A,B,0\nB,A,2\nA,B,0", 2005)
+        assert cells_of(m) == {("B", "A"): 2}
+        assert cells_of(merge_indices(m, parse_citation_csv("A,B,0", 2005))) == cells_of(m)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            CitationMatrix(2005, [Journal("A", "A")], {("A", "A"): -1})
+        for count in ("-1", str(-MAX_COUNT - 1)):
+            with pytest.raises(EdgeListParseError, match=f"line 2: negative count {count}$"):
+                parse_citation_csv(f"A,B,1\nA,A,{count}", 2005)
 
     def test_non_integer_count_rejected(self):
-        journals = [Journal("A", "A"), Journal("B", "B")]
-        for count in (2.7, 2.0, np.float64(3.0), "2"):
-            with pytest.raises(ValueError, match=r"cell \(A, B\): count .* is not an integer"):
-                CitationMatrix(2005, journals, {("A", "B"): count})
-        # numpy integers are integers.
-        m = CitationMatrix(2005, journals, {("A", "B"): np.int32(2), ("B", "A"): np.uint8(3)})
-        assert m.cells == {("A", "B"): 2, ("B", "A"): 3}
-
-    def test_cell_journal_must_be_registered(self):
-        with pytest.raises(ValueError, match="unknown"):
-            CitationMatrix(2005, [Journal("A", "A")], {("A", "B"): 1})
-        with pytest.raises(ValueError, match=r"cell \(B, A\): unknown citing journal"):
-            CitationMatrix(2005, [Journal("A", "A")], {("B", "A"): 1})
-
-    def test_conflicting_registry_entries_rejected(self):
-        journals = [Journal("A", "A"), Journal("B", "B"), Journal("A", "Other")]
-        with pytest.raises(ValueError, match="conflicting registry entries for 'A'"):
-            CitationMatrix(2005, journals, {})
-        # The same record twice is no conflict.
-        m = CitationMatrix(2005, [Journal("A", "A"), Journal("A", "A")], {("A", "A"): 1})
-        assert list(m.journals) == ["A"]
+        for count in ("2.7", "2.0", "3.0", "1e3", "0x10"):
+            with pytest.raises(EdgeListParseError, match=f"line 2: non-integer count '{count}'"):
+                parse_citation_csv(f"A,B,1\nB,A,{count}", 2005)
+        # Leading zeros are still integers.
+        assert cells_of(parse_citation_csv("A,B,002\nB,A,03", 2005)) == {
+            ("A", "B"): 2, ("B", "A"): 3}
 
     def test_views_are_read_only(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
         with pytest.raises(TypeError):
-            m.cells[("A", "B")] = 99
-        with pytest.raises(TypeError):
-            m.row("A")["B"] = 99
-        with pytest.raises(TypeError):
             m.journals["A"] = Journal("A", "other")
 
-    def test_cells_lookup_of_a_non_pair_or_an_absent_cell(self):
+    def test_cell_of_an_unknown_journal_or_an_absent_cell_is_zero(self):
         m = parse_citation_csv(THREE_CELLS, 2005, registry={"Z": Journal("Z", "Z")})
-        for key in ("A", ("A", "Z")):
-            with pytest.raises(KeyError):
-                m.cells[key]
-        assert m.cells.get(("A", "Z")) is None
+        assert m.cell("A", "Z") == m.cell("Z", "A") == m.cell("A", "nope") == 0
+        assert m.cell("nope", "A") == m.cell("nope", "nope") == 0
 
     def test_a_matrix_equals_no_other_type(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
@@ -302,15 +277,14 @@ class TestMerge:
         a = parse_citation_csv("A,B,3", 2005)
         b = parse_citation_csv("C,D,4", 2005)
         merged = merge_indices(a, b)
-        assert dict(merged.cells) == {("A", "B"): 3, ("C", "D"): 4}
+        assert cells_of(merged) == {("A", "B"): 3, ("C", "D"): 4}
         assert set(merged.journals) == {"A", "B", "C", "D"}
 
     def test_self_merge_doubles_counts(self):
         a = parse_citation_csv(THREE_CELLS, 2005)
         merged = merge_indices(a, a)
         assert set(merged.journals) == set(a.journals)
-        for key, count in a.cells.items():
-            assert merged.cells[key] == 2 * count
+        assert cells_of(merged) == {key: 2 * count for key, count in cells_of(a).items()}
 
     def test_overlap_marked_both(self):
         a = parse_citation_csv("A,B,1", 2005, source=SourceIndex.SCI)
@@ -323,7 +297,7 @@ class TestMerge:
     def test_merged_registry_rule(self):
         # Named: a non-default name of the first operand wins over the
         # second's; a default (== id) first name gives way to the second's.
-        a = CitationMatrix(2005, [
+        a = matrix_of(2005, [
             Journal("Both1", "First name", SourceIndex.SCI),
             Journal("Both2", "Both2", SourceIndex.SSCI),
             Journal("Both3", "First again", SourceIndex.BOTH),
@@ -331,7 +305,7 @@ class TestMerge:
             Journal("OnlyA", "Only in a", SourceIndex.SSCI),
             Journal("OnlyA2", "OnlyA2", SourceIndex.BOTH),
         ], {("OnlyA", "Both1"): 2})
-        b = CitationMatrix(2005, [
+        b = matrix_of(2005, [
             Journal("Both1", "Second name", SourceIndex.SSCI),
             Journal("Both2", "Second wins", SourceIndex.SCI),
             Journal("Both3", "Both3", SourceIndex.SCI),
@@ -361,8 +335,8 @@ class TestMerge:
         # |merged| == |a| + |b| - |overlap| on small synthetic indices
         a_ids = [f"A{i}" for i in range(40)] + [f"S{i}" for i in range(10)]
         b_ids = [f"B{i}" for i in range(25)] + [f"S{i}" for i in range(10)]
-        a = CitationMatrix(2005, [Journal(i, i) for i in a_ids], {})
-        b = CitationMatrix(2005, [Journal(i, i) for i in b_ids], {})
+        a = matrix_of(2005, [Journal(i, i) for i in a_ids], {})
+        b = matrix_of(2005, [Journal(i, i) for i in b_ids], {})
         merged = merge_indices(a, b)
         assert len(merged) == 50 + 35 - 10
 
@@ -373,11 +347,11 @@ class TestMerge:
             b = _random_matrix(rng)
             c = _random_matrix(rng)
             ab, ba = merge_indices(a, b), merge_indices(b, a)
-            assert ab.cells == ba.cells
+            assert cells_of(ab) == cells_of(ba)
             assert set(ab.journals) == set(ba.journals)
             left = merge_indices(merge_indices(a, b), c)
             right = merge_indices(a, merge_indices(b, c))
-            assert left.cells == right.cells
+            assert cells_of(left) == cells_of(right)
             assert set(left.journals) == set(right.journals)
 
 
@@ -410,7 +384,7 @@ class TestTotalsAndProfiles:
 
     def test_totals_unknown_journal(self):
         m = parse_citation_csv(THREE_CELLS, 2005)
-        assert (m.row("nope"), m.col("nope"), m.cell("nope", "nope")) == ({}, {}, 0)
+        assert m.cell("nope", "nope") == m.cell("A", "nope") == 0
         with pytest.raises(UnknownJournalError, match="unknown journal 'nope'"):
             self_citation_rate(m, "nope")
 
@@ -420,7 +394,7 @@ class TestTotalsAndProfiles:
             m = _random_matrix(rng)
             cited = sum(_cited(m, j) for j in m.journals)
             citing = sum(_citing(m, j) for j in m.journals)
-            assert cited == citing == sum(m.cells.values())
+            assert cited == citing == sum(cells_of(m).values())
 
 
 class TestPersistence:
@@ -441,6 +415,16 @@ class TestPersistence:
         assert again == m
         assert again.journals["Z"].source_index is SourceIndex.BOTH
 
+    def test_write_matrix_returns_the_number_of_cells_written(self, tmp_path):
+        registry = {"Z": Journal("Z", "Zeta Review")}
+        m = parse_citation_csv(THREE_CELLS + "\nB,B,0", 2005, registry=registry)
+        assert write_matrix(m, tmp_path / "m.csv") == len(cells_of(m)) == 3
+        merged = merge_indices(m, parse_citation_csv("Z,A,4\nA,B,1", 2005))
+        assert write_matrix(merged, tmp_path / "merged.csv") == 4
+        empty = parse_citation_csv("", 2005, registry=registry)
+        assert write_matrix(empty, tmp_path / "empty.csv") == 0
+        assert read_matrix(tmp_path / "empty.csv") == empty
+
     def test_a_load_keeps_one_string_per_journal_field(self, tmp_path):
         # A display name equal to its id is the id object, as the sidecar
         # decoder shares it, and every source is a SourceIndex member.  Ids
@@ -454,6 +438,21 @@ class TestPersistence:
         assert [name is journal_id for journal_id, name in zip(again._ids, again._names)] == [
             False, True, True]
         assert all(type(source) is SourceIndex for source in again._sources)
+
+    def test_a_registry_parse_keeps_one_string_per_display_name_equal_to_its_id(
+        self, tmp_path
+    ):
+        # Registry names equal to their ids are separate string objects here.
+        registry = read_registry("id,display_name,source_index\nAA,AA,SSCI\nCC,Sea,SCI\n")
+        assert registry["AA"].display_name is not registry["AA"].id
+        m = parse_citation_csv("AA,BB,5\nBB,AA,2\nCC,AA,1", 2005, registry=registry)
+        path = tmp_path / "m.csv"
+        write_matrix(m, path)
+        (tmp_path / "m.csv.csr.npz").unlink()
+        for journals in (m._journals, read_matrix(path)._journals):
+            assert journals._names == ("AA", "BB", "Sea")
+            assert [name is journal_id for journal_id, name in zip(
+                journals._ids, journals._names)] == [True, True, False]
 
     def test_source_given_as_a_string_is_coerced(self, tmp_path):
         registry = {"Z": Journal("Z", "Zeta Review", "BOTH")}
@@ -477,7 +476,7 @@ class TestPersistence:
         assert read_matrix(path) == m
 
     def test_matrix_without_journals_reloads_with_and_without_its_cache(self, tmp_path):
-        m = CitationMatrix(2005, [], {})
+        m = matrix_of(2005, [], {})
         path = tmp_path / "m.csv"
         write_matrix(m, path)
         assert read_matrix(path) == m
@@ -583,7 +582,7 @@ class TestPersistence:
         again = read_matrix(path)
         assert again == m
         assert list(again.journals) == ["A", "B", "C"]
-        assert again.col("A") == {"A": 7, "B": 2}
+        assert [again.cell(j, "A") for j in "ABC"] == [7, 2, 0]
 
     def test_serialization_is_deterministic(self):
         m = parse_citation_csv("B,A,2\nA,A,7\nA,B,5", 2005)
@@ -668,7 +667,7 @@ def test_sidecar_fallback_only_names_what_the_bulk_check_rejects(rows):
         assert first is None
         journals = [Journal(j, name, SourceIndex(source)) for j, name, source in rows]
         _, registry, _ = _read_sidecar(sidecar, raw)
-        assert list(registry.items()) == list(_Registry._of(journals).items())
+        assert list(registry.items()) == sorted((journal.id, journal) for journal in journals)
     else:
         assert first is not None
         with pytest.raises(SidecarError, match=f"malformed journals entry {first}: "):

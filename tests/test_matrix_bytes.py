@@ -34,7 +34,13 @@ from citenet import (
 from citenet.centrality import _symmetric_adjacency
 from citenet.ingest import _bulk_rows, _csv_bytes, _field_numbers, _parse_block
 from citenet.matrix import _valid_ids
-from oracles import bulk_rows_accepted, reference_csv_bytes, reference_write_matrix
+from oracles import (
+    bulk_rows_accepted,
+    cells_of,
+    matrix_of,
+    reference_csv_bytes,
+    reference_write_matrix,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 SUFFIXES = ("", ".meta.json", ".csr.npz")
@@ -62,8 +68,8 @@ GOLDEN_CELLS = {
     ("C", "A"): 10,
 }
 GOLDEN = {
-    "matrix_golden.csv": CitationMatrix(2005, GOLDEN_JOURNALS, GOLDEN_CELLS),
-    "matrix_golden_empty.csv": CitationMatrix(2005, GOLDEN_JOURNALS[:2], {}),
+    "matrix_golden.csv": matrix_of(2005, GOLDEN_JOURNALS, GOLDEN_CELLS),
+    "matrix_golden_empty.csv": matrix_of(2005, GOLDEN_JOURNALS[:2], {}),
 }
 
 
@@ -87,7 +93,7 @@ def matrices(draw):
     counts = st.one_of(st.integers(0, 12), st.integers(0, MAX_COUNT))
     keys = st.tuples(st.sampled_from(ids), st.sampled_from(ids)) if ids else st.nothing()
     cells = draw(st.dictionaries(keys, counts))
-    return CitationMatrix(draw(st.integers(0, 3000)), journals, cells)
+    return matrix_of(draw(st.integers(0, 3000)), journals, cells)
 
 
 def _written(m: CitationMatrix, writer) -> list[bytes]:
@@ -126,7 +132,7 @@ def test_csv_pieces_equal_the_scalar_writer(ids, counts, budget, data):
     # a budget below one line gives one line per piece.
     keys = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                               min_size=len(counts), max_size=len(counts), unique=True))
-    m = CitationMatrix(2005, [Journal(j, j) for j in ids], dict(zip(keys, counts)))
+    m = matrix_of(2005, [Journal(j, j) for j in ids], dict(zip(keys, counts)))
     with mock.patch("citenet.ingest._PIECE_BYTES", budget):
         pieces = list(_csv_bytes(m))
     assert b"".join(pieces) == reference_csv_bytes(m)
@@ -136,7 +142,7 @@ def test_csv_pieces_equal_the_scalar_writer(ids, counts, budget, data):
 
 
 def test_csv_pieces_of_a_matrix_without_cells():
-    m = CitationMatrix(2005, [Journal("日本", "x"), Journal("\x00", "y")], {})
+    m = matrix_of(2005, [Journal("日本", "x"), Journal("\x00", "y")], {})
     assert list(_csv_bytes(m)) == [b"citing,cited,count\n"] == [reference_csv_bytes(m)]
 
 
@@ -147,7 +153,7 @@ def test_one_long_id_bounds_each_piece_not_the_matrix():
     ids = ["L" * 1024, *(f"S{k}" for k in range(200))]
     keys = rng.choice(len(ids) ** 2, size=5000, replace=False).tolist()
     cells = {(ids[k // len(ids)], ids[k % len(ids)]): 1 + k % 997 for k in keys}
-    m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+    m = matrix_of(2005, [Journal(j, j) for j in ids], cells)
     budget = 1 << 16
     with mock.patch("citenet.ingest._PIECE_BYTES", budget):
         list(_csv_bytes(m))  # warm
@@ -197,7 +203,7 @@ def test_write_memory_stays_near_the_scalar_writer(tmp_path):
     ids = [f"J{k:04d}" for k in range(n)]
     keys = rng.choice(n * n, size=200_000, replace=False)
     counts = rng.integers(1, 5000, size=len(keys))
-    m = CitationMatrix(
+    m = matrix_of(
         2005,
         [Journal(j, f"Journal {j}") for j in ids],
         {(ids[k // n], ids[k % n]): c for k, c in zip(keys.tolist(), counts.tolist())},
@@ -219,7 +225,7 @@ def seeded_100k(tmp_path_factory):
     keys = np.unique(rng.integers(0, n * n, 100_000)).tolist()
     counts = rng.integers(1, 1000, len(keys)).tolist()
     cells = {(ids[k // n], ids[k % n]): c for k, c in zip(keys, counts)}
-    m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+    m = matrix_of(2005, [Journal(j, j) for j in ids], cells)
     path = tmp_path_factory.mktemp("seeded") / "m.csv"
     write_matrix(m, path)  # also warms any lazy imports
     return m, path
@@ -434,7 +440,7 @@ def test_shuffled_rows_give_an_identical_csr():
             zip(rng.integers(0, 30, 3000), rng.integers(0, 30, 3000), rng.integers(0, 9, 3000))]
     lines = [f"{a},{b},{c}" for a, b, c in rows]
     parsed = parse_citation_csv("\n".join(lines), 2005)
-    cells = dict(parsed.cells)
+    cells = cells_of(parsed)
     summed = {}
     for a, b, c in rows:
         summed[(a, b)] = summed.get((a, b), 0) + c
@@ -446,7 +452,7 @@ def test_shuffled_rows_give_an_identical_csr():
         assert shuffled == parsed
         keys = list(cells)
         rng.shuffle(keys)
-        assert CitationMatrix(2005, journals[::-1], {k: cells[k] for k in keys}) == parsed
+        assert matrix_of(2005, journals[::-1], {k: cells[k] for k in keys}) == parsed
         assert merge_indices(shuffled, parsed) == merge_indices(parsed, parsed)
 
 

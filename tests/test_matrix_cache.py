@@ -34,7 +34,7 @@ from citenet import (
 )
 from citenet.ingest import _csv_bytes
 from citenet.matrix import _is_canonical_csr
-from oracles import canonical_csr
+from oracles import canonical_csr, cells_of, matrix_of
 
 IDS = ["A", "B", "C", "D", "E", "F"]
 
@@ -70,7 +70,7 @@ def matrices(draw):
         keys = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
         counts = st.one_of(st.integers(1, 9), st.just(MAX_COUNT))
         cells = draw(st.dictionaries(keys, counts, max_size=12))
-    return CitationMatrix(draw(st.integers(1900, 2100)), journals, cells)
+    return matrix_of(draw(st.integers(1900, 2100)), journals, cells)
 
 
 @given(matrices())
@@ -119,7 +119,7 @@ THREE_CELLS = "A,B,5\nB,A,2\nA,A,7\nC,C,3"
 
 def test_every_path_holds_int64_indptr_and_int32_indices_and_data(tmp_path):
     parsed = parse_citation_csv(THREE_CELLS, 2005)
-    constructed = CitationMatrix(2005, parsed.journals.values(), dict(parsed.cells))
+    constructed = matrix_of(2005, parsed.journals.values(), cells_of(parsed))
     merged = merge_indices(parsed, parse_citation_csv("A,B,1\nD,A,2", 2005))
     path = tmp_path / "m.csv"
     write_matrix(merged, path)
@@ -195,7 +195,7 @@ def test_cache_is_keyed_on_the_sidecar_as_well_as_the_csv(tmp_path, parses):
     shutil.copy(_binary(first_path), _binary(second_path))
     again = read_matrix(second_path)
     assert again == second
-    assert dict(again.cells) == {("A", "C"): 1}
+    assert cells_of(again) == {("A", "C"): 1}
     assert parses == {"parse": 1, "unpickle": 0}
 
 
@@ -438,7 +438,7 @@ def test_cache_of_int32_cells_halves_the_file_and_the_hit(tmp_path):
     assert again == m
     # 4 bytes of index and 4 of count per cell, 8 of indptr per journal and
     # the zip's headers and hashes: ~0.82 MB, where int64 cells made ~1.62 MB.
-    assert _binary(path).stat().st_size <= 8 * len(m.cells) + 8 * len(m) + 4096
+    assert _binary(path).stat().st_size <= 8 * len(cells_of(m)) + 8 * len(m) + 4096
     # ~2.3 MB: the int32 CSR, the journal columns and the reader's buffers;
     # int64 cells made it ~3.0 MB.
     assert peak < 2.5 * 2**20

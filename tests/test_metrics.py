@@ -143,5 +143,5 @@ class TestSelfCitationRate:
                 continue
             m = parse_citation_csv("\n".join(rows), 2005)
             for j in ids:
-                if j in m and sum(m.col(j).values()) > 0:
+                if j in m and any(m.cell(i, j) for i in ids):
                     assert 0.0 <= self_citation_rate(m, j) <= 1.0

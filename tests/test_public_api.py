@@ -18,6 +18,7 @@ import pytest
 
 import citenet
 from citenet.cli import main
+from oracles import matrix_of
 
 PUBLIC_NAMES = [
     "CentralityReport",
@@ -302,7 +303,7 @@ def _journals_matrix(order):
         "A": citenet.Journal("A", "Alpha"),
         "C": citenet.Journal("C", "C", citenet.SourceIndex.BOTH),
     }
-    return citenet.CitationMatrix(2005, [records[j] for j in order], {("B", "A"): 2})
+    return matrix_of(2005, [records[j] for j in order], {("B", "A"): 2})
 
 
 def test_journals_is_a_read_only_mapping_view():

@@ -12,7 +12,6 @@ import citenet.centrality
 import citenet.similarity
 from citenet import (
     MAX_COUNT,
-    CitationMatrix,
     Direction,
     Graph,
     Journal,
@@ -21,7 +20,14 @@ from citenet import (
     parse_citation_csv,
     similarity_graph,
 )
-from oracles import UndefinedSimilarityError, ZeroVarianceError, cosine, neighbours, pearson
+from oracles import (
+    UndefinedSimilarityError,
+    ZeroVarianceError,
+    cosine,
+    matrix_of,
+    neighbours,
+    pearson,
+)
 
 TRIANGLE = "B,A,3\nC,A,3\nA,B,3\nC,B,3\nA,C,3\nB,C,3"
 
@@ -282,8 +288,12 @@ def _reference_edges(m, env, basis, axes, threshold):
     """Edges of the pairwise scalar path: cosine() over dense profiles."""
     profiles = {}
     for member in env.members:
-        line = m.col(member) if basis is Direction.CITED else m.row(member)
-        profiles[member] = [0 if a == member else line.get(a, 0) for a in axes]
+        profiles[member] = [
+            0 if a == member
+            else m.cell(a, member) if basis is Direction.CITED
+            else m.cell(member, a)
+            for a in axes
+        ]
     edges = []
     for i, u in enumerate(env.members):
         for v in env.members[i + 1 :]:
@@ -344,7 +354,7 @@ PAIR_CHUNKS = [pytest.param(k, id=f"chunk{k}") for k in (1, 2, 3)]
 
 
 def _assert_scalar_cosine_exactly(cells, members, basis, threshold):
-    m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
+    m = matrix_of(2005, [Journal(j, j) for j in GRAM_IDS], cells)
     env = _env(m, members, basis)
     g = similarity_graph(env, threshold)
     edges, zero = _reference_edges(m, env, basis, sorted(members), threshold)
@@ -355,7 +365,7 @@ def _assert_scalar_cosine_exactly(cells, members, basis, threshold):
 
 
 def _assert_block_size_does_not_change_the_graph(cells, members, basis, threshold):
-    m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
+    m = matrix_of(2005, [Journal(j, j) for j in GRAM_IDS], cells)
     env = _env(m, members, basis)
     default = similarity_graph(env, threshold)
     edges, zero = _reference_edges(m, env, basis, sorted(members), threshold)
@@ -377,7 +387,7 @@ def _hub_environment(n, hubs, rng):
         for k, c in zip(rng.choice(n - hubs, 5, replace=False) + hubs, rng.integers(1, 31, 5)):
             if k != i:
                 cells[(j, ids[k])] = int(c)
-    m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+    m = matrix_of(2005, [Journal(j, j) for j in ids], cells)
     return _env(m, ids, Direction.CITING)
 
 
@@ -425,7 +435,7 @@ class TestGramPath:
     ):
         # similarity_graph reads every cell of a block, so an unfilled one
         # must have a cosine no threshold passes: 0, or nan for a zero profile.
-        m = CitationMatrix(2005, [Journal(j, j) for j in GRAM_IDS], cells)
+        m = matrix_of(2005, [Journal(j, j) for j in GRAM_IDS], cells)
         indptr, cols, counts = _env(m, members, basis).links._csr
         owners, axes = citenet.centrality._row_ids(indptr), cols
         if basis is Direction.CITED:
@@ -444,7 +454,7 @@ class TestGramPath:
         axes = "CDEFG"
         cells = {("A", j): c for j, c in zip(axes, a_row) if c}
         cells.update({("B", j): c for j, c in zip(axes, b_row) if c})
-        m = CitationMatrix(2005, [Journal(j, j) for j in "AB" + axes], cells)
+        m = matrix_of(2005, [Journal(j, j) for j in "AB" + axes], cells)
         assert low <= max(sum(c * c for c in row) for row in (a_row, b_row)) < high
         env = _env(m, ["A", "B", *axes], Direction.CITING)
         g = similarity_graph(env, 0.0)
@@ -483,7 +493,7 @@ class TestGramPath:
         axes = "CDEF"
         cells = {("A", j): c for j, c in zip(axes, a_row)}
         cells.update({("B", j): c for j, c in zip(axes, b_row) if c})
-        m = CitationMatrix(2005, [Journal(j, j) for j in "AB" + axes], cells)
+        m = matrix_of(2005, [Journal(j, j) for j in "AB" + axes], cells)
         env = _env(m, ["A", "B", *axes], Direction.CITING)
 
         def in_axis_order(terms):
@@ -509,7 +519,7 @@ class TestGramPath:
         # A, B and C cite only themselves; D has no cell at all.  The raw
         # links among the members are none, so every profile is zero.
         members = ["C", "A", "D", "B"]
-        m = CitationMatrix(2005, [Journal(j, j) for j in "ABCD"], {(j, j): 5 for j in "ABC"})
+        m = matrix_of(2005, [Journal(j, j) for j in "ABCD"], {(j, j): 5 for j in "ABC"})
         g = similarity_graph(_env(m, members, basis), 0.0)
         assert g.nodes == tuple(members)
         assert dict(g.edges) == {}
@@ -525,7 +535,7 @@ class TestGramPath:
         cited = rng.integers(0, len(ids), size=len(citing))
         pairs = zip(map(ids.__getitem__, citing.tolist()), map(ids.__getitem__, cited.tolist()))
         cells = dict(zip(pairs, rng.integers(1, 30, len(citing)).tolist()))
-        m = CitationMatrix(2005, [Journal(j, j) for j in ids], cells)
+        m = matrix_of(2005, [Journal(j, j) for j in ids], cells)
         env = _env(m, ids, Direction.CITED)
         tracemalloc.start()
         try:
@@ -545,7 +555,7 @@ class TestGramPath:
             ("B", "S"): MAX_COUNT, ("B", "A"): 1, ("B", "C"): 5,
             ("C", "A"): 7, ("C", "C"): MAX_COUNT, ("S", "A"): 3,
         }
-        m = CitationMatrix(2005, [Journal(j, j) for j in "ABCS"], cells)
+        m = matrix_of(2005, [Journal(j, j) for j in "ABCS"], cells)
         env = _env(m, ["S", "A", "B", "C"], Direction.CITING)
         g = similarity_graph(env, 0.0)
         edges, _ = _reference_edges(m, env, Direction.CITING, "ABCS", 0.0)
