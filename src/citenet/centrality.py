@@ -51,44 +51,19 @@ class Graph:
     __slots__ = ("_nodes", "_directed", "_csr", "_edges")
 
     def __init__(
-        self,
-        nodes: Sequence[Node],
-        edges: Mapping[tuple[Node, Node], float],
-        directed: bool,
+        self, nodes: Sequence[Node], rows, cols, weights: np.ndarray, directed: bool
     ) -> None:
-        nodes = tuple(nodes)
-        index = _node_index(nodes)
-        rows: list[int] = []
-        cols: list[int] = []
-        for (u, v), weight in edges.items():
-            if u not in index or v not in index:
-                raise ValueError(f"edge ({u}, {v}): endpoint not in node set")
-            if not 0 < weight < np.inf:
-                raise ValueError(f"edge ({u}, {v}): weight must be positive and finite")
-            i, j = index[u], index[v]
-            if not directed and i > j:
-                if (v, u) in edges:
-                    raise ValueError(f"duplicate edge ({v}, {u})")
-                i, j = j, i
-            rows.append(i)
-            cols.append(j)
-        weights = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
-        self._assign(nodes, directed, rows, cols, weights)
+        """The graph of *nodes* with an edge ``rows[k] -> cols[k]`` of weight
+        ``weights[k]`` for each k, between node numbers.
 
-    @classmethod
-    def _from_arrays(
-        cls, nodes: Sequence[Node], rows, cols, weights: np.ndarray, directed: bool
-    ) -> "Graph":
-        """A graph of checked edges ``rows[k] -> cols[k]``, ``rows <= cols`` if undirected."""
-        g = cls.__new__(cls)
-        nodes = tuple(nodes)
-        _node_index(nodes)  # rejects duplicate node ids
-        g._assign(nodes, directed, rows, cols, weights)
-        return g
-
-    def _assign(self, nodes, directed, rows, cols, weights) -> None:
-        self._nodes, self._directed = nodes, directed
-        self._csr = _canonical(len(nodes), rows, cols, weights)
+        The edges are taken as checked: distinct, with positive finite
+        weights and, when undirected, ``rows <= cols``; they may come in any
+        order.  Duplicate node ids raise ``ValueError``.
+        """
+        self._nodes, self._directed = tuple(nodes), directed
+        if len(set(self._nodes)) != len(self._nodes):
+            raise ValueError("duplicate node ids")
+        self._csr = _canonical(len(self._nodes), rows, cols, weights)
         self._edges = None
 
     @classmethod
@@ -104,7 +79,7 @@ class Graph:
         cols = m._lookup(positions)[m._indices[entries]]
         links = (cols >= 0) & (cols != rows)
         counts = m._data[entries[links]].astype(np.float64)
-        return cls._from_arrays(nodes, rows[links], cols[links], counts, directed=True)
+        return cls(nodes, rows[links], cols[links], counts, directed=True)
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -126,13 +101,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-
-def _node_index(nodes: tuple[Node, ...]) -> dict[Node, int]:
-    index = {node: i for i, node in enumerate(nodes)}
-    if len(index) != len(nodes):
-        raise ValueError("duplicate node ids")
-    return index
 
 
 def _bfs(

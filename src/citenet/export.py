@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .matrix import JournalId, _validate_id
@@ -88,7 +87,18 @@ def report_document(report: CentralityReport) -> dict:
     return {
         "local_basis": report.local_basis,
         "global_basis": report.global_basis,
-        "rows": [asdict(row) for row in report],
+        "rows": [
+            {
+                "journal": row.journal,
+                "degree_in": row.degree_in,
+                "degree_out": row.degree_out,
+                "degree_local": row.degree_local,
+                "closeness": row.closeness,
+                "betweenness": row.betweenness,
+                "eigenvector": row.eigenvector,
+            }
+            for row in report
+        ],
     }
 
 

@@ -8,13 +8,11 @@ contribution rule used for environment membership.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from .centrality import Graph
 from .environment import Direction, SeedEnvironment
-from .matrix import JournalId, _row_ids
+from .matrix import _row_ids
 
 # Rows of the Gram product computed at once: each block holds a few arrays of
 # _BLOCK_ROWS x members floats, instead of members x members.
@@ -39,11 +37,15 @@ class SimilarityGraph(Graph):
     def __init__(
         self,
         env: SeedEnvironment,
-        edges: Mapping[tuple[JournalId, JournalId], float],
+        rows,
+        cols,
+        weights: np.ndarray,
         threshold: float,
+        warnings: tuple[str, ...],
     ) -> None:
-        super().__init__(env.members, edges, directed=False)
-        self._env, self._threshold, self._warnings = env, threshold, ()
+        """The graph over ``env.members`` of checked edges, as :class:`Graph` takes them."""
+        super().__init__(env.members, rows, cols, weights, directed=False)
+        self._env, self._threshold, self._warnings = env, threshold, warnings
 
     @property
     def env(self) -> SeedEnvironment:
@@ -118,9 +120,7 @@ def similarity_graph(env: SeedEnvironment, threshold: float) -> SimilarityGraph:
         r, c = np.nonzero(weights > threshold)
         found.append((r + a, c + a, weights[r, c]))
     rows, cols, weights = map(np.concatenate, zip(*found))
-    graph = SimilarityGraph._from_arrays(env.members, rows, cols, weights, directed=False)
-    graph._env, graph._threshold, graph._warnings = env, threshold, warnings
-    return graph
+    return SimilarityGraph(env, rows, cols, weights, threshold, warnings)
 
 
 def _gram_blocks(n: int, owners: np.ndarray, axes: np.ndarray, counts: np.ndarray):

@@ -8,8 +8,9 @@ the batched sweep's level order, neighbour-count degrees, a matrix writer
 that formats one cell and one journal at a time, the regular expression
 that once picked the edge-list blocks the parser splits in bulk, the
 row-id check of canonical CSR arrays the cache loader once made, the
-members' own matrix that a seed environment once held as a copy, and a
-matrix built from a ``{(citing, cited): count}`` mapping and read back as one.
+members' own matrix that a seed environment once held as a copy, a
+matrix built from a ``{(citing, cited): count}`` mapping and read back as one,
+and graphs built from a ``{(u, v): weight}`` mapping.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from citenet.centrality import Graph, Node
+from citenet.environment import SeedEnvironment
 from citenet.errors import CitenetError
 from citenet.ingest import EDGE_HEADER, MERGE_POLICY
 from citenet.matrix import MAX_COUNT, CitationMatrix, Journal, _Registry
+from citenet.similarity import SimilarityGraph
 
 BRUTE_FORCE_MAX_NODES = 64
 
@@ -374,6 +377,51 @@ def cells_of(m: CitationMatrix) -> dict[tuple[str, str], int]:
         for i in range(len(ids))
         for k in range(indptr[i], indptr[i + 1])
     }
+
+
+def graph_of(
+    nodes: Iterable[Node], edges: Mapping[tuple[Node, Node], float], directed: bool
+) -> Graph:
+    """The graph of *nodes* holding the ``(u, v) -> weight`` *edges*, built
+    through :class:`Graph`'s array constructor.  Each edge is checked (known
+    endpoints, a positive finite weight, an undirected pair given once), an
+    undirected pair's endpoints are put in node order, and the edges are
+    sorted by node numbers in Python."""
+    nodes = tuple(nodes)
+    return Graph(nodes, *_edge_arrays(nodes, edges, directed), directed)
+
+
+def similarity_graph_of(
+    env: SeedEnvironment, edges: Mapping[tuple[Node, Node], float], threshold: float
+) -> SimilarityGraph:
+    """The similarity graph over ``env.members`` holding *edges*, checked and
+    sorted as :func:`graph_of` does, without warnings."""
+    arrays = _edge_arrays(env.members, edges, directed=False)
+    return SimilarityGraph(env, *arrays, threshold, ())
+
+
+def _edge_arrays(
+    nodes: Sequence[Node], edges: Mapping[tuple[Node, Node], float], directed: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    index = {node: i for i, node in enumerate(nodes)}
+    keyed = {}
+    for (u, v), weight in edges.items():
+        if u not in index or v not in index:
+            raise ValueError(f"edge ({u}, {v}): endpoint not in node set")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"edge ({u}, {v}): weight must be positive and finite")
+        i, j = index[u], index[v]
+        if not directed and i > j:
+            i, j = j, i
+        if (i, j) in keyed:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        keyed[(i, j)] = float(weight)
+    ordered = sorted(keyed.items())
+    return (
+        np.array([i for (i, _), _ in ordered], dtype=np.int64),
+        np.array([j for (_, j), _ in ordered], dtype=np.int64),
+        np.array([weight for _, weight in ordered], dtype=np.float64),
+    )
 
 
 def reference_csv_bytes(m: CitationMatrix) -> bytes:

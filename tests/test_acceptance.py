@@ -18,7 +18,6 @@ from citenet import (
     CentralityReport,
     CentralityRow,
     Direction,
-    Graph,
     Journal,
     build_report,
     eigenvector_centrality,
@@ -34,7 +33,14 @@ from citenet import (
     similarity_graph,
 )
 from citenet.centrality import _sweep
-from oracles import brute_force_betweenness, cosine, matrix_of, pearson, restricted_matrix
+from oracles import (
+    brute_force_betweenness,
+    cosine,
+    graph_of,
+    matrix_of,
+    pearson,
+    restricted_matrix,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -68,7 +74,7 @@ def _random_graph(rng):
                 continue
             if rng.random() < density:
                 edges[(nodes[i], nodes[j])] = float(rng.uniform(0.1, 1.0))
-    return Graph(nodes, edges, directed=directed)
+    return graph_of(nodes, edges, directed=directed)
 
 
 @criterion(1, "betweenness equals brute-force enumeration on 500 random graphs")
@@ -87,14 +93,14 @@ def test_betweenness_oracle_equivalence():
 
 @criterion(2, "analytic fixtures: star/path/cycle betweenness, closeness, eigenvector")
 def test_analytic_fixtures():
-    star = Graph("CABDE", {("C", leaf): 1.0 for leaf in "ABDE"}, directed=False)
-    p3 = Graph("ABC", {("A", "B"): 1.0, ("B", "C"): 1.0}, directed=False)
-    c4 = Graph(
+    star = graph_of("CABDE", {("C", leaf): 1.0 for leaf in "ABDE"}, directed=False)
+    p3 = graph_of("ABC", {("A", "B"): 1.0, ("B", "C"): 1.0}, directed=False)
+    c4 = graph_of(
         "ABCD",
         {("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 1.0, ("D", "A"): 1.0},
         directed=False,
     )
-    complete = Graph(
+    complete = graph_of(
         "ABCD",
         {(u, v): 1.0 for i, u in enumerate("ABCD") for v in "ABCD"[i + 1 :]},
         directed=False,
@@ -337,7 +343,7 @@ def test_performance():
         for j in range(i + 1, 200):
             if rng.random() < 0.1:
                 edges[(nodes[i], nodes[j])] = float(rng.uniform(0.2001, 1.0))
-    thresholded = Graph(nodes, edges, directed=False)
+    thresholded = graph_of(nodes, edges, directed=False)
     start = time.perf_counter()
     values = _sweep(thresholded)[0]
     elapsed = time.perf_counter() - start

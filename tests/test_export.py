@@ -1,5 +1,6 @@
 """Tests for Pajek/DOT/JSON serialization, glyphs, and the report table."""
 
+import dataclasses
 import json
 import math
 import re
@@ -16,7 +17,6 @@ from citenet import (
     Direction,
     Journal,
     SeedEnvironment,
-    SimilarityGraph,
     export_dot,
     export_json,
     export_pajek,
@@ -27,7 +27,7 @@ from citenet import (
 )
 from citenet.export import json_text
 from citenet.matrix import _validate_id
-from oracles import matrix_of, parse_pajek
+from oracles import matrix_of, parse_pajek, similarity_graph_of
 
 
 def sim_graph(nodes, edges, threshold=0.2, totals=None):
@@ -45,7 +45,7 @@ def sim_graph(nodes, edges, threshold=0.2, totals=None):
         cells[(j, j)] = gross - net
     m = matrix_of(2005, [Journal(j, j) for j in nodes], cells)
     env = SeedEnvironment(nodes[0], Direction.CITED, 0.01, tuple(nodes), m)
-    return SimilarityGraph(env, edges, threshold)
+    return similarity_graph_of(env, edges, threshold)
 
 
 def written_glyphs(g):
@@ -181,6 +181,13 @@ class TestJson:
         row_a = document["report"]["rows"][0]
         assert row_a["betweenness"] == 1 / 3
         assert row_a["eigenvector"] == 0.123456789012345
+
+    def test_report_rows_hold_every_field_in_field_order(self):
+        report = self._report()
+        rows = json.loads(export_json(sim_graph("AB", {}), report))["report"]["rows"]
+        assert rows == [dataclasses.asdict(row) for row in report]
+        names = [field.name for field in dataclasses.fields(CentralityRow)]
+        assert all(list(row) == names for row in rows)
 
     def test_report_optional(self):
         g = sim_graph("AB", {})

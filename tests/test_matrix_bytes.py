@@ -463,13 +463,15 @@ def test_symmetric_adjacency_ignores_edge_order():
     for u, v in zip(rng.integers(0, 25, 150).tolist(), rng.integers(0, 25, 150).tolist()):
         edges[(u, v)] = float(rng.random()) / 3
         edges[(v, u)] = float(rng.random()) * 7
-    expected = _symmetric_adjacency(Graph(nodes, edges, directed=True))
-    weights = {(i, j): w for i, j, w in zip(*[a.tolist() for a in expected])}
+    # Node k is node number k, so the edge keys are their own arrays.
+    rows, cols = np.array(list(edges)).T
+    weights = np.array(list(edges.values()))
+    expected = _symmetric_adjacency(Graph(nodes, rows, cols, weights, directed=True))
+    got = {(i, j): w for i, j, w in zip(*[a.tolist() for a in expected])}
     for (u, v), w in edges.items():
-        assert weights[(u, v)] == (w + edges[(v, u)] if u != v else w)
-    keys = list(edges)
+        assert got[(u, v)] == (w + edges[(v, u)] if u != v else w)
     for _ in range(5):
-        rng.shuffle(keys)
-        got = _symmetric_adjacency(Graph(nodes, {k: edges[k] for k in keys}, directed=True))
-        for a, b in zip(got, expected):
+        order = rng.permutation(len(weights))
+        shuffled = Graph(nodes, rows[order], cols[order], weights[order], directed=True)
+        for a, b in zip(_symmetric_adjacency(shuffled), expected):
             assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -186,13 +186,19 @@ def test_graph_members_are_pinned():
     )
 
 
+def test_a_graph_is_built_from_edge_arrays():
+    parameters = inspect.signature(citenet.Graph.__init__).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("self", "nodes", "rows", "cols", "weights", "directed")
+    ]
+
+
 def test_a_similarity_graph_is_built_over_its_environment():
     parameters = inspect.signature(citenet.SimilarityGraph.__init__).parameters.values()
     assert [(p.name, p.kind, p.default) for p in parameters] == [
-        ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
-        ("env", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
-        ("edges", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
-        ("threshold", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("self", "env", "rows", "cols", "weights", "threshold", "warnings")
     ]
 
 

@@ -24,9 +24,11 @@ from oracles import (
     UndefinedSimilarityError,
     ZeroVarianceError,
     cosine,
+    graph_of,
     matrix_of,
     neighbours,
     pearson,
+    similarity_graph_of,
 )
 
 TRIANGLE = "B,A,3\nC,A,3\nA,B,3\nC,B,3\nA,C,3\nB,C,3"
@@ -376,6 +378,29 @@ def _assert_block_size_does_not_change_the_graph(cells, members, basis, threshol
         # Same pairs, same order, same float bits.
         assert _bits(g.edges.items()) == _bits(default.edges.items()) == _bits(edges)
         assert g.warnings == default.warnings == _zero_warnings(zero, basis)
+
+
+def test_the_oracle_graph_builders_match_the_library():
+    """From a graph's own edges, graph_of and similarity_graph_of build the
+    CSR the library built, array for array."""
+    rng = np.random.default_rng(61)
+    built = []
+    for _ in range(15):
+        ids = [f"J{i:02d}" for i in range(int(rng.integers(2, 25)))]
+        cells = {(a, b): int(rng.integers(1, 50)) for a in ids for b in ids if rng.random() < 0.3}
+        m = matrix_of(2005, [Journal(j, j) for j in ids], cells)
+        members = [ids[k] for k in rng.permutation(len(ids))]
+        for direction in Direction:
+            env = _env(m, members, direction)
+            built.append((env.links, graph_of(members, dict(env.links.edges), directed=True)))
+            for threshold in (0.0, 0.05, 0.2, 0.5):
+                g = similarity_graph(env, threshold)
+                built.append((g, graph_of(members, dict(g.edges), directed=False)))
+                built.append((g, similarity_graph_of(env, dict(g.edges), threshold)))
+    for g, oracle in built:
+        assert oracle.nodes == g.nodes and oracle.directed == g.directed
+        for a, b in zip(oracle._csr, g._csr, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _hub_environment(n, hubs, rng):
